@@ -4,6 +4,8 @@ from .core import Rat, lattice_span, parse_rat, primitive, rat_str
 from .errors import (
     DimensionDeficient,
     DimensionMismatch,
+    InternalError,
+    InvalidInput,
     InvalidWeights,
     LatminError,
     MixedProfile,

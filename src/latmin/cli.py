@@ -16,12 +16,11 @@ from fractions import Fraction
 
 from . import gon, postulation, toric
 from .core import as_intvec, parse_rat, rat_str
-from .errors import LatminError
-from .generate import GenerationError, SuiteConfig, generate_instance, instance_stream
+from .errors import InvalidInput, LatminError
+from .generate import (GenerationError, SuiteConfig, generate_instance, instance_stream,
+                       random_polytope)
 from .polytope import Polytope, SymmetricBody, convex_hull, lattice_points, polar, volume
 from .toric import MomentPolytope, ProductOfP1, ProjectiveSpace
-
-SUITES = ("minkowski", "transference", "sharp2d", "flatness", "m2m", "postulation")
 
 
 class UsageError(Exception):
@@ -79,9 +78,16 @@ def _load_json(args) -> dict:
 def _parse_polytope(obj) -> Polytope:
     if not isinstance(obj, dict) or "dim" not in obj or "vertices" not in obj:
         raise LatminError('polytope JSON needs keys "dim" and "vertices"')
-    d = int(obj["dim"])
+    d = _json_int(obj["dim"], "dim")
     pts = [[parse_rat(c) for c in v] for v in obj["vertices"]]
     return convex_hull(pts, d)
+
+
+def _json_int(value, name: str) -> int:
+    """A JSON integer as is; floats, booleans and strings are refused, not coerced."""
+    if type(value) is not int:
+        raise InvalidInput(f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def _dump(obj) -> bytes:
@@ -89,108 +95,89 @@ def _dump(obj) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify suites: each checks instance i of cfg, reports extremes through
+# track(key, value, min|max) and returns whether the instance holds
+
+
+def _minkowski(cfg: SuiteConfig, i: int, track) -> bool:
+    rep = gon.verify_minkowski_second(generate_instance(cfg, i))
+    prod = parse_rat(rep.quantities["product"])
+    track("min_product", prod, min)
+    track("max_product", prod, max)
+    return rep.holds
+
+
+def _transference(cfg: SuiteConfig, i: int, track) -> bool:
+    rep = gon.verify_transference(generate_instance(cfg, i))
+    for p in rep.quantities["pairings"]:
+        track("max_pairing", parse_rat(p), max)
+    return rep.holds
+
+
+def _sharp2d(cfg: SuiteConfig, i: int, track) -> bool:
+    rep = gon.verify_sharp_2d(generate_instance(cfg, i))
+    track("max_product", parse_rat(rep.quantities["product"]), max)
+    return rep.holds
+
+
+def _flatness(cfg: SuiteConfig, i: int, track) -> bool:
+    return gon.flatness_report(generate_instance(cfg, i)).holds
+
+
+def _m2m(cfg: SuiteConfig, i: int, track) -> bool:
+    """Exact family profiles, or brackets on a random lattice polytope whose
+    last entry must also lie in [w/d, w] for the lattice width w."""
+    rng = instance_stream(cfg.seed, i)
+    kind = rng.int_in(0, 2)
+    if kind == 0:
+        profile, mp = toric.exact_eps_family(
+            ProjectiveSpace(cfg.dim, rng.int_in(1, cfg.coord_bound)))
+    elif kind == 1:
+        weights = tuple(rng.int_in(1, cfg.coord_bound) for _ in range(cfg.dim))
+        profile, mp = toric.exact_eps_family(ProductOfP1(weights))
+    else:
+        mp = MomentPolytope(random_polytope(rng, cfg.dim, cfg.coord_bound))
+        profile = toric.eps_bracket_general(mp)
+    rep = toric.verify_m2m(mp, profile)
+    if profile.all_bracket:
+        w = gon.lattice_width(mp.polytope).width
+        last = profile.entries[-1]
+        return rep.holds and Fraction(w, mp.d) <= last.lo <= last.hi <= w
+    track("max_ratio", parse_rat(rep.quantities["ratio"]), max)
+    return rep.holds
+
+
+def _postulation(cfg: SuiteConfig, i: int, track) -> bool:
+    rng = instance_stream(cfg.seed, i)
+    t = tuple(Fraction(rng.int_in(0, 4 * cfg.coord_bound), rng.int_in(1, 4))
+              for _ in range(cfg.dim))
+    ok = postulation.check_vol_bound(t).holds
+    if cfg.dim <= 3:
+        ts = tuple(sorted(t, reverse=True))
+        ok = ok and postulation.box_volume(ts) == postulation.box_volume_closed_form(ts)
+    return ok
+
+
+SUITES = {
+    "minkowski": _minkowski,
+    "transference": _transference,
+    "sharp2d": _sharp2d,
+    "flatness": _flatness,
+    "m2m": _m2m,
+    "postulation": _postulation,
+}
 
 
 def _run_suite(cfg: SuiteConfig) -> dict:
-    summary = {
-        "suite": cfg.suite,
-        "seed": cfg.seed,
-        "count": cfg.count,
-        "dim": cfg.dim,
-        "bound": cfg.coord_bound,
-        "holds": 0,
-        "violated": 0,
-    }
     extremes: dict = {}
 
-    def _track(key: str, value: Fraction, bigger: bool):
-        if key not in extremes:
-            extremes[key] = value
-        elif bigger and value > extremes[key]:
-            extremes[key] = value
-        elif not bigger and value < extremes[key]:
-            extremes[key] = value
+    def track(key: str, value: Fraction, pick) -> None:
+        extremes[key] = pick(extremes[key], value) if key in extremes else value
 
-    if cfg.suite == "minkowski":
-        for i in range(cfg.count):
-            rep = gon.verify_minkowski_second(generate_instance(cfg, i))
-            summary["holds" if rep.holds else "violated"] += 1
-            prod = parse_rat(rep.quantities["product"])
-            _track("min_product", prod, bigger=False)
-            _track("max_product", prod, bigger=True)
-        summary["min_product"] = rat_str(extremes["min_product"])
-        summary["max_product"] = rat_str(extremes["max_product"])
-    elif cfg.suite == "transference":
-        for i in range(cfg.count):
-            rep = gon.verify_transference(generate_instance(cfg, i))
-            summary["holds" if rep.holds else "violated"] += 1
-            for p in rep.quantities["pairings"]:
-                _track("max_pairing", parse_rat(p), bigger=True)
-        summary["max_pairing"] = rat_str(extremes["max_pairing"])
-    elif cfg.suite == "sharp2d":
-        cfg = SuiteConfig(cfg.suite, cfg.seed, cfg.count, 2, cfg.coord_bound)
-        summary["dim"] = 2
-        for i in range(cfg.count):
-            rep = gon.verify_sharp_2d(generate_instance(cfg, i))
-            summary["holds" if rep.holds else "violated"] += 1
-            _track("max_product", parse_rat(rep.quantities["product"]), bigger=True)
-        summary["max_product"] = rat_str(extremes["max_product"])
-    elif cfg.suite == "flatness":
-        for i in range(cfg.count):
-            rep = gon.flatness_report(generate_instance(cfg, i))
-            summary["holds" if rep.holds else "violated"] += 1
-    elif cfg.suite == "m2m":
-        for i in range(cfg.count):
-            rng = instance_stream(cfg.seed, i)
-            kind = rng.int_in(0, 2)
-            if kind == 0:
-                profile, mp = toric.exact_eps_family(
-                    ProjectiveSpace(cfg.dim, rng.int_in(1, cfg.coord_bound)))
-            elif kind == 1:
-                weights = tuple(rng.int_in(1, cfg.coord_bound) for _ in range(cfg.dim))
-                profile, mp = toric.exact_eps_family(ProductOfP1(weights))
-            else:
-                mp = _random_moment_polytope(rng, cfg.dim, cfg.coord_bound)
-                profile = toric.eps_bracket_general(mp)
-            rep = toric.verify_m2m(mp, profile)
-            ok = rep.holds
-            if profile.all_bracket:
-                ok = ok and _ew_sandwich_ok(mp, profile)
-            else:
-                _track("max_ratio", parse_rat(rep.quantities["ratio"]), bigger=True)
-            summary["holds" if ok else "violated"] += 1
-        if "max_ratio" in extremes:
-            summary["max_ratio"] = rat_str(extremes["max_ratio"])
-    elif cfg.suite == "postulation":
-        for i in range(cfg.count):
-            rng = instance_stream(cfg.seed, i)
-            t = tuple(Fraction(rng.int_in(0, 4 * cfg.coord_bound), rng.int_in(1, 4))
-                      for _ in range(cfg.dim))
-            rep = postulation.check_vol_bound(t)
-            ok = rep.holds
-            ts = tuple(sorted(t, reverse=True))
-            if cfg.dim <= 3:
-                ok = ok and (postulation.box_volume(ts)
-                             == postulation.box_volume_closed_form(ts))
-            summary["holds" if ok else "violated"] += 1
-    return summary
-
-
-def _random_moment_polytope(rng, dim: int, bound: int) -> MomentPolytope:
-    for _ in range(1000):
-        pts = [tuple(rng.int_in(-bound, bound) for _ in range(dim))
-               for _ in range(dim + 4)]
-        P = convex_hull(pts, dim)
-        if P.is_full_dimensional:
-            return MomentPolytope(P)
-    raise GenerationError("no full-dimensional lattice polytope after 1000 tries")
-
-
-def _ew_sandwich_ok(mp: MomentPolytope, profile) -> bool:
-    w = gon.lattice_width(mp.polytope).width
-    last = profile.entries[-1]
-    return Fraction(w, mp.d) <= last.lo <= last.hi <= w
+    holds = sum(SUITES[cfg.suite](cfg, i, track) for i in range(cfg.count))
+    summary = {"suite": cfg.suite, "seed": cfg.seed, "count": cfg.count, "dim": cfg.dim,
+               "bound": cfg.coord_bound, "holds": holds, "violated": cfg.count - holds}
+    return summary | {key: rat_str(value) for key, value in extremes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +189,8 @@ def _dispatch(args) -> tuple[int, dict]:
     if cmd == "verify":
         if args.count < 1 or not (2 <= args.dim <= 4) or args.bound < 1:
             raise UsageError("need count >= 1, 2 <= dim <= 4, bound >= 1")
-        cfg = SuiteConfig(args.suite, args.seed % (1 << 64), args.count,
-                          args.dim, args.bound)
+        dim = 2 if args.suite == "sharp2d" else args.dim  # the sharp bound is planar
+        cfg = SuiteConfig(args.suite, args.seed % (1 << 64), args.count, dim, args.bound)
         summary = _run_suite(cfg)
         return (1 if summary["violated"] else 0), summary
 
@@ -220,7 +207,9 @@ def _dispatch(args) -> tuple[int, dict]:
                 "verdict": rep.verdict,
             }
         if {"d", "p", "q"} <= set(obj):
-            return 0, {"h0": postulation.flag_h0(int(obj["d"]), obj["p"], int(obj["q"]))}
+            p = [_json_int(x, "p entry") for x in obj["p"]]
+            return 0, {"h0": postulation.flag_h0(_json_int(obj["d"], "d"), p,
+                                                 _json_int(obj["q"], "q"))}
         raise LatminError('postulation input needs "t" or "d","p","q"')
 
     P = _parse_polytope(obj)

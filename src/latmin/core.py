@@ -14,8 +14,6 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, ZeroVector
 
 Rat = Fraction
-IntVec = tuple  # tuple[int, ...]
-RatVec = tuple  # tuple[Fraction, ...]
 
 
 def rat_str(x: Fraction) -> str:
@@ -35,11 +33,11 @@ def parse_rat(s) -> Fraction:
     return Fraction(str(s).strip())
 
 
-def as_ratvec(v: Iterable) -> RatVec:
+def as_ratvec(v: Iterable) -> tuple:
     return tuple(Fraction(c) if isinstance(c, (int, Fraction)) else parse_rat(c) for c in v)
 
 
-def as_intvec(v: Iterable) -> IntVec:
+def as_intvec(v: Iterable) -> tuple:
     out = []
     for c in v:
         f = Fraction(c)
@@ -57,19 +55,7 @@ def vsub(a: Sequence, b: Sequence) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vadd(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vneg(a: Sequence) -> tuple:
-    return tuple(-x for x in a)
-
-
-def vscale(c, a: Sequence) -> tuple:
-    return tuple(c * x for x in a)
-
-
-def primitive(v: Sequence[int], canonical_sign: bool = False) -> IntVec:
+def primitive(v: Sequence[int], canonical_sign: bool = False) -> tuple:
     """Divide an integer vector by the gcd of its entries.
 
     With ``canonical_sign`` the result is flipped so its first nonzero entry

@@ -43,3 +43,11 @@ class NegativeParameter(LatminError):
 
 class MixedProfile(LatminError):
     """Profile mixes exact values and brackets where one kind is required."""
+
+
+class InvalidInput(LatminError):
+    """Input has the wrong JSON type, e.g. a float or boolean where an integer is required."""
+
+
+class InternalError(LatminError):
+    """A library invariant failed; always a bug, never a property of the input."""

@@ -58,21 +58,23 @@ class SuiteConfig:
     coord_bound: int
 
 
-def _random_points(rng: SplitMix64, n: int, dim: int, bound: int) -> list:
-    return [tuple(rng.int_in(-bound, bound) for _ in range(dim)) for _ in range(n)]
+def random_polytope(rng: SplitMix64, dim: int, bound: int, symmetric: bool = False):
+    """Hull of dim+4 points of [-bound, bound]^dim, or with ``symmetric`` of
+    dim+2 points and their negatives; resampled until full-dimensional."""
+    n = dim + (2 if symmetric else 4)
+    for _ in range(RETRY_CAP):
+        pts = [tuple(rng.int_in(-bound, bound) for _ in range(dim)) for _ in range(n)]
+        if symmetric:
+            pts = pts + [tuple(-c for c in p) for p in pts]
+        P = convex_hull(pts, dim)
+        if P.is_full_dimensional:
+            return P
+    raise GenerationError(f"no full-dimensional instance after {RETRY_CAP} tries")
 
 
 def generate_instance(cfg: SuiteConfig, index: int):
     """Instance for (cfg, index): a lattice Polytope, or a SymmetricBody for
-    the body suites; rejection-resampled until full-dimensional."""
-    rng = instance_stream(cfg.seed, index)
+    the body suites."""
     symmetric = cfg.suite in ("transference", "sharp2d")
-    n = cfg.dim + (2 if symmetric else 4)
-    for _ in range(RETRY_CAP):
-        pts = _random_points(rng, n, cfg.dim, cfg.coord_bound)
-        if symmetric:
-            pts = pts + [tuple(-c for c in p) for p in pts]
-        P = convex_hull(pts, cfg.dim)
-        if P.is_full_dimensional:
-            return SymmetricBody(P) if symmetric else P
-    raise GenerationError(f"no full-dimensional instance after {RETRY_CAP} tries")
+    P = random_polytope(instance_stream(cfg.seed, index), cfg.dim, cfg.coord_bound, symmetric)
+    return SymmetricBody(P) if symmetric else P

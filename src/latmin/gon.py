@@ -21,7 +21,8 @@ from .core import (
     vsub,
 )
 from .errors import DimensionDeficient, DimensionMismatch
-from .polytope import Polytope, SymmetricBody, difference_body, lattice_points, polar, volume
+from .polytope import (Polytope, SymmetricBody, difference_body, enumerate_points,
+                       lattice_points, polar, volume)
 from .report import HOLDS, TheoremReport, verdict
 
 
@@ -62,67 +63,6 @@ def gauge(K: SymmetricBody, x) -> Fraction:
     return g
 
 
-def _enumerate_in_dilate(K: SymmetricBody, radius: Fraction) -> list:
-    """All integer points of radius*K, by pruned coordinate recursion.
-
-    Facet inequalities are cleared to integers and each prefix is tested
-    against exact interval bounds, so the scan is exhaustive without walking
-    the whole bounding box.
-    """
-    body = K.body
-    d = body.ambient_dim
-    ineqs = []
-    for a, b in body.facets:
-        rb = radius * b
-        ineqs.append((tuple(c * rb.denominator for c in a), rb.numerator))
-    los, his = [], []
-    for j in range(d):
-        cs = [radius * v[j] for v in body.vertices]
-        los.append(math.ceil(min(cs)))
-        his.append(math.floor(max(cs)))
-        if los[-1] > his[-1]:
-            return []
-    # tail_min[i][j] = least possible value of sum_{k>=j} a_k x_k over the box
-    tail_min = []
-    for a, _ in ineqs:
-        tm = [0] * (d + 1)
-        for j in range(d - 1, -1, -1):
-            tm[j] = tm[j + 1] + min(a[j] * los[j], a[j] * his[j])
-        tail_min.append(tm)
-
-    out = []
-    partial = [0] * len(ineqs)
-
-    def rec(j):
-        if j == d:
-            out.append(tuple(stack))
-            return
-        lo, hi = los[j], his[j]
-        for i, (a, c) in enumerate(ineqs):
-            rhs = c - partial[i] - tail_min[i][j + 1]
-            aj = a[j]
-            if aj > 0:
-                hi = min(hi, rhs // aj)  # floor(rhs/aj)
-            elif aj < 0:
-                lo = max(lo, -(rhs // -aj))  # ceil(rhs/aj)
-            elif rhs < 0:
-                return
-        if lo > hi:
-            return
-        for x in range(lo, hi + 1):
-            stack.append(x)
-            for i, (a, _) in enumerate(ineqs):
-                partial[i] += a[j] * x
-            rec(j + 1)
-            for i, (a, _) in enumerate(ineqs):
-                partial[i] -= a[j] * x
-            stack.pop()
-
-    stack: list[int] = []
-    rec(0)
-    return out
-
-
 def successive_minima(K: SymmetricBody) -> SuccessiveMinima:
     """Exact successive minima of (Z^d, K) with a witness vector per index.
 
@@ -137,7 +77,8 @@ def successive_minima(K: SymmetricBody) -> SuccessiveMinima:
     R = max(gauge(K, e) for e in basis)
     while True:
         candidates = []
-        for v in _enumerate_in_dilate(K, R):
+        rhs = [math.floor(R * b) for _, b in K.body.facets]
+        for v in enumerate_points(K.body, rhs, R):
             if any(v):
                 candidates.append((gauge(K, v), v))
         candidates.sort()

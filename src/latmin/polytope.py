@@ -25,7 +25,7 @@ from .core import (
     vdot,
     vsub,
 )
-from .errors import DimensionDeficient, DimensionMismatch, NotSymmetric
+from .errors import DimensionDeficient, DimensionMismatch, InternalError, NotSymmetric
 
 
 class PointLocation(enum.Enum):
@@ -42,7 +42,7 @@ class Polytope:
     """
 
     __slots__ = ("ambient_dim", "vertices", "affine_dim", "_facets",
-                 "_boundary_simplices", "_chart")
+                 "_boundary_simplices", "_chart", "_difference")
 
     def __init__(self, ambient_dim, vertices, affine_dim, facets=None,
                  boundary_simplices=None, chart=None):
@@ -53,6 +53,7 @@ class Polytope:
         self._boundary_simplices = boundary_simplices
         # (base point, basis rows, inner polytope) for lower-dimensional bodies
         self._chart = chart
+        self._difference = None  # P - P, set by difference_body
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -90,7 +91,7 @@ class SymmetricBody:
     Such a body automatically has the origin in its interior.
     """
 
-    __slots__ = ("body",)
+    __slots__ = ("body", "_polar")
 
     def __init__(self, body: Polytope):
         if not body.is_full_dimensional:
@@ -100,6 +101,7 @@ class SymmetricBody:
             if tuple(-c for c in v) not in vset:
                 raise NotSymmetric(f"vertex {v} has no mirror image")
         self.body = body
+        self._polar = None  # set by polar
 
     @property
     def ambient_dim(self) -> int:
@@ -159,7 +161,8 @@ def convex_hull(points, d: int) -> Polytope:
         cols = list(zip(*basis_rows))  # d rows of length k
         for p in pts:
             c = solve_linear(cols, vsub(p, base))
-            assert c is not None
+            if c is None:
+                raise InternalError(f"point {p} outside the affine span of the input")
             coords.append(c)
         inner = convex_hull(coords, k)
         inner_to_outer = {c: p for c, p in zip(coords, pts)}
@@ -204,7 +207,7 @@ def _facet_hyperplane(points, ref, d):
         normal = tuple(-c for c in normal)
         offset = -offset
     elif side == offset:
-        raise AssertionError("reference point on facet hyperplane")
+        raise InternalError("reference point on facet hyperplane")
     return normal, offset
 
 
@@ -302,29 +305,75 @@ def contains(P: Polytope, x) -> bool:
     return contains(inner, c)
 
 
+def enumerate_points(P: Polytope, rhs, scale=1) -> list:
+    """Integer points x with a.x <= r for each facet normal a of P and its
+    integer right-hand side r in ``rhs``, sorted lexicographically.
+
+    The integer bounding box of scale*P must hold every solution.  Each
+    coordinate is cut to exact interval bounds given its prefix, so the scan
+    is exhaustive without walking the whole box.
+    """
+    d = P.ambient_dim
+    normals = [a for a, _ in P.facets]
+    los = [math.ceil(min(scale * v[j] for v in P.vertices)) for j in range(d)]
+    his = [math.floor(max(scale * v[j] for v in P.vertices)) for j in range(d)]
+    # tail_min[i][j] = least value of sum_{k>=j} a_k x_k over the box, a = normals[i]
+    tail_min = []
+    for a in normals:
+        tm = [0] * (d + 1)
+        for j in range(d - 1, -1, -1):
+            tm[j] = tm[j + 1] + min(a[j] * los[j], a[j] * his[j])
+        tail_min.append(tm)
+    out, stack, partial = [], [], [0] * len(normals)
+
+    def rec(j):
+        if j == d:
+            out.append(tuple(stack))
+            return
+        lo, hi = los[j], his[j]
+        for i, a in enumerate(normals):
+            slack = rhs[i] - partial[i] - tail_min[i][j + 1]
+            if a[j] > 0:
+                hi = min(hi, slack // a[j])  # floor(slack / a_j)
+            elif a[j] < 0:
+                lo = max(lo, -(slack // -a[j]))  # ceil(slack / a_j)
+            elif slack < 0:
+                return
+        for x in range(lo, hi + 1):
+            stack.append(x)
+            for i, a in enumerate(normals):
+                partial[i] += a[j] * x
+            rec(j + 1)
+            for i, a in enumerate(normals):
+                partial[i] -= a[j] * x
+            stack.pop()
+
+    if all(lo <= hi for lo, hi in zip(los, his)):
+        rec(0)
+    return out
+
+
 def lattice_points(P: Polytope, mode: str = "all") -> list:
     """Integer points of P, sorted lexicographically.
 
     ``mode`` is "all" or "interior"; the interior mode requires a
-    full-dimensional polytope.  Enumeration scans the integer bounding box of
-    the vertices and keeps points by exact membership.
+    full-dimensional polytope.  On integer points a facet a.x <= b reads
+    a.x <= floor(b), and a.x < b reads a.x <= ceil(b) - 1.  A lower-dimensional
+    P is scanned over its bounding box by exact membership.
     """
     if mode not in ("all", "interior"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "interior" and not P.is_full_dimensional:
+    if P.is_full_dimensional:
+        if mode == "interior":
+            return enumerate_points(P, [math.ceil(b) - 1 for _, b in P.facets])
+        return enumerate_points(P, [math.floor(b) for _, b in P.facets])
+    if mode == "interior":
         raise DimensionDeficient("interior enumeration requires full dimension")
     ranges = []
     for j in range(P.ambient_dim):
         cs = [v[j] for v in P.vertices]
         ranges.append(range(math.ceil(min(cs)), math.floor(max(cs)) + 1))
-    out = []
-    for xs in product(*ranges):
-        if mode == "interior":
-            if locate(P, xs) is PointLocation.INTERIOR:
-                out.append(xs)
-        elif contains(P, xs):
-            out.append(xs)
-    return out
+    return [xs for xs in product(*ranges) if contains(P, xs)]
 
 
 def volume(P: Polytope) -> Fraction:
@@ -352,11 +401,14 @@ def volume(P: Polytope) -> Fraction:
 
 
 def difference_body(P: Polytope) -> SymmetricBody:
-    """The 0-symmetric body of pairwise vertex differences of P."""
+    """The 0-symmetric body of pairwise vertex differences of P, built once
+    per polytope."""
     if not P.is_full_dimensional:
         raise DimensionDeficient("difference body requires a full-dimensional polytope")
-    diffs = {vsub(v, w) for v in P.vertices for w in P.vertices}
-    return SymmetricBody(convex_hull(diffs, P.ambient_dim))
+    if P._difference is None:
+        diffs = {vsub(v, w) for v in P.vertices for w in P.vertices}
+        P._difference = SymmetricBody(convex_hull(diffs, P.ambient_dim))
+    return P._difference
 
 
 def polar(K: SymmetricBody) -> SymmetricBody:
@@ -364,14 +416,16 @@ def polar(K: SymmetricBody) -> SymmetricBody:
 
     Vertices of the polar are facet normals of K rescaled to offset 1; its
     facets are in turn cut out by the vertices of K, which is what makes
-    bipolarity an exact round trip.
+    bipolarity an exact round trip.  Built once per body.
     """
-    body = K.body
-    duals = []
-    for a, b in body.facets:
-        assert b > 0  # origin interior
-        duals.append(tuple(Fraction(c) / b for c in a))
-    return SymmetricBody(convex_hull(duals, body.ambient_dim))
+    if K._polar is None:
+        duals = []
+        for a, b in K.body.facets:
+            if b <= 0:
+                raise InternalError(f"origin not interior: facet offset {b}")
+            duals.append(tuple(Fraction(c) / b for c in a))
+        K._polar = SymmetricBody(convex_hull(duals, K.ambient_dim))
+    return K._polar
 
 
 def scale(P: Polytope, c) -> Polytope:

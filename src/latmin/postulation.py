@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import rank_rational, rat_str, solve_linear, vdot
-from .errors import NegativeParameter
+from .errors import InternalError, NegativeParameter
 from .polytope import convex_hull, volume
 from .report import TheoremReport, verdict
 
@@ -89,7 +89,8 @@ def box_volume(t) -> Fraction:
     vol = volume(convex_hull(verts, d))
     if d <= 3 and all(a >= b for a, b in zip(params, params[1:])):
         closed = box_volume_closed_form(params)
-        assert closed == vol, f"closed form {closed} != triangulated {vol}"
+        if closed != vol:
+            raise InternalError(f"closed form {closed} != triangulated {vol}")
     return vol
 
 

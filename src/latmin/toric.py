@@ -25,6 +25,7 @@ from .core import (
 )
 from .errors import (
     DimensionDeficient,
+    InternalError,
     InvalidWeights,
     MixedProfile,
     NotAmplePolytope,
@@ -202,7 +203,8 @@ def eps_at_invariant_point(MP: MomentPolytope, u) -> EpsProfile:
     coords = []
     for v in MP.polytope.vertices:
         c = solve_linear(cols, vsub(v, tuple(Fraction(x) for x in u)))
-        assert c is not None and all(x >= 0 for x in c)
+        if c is None or any(x < 0 for x in c):
+            raise InternalError(f"vertex {v} has no nonnegative cone coordinates")
         coords.append(c)
 
     values = []

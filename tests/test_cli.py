@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from latmin.cli import run
 
 
@@ -147,6 +149,26 @@ class TestErrors:
         code, out = invoke("toric-eps", "--inline", BOX32, "--vertex", "1,1")
         assert code == 2
         assert out["error"]["code"] == "NotAVertex"
+
+
+NON_INTEGER_INPUTS = [
+    ("width", {"dim": 2.9, "vertices": [[0, 0], [1, 0], [0, 1]]}),
+    ("width", {"dim": True, "vertices": [[0], [1]]}),
+    ("width", {"dim": "2", "vertices": [[0, 0], [1, 0], [0, 1]]}),
+    ("postulation", {"d": 2.7, "p": [1, 1], "q": 2.9}),
+    ("postulation", {"d": 2, "p": [1, 1], "q": 2.0}),
+    ("postulation", {"d": True, "p": [1], "q": 2}),
+    ("postulation", {"d": 2, "p": [1, 1.5], "q": 2}),
+    ("postulation", {"d": 2, "p": [1, False], "q": 2}),
+    ("postulation", {"d": 2, "p": ["1", 1], "q": 2}),
+]
+
+
+@pytest.mark.parametrize("command, doc", NON_INTEGER_INPUTS)
+def test_non_integer_json_refused(command, doc):
+    code, out = invoke(command, "--inline", json.dumps(doc))
+    assert code == 2
+    assert out["error"]["code"] == "InvalidInput"
 
 
 class TestRoundTrip:

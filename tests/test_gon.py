@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latmin.core import lattice_span, vdot
 from latmin.errors import DimensionDeficient, DimensionMismatch
@@ -188,6 +190,36 @@ class TestSuccessiveMinima:
         for x in product(range(-6, 7), repeat=2):
             if any(x):
                 assert gauge(K, x) >= lam1
+
+
+@st.composite
+def bodies_and_unimodular_maps(draw):
+    """A random symmetric 2-D/3-D body and a product of elementary integer
+    row operations and a sign flip, which is unimodular."""
+    d = draw(st.sampled_from((2, 3)))
+    coord = st.integers(-3, 3)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d, max_size=d + 2))
+    P = convex_hull(pts + [tuple(-c for c in p) for p in pts], d)
+    assume(P.is_full_dimensional)
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
+        k = draw(st.integers(-2, 2))
+        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+    if draw(st.booleans()):
+        U[0] = [-a for a in U[0]]
+    return SymmetricBody(P), U
+
+
+@settings(max_examples=60, deadline=None)
+@given(bodies_and_unimodular_maps())
+def test_minima_unimodular_invariance(body_and_map):
+    K, U = body_and_map
+    d = K.ambient_dim
+    image = SymmetricBody(convex_hull(
+        [tuple(sum(U[i][j] * v[j] for j in range(d)) for i in range(d)) for v in K.body.vertices],
+        d))
+    assert successive_minima(image).lambdas == successive_minima(K).lambdas
 
 
 # --- lattice width -------------------------------------------------------------

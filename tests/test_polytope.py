@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latmin.errors import DimensionDeficient, DimensionMismatch, NotSymmetric
@@ -217,6 +218,34 @@ class TestLatticePoints:
         assert len(lattice_points(Q, "interior")) == n_int
 
 
+def lattice_points_by_box_scan(P, mode):
+    """Reference oracle: every integer point of the vertex bounding box,
+    kept by exact point location."""
+    ranges = [range(math.ceil(min(v[j] for v in P.vertices)),
+                    math.floor(max(v[j] for v in P.vertices)) + 1)
+              for j in range(P.ambient_dim)]
+    keep = ({PointLocation.INTERIOR} if mode == "interior"
+            else {PointLocation.INTERIOR, PointLocation.BOUNDARY})
+    return [x for x in product(*ranges) if locate(P, x) in keep]
+
+
+@st.composite
+def rational_polytopes(draw):
+    """Full-dimensional 2-D/3-D hulls of points with denominators 1..3."""
+    d = draw(st.sampled_from((2, 3)))
+    coord = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))
+    P = convex_hull(pts, d)
+    assume(P.is_full_dimensional)
+    return P
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_polytopes(), st.sampled_from(("all", "interior")))
+def test_lattice_points_match_box_scan(P, mode):
+    assert lattice_points(P, mode) == lattice_points_by_box_scan(P, mode)
+
+
 class TestVolume:
     def test_examples(self):
         assert volume(convex_hull(list(product((0, 1), repeat=3)), 3)) == 1
@@ -301,6 +330,13 @@ class TestPolar:
         dual = polar(K)
         assert dual.body == convex_hull(
             [(1, 0), (-1, 0), (F(-1, 2), 1), (F(1, 2), -1)], 2)
+
+    def test_derived_bodies_built_once(self):
+        P = convex_hull([(0, 0), (3, 1), (1, 4)], 2)
+        K = difference_body(P)
+        assert difference_body(P) is K
+        assert polar(K) is polar(K)
+        assert K == difference_body(convex_hull(P.vertices, 2))
 
     def test_bipolarity_seeded(self):
         cfg = SuiteConfig("transference", seed=11, count=0, dim=3, coord_bound=4)
