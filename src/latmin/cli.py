@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import gon, postulation, toric
-from .core import as_intvec, parse_rat, rat_str
-from .errors import InvalidInput, LatminError
+from .core import as_intvec, parse_rat, rat_str, strict_int
+from .errors import LatminError
 from .generate import (GenerationError, SuiteConfig, generate_instance, instance_stream,
                        random_polytope)
 from .polytope import Polytope, SymmetricBody, convex_hull, lattice_points, polar, volume
@@ -78,16 +78,9 @@ def _load_json(args) -> dict:
 def _parse_polytope(obj) -> Polytope:
     if not isinstance(obj, dict) or "dim" not in obj or "vertices" not in obj:
         raise LatminError('polytope JSON needs keys "dim" and "vertices"')
-    d = _json_int(obj["dim"], "dim")
+    d = strict_int(obj["dim"], "dim")
     pts = [[parse_rat(c) for c in v] for v in obj["vertices"]]
     return convex_hull(pts, d)
-
-
-def _json_int(value, name: str) -> int:
-    """A JSON integer as is; floats, booleans and strings are refused, not coerced."""
-    if type(value) is not int:
-        raise InvalidInput(f"{name} must be a JSON integer, got {json.dumps(value)}")
-    return value
 
 
 def _dump(obj) -> bytes:
@@ -153,8 +146,8 @@ def _postulation(cfg: SuiteConfig, i: int, track) -> bool:
               for _ in range(cfg.dim))
     ok = postulation.check_vol_bound(t).holds
     if cfg.dim <= 3:
-        ts = tuple(sorted(t, reverse=True))
-        ok = ok and postulation.box_volume(ts) == postulation.box_volume_closed_form(ts)
+        # on nonincreasing parameters box_volume checks its closed form itself
+        postulation.box_volume(sorted(t, reverse=True))
     return ok
 
 
@@ -207,9 +200,7 @@ def _dispatch(args) -> tuple[int, dict]:
                 "verdict": rep.verdict,
             }
         if {"d", "p", "q"} <= set(obj):
-            p = [_json_int(x, "p entry") for x in obj["p"]]
-            return 0, {"h0": postulation.flag_h0(_json_int(obj["d"], "d"), p,
-                                                 _json_int(obj["q"], "q"))}
+            return 0, {"h0": postulation.flag_h0(obj["d"], obj["p"], obj["q"])}
         raise LatminError('postulation input needs "t" or "d","p","q"')
 
     P = _parse_polytope(obj)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, InvalidInput, ZeroVector
 
 Rat = Fraction
 
@@ -31,6 +31,13 @@ def parse_rat(s) -> Fraction:
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     return Fraction(str(s).strip())
+
+
+def strict_int(value, name: str) -> int:
+    """An int as is; floats, booleans, strings and other types are refused, not coerced."""
+    if type(value) is not int:
+        raise InvalidInput(f"{name} must be an integer, not {type(value).__name__}")
+    return value
 
 
 def as_ratvec(v: Iterable) -> tuple:
@@ -178,6 +185,79 @@ def nullspace_vector(rows: Sequence[Sequence], ncols: int) -> tuple:
     for i, col in enumerate(pivots):
         x[col] = -m[i][free]
     return tuple(x)
+
+
+def integer_inverse(rows: Sequence[Sequence[int]]) -> list:
+    """Inverse of a unimodular integer matrix, as integer rows."""
+    d = len(rows)
+    m, _ = rref([list(r) + [int(i == j) for j in range(d)] for i, r in enumerate(rows)])
+    return [as_intvec(r[d:]) for r in m]
+
+
+def lll_reduce(gram: Sequence[Sequence]) -> list:
+    """LLL-reduced basis of Z^d, with delta = 3/4, for the positive definite
+    rational form ``gram``.
+
+    Exact version of Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 2.6.3: the Gram-Schmidt coefficients ``mu`` and squared
+    lengths ``bstar`` are updated in place by each size reduction and swap,
+    and computed from the form only when a new index is reached.  Returns the
+    rows b_1..b_d of a unimodular integer matrix with |mu_kj| <= 1/2 and
+    bstar_k >= (delta - mu_{k,k-1}^2) bstar_{k-1}.
+    """
+    d = len(gram)
+    delta = Fraction(3, 4)
+    basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    mu = [[Fraction(0)] * d for _ in range(d)]
+    bstar = [Fraction(0)] * d
+
+    def form(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(d) for j in range(d) if x[i] and y[j])
+
+    def gram_schmidt(k):
+        for j in range(k):
+            s = form(basis[k], basis[j]) - sum(mu[j][i] * mu[k][i] * bstar[i] for i in range(j))
+            mu[k][j] = s / bstar[j]
+        bstar[k] = form(basis[k], basis[k]) - sum(mu[k][j] ** 2 * bstar[j] for j in range(k))
+
+    def size_reduce(k, l):
+        if 2 * abs(mu[k][l]) <= 1:
+            return
+        q = round(mu[k][l])
+        basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
+        mu[k][l] -= q
+        for i in range(l):
+            mu[k][i] -= q * mu[l][i]
+
+    def swap(k, kmax):
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        for j in range(k - 1):
+            mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+        m = mu[k][k - 1]
+        b = bstar[k] + m * m * bstar[k - 1]
+        mu[k][k - 1] = m * bstar[k - 1] / b
+        bstar[k] = bstar[k - 1] * bstar[k] / b
+        bstar[k - 1] = b
+        for i in range(k + 1, kmax + 1):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+
+    gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < d:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        size_reduce(k, k - 1)
+        if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return [tuple(r) for r in basis]
 
 
 def determinant(rows: Sequence[Sequence]) -> Fraction:

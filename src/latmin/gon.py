@@ -15,7 +15,9 @@ from fractions import Fraction
 from .core import (
     IncrementalRank,
     as_ratvec,
+    integer_inverse,
     lattice_span,
+    lll_reduce,
     rat_str,
     vdot,
     vsub,
@@ -63,24 +65,72 @@ def gauge(K: SymmetricBody, x) -> Fraction:
     return g
 
 
-def successive_minima(K: SymmetricBody) -> SuccessiveMinima:
-    """Exact successive minima of (Z^d, K) with a witness vector per index.
+def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinima:
+    """Exact first k successive minima of (Z^d, K), each with a witness vector.
 
-    Enumerates every nonzero lattice point of gauge at most R, doubling R
-    until d independent vectors are found within radius R; vectors are
-    ranked by (gauge, lexicographic order) and witnesses greedily selected
-    whenever they increase the rank.  Witness signs are normalized so the
-    first nonzero entry is positive.
+    ``k`` defaults to d.  Vectors are ranked by (gauge, lexicographic order)
+    and a witness is taken greedily whenever it increases the rank, so the
+    first k minima are the length-k prefix of all d.  Witness signs are
+    normalized so the first nonzero entry is positive.  The longest result
+    is kept on K and later calls take their prefix of it.
     """
     d = K.ambient_dim
-    basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    R = max(gauge(K, e) for e in basis)
+    k = d if k is None else k
+    if not 1 <= k <= d:
+        raise ValueError(f"k must be in 1..{d}, got {k}")
+    sm = K._minima
+    if sm is None or len(sm.lambdas) < k:
+        sm = K._minima = _minima(K, k)
+    if len(sm.lambdas) > k:
+        sm = SuccessiveMinima(d, sm.lambdas[:k], sm.witnesses[:k])
+    return sm
+
+
+def _gram_form(K: SymmetricBody) -> list:
+    """G = sum of a a^T / b^2 over the facets a.x <= b of K.  With m facets it
+    sandwiches the gauge: g(x)^2 <= x^T G x <= m g(x)^2."""
+    d = K.ambient_dim
+    G = [[Fraction(0)] * d for _ in range(d)]
+    for a, b in K.body.facets:
+        w = 1 / (b * b)
+        for i in range(d):
+            for j in range(d):
+                G[i][j] += a[i] * a[j] * w
+    return G
+
+
+def _matvec(rows, v) -> tuple:
+    return tuple(sum(r * c for r, c in zip(row, v)) for row in rows)
+
+
+def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
+    """Greedy minima over the lattice points of R*K, enumerated in the
+    coordinates y of an LLL-reduced basis B of the form ``_gram_form(K)``.
+
+    A point is x = B^T y, so K's facet a.x <= b reads (B a).y <= b and its
+    vertex v becomes B^-T v.  R starts at the k-th smallest gauge of the rows
+    of B, so R*K holds k independent rows, and doubles while fewer are found.
+    Candidates are ranked in the original coordinates, so the result does
+    not depend on B.
+    """
+    d = K.ambient_dim
+    facets = K.body.facets
+    B = lll_reduce(_gram_form(K))
+    if B == [tuple(int(i == j) for j in range(d)) for i in range(d)]:
+        normals, vertices, to_x = [a for a, _ in facets], K.body.vertices, None
+    else:
+        inv_t = list(zip(*integer_inverse(B)))
+        normals = [_matvec(B, a) for a, _ in facets]
+        vertices = [_matvec(inv_t, v) for v in K.body.vertices]
+        to_x = list(zip(*B))
+    R = sorted(gauge(K, b) for b in B)[k - 1]
     while True:
         candidates = []
-        rhs = [math.floor(R * b) for _, b in K.body.facets]
-        for v in enumerate_points(K.body, rhs, R):
-            if any(v):
-                candidates.append((gauge(K, v), v))
+        rhs = [math.floor(R * b) for _, b in facets]
+        for y in enumerate_points(normals, vertices, rhs, R):
+            x = y if to_x is None else _matvec(to_x, y)
+            if any(x):
+                candidates.append((gauge(K, x), x))
         candidates.sort()
         lambdas, witnesses = [], []
         tracker = IncrementalRank(d)
@@ -88,9 +138,9 @@ def successive_minima(K: SymmetricBody) -> SuccessiveMinima:
             if tracker.add(v):
                 lambdas.append(g)
                 witnesses.append(v)
-                if len(witnesses) == d:
+                if len(witnesses) == k:
                     break
-        if len(witnesses) == d and lambdas[-1] <= R:
+        if len(witnesses) == k:
             canon = []
             for w in witnesses:
                 lead = next(c for c in w if c != 0)
@@ -103,8 +153,7 @@ def lattice_width(P: Polytope) -> WidthResult:
     """Lattice width of P: the first minimum of the polar of its difference body."""
     if not P.is_full_dimensional:
         raise DimensionDeficient("width requires a full-dimensional polytope")
-    dual = polar(difference_body(P))
-    sm = successive_minima(dual)
+    sm = successive_minima(polar(difference_body(P)), 1)
     return WidthResult(sm.lambdas[0], sm.witnesses[0])
 
 

@@ -91,7 +91,7 @@ class SymmetricBody:
     Such a body automatically has the origin in its interior.
     """
 
-    __slots__ = ("body", "_polar")
+    __slots__ = ("body", "_polar", "_minima")
 
     def __init__(self, body: Polytope):
         if not body.is_full_dimensional:
@@ -102,6 +102,7 @@ class SymmetricBody:
                 raise NotSymmetric(f"vertex {v} has no mirror image")
         self.body = body
         self._polar = None  # set by polar
+        self._minima = None  # the longest result of gon.successive_minima so far
 
     @property
     def ambient_dim(self) -> int:
@@ -305,18 +306,17 @@ def contains(P: Polytope, x) -> bool:
     return contains(inner, c)
 
 
-def enumerate_points(P: Polytope, rhs, scale=1) -> list:
-    """Integer points x with a.x <= r for each facet normal a of P and its
-    integer right-hand side r in ``rhs``, sorted lexicographically.
+def enumerate_points(normals, vertices, rhs, scale=1) -> list:
+    """Integer points x with a.x <= r for each integer normal a in ``normals``
+    and its integer right-hand side r in ``rhs``, sorted lexicographically.
 
-    The integer bounding box of scale*P must hold every solution.  Each
-    coordinate is cut to exact interval bounds given its prefix, so the scan
-    is exhaustive without walking the whole box.
+    The integer bounding box of scale * conv(vertices) must hold every
+    solution.  Each coordinate is cut to exact interval bounds given its
+    prefix, so the scan is exhaustive without walking the whole box.
     """
-    d = P.ambient_dim
-    normals = [a for a, _ in P.facets]
-    los = [math.ceil(min(scale * v[j] for v in P.vertices)) for j in range(d)]
-    his = [math.floor(max(scale * v[j] for v in P.vertices)) for j in range(d)]
+    d = len(vertices[0])
+    los = [math.ceil(min(scale * v[j] for v in vertices)) for j in range(d)]
+    his = [math.floor(max(scale * v[j] for v in vertices)) for j in range(d)]
     # tail_min[i][j] = least value of sum_{k>=j} a_k x_k over the box, a = normals[i]
     tail_min = []
     for a in normals:
@@ -364,9 +364,9 @@ def lattice_points(P: Polytope, mode: str = "all") -> list:
     if mode not in ("all", "interior"):
         raise ValueError(f"unknown mode {mode!r}")
     if P.is_full_dimensional:
-        if mode == "interior":
-            return enumerate_points(P, [math.ceil(b) - 1 for _, b in P.facets])
-        return enumerate_points(P, [math.floor(b) for _, b in P.facets])
+        normals = [a for a, _ in P.facets]
+        rhs = [math.ceil(b) - 1 if mode == "interior" else math.floor(b) for _, b in P.facets]
+        return enumerate_points(normals, P.vertices, rhs)
     if mode == "interior":
         raise DimensionDeficient("interior enumeration requires full dimension")
     ranges = []

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .core import rank_rational, rat_str, solve_linear, vdot
+from .core import rank_rational, rat_str, solve_linear, strict_int, vdot
 from .errors import InternalError, NegativeParameter
 from .polytope import convex_hull, volume
 from .report import TheoremReport, verdict
@@ -133,9 +133,11 @@ def flag_h0(d: int, p, q: int) -> int:
 
     Counts exponent vectors alpha in N^{d+1} of total degree q with suffix
     sums alpha_i + ... + alpha_d <= q - p_i; zero as soon as some q - p_i is
-    negative.
+    negative.  ``d``, ``q`` and every multiplicity must be ints; anything else,
+    a bool included, raises InvalidInput rather than being coerced.
     """
-    p = tuple(int(x) for x in p)
+    d, q = strict_int(d, "d"), strict_int(q, "q")
+    p = tuple(strict_int(x, "multiplicity") for x in p)
     if len(p) != d:
         raise ValueError(f"expected {d} multiplicities, got {len(p)}")
     if d < 1 or q < 0 or any(x < 0 for x in p):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latmin import gon
 from latmin.core import lattice_span, vdot
 from latmin.errors import DimensionDeficient, DimensionMismatch
 from latmin.gon import (
+    SuccessiveMinima,
     flatness_report,
     gauge,
     lattice_width,
@@ -211,15 +214,111 @@ def bodies_and_unimodular_maps(draw):
     return SymmetricBody(P), U
 
 
+def unimodular_image(K, U):
+    d = K.ambient_dim
+    return SymmetricBody(convex_hull(
+        [tuple(sum(U[i][j] * v[j] for j in range(d)) for i in range(d)) for v in K.body.vertices],
+        d))
+
+
 @settings(max_examples=60, deadline=None)
 @given(bodies_and_unimodular_maps())
 def test_minima_unimodular_invariance(body_and_map):
     K, U = body_and_map
+    assert successive_minima(unimodular_image(K, U)).lambdas == successive_minima(K).lambdas
+
+
+def standard_box(K):
+    """Integer ranges of the bounding box of R*K, R the largest gauge of a unit vector."""
     d = K.ambient_dim
-    image = SymmetricBody(convex_hull(
-        [tuple(sum(U[i][j] * v[j] for j in range(d)) for i in range(d)) for v in K.body.vertices],
-        d))
-    assert successive_minima(image).lambdas == successive_minima(K).lambdas
+    R = max(gauge(K, tuple(int(i == j) for i in range(d))) for j in range(d))
+    return R, [range(math.ceil(R * min(v[j] for v in K.body.vertices)),
+                     math.floor(R * max(v[j] for v in K.body.vertices)) + 1) for j in range(d)]
+
+
+def minima_by_standard_basis(K):
+    """Reference minima in the standard basis: every nonzero integer point of
+    the bounding box of R*K with gauge at most R, ranked by (gauge, x) and
+    taken greedily while the rank grows, signs normalized."""
+    d = K.ambient_dim
+    R, ranges = standard_box(K)
+    ranked = sorted((gauge(K, x), x) for x in product(*ranges) if any(x))
+    lambdas, witnesses = [], []
+    for g, x in ranked:
+        if g <= R and lattice_span(witnesses + [x], d)[0] > len(witnesses):
+            lambdas.append(g)
+            witnesses.append(x)
+    assert len(witnesses) == d
+    canon = tuple(w if next(c for c in w if c) > 0 else tuple(-c for c in w) for w in witnesses)
+    return tuple(lambdas), canon
+
+
+@settings(max_examples=60, deadline=None)
+@given(bodies_and_unimodular_maps())
+def test_minima_match_standard_basis_reference(body_and_map):
+    K, U = body_and_map
+    image = unimodular_image(K, U)
+    assume(math.prod(len(r) for r in standard_box(image)[1]) <= 5000)
+    sm = successive_minima(image)
+    assert (sm.lambdas, sm.witnesses) == minima_by_standard_basis(image)
+    d = image.ambient_dim
+    for k in range(1, d + 1):
+        # a fresh wrapper of the same polytope has no cached minima
+        first_k = successive_minima(SymmetricBody(image.body), k)
+        assert (first_k.lambdas, first_k.witnesses) == (sm.lambdas[:k], sm.witnesses[:k])
+
+
+def counting_enumerator(monkeypatch, max_box=None):
+    """Replace the enumerator seen by gon with one recording how many points
+    each call returns.  With ``max_box`` a call whose integer bounding box
+    holds more points fails before it starts, so a blow-up cannot hang."""
+    counts = []
+    real = gon.enumerate_points
+
+    def counting(normals, vertices, rhs, scale=1):
+        if max_box is not None:
+            box = math.prod(max(0, math.floor(max(scale * v[j] for v in vertices))
+                                - math.ceil(min(scale * v[j] for v in vertices)) + 1)
+                            for j in range(len(vertices[0])))
+            assert box <= max_box
+        pts = real(normals, vertices, rhs, scale)
+        counts.append(len(pts))
+        return pts
+
+    monkeypatch.setattr(gon, "enumerate_points", counting)
+    return counts
+
+
+def test_minima_cached_on_body(monkeypatch):
+    counts = counting_enumerator(monkeypatch)
+    K = difference_body(convex_hull([(0, 0), (4, 1), (1, 3)], 2))
+    first = successive_minima(K, 1)
+    assert len(counts) == 1
+    full = successive_minima(K)  # longer than the cached result: enumerates again
+    assert len(counts) == 2
+    assert successive_minima(K) == full
+    assert successive_minima(K, 1) == first == SuccessiveMinima(
+        2, full.lambdas[:1], full.witnesses[:1])
+    assert len(counts) == 2
+
+
+def test_k_out_of_range():
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            successive_minima(hexagon(), k)
+
+
+@pytest.mark.parametrize("t", [0, 5])
+@pytest.mark.parametrize("s", [10 ** e for e in range(3, 10)])
+def test_thin_triangle_width(monkeypatch, s, t):
+    # The triangle (0,0), (s,0), (0,1/s) under the shear y += t x.  Its
+    # width 1/s is attained by (-t, 1); a start at the largest gauge of a
+    # unit vector enumerates about s^2 points here.
+    counts = counting_enumerator(monkeypatch, max_box=10 ** 4)
+    res = lattice_width(convex_hull([(0, 0), (s, t * s), (0, F(1, s))], 2))
+    assert res.width == F(1, s)
+    assert res.witness == ((t, -1) if t else (0, 1))
+    assert counts and max(counts) <= 100
 
 
 # --- lattice width -------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmin.errors import NegativeParameter
+from latmin.errors import InvalidInput, NegativeParameter
 from latmin.postulation import (
     box_count,
     box_volume,
@@ -131,6 +131,20 @@ class TestFlagH0:
     def test_full_space_binomial(self):
         for d, q in [(1, 5), (2, 4), (3, 3)]:
             assert flag_h0(d, tuple([0] * d), q) == math.comb(q + d, d)
+
+    @pytest.mark.parametrize("d, p, q", [
+        (2, [1.9, 1], 2),
+        (2, [True, 1], 2),
+        (2, [1, F(1)], 2),
+        (2, ["1", 1], 2),
+        (2.0, [1, 1], 2),
+        (True, [1], 2),
+        (2, [1, 1], 2.0),
+        (2, [1, 1], False),
+    ])
+    def test_non_integers_refused(self, d, p, q):
+        with pytest.raises(InvalidInput):
+            flag_h0(d, p, q)
 
     def test_monotonicity(self):
         for q in range(6):
