@@ -108,45 +108,36 @@ def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
     coordinates y of an LLL-reduced basis B of the form ``_gram_form(K)``.
 
     A point is x = B^T y, so K's facet a.x <= b reads (B a).y <= b and its
-    vertex v becomes B^-T v.  R starts at the k-th smallest gauge of the rows
-    of B, so R*K holds k independent rows, and doubles while fewer are found.
-    Candidates are ranked in the original coordinates, so the result does
-    not depend on B.
+    vertex v becomes B^-T v.  R is the k-th smallest gauge of the rows of B;
+    the facet normals are integer, so those k independent rows lie among the
+    enumerated points and one pass finds k witnesses.  Candidates are ranked
+    in the original coordinates, so the result does not depend on B.
     """
     d = K.ambient_dim
     facets = K.body.facets
     B = lll_reduce(_gram_form(K))
-    if B == [tuple(int(i == j) for j in range(d)) for i in range(d)]:
-        normals, vertices, to_x = [a for a, _ in facets], K.body.vertices, None
-    else:
-        inv_t = list(zip(*integer_inverse(B)))
-        normals = [_matvec(B, a) for a, _ in facets]
-        vertices = [_matvec(inv_t, v) for v in K.body.vertices]
-        to_x = list(zip(*B))
+    inv_t = list(zip(*integer_inverse(B)))
+    normals = [_matvec(B, a) for a, _ in facets]
+    vertices = [_matvec(inv_t, v) for v in K.body.vertices]
+    to_x = list(zip(*B))
     R = sorted(gauge(K, b) for b in B)[k - 1]
-    while True:
-        candidates = []
-        rhs = [math.floor(R * b) for _, b in facets]
-        for y in enumerate_points(normals, vertices, rhs, R):
-            x = y if to_x is None else _matvec(to_x, y)
-            if any(x):
-                candidates.append((gauge(K, x), x))
-        candidates.sort()
-        lambdas, witnesses = [], []
-        tracker = IncrementalRank(d)
-        for g, v in candidates:
-            if tracker.add(v):
-                lambdas.append(g)
-                witnesses.append(v)
-                if len(witnesses) == k:
-                    break
-        if len(witnesses) == k:
-            canon = []
-            for w in witnesses:
-                lead = next(c for c in w if c != 0)
-                canon.append(tuple(-c for c in w) if lead < 0 else w)
-            return SuccessiveMinima(d, tuple(lambdas), tuple(canon))
-        R *= 2
+    rhs = [math.floor(R * b) for _, b in facets]
+    candidates = []
+    for y in enumerate_points(normals, vertices, rhs, R):
+        x = _matvec(to_x, y)
+        if any(x):
+            candidates.append((gauge(K, x), x))
+    candidates.sort()
+    lambdas, witnesses = [], []
+    tracker = IncrementalRank(d)
+    for g, v in candidates:
+        if tracker.add(v):
+            lambdas.append(g)
+            lead = next(c for c in v if c != 0)
+            witnesses.append(tuple(-c for c in v) if lead < 0 else v)
+            if len(witnesses) == k:
+                break
+    return SuccessiveMinima(d, tuple(lambdas), tuple(witnesses))
 
 
 def lattice_width(P: Polytope) -> WidthResult:
