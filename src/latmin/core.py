@@ -1,14 +1,18 @@
-"""Exact rational scalars, integer vectors, and lattice rank/span tests.
+"""Exact rational scalars, integer vectors, and the one elimination kernel.
 
 Every quantity in this package is a ``fractions.Fraction`` (kept in canonical
 gcd-reduced form by the stdlib) or a tuple of them; no floating point is used
-anywhere.
+anywhere.  Every exact linear-algebra question (rank, lattice generation,
+determinant, kernel vector, unique solution, greedy independent subset) is
+answered from the output of ``echelon``, one integer row echelon routine;
+only ``lll_reduce`` keeps its own Gram-Schmidt update.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidInput, ZeroVector
@@ -24,13 +28,24 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RAT_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rat(s) -> Fraction:
-    """Parse "p/q" or "p" (also accepts ints and Fractions as-is)."""
-    if isinstance(s, bool):
-        raise ValueError("booleans are not rationals")
-    if isinstance(s, (int, Fraction)):
+    """An int (not a bool) or Fraction as is, or a string "p" or "p/q" of
+    ASCII digits with an optional leading minus and q != 0.
+
+    Anything else, floats, exponents, spaces and zero denominators included,
+    raises InvalidInput rather than being rounded or expanded.
+    """
+    if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return Fraction(s)
-    return Fraction(str(s).strip())
+    if isinstance(s, str) and _RAT_TOKEN.fullmatch(s):
+        num, _, den = s.partition("/")
+        if den and int(den) == 0:
+            raise InvalidInput(f"zero denominator in {s!r}")
+        return Fraction(int(num), int(den or 1))
+    raise InvalidInput(f"not an exact rational (int, Fraction or \"p/q\"): {s!r}")
 
 
 def strict_int(value, name: str) -> int:
@@ -41,13 +56,13 @@ def strict_int(value, name: str) -> int:
 
 
 def as_ratvec(v: Iterable) -> tuple:
-    return tuple(Fraction(c) if isinstance(c, (int, Fraction)) else parse_rat(c) for c in v)
+    return tuple(parse_rat(c) for c in v)
 
 
 def as_intvec(v: Iterable) -> tuple:
     out = []
     for c in v:
-        f = Fraction(c)
+        f = parse_rat(c)
         if f.denominator != 1:
             raise ValueError(f"not an integer entry: {c}")
         out.append(f.numerator)
@@ -82,116 +97,124 @@ def primitive(v: Sequence[int], canonical_sign: bool = False) -> tuple:
     return w
 
 
-def lattice_span(vectors: Sequence[Sequence[int]], d: int) -> tuple[int, bool]:
-    """Rank and lattice-generation test for a set of integer vectors.
+# ---------------------------------------------------------------------------
+# exact linear algebra over Q, sized for d <= 4: one integer echelon kernel
 
-    Returns ``(rank_over_Q, generates_full_lattice)`` where the second entry
-    is True iff the integer span of the vectors is all of Z^d.  Decided by an
-    exact integer echelon form: the span is the full lattice exactly when
-    there are d pivots and every pivot equals 1.
+
+def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list, list, int]:
+    """Integer row echelon form of rational rows by unimodular row operations.
+
+    Each row is first multiplied by the lcm of its denominators.  Then each
+    column in turn is gcd-reduced below the rows already placed, by
+    subtracting integer multiples of the row with the smallest nonzero entry
+    there, until at most one nonzero entry is left; that row is swapped up
+    and made positive.  Returns ``(rows, pivots, scale)``: the nonzero
+    echelon rows, the column of each row's positive leading entry, and the
+    product of the row scalings, negated once per swap and per sign flip, so
+    a square input of full rank has determinant prod(leading entries) / scale.
     """
-    rows = []
-    for v in vectors:
-        if len(v) != d:
-            raise DimensionMismatch(f"vector of length {len(v)} in dimension {d}")
-        rows.append([int(c) for c in v])
-
+    work, scale = [], 1
+    for r in rows:
+        if len(r) != ncols:
+            raise DimensionMismatch(f"row of length {len(r)} with {ncols} columns")
+        m = lcm(*(c.denominator for c in r))
+        work.append([c.numerator * (m // c.denominator) for c in r])
+        scale *= m
     pivots = []
-    pr = 0
-    for col in range(d):
-        if pr >= len(rows):
+    for col in range(ncols):
+        pr = len(pivots)
+        if pr == len(work):
             break
-        # gcd-reduce the column below the current pivot row
         while True:
-            nz = [i for i in range(pr, len(rows)) if rows[i][col] != 0]
+            nz = [i for i in range(pr, len(work)) if work[i][col]]
             if len(nz) <= 1:
                 break
-            i0 = min(nz, key=lambda i: abs(rows[i][col]))
+            i0 = min(nz, key=lambda i: abs(work[i][col]))
             for i in nz:
-                if i == i0:
-                    continue
-                q = rows[i][col] // rows[i0][col]
-                if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[i0])]
-        nz = [i for i in range(pr, len(rows)) if rows[i][col] != 0]
+                if i != i0:
+                    q = work[i][col] // work[i0][col]
+                    work[i] = [a - q * b for a, b in zip(work[i], work[i0])]
         if nz:
             i0 = nz[0]
-            rows[pr], rows[i0] = rows[i0], rows[pr]
-            if rows[pr][col] < 0:
-                rows[pr] = [-a for a in rows[pr]]
-            pivots.append(rows[pr][col])
-            pr += 1
-    rank = len(pivots)
-    return rank, rank == d and all(p == 1 for p in pivots)
+            if i0 != pr:
+                work[pr], work[i0] = work[i0], work[pr]
+                scale = -scale
+            if work[pr][col] < 0:
+                work[pr] = [-a for a in work[pr]]
+                scale = -scale
+            pivots.append(col)
+    return work[:len(pivots)], pivots, scale
 
 
-# ---------------------------------------------------------------------------
-# exact linear algebra over Q, sized for d <= 4
+def rank(rows: Sequence[Sequence], ncols: int) -> int:
+    """Rank over Q of rational rows of length ``ncols``."""
+    return len(echelon(rows, ncols)[1])
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [[Fraction(c) for c in r] for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    pr = 0
-    for col in range(ncols):
-        piv = next((i for i in range(pr, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        inv = m[pr][col]
-        m[pr] = [a / inv for a in m[pr]]
-        for i in range(len(m)):
-            if i != pr and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-        pivots.append(col)
-        pr += 1
-        if pr == len(m):
-            break
-    return m, pivots
+def lattice_span(vectors: Sequence[Sequence], d: int) -> tuple[int, bool]:
+    """Rank and lattice-generation test for a set of vectors in Q^d.
+
+    Returns ``(rank_over_Q, generates_full_lattice)`` where the second entry
+    is True iff the integer span of the vectors is all of Z^d: the vectors
+    are integers (no row was scaled) and the echelon form has d pivots, each
+    equal to 1.
+    """
+    rows, pivots, scale = echelon(vectors, d)
+    full = abs(scale) == 1 and len(pivots) == d and all(r[p] == 1 for r, p in zip(rows, pivots))
+    return len(pivots), full
 
 
-def rank_rational(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+def determinant(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square rational matrix."""
+    n = len(rows)
+    ech, pivots, scale = echelon(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(prod(r[p] for r, p in zip(ech, pivots)), scale)
+
+
+def kernel_vector(rows: Sequence[Sequence], ncols: int):
+    """A nonzero integer vector orthogonal to all rows, or None when the rows
+    have rank ``ncols``.
+
+    The first non-pivot column gets 1 and the other free columns 0.
+    Back-substitution up the echelon rows stays fraction-free: where a pivot
+    does not divide its row's remainder, the whole vector is scaled first.
+    """
+    ech, pivots, _ = echelon(rows, ncols)
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return None
+    x = [0] * ncols
+    x[free] = 1
+    for row, p in zip(reversed(ech), reversed(pivots)):
+        s = -sum(a * c for a, c in zip(row[p + 1:], x[p + 1:]))
+        g = gcd(s, row[p])
+        x = [c * (row[p] // g) for c in x]
+        x[p] = s // g
+    return tuple(x)
 
 
 def solve_linear(a_rows: Sequence[Sequence], b: Sequence):
-    """Particular solution of A x = b over Q (free variables set to 0), or None."""
-    aug = [[Fraction(c) for c in row] + [Fraction(bb)] for row, bb in zip(a_rows, b)]
-    ncols = len(a_rows[0])
-    m, pivots = rref(aug)
-    if ncols in pivots:  # pivot in the constants column: inconsistent
+    """The unique x with A x = b over Q, or None when there is no solution or
+    more than one.
+
+    x comes from a kernel vector (x, 1) of [A | -b]: the kernel vector ends
+    in a nonzero entry exactly when every column of A is a pivot and the
+    system is consistent.
+    """
+    n = len(a_rows[0])
+    x = kernel_vector([list(r) + [-c] for r, c in zip(a_rows, b)], n + 1)
+    if x is None or x[n] == 0:
         return None
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = m[i][-1]
-    return tuple(x)
+    return tuple(Fraction(c, x[n]) for c in x[:n])
 
 
-def nullspace_vector(rows: Sequence[Sequence], ncols: int) -> tuple:
-    """A nonzero rational vector orthogonal to all rows; requires rank < ncols."""
-    if not rows:
-        return tuple([Fraction(1)] + [Fraction(0)] * (ncols - 1))
-    m, pivots = rref(rows)
-    free = next((c for c in range(ncols) if c not in pivots), None)
-    if free is None:
-        raise ValueError("row space has full rank, nullspace is trivial")
-    x = [Fraction(0)] * ncols
-    x[free] = Fraction(1)
-    for i, col in enumerate(pivots):
-        x[col] = -m[i][free]
-    return tuple(x)
-
-
-def integer_inverse(rows: Sequence[Sequence[int]]) -> list:
-    """Inverse of a unimodular integer matrix, as integer rows."""
-    d = len(rows)
-    m, _ = rref([list(r) + [int(i == j) for j in range(d)] for i, r in enumerate(rows)])
-    return [as_intvec(r[d:]) for r in m]
+def independent(vectors: Sequence[Sequence]) -> list:
+    """Indices of the vectors that are independent of all vectors before
+    them (the greedy basis): the pivot columns of the matrix whose columns
+    are the vectors."""
+    return echelon(list(zip(*vectors)), len(vectors))[1]
 
 
 def lll_reduce(gram: Sequence[Sequence]) -> list:
@@ -258,58 +281,3 @@ def lll_reduce(gram: Sequence[Sequence]) -> list:
                 size_reduce(k, l)
             k += 1
     return [tuple(r) for r in basis]
-
-
-def determinant(rows: Sequence[Sequence]) -> Fraction:
-    m = [[Fraction(c) for c in r] for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
-
-
-class IncrementalRank:
-    """Tracks the rational rank of a growing vector set via row elimination."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._rows: list[list[Fraction]] = []
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def add(self, v: Sequence) -> bool:
-        """Add v if it increases the rank; returns whether it did."""
-        red = self._reduce(v)
-        if red is None:
-            return False
-        row, piv = red
-        inv = row[piv]
-        self._rows.append([a / inv for a in row])
-        self._pivots.append(piv)
-        return True
-
-    def _reduce(self, v: Sequence):
-        row = [Fraction(c) for c in v]
-        for r, p in zip(self._rows, self._pivots):
-            if row[p] != 0:
-                f = row[p]
-                row = [a - f * b for a, b in zip(row, r)]
-        piv = next((j for j, a in enumerate(row) if a != 0), None)
-        if piv is None:
-            return None
-        return row, piv

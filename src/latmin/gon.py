@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    IncrementalRank,
     as_ratvec,
-    integer_inverse,
+    independent,
     lattice_span,
     lll_reduce,
     rat_str,
+    solve_linear,
     vdot,
     vsub,
 )
@@ -108,15 +108,16 @@ def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
     coordinates y of an LLL-reduced basis B of the form ``_gram_form(K)``.
 
     A point is x = B^T y, so K's facet a.x <= b reads (B a).y <= b and its
-    vertex v becomes B^-T v.  R is the k-th smallest gauge of the rows of B;
-    the facet normals are integer, so those k independent rows lie among the
-    enumerated points and one pass finds k witnesses.  Candidates are ranked
+    vertex v becomes B^-T v, whose rows solve B z = e_j.  R is the k-th
+    smallest gauge of the rows of B; the facet normals are integer, so those
+    k independent rows lie among the enumerated points and one pass finds k
+    witnesses.  Candidates are ranked
     in the original coordinates, so the result does not depend on B.
     """
     d = K.ambient_dim
     facets = K.body.facets
     B = lll_reduce(_gram_form(K))
-    inv_t = list(zip(*integer_inverse(B)))
+    inv_t = [solve_linear(B, [int(i == j) for i in range(d)]) for j in range(d)]
     normals = [_matvec(B, a) for a, _ in facets]
     vertices = [_matvec(inv_t, v) for v in K.body.vertices]
     to_x = list(zip(*B))
@@ -129,14 +130,11 @@ def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
             candidates.append((gauge(K, x), x))
     candidates.sort()
     lambdas, witnesses = [], []
-    tracker = IncrementalRank(d)
-    for g, v in candidates:
-        if tracker.add(v):
-            lambdas.append(g)
-            lead = next(c for c in v if c != 0)
-            witnesses.append(tuple(-c for c in v) if lead < 0 else v)
-            if len(witnesses) == k:
-                break
+    for i in independent([x for _, x in candidates])[:k]:
+        g, v = candidates[i]
+        lambdas.append(g)
+        lead = next(c for c in v if c != 0)
+        witnesses.append(tuple(-c for c in v) if lead < 0 else v)
     return SuccessiveMinima(d, tuple(lambdas), tuple(witnesses))
 
 
@@ -253,13 +251,8 @@ def flatness_report(P: Polytope) -> TheoremReport:
     if interior:
         a0 = interior[0]
         diffs = [vsub(a, a0) for a in interior]
-        tracker = IncrementalRank(d)
-        span_points = [a0]
-        for a, dv in zip(interior, diffs):
-            if tracker.add(dv):
-                span_points.append(a)
-        rank = tracker.rank
-        _, spans = lattice_span([list(v) for v in diffs], d)
+        span_points = [a0] + [interior[i] for i in independent(diffs)]
+        rank, spans = lattice_span(diffs, d)
     else:
         rank = 0
         spans = False

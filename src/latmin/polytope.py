@@ -14,12 +14,12 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .core import (
-    IncrementalRank,
     as_ratvec,
     determinant,
-    nullspace_vector,
+    independent,
+    kernel_vector,
     primitive,
-    rank_rational,
+    rank,
     rat_str,
     solve_linear,
     vdot,
@@ -144,24 +144,19 @@ def convex_hull(points, d: int) -> Polytope:
     pts = sorted(set(pts))
 
     base = pts[0]
-    tracker = IncrementalRank(d)
-    basis_idx = []
-    for i in range(1, len(pts)):
-        if tracker.add(vsub(pts[i], base)):
-            basis_idx.append(i)
-            if tracker.rank == d:
-                break
-    k = tracker.rank
+    diffs = [vsub(p, base) for p in pts]
+    basis_idx = independent(diffs)  # diffs[0] = 0 is never picked
+    k = len(basis_idx)
 
     if k == 0:
         return Polytope(d, (base,), 0)
 
     if k < d:
-        basis_rows = [vsub(pts[i], base) for i in basis_idx]
+        basis_rows = [diffs[i] for i in basis_idx]
         coords = []
         cols = list(zip(*basis_rows))  # d rows of length k
-        for p in pts:
-            c = solve_linear(cols, vsub(p, base))
+        for p, diff in zip(pts, diffs):
+            c = solve_linear(cols, diff)
             if c is None:
                 raise InternalError(f"point {p} outside the affine span of the input")
             coords.append(c)
@@ -170,7 +165,7 @@ def convex_hull(points, d: int) -> Polytope:
         verts = tuple(sorted(inner_to_outer[c] for c in inner.vertices))
         return Polytope(d, verts, k, chart=(base, tuple(basis_rows), inner))
 
-    facet_simplices = _hull_full_dim(pts, d)
+    facet_simplices = _hull_full_dim(pts, d, [0] + basis_idx)
 
     # merge triangulated pieces into geometric facets
     hyperplanes = {}
@@ -182,7 +177,7 @@ def convex_hull(points, d: int) -> Polytope:
     vertices = []
     for p in pts:
         active = [a for (a, b) in facet_list if vdot(a, p) == b]
-        if len(active) >= d and rank_rational(active) == d:
+        if len(active) >= d and rank(active, d) == d:
             vertices.append(p)
     vertices = tuple(sorted(vertices))
 
@@ -196,12 +191,7 @@ def _facet_hyperplane(points, ref, d):
     """Primitive integer outward normal and offset through d affinely
     independent points, oriented away from the interior point ref."""
     base = points[0]
-    rows = [vsub(p, base) for p in points[1:]]
-    n = nullspace_vector(rows, d)
-    den = 1
-    for c in n:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    normal = primitive([int(c * den) for c in n])
+    normal = primitive(kernel_vector([vsub(p, base) for p in points[1:]], d))
     offset = vdot(normal, base)
     side = vdot(normal, ref)
     if side > offset:
@@ -212,21 +202,14 @@ def _facet_hyperplane(points, ref, d):
     return normal, offset
 
 
-def _hull_full_dim(pts, d):
-    """Beneath-beyond hull; returns triangulated boundary facets as
+def _hull_full_dim(pts, d, simplex):
+    """Beneath-beyond hull from the affinely independent start ``simplex``
+    (d + 1 point indices); returns triangulated boundary facets as
     (vertex index tuple, primitive outward normal, offset)."""
     if d == 1:
         lo, hi = 0, len(pts) - 1
         return [((lo,), (-1,), -pts[lo][0]), ((hi,), (1,), pts[hi][0])]
 
-    base_i = 0
-    tracker = IncrementalRank(d)
-    simplex = [base_i]
-    for i in range(1, len(pts)):
-        if tracker.add(vsub(pts[i], pts[base_i])):
-            simplex.append(i)
-            if tracker.rank == d:
-                break
     ref = tuple(sum(coords, Fraction(0)) / (d + 1)
                 for coords in zip(*(pts[i] for i in simplex)))
 
@@ -294,16 +277,8 @@ def contains(P: Polytope, x) -> bool:
     if P.affine_dim == 0:
         return pt == P.vertices[0]
     base, basis_rows, inner = P._chart
-    cols = list(zip(*basis_rows))
-    diff = vsub(pt, base)
-    c = solve_linear(cols, diff)
-    if c is None:
-        return False
-    # solve_linear gives one solution; verify it reproduces the point
-    recon = tuple(sum(ci * row[j] for ci, row in zip(c, basis_rows)) for j in range(P.ambient_dim))
-    if recon != tuple(diff):
-        return False
-    return contains(inner, c)
+    c = solve_linear(list(zip(*basis_rows)), vsub(pt, base))
+    return c is not None and contains(inner, c)
 
 
 def enumerate_points(normals, vertices, rhs, scale=1) -> list:

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .core import rank_rational, rat_str, solve_linear, strict_int, vdot
+from .core import parse_rat, rat_str, solve_linear, strict_int, vdot
 from .errors import InternalError, NegativeParameter
 from .polytope import convex_hull, volume
 from .report import TheoremReport, verdict
 
 
 def _as_params(t) -> tuple:
-    params = tuple(Fraction(x) for x in t)
+    params = tuple(parse_rat(x) for x in t)
     if not params:
         raise NegativeParameter("need at least one parameter")
     if any(x < 0 for x in params):
@@ -28,31 +28,34 @@ def _as_params(t) -> tuple:
     return params
 
 
+def _sum_below(values, m: int) -> int:
+    """Sum of p(s) over 0 <= s < m for the polynomial p through the points
+    (s, values[s]): in Newton's form p(s) = sum_k D^k p(0) C(s, k), so the
+    sum is sum_k D^k p(0) C(m, k + 1)."""
+    total, diffs = 0, list(values)
+    for k in range(len(values)):
+        total += diffs[0] * math.comb(m, k + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return total
+
+
 def box_count(t) -> int:
-    """Number of lattice points of the suffix-sum box.
+    """Number of lattice points of the suffix-sum box, in O(d^3) integer
+    operations whatever the size of the parameters.
 
-    Exhaustive enumeration; each coordinate is capped by the running prefix
-    minimum of the parameters minus the suffix sum chosen so far, which is
-    exactly the feasible range.
+    A point is the chain of its suffix sums S_1 >= ... >= S_d >= 0, and since
+    S_i <= S_j for j < i the constraints read S_i <= c_i = floor(min(t_1..t_i)),
+    so c_1 >= ... >= c_d.  The number g_i(y) of chains S_1..S_i with S_i >= y
+    is the running sum of g_{i-1}(s) over y <= s <= c_i.  As y <= c_i <= c_{i-1}
+    throughout, g_i is one polynomial of degree i on the range that matters,
+    kept by its values at y = 0..i; the count is g_d(0).
     """
-    params = _as_params(t)
-    d = len(params)
-    prefix_min = []
-    m = None
-    for x in params:
-        m = x if m is None else min(m, x)
-        prefix_min.append(m)
-
-    def count(i: int, s: int) -> int:
-        # coordinates x_{i+1}..x_d already chosen with sum s
-        hi = math.floor(prefix_min[i] - s)
-        if hi < 0:
-            return 0
-        if i == 0:
-            return hi + 1
-        return sum(count(i - 1, s + x) for x in range(hi + 1))
-
-    return count(d - 1, 0)
+    caps = [math.floor(m) for m in accumulate(_as_params(t), min)]
+    g = [1]  # g_0 = 1
+    for i, c in enumerate(caps):
+        top = _sum_below(g, c + 1)
+        g = [top - _sum_below(g, y) for y in range(i + 2)]
+    return g[0]
 
 
 def _box_vertices(params) -> list:
@@ -65,11 +68,7 @@ def _box_vertices(params) -> list:
         ineqs.append((tuple(1 if j >= i else 0 for j in range(d)), params[i]))
     candidates = set()
     for subset in combinations(range(len(ineqs)), d):
-        rows = [ineqs[i][0] for i in subset]
-        if rank_rational(rows) < d:
-            continue
-        rhs = [ineqs[i][1] for i in subset]
-        x = solve_linear(rows, rhs)
+        x = solve_linear([ineqs[i][0] for i in subset], [ineqs[i][1] for i in subset])
         if x is None:
             continue
         if all(vdot(a, x) <= b for a, b in ineqs):

@@ -17,9 +17,10 @@ from .core import (
     as_intvec,
     determinant,
     primitive,
-    rank_rational,
+    rank,
     rat_str,
     solve_linear,
+    strict_int,
     vdot,
     vsub,
 )
@@ -169,7 +170,7 @@ def vertex_cone(MP: MomentPolytope, u) -> VertexCone:
             continue
         # v is an edge neighbor iff the facets through both u and v cut a line
         common = [a for a in active_u if vdot(a, v) == offsets[a]]
-        if len(common) >= d - 1 and rank_rational(common) == d - 1:
+        if len(common) >= d - 1 and rank(common, d) == d - 1:
             gens.append(primitive([int(c) for c in vsub(v, uvec)]))
     if len(gens) != d:
         raise NotAmplePolytope(
@@ -245,7 +246,7 @@ def exact_eps_family(family) -> tuple[EpsProfile, MomentPolytope]:
     """Closed-form minima for the two homogeneous families, with the moment
     polytope returned alongside for cross-checks."""
     if isinstance(family, ProjectiveSpace):
-        d, w = family.dim, family.w
+        d, w = strict_int(family.dim, "dim"), strict_int(family.w, "w")
         if d < 1 or w < 1:
             raise InvalidWeights("projective space needs d >= 1 and w >= 1")
         pts = [tuple(0 for _ in range(d))]
@@ -255,7 +256,7 @@ def exact_eps_family(family) -> tuple[EpsProfile, MomentPolytope]:
         profile = EpsProfile([EpsExact(Fraction(w), "family_formula")] * d)
         return profile, mp
     if isinstance(family, ProductOfP1):
-        weights = tuple(int(w) for w in family.weights)
+        weights = tuple(strict_int(w, "weight") for w in family.weights)
         if not weights or any(w < 1 for w in weights):
             raise InvalidWeights("weights must be positive integers")
         weights = tuple(sorted(weights, reverse=True))

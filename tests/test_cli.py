@@ -151,7 +151,8 @@ class TestErrors:
         assert out["error"]["code"] == "NotAVertex"
 
 
-NON_INTEGER_INPUTS = [
+# non-integer integer fields, then inexact rational tokens
+INVALID_INPUTS = [
     ("width", {"dim": 2.9, "vertices": [[0, 0], [1, 0], [0, 1]]}),
     ("width", {"dim": True, "vertices": [[0], [1]]}),
     ("width", {"dim": "2", "vertices": [[0, 0], [1, 0], [0, 1]]}),
@@ -161,10 +162,17 @@ NON_INTEGER_INPUTS = [
     ("postulation", {"d": 2, "p": [1, 1.5], "q": 2}),
     ("postulation", {"d": 2, "p": [1, False], "q": 2}),
     ("postulation", {"d": 2, "p": ["1", 1], "q": 2}),
+    ("volume", {"dim": 1, "vertices": [["1/0"], ["0"]]}),
+    ("volume", {"dim": 1, "vertices": [["1e400"], ["0"]]}),
+    ("volume", {"dim": 1, "vertices": [[0.5], [0]]}),
+    ("volume", {"dim": 1, "vertices": [["1.5"], ["0"]]}),
+    ("volume", {"dim": 1, "vertices": [[True], [0]]}),
+    ("postulation", {"t": [0.1, 2]}),
+    ("postulation", {"t": ["1/0"]}),
 ]
 
 
-@pytest.mark.parametrize("command, doc", NON_INTEGER_INPUTS)
+@pytest.mark.parametrize("command, doc", INVALID_INPUTS)
 def test_non_integer_json_refused(command, doc):
     code, out = invoke(command, "--inline", json.dumps(doc))
     assert code == 2

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,13 @@ from hypothesis import strategies as st
 
 from latmin.core import (
     determinant,
-    integer_inverse,
+    independent,
+    kernel_vector,
     lattice_span,
     lll_reduce,
-    nullspace_vector,
     parse_rat,
     primitive,
-    rank_rational,
+    rank,
     rat_str,
     solve_linear,
     strict_int,
@@ -34,6 +36,13 @@ def test_parse_rat_roundtrip():
     assert parse_rat(4) == 4
     with pytest.raises(ValueError):
         parse_rat(True)
+
+
+@pytest.mark.parametrize("token", ["1/0", "0/0", "1e400", "0.1", " 1", "+1", "1/-2", "",
+                                   "1/", "\u0661", 0.5, 2.0, True, None, [1]])
+def test_parse_rat_refuses_inexact_tokens(token):
+    with pytest.raises(InvalidInput):
+        parse_rat(token)
 
 
 class TestPrimitive:
@@ -90,18 +99,22 @@ class TestLatticeSpan:
 
 
 def test_rank_and_solve():
-    assert rank_rational([(1, 2), (2, 4)]) == 1
+    assert rank([(1, 2), (2, 4)], 2) == 1
     x = solve_linear([(2, 0), (0, 4)], (6, 8))
     assert x == (3, 2)
     assert solve_linear([(1, 0), (1, 0)], (0, 1)) is None
+    assert solve_linear([(1, 1)], (2,)) is None  # not unique
+    assert solve_linear([(Fraction(1, 2), 0), (0, 3), (1, 3)], (1, 1, 3)) == (2, Fraction(1, 3))
 
 
 def test_nullspace_vector_orthogonal():
-    rows = [(1, 2, 3), (0, 1, 1)]
-    n = nullspace_vector(rows, 3)
-    assert any(c != 0 for c in n)
-    for r in rows:
-        assert sum(a * b for a, b in zip(r, n)) == 0
+    for rows in ([(1, 2, 3), (0, 1, 1)], [(Fraction(1, 2), Fraction(2, 3), 1)], []):
+        n = kernel_vector(rows, 3)
+        assert any(c != 0 for c in n)
+        assert all(isinstance(c, int) for c in n)
+        for r in rows:
+            assert sum(a * b for a, b in zip(r, n)) == 0
+    assert kernel_vector([(1, 2), (3, 4)], 2) is None
 
 
 def test_determinant():
@@ -109,6 +122,61 @@ def test_determinant():
     assert determinant([(2, 0, 0), (0, 3, 0), (0, 0, 4)]) == 24
     assert determinant([(1, 1), (2, 2)]) == 0
     assert determinant([(Fraction(1, 2), 0), (0, Fraction(1, 3))]) == Fraction(1, 6)
+
+
+def test_independent_is_greedy():
+    assert independent([(0, 0), (1, 2), (2, 4), (0, 1), (5, 5)]) == [1, 3]
+    assert independent([]) == []
+
+
+# --- the echelon kernel against minors -------------------------------------------
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += sign * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def minors(rows, r):
+    m, n = len(rows), len(rows[0])
+    return [leibniz_det([[rows[i][j] for j in cs] for i in rs])
+            for rs in combinations(range(m), r) for cs in combinations(range(n), r)]
+
+
+@st.composite
+def small_matrices(draw):
+    """1..4 rows of 1..4 small entries, integer only or with fractions mixed in."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+
+
+@given(small_matrices(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_kernel_against_minors(rows, x0):
+    m, n = len(rows), len(rows[0])
+    r = max([k for k in range(1, min(m, n) + 1) if any(minors(rows, k))], default=0)
+    assert rank(rows, n) == r
+    if m == n:
+        assert determinant(rows) == leibniz_det(rows)
+    integral = all(Fraction(c).denominator == 1 for row in rows for c in row)
+    generates = integral and m >= n and gcd(*(int(v) for v in minors(rows, n))) == 1
+    assert lattice_span(rows, n) == (r, generates)
+    kv = kernel_vector(rows, n)
+    if r == n:
+        assert kv is None
+    else:
+        assert any(kv) and all(sum(a * c for a, c in zip(row, kv)) == 0 for row in rows)
+    b = [sum(a * c for a, c in zip(row, x0)) for row in rows]
+    assert solve_linear(rows, b) == (tuple(x0[:n]) if r == n else None)
+    cols = list(zip(*rows))
+    assert independent(cols) == [j for j in range(n) if rank(cols[:j + 1], m) > rank(cols[:j], m)]
 
 
 def test_strict_int():
@@ -149,8 +217,9 @@ def assert_lll_reduced(gram):
     for k in range(1, d):
         assert all(2 * abs(mu[k][j]) <= 1 for j in range(k))
         assert bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]
-    inv = integer_inverse(B)
-    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in B] == [
+    inv_cols = [solve_linear(B, [int(i == j) for i in range(d)]) for j in range(d)]
+    assert all(c.denominator == 1 for col in inv_cols for c in col)
+    assert [[sum(a * b for a, b in zip(row, col)) for col in inv_cols] for row in B] == [
         [int(i == j) for j in range(d)] for i in range(d)]
     return B
 

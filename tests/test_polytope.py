@@ -116,24 +116,36 @@ class TestFacets:
             assert len(on) >= 3
 
 
+def laplace_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * laplace_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)))
+
+
+def cofactor_normal(rows, d):
+    """Generalized cross product of d - 1 vectors in Q^d: entry i is (-1)^i
+    times the minor with column i deleted, zero iff the rows are dependent."""
+    return tuple((-1) ** i * laplace_det([r[:i] + r[i + 1:] for r in rows]) for i in range(d))
+
+
 def facets_by_enumeration(pts, d):
-    """Oracle: supporting hyperplanes spanned by d affinely independent points."""
-    from math import gcd
-    from latmin.core import nullspace_vector, rank_rational, vdot, vsub
-    from latmin.core import primitive as prim
+    """Oracle: supporting hyperplanes spanned by d affinely independent points,
+    with normals from the cofactor formula, so it shares no code with the hull."""
     from itertools import combinations
     out = set()
     for subset in combinations(pts, d):
-        rows = [vsub(p, subset[0]) for p in subset[1:]]
-        if d > 1 and rank_rational(rows) < d - 1:
+        rows = [tuple(a - b for a, b in zip(p, subset[0])) for p in subset[1:]]
+        n = cofactor_normal(rows, d)
+        if not any(n):
             continue
-        n = nullspace_vector(rows, d)
-        den = 1
-        for c in n:
-            den = den * c.denominator // gcd(den, c.denominator)
-        normal = prim([int(c * den) for c in n])
-        b = vdot(normal, subset[0])
-        vals = [vdot(normal, p) for p in pts]
+        den = math.lcm(*(F(c).denominator for c in n))
+        ints = [int(c * den) for c in n]
+        g = math.gcd(*ints)
+        normal = tuple(c // g for c in ints)
+        b = sum(a * c for a, c in zip(normal, subset[0]))
+        vals = [sum(a * c for a, c in zip(normal, p)) for p in pts]
         if all(v <= b for v in vals):
             out.add((normal, b))
         if all(v >= b for v in vals):

@@ -1,4 +1,6 @@
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
@@ -32,6 +34,39 @@ def box_count_by_grid(t):
     return n
 
 
+def box_count_by_recursion(t):
+    """Reference: exhaustive recursion over the coordinates, each capped by
+    the prefix minimum of the parameters minus the suffix sum chosen so far;
+    its work grows as T^(d-1)."""
+    t = [F(x) for x in t]
+    prefix_min = [min(t[:i + 1]) for i in range(len(t))]
+
+    def count(i, s):
+        hi = math.floor(prefix_min[i] - s)
+        if hi < 0:
+            return 0
+        if i == 0:
+            return hi + 1
+        return sum(count(i - 1, s + x) for x in range(hi + 1))
+
+    return count(len(t) - 1, 0)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestBoxCount:
     def test_example_21(self):
         assert box_count([2, 1]) == 5
@@ -48,6 +83,24 @@ class TestBoxCount:
     def test_negative_rejected(self):
         with pytest.raises(NegativeParameter):
             box_count([2, -1])
+
+    @pytest.mark.parametrize("t", [[0.1, 2], [True, 2], ["1e3"]], ids=["float", "bool", "exponent"])
+    def test_inexact_parameters_refused(self, t):
+        with pytest.raises(InvalidInput):
+            box_count(t)
+
+    @given(st.lists(st.fractions(min_value=0, max_value=12, max_denominator=5),
+                    min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_against_recursion(self, t):
+        assert box_count(t) == box_count_by_recursion(t)
+
+    @pytest.mark.parametrize("T", [10 ** 5, 10 ** 30])
+    def test_large_cube(self, T):
+        # the reference recursion takes about T^3 steps here; box_count does not depend on T
+        with time_limit(20):
+            assert box_count([T] * 4) == math.comb(T + 4, 4)
+            assert box_count([T + F(1, 2), T, 2 * T, T]) == math.comb(T + 4, 4)
 
     @given(st.lists(rats, min_size=1, max_size=3))
     @settings(max_examples=40, deadline=None)

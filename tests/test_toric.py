@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from latmin.errors import (
+    InvalidInput,
     InvalidWeights,
     MixedProfile,
     NotAmplePolytope,
@@ -218,6 +219,13 @@ class TestFamilies:
             exact_eps_family(ProductOfP1((2, 0)))
         with pytest.raises(InvalidWeights):
             exact_eps_family(ProjectiveSpace(2, 0))
+
+    @pytest.mark.parametrize("family", [ProductOfP1((2.9, 1)), ProductOfP1((2, True)),
+                                        ProjectiveSpace(True, 2), ProjectiveSpace(2, 2.0)],
+                             ids=["float-weight", "bool-weight", "bool-dim", "float-w"])
+    def test_non_integer_inputs_refused(self, family):
+        with pytest.raises(InvalidInput):
+            exact_eps_family(family)
 
 
 class TestToricVolume:
