@@ -217,7 +217,7 @@ def _dispatch(args) -> tuple[int, dict]:
         return 0, {"mode": args.mode, "count": len(pts),
                    "points": [list(p) for p in pts]}
     if cmd == "toric-eps":
-        u = as_intvec(int(c) for c in args.vertex.split(","))
+        u = as_intvec(args.vertex.split(","))
         return 0, toric.eps_at_invariant_point(MomentPolytope(P), u).to_json()
     if cmd == "toric-bracket":
         return 0, toric.eps_bracket_general(MomentPolytope(P)).to_json()

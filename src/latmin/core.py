@@ -36,15 +36,20 @@ def parse_rat(s) -> Fraction:
     ASCII digits with an optional leading minus and q != 0.
 
     Anything else, floats, exponents, spaces and zero denominators included,
-    raises InvalidInput rather than being rounded or expanded.
+    raises InvalidInput rather than being rounded or expanded; so does a
+    token past Python's limit on the digits of an int parsed from a string.
     """
     if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return Fraction(s)
     if isinstance(s, str) and _RAT_TOKEN.fullmatch(s):
         num, _, den = s.partition("/")
-        if den and int(den) == 0:
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:
+            raise InvalidInput(f"rational token too long: {exc}") from None
+        if den == 0:
             raise InvalidInput(f"zero denominator in {s!r}")
-        return Fraction(int(num), int(den or 1))
+        return Fraction(num, den)
     raise InvalidInput(f"not an exact rational (int, Fraction or \"p/q\"): {s!r}")
 
 
@@ -60,11 +65,12 @@ def as_ratvec(v: Iterable) -> tuple:
 
 
 def as_intvec(v: Iterable) -> tuple:
+    """Entries read by parse_rat, each of which must be an integer."""
     out = []
     for c in v:
         f = parse_rat(c)
         if f.denominator != 1:
-            raise ValueError(f"not an integer entry: {c}")
+            raise InvalidInput(f"not an integer entry: {c!r}")
         out.append(f.numerator)
     return tuple(out)
 
@@ -77,24 +83,15 @@ def vsub(a: Sequence, b: Sequence) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def primitive(v: Sequence[int], canonical_sign: bool = False) -> tuple:
-    """Divide an integer vector by the gcd of its entries.
-
-    With ``canonical_sign`` the result is flipped so its first nonzero entry
-    is positive; otherwise the direction is preserved.
-    """
+def primitive(v: Sequence[int]) -> tuple:
+    """Divide an integer vector by the gcd of its entries, keeping its direction."""
     w = tuple(int(c) for c in v)
     g = 0
     for c in w:
         g = gcd(g, abs(c))
     if g == 0:
         raise ZeroVector("cannot primitivize the zero vector")
-    w = tuple(c // g for c in w)
-    if canonical_sign:
-        lead = next(c for c in w if c != 0)
-        if lead < 0:
-            w = tuple(-c for c in w)
-    return w
+    return tuple(c // g for c in w)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Polytopes are stored canonically by their extreme points (sorted rational
 vertex tuples).  Full-dimensional polytopes also carry an exact facet
 description with primitive integer outward normals, plus the boundary
-triangulation produced by the incremental hull, which drives volume.
+triangulation produced by the incremental hull, from which the vertices are
+read off and which drives volume.
 """
 
 from __future__ import annotations
@@ -168,18 +169,15 @@ def convex_hull(points, d: int) -> Polytope:
     facet_simplices = _hull_full_dim(pts, d, [0] + basis_idx)
 
     # merge triangulated pieces into geometric facets
-    hyperplanes = {}
-    for verts_idx, normal, offset in facet_simplices:
-        hyperplanes[(normal, offset)] = None
-    facet_list = sorted(hyperplanes.keys())
+    facet_list = sorted({(normal, offset) for _, normal, offset in facet_simplices})
 
-    # candidate hull points are those on at least one facet hyperplane
-    vertices = []
-    for p in pts:
-        active = [a for (a, b) in facet_list if vdot(a, p) == b]
-        if len(active) >= d and rank(active, d) == d:
-            vertices.append(p)
-    vertices = tuple(sorted(vertices))
+    # an extreme point is a corner of a simplex in every facet through it, so
+    # the vertices are the corners whose simplices' normals have rank d
+    normals_at = {}
+    for verts_idx, normal, _ in facet_simplices:
+        for i in verts_idx:
+            normals_at.setdefault(i, set()).add(normal)
+    vertices = tuple(pts[i] for i in sorted(normals_at) if rank(list(normals_at[i]), d) == d)
 
     triangulation = tuple(tuple(pts[i] for i in verts_idx)
                           for verts_idx, _, _ in facet_simplices)

@@ -4,18 +4,17 @@ The box with parameters (t_1, ..., t_d) is the set of nonnegative vectors
 whose suffix sums x_i + ... + x_d stay below t_i.  Its lattice point count
 equals the dimension of the space of degree-q forms with prescribed
 vanishing along a full flag of linear subspaces, which is what flag_h0
-computes.
+computes, and its volume is the integral counterpart of that count.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 
-from .core import parse_rat, rat_str, solve_linear, strict_int, vdot
+from .core import parse_rat, rat_str, strict_int
 from .errors import InternalError, NegativeParameter
-from .polytope import convex_hull, volume
 from .report import TheoremReport, verdict
 
 
@@ -58,38 +57,29 @@ def box_count(t) -> int:
     return g[0]
 
 
-def _box_vertices(params) -> list:
-    """Vertex enumeration of the box from its 2d halfspaces."""
-    d = len(params)
-    ineqs = []
-    for i in range(d):
-        ineqs.append((tuple(-1 if j == i else 0 for j in range(d)), Fraction(0)))
-    for i in range(d):
-        ineqs.append((tuple(1 if j >= i else 0 for j in range(d)), params[i]))
-    candidates = set()
-    for subset in combinations(range(len(ineqs)), d):
-        x = solve_linear([ineqs[i][0] for i in subset], [ineqs[i][1] for i in subset])
-        if x is None:
-            continue
-        if all(vdot(a, x) <= b for a, b in ineqs):
-            candidates.add(tuple(x))
-    return sorted(candidates)
-
-
 def box_volume(t) -> Fraction:
-    """Exact volume of the suffix-sum box via hull triangulation.
+    """Exact volume of the suffix-sum box, the integral twin of box_count.
+
+    The map from x to its suffix sums is unimodular, so the volume is that of
+    the chains S_1 >= ... >= S_d >= 0 with S_i <= c_i = min(t_1..t_i).  The
+    volume h_i(y) of the chains S_1..S_i with S_i >= y is the integral of
+    h_{i-1} over [y, c_i], one polynomial of degree i on the range that
+    matters, kept by its Fraction coefficients; the volume is h_d(0).
 
     When the parameters are sorted nonincreasing and d <= 3, the closed form
     is evaluated as well and must agree.
     """
     params = _as_params(t)
-    d = len(params)
-    verts = _box_vertices(params)
-    vol = volume(convex_hull(verts, d))
-    if d <= 3 and all(a >= b for a, b in zip(params, params[1:])):
+    h = [Fraction(1)]  # h_0 = 1, coefficients of y^0, y^1, ...
+    for c in accumulate(params, min):
+        integral = [a / (k + 1) for k, a in enumerate(h)]  # of y^(k+1)
+        top = sum(a * c ** (k + 1) for k, a in enumerate(integral))
+        h = [top] + [-a for a in integral]
+    vol = h[0]
+    if len(params) <= 3 and all(a >= b for a, b in zip(params, params[1:])):
         closed = box_volume_closed_form(params)
         if closed != vol:
-            raise InternalError(f"closed form {closed} != triangulated {vol}")
+            raise InternalError(f"closed form {closed} != chain integral {vol}")
     return vol
 
 

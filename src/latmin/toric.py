@@ -125,11 +125,6 @@ class EpsProfile:
     def all_bracket(self) -> bool:
         return all(isinstance(e, EpsBracket) for e in self.entries)
 
-    def exact_values(self) -> tuple:
-        if not self.all_exact:
-            raise MixedProfile("profile is not all exact")
-        return tuple(e.value for e in self.entries)
-
     def __eq__(self, other):
         return isinstance(other, EpsProfile) and self.entries == other.entries
 
@@ -180,11 +175,6 @@ def vertex_cone(MP: MomentPolytope, u) -> VertexCone:
     return VertexCone(vertex=u, edge_generators=gens, smooth=smooth)
 
 
-def _check_simple(MP: MomentPolytope):
-    for v in MP.polytope.vertices:
-        vertex_cone(MP, tuple(int(c) for c in v))
-
-
 def eps_at_invariant_point(MP: MomentPolytope, u) -> EpsProfile:
     """Exact minima at a smooth fixed point of the polytope's toric variety.
 
@@ -195,8 +185,11 @@ def eps_at_invariant_point(MP: MomentPolytope, u) -> EpsProfile:
     vertices are scanned.
     """
     u = as_intvec(u)
-    _check_simple(MP)
-    cone = vertex_cone(MP, u)
+    # every vertex must be simple, so every cone is built once, u's among them
+    cones = {v: vertex_cone(MP, v) for v in MP.vertices_int}
+    if u not in cones:
+        raise NotAVertex(f"{u} is not a vertex")
+    cone = cones[u]
     if not cone.smooth:
         raise SingularVertex(f"vertex cone at {u} is not smooth")
     d = MP.d

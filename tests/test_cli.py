@@ -151,7 +151,7 @@ class TestErrors:
         assert out["error"]["code"] == "NotAVertex"
 
 
-# non-integer integer fields, then inexact rational tokens
+# non-integer integer fields, then inexact or overlong rational tokens
 INVALID_INPUTS = [
     ("width", {"dim": 2.9, "vertices": [[0, 0], [1, 0], [0, 1]]}),
     ("width", {"dim": True, "vertices": [[0], [1]]}),
@@ -169,6 +169,8 @@ INVALID_INPUTS = [
     ("volume", {"dim": 1, "vertices": [[True], [0]]}),
     ("postulation", {"t": [0.1, 2]}),
     ("postulation", {"t": ["1/0"]}),
+    ("volume", {"dim": 1, "vertices": [["9" * 4301], ["0"]]}),
+    ("postulation", {"t": ["1/" + "9" * 5000]}),
 ]
 
 
@@ -177,6 +179,19 @@ def test_non_integer_json_refused(command, doc):
     code, out = invoke(command, "--inline", json.dumps(doc))
     assert code == 2
     assert out["error"]["code"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("vertex", ["0_0,0", " 0,+0", "\u0660,0", "0,0.0", "1/2,0", "0,", "0,0x0",
+                                    pytest.param("1" * 4301 + ",0", id="4301-digits")])
+def test_vertex_tokens_are_strict(vertex):
+    code, out = invoke("toric-eps", "--inline", BOX32, "--vertex", vertex)
+    assert code == 2
+    assert out["error"]["code"] == "InvalidInput"
+
+
+def test_vertex_as_fraction_token():
+    assert invoke("toric-eps", "--inline", BOX32, "--vertex", "0/5,0/1") == \
+        invoke("toric-eps", "--inline", BOX32, "--vertex", "0,0")
 
 
 class TestRoundTrip:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmin.core import (
+    as_intvec,
     determinant,
     independent,
     kernel_vector,
@@ -34,15 +35,25 @@ def test_parse_rat_roundtrip():
     for s in ["5", "-7/3", "0", "22/7"]:
         assert rat_str(parse_rat(s)) == s
     assert parse_rat(4) == 4
+    assert parse_rat("7" * 4300) == int("7" * 4300)  # Python's int parsing limit
     with pytest.raises(ValueError):
         parse_rat(True)
 
 
 @pytest.mark.parametrize("token", ["1/0", "0/0", "1e400", "0.1", " 1", "+1", "1/-2", "",
-                                   "1/", "\u0661", 0.5, 2.0, True, None, [1]])
+                                   "1/", "\u0661", 0.5, 2.0, True, None, [1],
+                                   pytest.param("7" * 4301, id="4301-digits"),
+                                   pytest.param("-1/" + "3" * 5000, id="5000-digit-denominator")])
 def test_parse_rat_refuses_inexact_tokens(token):
     with pytest.raises(InvalidInput):
         parse_rat(token)
+
+
+def test_as_intvec():
+    assert as_intvec(["-3", 4, "6/2", Fraction(5)]) == (-3, 4, 3, 5)
+    for bad in (["1/2"], [Fraction(1, 2)], ["0_0"], ["\u0660"], [" 0"], ["+0"], [0.0]):
+        with pytest.raises(InvalidInput):
+            as_intvec(bad)
 
 
 class TestPrimitive:
@@ -50,14 +61,11 @@ class TestPrimitive:
         assert primitive((4, -6)) == (2, -3)
         assert primitive((0, 5)) == (0, 1)
         assert primitive((3, 7)) == (3, 7)
+        assert primitive((-2, 4)) == (-1, 2)
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroVector):
             primitive((0, 0, 0))
-
-    def test_canonical_sign(self):
-        assert primitive((-2, 4), canonical_sign=True) == (1, -2)
-        assert primitive((-2, 4)) == (-1, 2)
 
     @given(st.lists(ints, min_size=1, max_size=4), st.integers(min_value=1, max_value=9))
     @settings(max_examples=60)

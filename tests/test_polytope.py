@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latmin import core, polytope
 from latmin.errors import DimensionDeficient, DimensionMismatch, NotSymmetric
 from latmin.generate import SuiteConfig, generate_instance
 from latmin.polytope import (
@@ -133,7 +134,6 @@ def cofactor_normal(rows, d):
 def facets_by_enumeration(pts, d):
     """Oracle: supporting hyperplanes spanned by d affinely independent points,
     with normals from the cofactor formula, so it shares no code with the hull."""
-    from itertools import combinations
     out = set()
     for subset in combinations(pts, d):
         rows = [tuple(a - b for a, b in zip(p, subset[0])) for p in subset[1:]]
@@ -166,6 +166,70 @@ class TestHullAgainstFacetOracle:
                     continue
                 pts_frac = [tuple(F(c) for c in p) for p in set(pts)]
                 assert set(P.facets) == facets_by_enumeration(pts_frac, dim)
+
+
+def vertices_by_incidence(pts, facets, d):
+    """Oracle: the points on facets whose normals have a nonzero d x d minor
+    (Laplace determinant), so that the facets through them meet in a point."""
+    out = []
+    for p in set(pts):
+        active = [a for a, b in facets if sum(c * x for c, x in zip(a, p)) == b]
+        if any(laplace_det([list(a) for a in rows])
+               for rows in combinations(active, d)):
+            out.append(p)
+    return tuple(sorted(out))
+
+
+def cube_facets(d, side):
+    return {(tuple(s * int(j == i) for j in range(d)), F(side if s > 0 else 0))
+            for i in range(d) for s in (1, -1)}
+
+
+@st.composite
+def rational_point_sets(draw):
+    """3-D and 4-D rational points plus midpoints of some pairs, so that many
+    input points lie on the boundary without being vertices."""
+    d = draw(st.sampled_from((3, 4)))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=4))
+    pts += [tuple((a + b) / 2 for a, b in zip(p, q)) for p, q in pairs]
+    return d, pts
+
+
+class TestHullVertices:
+    def test_grid_3d(self):
+        pts = list(product(range(3), repeat=3))
+        P = convex_hull(pts, 3)
+        facets = facets_by_enumeration([tuple(F(c) for c in p) for p in pts], 3)
+        assert facets == cube_facets(3, 2)
+        assert P.vertices == vertices_by_incidence(pts, facets, 3)
+        assert len(P.vertices) == 8
+
+    def test_grid_4d(self):
+        pts = list(product(range(3), repeat=4))
+        P = convex_hull(pts, 4)
+        assert set(P.facets) == cube_facets(4, 2)
+        assert P.vertices == vertices_by_incidence(pts, cube_facets(4, 2), 4)
+        assert P.vertices == tuple(product((0, 2), repeat=4))
+
+    @given(rational_point_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_random_rational(self, case):
+        d, pts = case
+        P = convex_hull(pts, d)
+        assume(P.is_full_dimensional)
+        facets = facets_by_enumeration(list(set(pts)), d)
+        assert set(P.facets) == facets
+        assert P.vertices == vertices_by_incidence(pts, facets, d)
+
+    def test_rank_threshold_mutation_is_caught(self, monkeypatch):
+        # a hull that keeps corners whose normals only have rank d - 1 keeps
+        # edge points of the grid, and the oracle sees it
+        monkeypatch.setattr(polytope, "rank", lambda rows, n: min(n, core.rank(rows, n) + 1))
+        for d in (3, 4):
+            pts = list(product(range(3), repeat=d))
+            assert convex_hull(pts, d).vertices != vertices_by_incidence(pts, cube_facets(d, 2), d)
 
 
 class TestLocate:

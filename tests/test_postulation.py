@@ -2,13 +2,15 @@ import math
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latmin.core import solve_linear
 from latmin.errors import InvalidInput, NegativeParameter
+from latmin.polytope import convex_hull, volume
 from latmin.postulation import (
     box_count,
     box_volume,
@@ -50,6 +52,21 @@ def box_count_by_recursion(t):
         return sum(count(i - 1, s + x) for x in range(hi + 1))
 
     return count(len(t) - 1, 0)
+
+
+def box_volume_by_hull(t):
+    """Reference: the box's vertices from every d of its 2d halfspaces, then
+    the volume of their hull triangulation."""
+    t = [F(x) for x in t]
+    d = len(t)
+    ineqs = [(tuple(-int(j == i) for j in range(d)), F(0)) for i in range(d)]
+    ineqs += [(tuple(int(j >= i) for j in range(d)), t[i]) for i in range(d)]
+    verts = set()
+    for subset in combinations(ineqs, d):
+        x = solve_linear([a for a, _ in subset], [b for _, b in subset])
+        if x is not None and all(sum(c * y for c, y in zip(a, x)) <= b for a, b in ineqs):
+            verts.add(x)
+    return volume(convex_hull(verts, d))
 
 
 @contextmanager
@@ -145,6 +162,19 @@ class TestBoxVolume:
     def test_closed_form_matches_triangulation(self, t):
         t = sorted(t, reverse=True)
         assert box_volume(t) == box_volume_closed_form(t)
+
+    @given(st.lists(st.fractions(min_value=0, max_value=9, max_denominator=6),
+                    min_size=1, max_size=4))
+    @settings(max_examples=120, deadline=None)
+    def test_against_hull_reference(self, t):
+        # unsorted parameters included: only a prefix minimum is ever active
+        assert box_volume(t) == box_volume_by_hull(t)
+
+    def test_large_cube(self):
+        T = 10 ** 30
+        with time_limit(20):
+            assert box_volume([T] * 4) == F(T ** 4, 24)
+            assert box_volume([2 * T, T, T + 1, T]) == F(T ** 4, 24) + F(T ** 4, 6)
 
     def test_d4_frozen_values(self):
         # equal parameters collapse to a simplex: vol = t^4/4!

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from latmin import toric
 from latmin.errors import (
     InvalidInput,
     InvalidWeights,
@@ -114,6 +115,27 @@ class TestEpsAtInvariantPoint:
             [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)], 3)
         with pytest.raises(NotAmplePolytope):
             eps_at_invariant_point(pyramid, (0, 0, 0))
+
+    def test_nonsimple_checked_before_vertex(self):
+        pyramid = MomentPolytope.from_points(
+            [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)], 3)
+        with pytest.raises(NotAmplePolytope):
+            eps_at_invariant_point(pyramid, (1, 1, 0))
+        with pytest.raises(NotAVertex):
+            eps_at_invariant_point(box_mp(3, 2), (1, 1))
+
+    def test_one_cone_per_vertex(self, monkeypatch):
+        calls = []
+
+        def counting_vertex_cone(MP, u):
+            calls.append(tuple(u))
+            return vertex_cone(MP, u)
+
+        monkeypatch.setattr(toric, "vertex_cone", counting_vertex_cone)
+        mp = box_mp(3, 2, 1)
+        prof = eps_at_invariant_point(mp, (0, 0, 0))
+        assert [e.value for e in prof.entries] == [6, 3, 1]
+        assert sorted(calls) == sorted(mp.vertices_int)
 
     def test_every_vertex_agrees_with_family(self):
         prof, mp = exact_eps_family(ProductOfP1((3, 2)))
