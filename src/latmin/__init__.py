@@ -1,6 +1,6 @@
 """Exact-arithmetic geometry of numbers on lattice polytopes."""
 
-from .core import Rat, lattice_span, parse_rat, primitive, rat_str
+from .core import lattice_span, parse_rat, primitive, rat_str
 from .errors import (
     DimensionDeficient,
     DimensionMismatch,

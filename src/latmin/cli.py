@@ -67,11 +67,15 @@ def _build_parser() -> _Parser:
 def _load_json(args) -> dict:
     if args.inline is not None and args.infile is not None:
         raise UsageError("give --in or --inline, not both")
+    # integer literals follow the parse_rat rule, digit limit included
+    def parse_int(token):
+        return parse_rat(token).numerator
+
     if args.inline is not None:
-        return json.loads(args.inline)
+        return json.loads(args.inline, parse_int=parse_int)
     if args.infile is not None:
         with open(args.infile, "rb") as fh:
-            return json.loads(fh.read().decode("utf-8"))
+            return json.loads(fh.read().decode("utf-8"), parse_int=parse_int)
     raise UsageError("an input is required (--in FILE or --inline JSON)")
 
 
@@ -84,7 +88,15 @@ def _parse_polytope(obj) -> Polytope:
 
 
 def _dump(obj) -> bytes:
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+    # an exact answer (a box count, h0) may have more digits than Python lets
+    # str(int) write; the limit guards parsing, so lift it for output only
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(obj, separators=(",", ":"))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return (text + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,25 @@ only ``lll_reduce`` keeps its own Gram-Schmidt update.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidInput, ZeroVector
 
-Rat = Fraction
-
 
 def rat_str(x: Fraction) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
+    """Serialize a rational as "p/q", or "p" when the denominator is 1.
+
+    The digits come from ``Decimal``, so an exact answer of any length is
+    written out; Python's limit on the digits of ``str(int)`` guards parsing
+    (see ``parse_rat``), not output.
+    """
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return str(Decimal(x.numerator))
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 _RAT_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")

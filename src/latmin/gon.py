@@ -164,7 +164,6 @@ def verify_minkowski_second(P: Polytope) -> TheoremReport:
     ok = lower <= prod <= 1
     return TheoremReport(
         theorem="minkowski_second",
-        instance=P.to_json(),
         quantities={
             "dim": str(d),
             "vol": rat_str(vol),
@@ -187,7 +186,6 @@ def verify_transference(K: SymmetricBody) -> TheoremReport:
     ok = all(1 <= p <= d for p in pairings)
     return TheoremReport(
         theorem="transference",
-        instance=K.to_json(),
         quantities={
             "dim": str(d),
             "lambda": [rat_str(x) for x in sm.lambdas],
@@ -213,7 +211,6 @@ def verify_sharp_2d(K: SymmetricBody) -> TheoremReport:
     ok = 1 <= prod <= Fraction(3, 2)
     return TheoremReport(
         theorem="sharp_2d_transference",
-        instance=K.to_json(),
         quantities={
             "lambda_1": rat_str(sm.lambdas[0]),
             "lambda_2_dual": rat_str(sm_dual.lambdas[1]),
@@ -281,7 +278,6 @@ def flatness_report(P: Polytope) -> TheoremReport:
         witnesses["spanning_points"] = [list(p) for p in span_points]
     return TheoremReport(
         theorem="flatness",
-        instance=P.to_json(),
         quantities={
             "dim": str(d),
             "w": rat_str(w),

@@ -4,7 +4,8 @@ Polytopes are stored canonically by their extreme points (sorted rational
 vertex tuples).  Full-dimensional polytopes also carry an exact facet
 description with primitive integer outward normals, plus the boundary
 triangulation produced by the incremental hull, from which the vertices are
-read off and which drives volume.
+read off and which drives volume.  A polar body is read off its dual by
+bipolarity and is triangulated only when its volume is asked.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class PointLocation(enum.Enum):
 class Polytope:
     """Immutable rational polytope, canonical V-representation.
 
-    Build instances through :func:`convex_hull`; the constructor trusts its
-    arguments.
+    Build instances through :func:`convex_hull` or :func:`polar`; the
+    constructor trusts its arguments.
     """
 
     __slots__ = ("ambient_dim", "vertices", "affine_dim", "_facets",
@@ -204,10 +205,6 @@ def _hull_full_dim(pts, d, simplex):
     """Beneath-beyond hull from the affinely independent start ``simplex``
     (d + 1 point indices); returns triangulated boundary facets as
     (vertex index tuple, primitive outward normal, offset)."""
-    if d == 1:
-        lo, hi = 0, len(pts) - 1
-        return [((lo,), (-1,), -pts[lo][0]), ((hi,), (1,), pts[hi][0])]
-
     ref = tuple(sum(coords, Fraction(0)) / (d + 1)
                 for coords in zip(*(pts[i] for i in simplex)))
 
@@ -354,11 +351,14 @@ def volume(P: Polytope) -> Fraction:
 
     Lower-dimensional polytopes have volume 0.  Computed as a fan of exact
     determinant simplices from the first canonical vertex over the boundary
-    triangulation.
+    triangulation; a polar body gets one from a hull of its vertices on
+    first use.
     """
     d = P.ambient_dim
     if P.affine_dim < d:
         return Fraction(0)
+    if P._boundary_simplices is None:
+        P._boundary_simplices = convex_hull(P.vertices, d)._boundary_simplices
     v0 = P.vertices[0]
     total = Fraction(0)
     for simplex in P._boundary_simplices:
@@ -387,23 +387,23 @@ def difference_body(P: Polytope) -> SymmetricBody:
 def polar(K: SymmetricBody) -> SymmetricBody:
     """Polar body of a symmetric K: functionals bounded by 1 in absolute value on K.
 
-    Vertices of the polar are facet normals of K rescaled to offset 1; its
-    facets are in turn cut out by the vertices of K, which is what makes
-    bipolarity an exact round trip.  Built once per body.
+    Read off K by bipolarity, with no hull: the vertices of the polar are the
+    facet normals a / b of K, and its facets are the vertices v of K, each as
+    the primitive normal n of lcm * v with offset lcm / gcd (lcm of v's
+    denominators, gcd of lcm * v).  Built once per body.
     """
     if K._polar is None:
-        duals = []
+        vertices = []
         for a, b in K.body.facets:
             if b <= 0:
                 raise InternalError(f"origin not interior: facet offset {b}")
-            duals.append(tuple(Fraction(c) / b for c in a))
-        K._polar = SymmetricBody(convex_hull(duals, K.ambient_dim))
+            vertices.append(tuple(Fraction(c) / b for c in a))
+        facets = []
+        for v in K.body.vertices:
+            m = math.lcm(*(c.denominator for c in v))
+            w = [int(c * m) for c in v]
+            g = math.gcd(*w)
+            facets.append((tuple(c // g for c in w), Fraction(m, g)))
+        K._polar = SymmetricBody(Polytope(K.ambient_dim, tuple(sorted(vertices)), K.ambient_dim,
+                                          facets=tuple(sorted(facets))))
     return K._polar
-
-
-def scale(P: Polytope, c) -> Polytope:
-    """Dilate by a positive rational factor about the origin."""
-    f = Fraction(c)
-    if f <= 0:
-        raise ValueError("scale factor must be positive")
-    return convex_hull([tuple(f * x for x in v) for v in P.vertices], P.ambient_dim)

@@ -109,7 +109,6 @@ def check_vol_bound(t) -> TheoremReport:
     ok = vol <= bound
     return TheoremReport(
         theorem="box_volume_bound",
-        instance={"t": [rat_str(x) for x in params]},
         quantities={"vol": rat_str(vol), "bound": rat_str(bound)},
         verdict=verdict(ok),
         witnesses={},

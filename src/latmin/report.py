@@ -20,7 +20,6 @@ class TheoremReport:
     """
 
     theorem: str
-    instance: dict | None
     quantities: dict
     verdict: str
     witnesses: dict | None = None

@@ -16,17 +16,14 @@ from itertools import combinations, product as iproduct
 from .core import (
     as_intvec,
     determinant,
+    kernel_vector,
     primitive,
-    rank,
     rat_str,
-    solve_linear,
     strict_int,
     vdot,
-    vsub,
 )
 from .errors import (
     DimensionDeficient,
-    InternalError,
     InvalidWeights,
     MixedProfile,
     NotAmplePolytope,
@@ -66,9 +63,6 @@ class MomentPolytope:
 
     def __repr__(self):
         return f"MomentPolytope({self.polytope!r})"
-
-    def to_json(self) -> dict:
-        return self.polytope.to_json()
 
 
 @dataclass(frozen=True)
@@ -151,25 +145,25 @@ class ProductOfP1:
 
 
 def vertex_cone(MP: MomentPolytope, u) -> VertexCone:
-    """Edge directions at a vertex, primitivized; flags lattice smoothness."""
+    """Edge directions at a vertex, primitivized; flags lattice smoothness.
+
+    The vertex must be simple, on exactly d facets.  Edge i then lies on the
+    other d - 1 facets: it is their primitive kernel vector, oriented to
+    leave facet i.
+    """
     u = as_intvec(u)
     d = MP.d
     uvec = tuple(Fraction(c) for c in u)
     if uvec not in MP.polytope.vertices:
         raise NotAVertex(f"{u} is not a vertex")
-    offsets = dict(MP.polytope.facets)
-    active_u = [a for a, b in offsets.items() if vdot(a, uvec) == b]
-    gens = []
-    for v in MP.polytope.vertices:
-        if v == uvec:
-            continue
-        # v is an edge neighbor iff the facets through both u and v cut a line
-        common = [a for a in active_u if vdot(a, v) == offsets[a]]
-        if len(common) >= d - 1 and rank(common, d) == d - 1:
-            gens.append(primitive([int(c) for c in vsub(v, uvec)]))
-    if len(gens) != d:
+    active = [a for a, b in MP.polytope.facets if vdot(a, uvec) == b]
+    if len(active) != d:
         raise NotAmplePolytope(
-            f"vertex {u} has {len(gens)} edges; expected exactly {d}")
+            f"vertex {u} lies on {len(active)} facets; expected exactly {d}")
+    gens = []
+    for i, a in enumerate(active):
+        e = primitive(kernel_vector(active[:i] + active[i + 1:], d))
+        gens.append(e if vdot(a, e) < 0 else tuple(-c for c in e))
     gens = tuple(sorted(gens))
     smooth = abs(determinant(gens)) == 1
     return VertexCone(vertex=u, edge_generators=gens, smooth=smooth)
@@ -182,24 +176,19 @@ def eps_at_invariant_point(MP: MomentPolytope, u) -> EpsProfile:
     for the i-th value, the minimum over coordinate subsets J of size i-1 of
     the maximal remaining coordinate sum on the face where J vanishes; the
     maximum of a linear form over a face is attained at a vertex, so only
-    vertices are scanned.
+    vertices are scanned.  At a smooth vertex the cone coordinates of a point
+    are its lattice distances b - a.x to the d facets through u.
     """
     u = as_intvec(u)
     # every vertex must be simple, so every cone is built once, u's among them
     cones = {v: vertex_cone(MP, v) for v in MP.vertices_int}
     if u not in cones:
         raise NotAVertex(f"{u} is not a vertex")
-    cone = cones[u]
-    if not cone.smooth:
+    if not cones[u].smooth:
         raise SingularVertex(f"vertex cone at {u} is not smooth")
     d = MP.d
-    cols = list(zip(*cone.edge_generators))  # columns are the generators
-    coords = []
-    for v in MP.polytope.vertices:
-        c = solve_linear(cols, vsub(v, tuple(Fraction(x) for x in u)))
-        if c is None or any(x < 0 for x in c):
-            raise InternalError(f"vertex {v} has no nonnegative cone coordinates")
-        coords.append(c)
+    active = [(a, b) for a, b in MP.polytope.facets if vdot(a, u) == b]
+    coords = [[b - vdot(a, v) for a, b in active] for v in MP.polytope.vertices]
 
     values = []
     for i in range(1, d + 1):
@@ -310,7 +299,6 @@ def verify_m2m(MP: MomentPolytope, eps: EpsProfile) -> TheoremReport:
         raise MixedProfile("profile mixes exact values and brackets")
     return TheoremReport(
         theorem="volume_vs_minima",
-        instance=MP.to_json(),
         quantities=quantities,
         verdict=verdict(ok),
         witnesses={},

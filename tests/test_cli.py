@@ -1,7 +1,10 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
+from latmin import postulation
 from latmin.cli import run
 
 
@@ -171,14 +174,38 @@ INVALID_INPUTS = [
     ("postulation", {"t": ["1/0"]}),
     ("volume", {"dim": 1, "vertices": [["9" * 4301], ["0"]]}),
     ("postulation", {"t": ["1/" + "9" * 5000]}),
+    # integer literals past the 4,300-digit limit, as raw JSON text
+    pytest.param("volume", '{"dim": 1, "vertices": [[%s], [0]]}' % ("9" * 4301),
+                 id="volume-literal-4301-digits"),
+    pytest.param("postulation", '{"d": 2, "p": [1, 1], "q": %s}' % ("1" * 5000),
+                 id="postulation-literal-5000-digits"),
+    pytest.param("width", '{"dim": %s, "vertices": [[0], [1]]}' % ("2" * 4301),
+                 id="width-literal-4301-digits"),
 ]
 
 
 @pytest.mark.parametrize("command, doc", INVALID_INPUTS)
 def test_non_integer_json_refused(command, doc):
-    code, out = invoke(command, "--inline", json.dumps(doc))
+    code, out = invoke(command, "--inline", doc if isinstance(doc, str) else json.dumps(doc))
     assert code == 2
     assert out["error"]["code"] == "InvalidInput"
+
+
+def test_answer_past_the_int_str_digit_limit():
+    # each token has 1,201 digits; the count and volume about 4,800
+    t = [10 ** 1200] * 4
+    code, raw = run(["postulation", "--inline", json.dumps({"t": [str(x) for x in t]})])
+    assert code == 0
+    count, vol = postulation.box_count(t), postulation.box_volume(t)
+    assert count > 10 ** 4400 and vol > 10 ** 4400
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        out = json.loads(raw)
+        got_vol = Fraction(out["volume"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out["count"] == count and got_vol == vol
 
 
 @pytest.mark.parametrize("vertex", ["0_0,0", " 0,+0", "\u0660,0", "0,0.0", "1/2,0", "0,", "0,0x0",

@@ -27,7 +27,6 @@ from latmin.polytope import (
     difference_body,
     locate,
     polar,
-    scale,
 )
 
 F = Fraction
@@ -181,7 +180,7 @@ class TestSuccessiveMinima:
 
     def test_homogeneity(self):
         K = hexagon()
-        half = SymmetricBody(scale(K.body, F(1, 2)))
+        half = SymmetricBody(convex_hull([tuple(c / 2 for c in v) for v in K.body.vertices], 2))
         assert successive_minima(half).lambdas == tuple(
             2 * x for x in successive_minima(K).lambdas)
 
@@ -360,7 +359,8 @@ class TestLatticeWidth:
 
     def test_scaling(self):
         P = convex_hull([(0, 0), (4, 1), (1, 3)], 2)
-        assert lattice_width(scale(P, 3)).width == 3 * lattice_width(P).width
+        tripled = convex_hull([tuple(3 * c for c in v) for v in P.vertices], 2)
+        assert lattice_width(tripled).width == 3 * lattice_width(P).width
 
     def test_witness_transforms_by_inverse_transpose(self):
         # the witness found on U(P) pulls back along U^T to a functional

@@ -17,7 +17,6 @@ from latmin.polytope import (
     lattice_points,
     locate,
     polar,
-    scale,
     volume,
 )
 
@@ -232,6 +231,25 @@ class TestHullVertices:
             assert convex_hull(pts, d).vertices != vertices_by_incidence(pts, cube_facets(d, 2), d)
 
 
+class TestHull1D:
+    @given(st.lists(st.one_of(st.integers(-9, 9),
+                              st.builds(Fraction, st.integers(-20, 20), st.integers(1, 4))),
+                    min_size=1, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_against_min_max(self, xs):
+        P = convex_hull([(x,) for x in xs], 1)
+        lo, hi = F(min(xs)), F(max(xs))
+        inside = range(math.ceil(lo), math.floor(hi) + 1)
+        assert lattice_points(P) == [(k,) for k in inside]
+        if lo == hi:
+            assert P.vertices == ((lo,),) and P.affine_dim == 0
+            return
+        assert P.vertices == ((lo,), (hi,))
+        assert P.facets == (((-1,), -lo), ((1,), hi))
+        assert volume(P) == hi - lo
+        assert lattice_points(P, "interior") == [(k,) for k in inside if lo < k < hi]
+
+
 class TestLocate:
     def test_examples(self):
         P = box(2, 2)
@@ -421,9 +439,84 @@ class TestPolar:
             assert polar(polar(K)).body == K.body
 
 
+def polar_by_hull(K):
+    """Reference: the hull of the dual points a / b of K's facets."""
+    return convex_hull([tuple(F(c) / b for c in a) for a, b in K.body.facets], K.ambient_dim)
+
+
+def inverse_transpose(U):
+    """U^{-T} of a unimodular U, entry (i, j) the signed minor of U[i][j] over det U."""
+    det = laplace_det(U)
+    return [[(-1) ** (i + j) * laplace_det([r[:j] + r[j + 1:] for k, r in enumerate(U) if k != i])
+             // det for j in range(len(U))] for i in range(len(U))]
+
+
+def apply(U, pts):
+    return [tuple(sum(u * c for u, c in zip(row, p)) for row in U) for p in pts]
+
+
+@st.composite
+def symmetric_bodies_and_maps(draw):
+    """A random symmetric body in d = 1..4 with integer or rational vertices,
+    and a unimodular map: elementary integer row operations and a sign flip."""
+    d = draw(st.integers(1, 4))
+    coord = draw(st.sampled_from((st.integers(-3, 3),
+                                  st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d, max_size=d + 2))
+    P = convex_hull(pts + [tuple(-c for c in p) for p in pts], d)
+    assume(P.is_full_dimensional)
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    for _ in range(draw(st.integers(0, 3)) if pairs else 0):
+        i, j = draw(st.sampled_from(pairs))
+        k = draw(st.integers(-2, 2))
+        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+    if draw(st.booleans()):
+        U[0] = [-a for a in U[0]]
+    return SymmetricBody(P), U
+
+
+@given(symmetric_bodies_and_maps())
+@settings(max_examples=60, deadline=None)
+def test_polar_matches_hull_of_dual_points(body_and_map):
+    K, U = body_and_map
+    d = K.ambient_dim
+    dual = polar(K).body
+    ref = polar_by_hull(K)
+    assert dual.vertices == ref.vertices
+    assert dual.facets == ref.facets
+    assert volume(dual) == volume(ref)
+    double = polar(polar(K)).body
+    assert double == K.body and double.facets == K.body.facets
+    moved = polar(SymmetricBody(convex_hull(apply(U, K.body.vertices), d))).body
+    expect = convex_hull(apply(inverse_transpose(U), dual.vertices), d)
+    assert moved == expect and moved.facets == expect.facets
+
+
+def test_polar_builds_no_hull(monkeypatch):
+    # polars: the cross-polytope, and the rhombus with vertices (+-2, 0), (0, +-1/3)
+    bodies = [(SymmetricBody(convex_hull(list(product((-1, 1), repeat=3)), 3)), F(4, 3)),
+              (SymmetricBody(convex_hull([(F(1, 2), 3), (F(-1, 2), 3),
+                                          (F(1, 2), -3), (F(-1, 2), -3)], 2)), F(4, 3))]
+    calls = []
+    real = polytope.convex_hull
+
+    def counting_hull(points, d):
+        calls.append(d)
+        return real(points, d)
+
+    monkeypatch.setattr(polytope, "convex_hull", counting_hull)
+    for K, vol in bodies:
+        dual = polar(K)
+        assert calls == []
+        assert volume(dual.body) == vol
+        calls.clear()
+
+
 def test_scale_and_json_roundtrip():
     P = convex_hull([(0, 0), (3, 1), (1, 4)], 2)
-    assert volume(scale(P, F(1, 2))) == volume(P) / 4
+    half = convex_hull([tuple(c / 2 for c in v) for v in P.vertices], 2)
+    assert volume(half) == volume(P) / 4
     data = P.to_json()
     Q = convex_hull([[F(c) for c in v] for v in data["vertices"]], data["dim"])
     assert Q == P

@@ -16,27 +16,57 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
-def _referenced_names(node):
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.name
+def _local_names(fn):
+    """Parameters of a function or lambda and the names assigned in its body."""
+    args = fn.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [
+        a for a in (args.vararg, args.kwarg) if a is not None]
+    return {a.arg for a in params} | {
+        n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
 
 
-def test_no_dead_helpers():
-    # every top-level function and class is loaded, called or imported from
-    # outside its own body somewhere in the package
+def _referenced_names(node, local=frozenset()):
+    """Names that node loads, calls or imports, leaving out the loads of a
+    function's own parameters and locals, which shadow a top-level name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        local = local | _local_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _referenced_names(child, local)
+
+
+def dead_helpers(sources):
+    """Top-level functions and classes, as "file:name", that no code of the
+    package loads, calls or imports outside their own body."""
     defined, used = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for name, text in sources:
+        tree = ast.parse(text, filename=name)
         for node in tree.body:
             own = getattr(node, "name", None) if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
             if own is not None:
-                defined.append(f"{path.name}:{own}")
-            used.update(name for name in _referenced_names(node) if name != own)
-    dead = [d for d in defined if d.split(":")[1] not in used]
+                defined.append(f"{name}:{own}")
+            used.update(n for n in _referenced_names(node) if n != own)
+    return [d for d in defined if d.split(":")[1] not in used]
+
+
+def test_no_dead_helpers():
+    sources = [(p.name, p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    dead = dead_helpers(sources)
     assert not dead, f"unreferenced top-level definitions: {dead}"
+
+
+def test_dead_helper_shadowed_by_a_parameter_is_found():
+    # a parameter or local of the same name is no use of the top-level helper
+    source = ("def scale(P, c):\n    return c\n\n"
+              "def enumerate_points(vertices, scale=1):\n    return [scale * v for v in vertices]\n\n"
+              "def dilate(P):\n    factor = 2\n    return [factor * v for v in P]\n\n"
+              "def factor():\n    return 3\n\n"
+              "POINTS = enumerate_points([1]), dilate([1])\n")
+    assert dead_helpers([("m.py", source)]) == ["m.py:scale", "m.py:factor"]
+    assert dead_helpers([("m.py", source + "BOTH = scale(1, 2), factor()\n")]) == []

@@ -1,9 +1,10 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from latmin import toric
+from latmin.core import determinant, primitive, rank, solve_linear, vdot, vsub
 from latmin.errors import (
     InvalidInput,
     InvalidWeights,
@@ -172,6 +173,97 @@ class TestEpsAtInvariantPoint:
                 continue
             vals = [e.value for e in prof.entries]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def vertex_cone_by_pairs(MP, u):
+    """Reference: v is an edge neighbour of u iff the facets through both cut
+    a line (rank d - 1); u is simple iff it has exactly d neighbours."""
+    d = MP.d
+    uvec = tuple(F(c) for c in u)
+    if uvec not in MP.polytope.vertices:
+        raise NotAVertex(f"{u} is not a vertex")
+    offsets = dict(MP.polytope.facets)
+    active_u = [a for a, b in offsets.items() if vdot(a, uvec) == b]
+    gens = []
+    for v in MP.polytope.vertices:
+        if v == uvec:
+            continue
+        common = [a for a in active_u if vdot(a, v) == offsets[a]]
+        if len(common) >= d - 1 and rank(common, d) == d - 1:
+            gens.append(primitive([int(c) for c in vsub(v, uvec)]))
+    if len(gens) != d:
+        raise NotAmplePolytope(f"vertex {u} has {len(gens)} edges")
+    gens = tuple(sorted(gens))
+    return toric.VertexCone(vertex=tuple(u), edge_generators=gens,
+                            smooth=abs(determinant(gens)) == 1)
+
+
+def eps_by_cone_solve(MP, u):
+    """Reference: cone coordinates of every vertex solved against the edge
+    generators, then the face maxima of eps_at_invariant_point."""
+    cones = {v: vertex_cone_by_pairs(MP, v) for v in MP.vertices_int}
+    if u not in cones:
+        raise NotAVertex(f"{u} is not a vertex")
+    if not cones[u].smooth:
+        raise SingularVertex(f"vertex cone at {u} is not smooth")
+    d = MP.d
+    cols = list(zip(*cones[u].edge_generators))
+    coords = [solve_linear(cols, vsub(v, u)) for v in MP.polytope.vertices]
+    assert all(c is not None and min(c) >= 0 for c in coords)
+    values = []
+    for i in range(1, d + 1):
+        values.append(min(
+            max(sum(c[k] for k in range(d) if k not in J)
+                for c in coords if all(c[j] == 0 for j in J))
+            for J in combinations(range(d), i - 1)))
+    return values
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (NotAmplePolytope, NotAVertex, SingularVertex) as exc:
+        return type(exc)
+
+
+def lattice_polytope_corpus():
+    """Random lattice polytopes in d = 2..4: hulls of random subsets of a
+    small grid, and unimodular images of boxes and of prisms over a simplex."""
+    for d in (2, 3, 4):
+        for idx in range(12):
+            rng = instance_stream(9000 + d, idx)
+            grid = list(product(range(3), repeat=d))
+            pts = [grid[rng.int_in(0, len(grid) - 1)] for _ in range(d + 2 + rng.int_in(0, 4))]
+            P = convex_hull(pts, d)
+            if P.is_full_dimensional:
+                yield MomentPolytope(P)
+        for idx in range(4):
+            rng = instance_stream(9100 + d, idx)
+            sides = [rng.int_in(1, 3) for _ in range(d)]
+            pts = [tuple(s * b for s, b in zip(sides, bits)) for bits in product((0, 1), repeat=d)]
+            if idx % 2:  # prism: a dilated triangle times a box
+                pts = [p for p in pts if p[0] * sides[1] + p[1] * sides[0] <= sides[0] * sides[1]]
+            U = [[int(i == j) for j in range(d)] for i in range(d)]
+            U[d - 1][0] = rng.int_in(-2, 2)  # a shear x_d += k x_1
+            yield MomentPolytope.from_points(
+                [tuple(sum(u * c for u, c in zip(row, p)) + 3 for row in U) for p in pts], d)
+
+
+def test_cones_and_eps_match_references():
+    seen = set()
+    for mp in lattice_polytope_corpus():
+        for u in mp.vertices_int + (tuple(c + 1 for c in mp.vertices_int[0]),):
+            expect = outcome(vertex_cone_by_pairs, mp, u)
+            assert outcome(vertex_cone, mp, u) == expect
+            eps = outcome(eps_at_invariant_point, mp, u)
+            expect_eps = outcome(eps_by_cone_solve, mp, u)
+            if isinstance(eps, toric.EpsProfile):
+                eps = [e.value for e in eps.entries]
+                seen.add("smooth")
+            else:
+                seen.add(eps.__name__)
+            assert eps == expect_eps
+    assert seen == {"smooth", "SingularVertex", "NotAmplePolytope", "NotAVertex"}
 
 
 class TestEpsBracketGeneral:
