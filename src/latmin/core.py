@@ -14,6 +14,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidInput, ZeroVector
@@ -79,12 +80,20 @@ def as_intvec(v: Iterable) -> tuple:
     return tuple(out)
 
 
-def vdot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def vdot(a: Sequence, b: Sequence):
+    """Exact dot product: an int for two integer vectors, else a Fraction."""
+    return sum(map(mul, a, b))
 
 
 def vsub(a: Sequence, b: Sequence) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
+
+
+def clear_denominators(vectors: Sequence[Sequence]) -> tuple[int, list]:
+    """(L, [L * v for v in vectors]) for the lcm L of the denominators of
+    all entries, so that the scaled vectors are integer tuples."""
+    m = lcm(*(c.denominator for v in vectors for c in v))
+    return m, [tuple(c.numerator * (m // c.denominator) for c in v) for v in vectors]
 
 
 def primitive(v: Sequence[int]) -> tuple:
@@ -220,7 +229,8 @@ def independent(vectors: Sequence[Sequence]) -> list:
 
 def lll_reduce(gram: Sequence[Sequence]) -> list:
     """LLL-reduced basis of Z^d, with delta = 3/4, for the positive definite
-    rational form ``gram``.
+    rational form ``gram``; a positive multiple of the form gives the same
+    basis, so an integer form serves as well.
 
     Exact version of Cohen, *A Course in Computational Algebraic Number
     Theory*, Alg. 2.6.3: the Gram-Schmidt coefficients ``mu`` and squared
@@ -241,7 +251,7 @@ def lll_reduce(gram: Sequence[Sequence]) -> list:
     def gram_schmidt(k):
         for j in range(k):
             s = form(basis[k], basis[j]) - sum(mu[j][i] * mu[k][i] * bstar[i] for i in range(j))
-            mu[k][j] = s / bstar[j]
+            mu[k][j] = Fraction(s, bstar[j])
         bstar[k] = form(basis[k], basis[k]) - sum(mu[k][j] ** 2 * bstar[j] for j in range(k))
 
     def size_reduce(k, l):

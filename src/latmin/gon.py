@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .core import (
     as_ratvec,
+    clear_denominators,
     independent,
     lattice_span,
     lll_reduce,
@@ -53,16 +54,21 @@ class WidthResult:
 
 
 def gauge(K: SymmetricBody, x) -> Fraction:
-    """min{t >= 0 : x in tK}, computed as the max of facet ratios."""
-    pt = as_ratvec(x)
-    g = Fraction(0)
+    """min{t >= 0 : x in tK}, the largest facet ratio a.x / b.
+
+    x is scaled once to the integer vector m * x; with b = p / q a ratio is
+    s * q / p for s = a.(m x), and ratios are compared by cross
+    multiplication, so one Fraction is built, for the result.
+    """
+    m, (xs,) = clear_denominators([as_ratvec(x)])
+    num, den = 0, 1
     for a, b in K.body.facets:
-        s = vdot(a, pt)
+        s = vdot(a, xs)
         if s > 0:
-            r = s / b
-            if r > g:
-                g = r
-    return g
+            s *= b.denominator
+            if s * den > num * b.numerator:
+                num, den = s, b.numerator
+    return Fraction(num, den * m)
 
 
 def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinima:
@@ -87,12 +93,16 @@ def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinim
 
 
 def _gram_form(K: SymmetricBody) -> list:
-    """G = sum of a a^T / b^2 over the facets a.x <= b of K.  With m facets it
-    sandwiches the gauge: g(x)^2 <= x^T G x <= m g(x)^2."""
+    """The integer form M * G, for G = sum of a a^T / b^2 over the facets
+    a.x <= b of K and M the lcm of the squared numerators of the b.  With m
+    facets G sandwiches the gauge: g(x)^2 <= x^T G x <= m g(x)^2.  LLL is
+    invariant under positive scaling of the form, so M changes no basis."""
     d = K.ambient_dim
-    G = [[Fraction(0)] * d for _ in range(d)]
-    for a, b in K.body.facets:
-        w = 1 / (b * b)
+    facets = K.body.facets
+    M = math.lcm(*(b.numerator ** 2 for _, b in facets))
+    G = [[0] * d for _ in range(d)]
+    for a, b in facets:
+        w = M // b.numerator ** 2 * b.denominator ** 2
         for i in range(d):
             for j in range(d):
                 G[i][j] += a[i] * a[j] * w
@@ -100,7 +110,7 @@ def _gram_form(K: SymmetricBody) -> list:
 
 
 def _matvec(rows, v) -> tuple:
-    return tuple(sum(r * c for r, c in zip(row, v)) for row in rows)
+    return tuple(vdot(row, v) for row in rows)
 
 
 def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
@@ -108,7 +118,9 @@ def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
     coordinates y of an LLL-reduced basis B of the form ``_gram_form(K)``.
 
     A point is x = B^T y, so K's facet a.x <= b reads (B a).y <= b and its
-    vertex v becomes B^-T v, whose rows solve B z = e_j.  R is the k-th
+    vertex v becomes B^-T v, whose rows solve B z = e_j and are integer, as
+    B is unimodular.  The vertices enter as integers m v, for the lcm m of
+    their denominators, with the scale R / m.  R is the k-th
     smallest gauge of the rows of B; the facet normals are integer, so those
     k independent rows lie among the enumerated points and one pass finds k
     witnesses.  Candidates are ranked
@@ -117,14 +129,16 @@ def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
     d = K.ambient_dim
     facets = K.body.facets
     B = lll_reduce(_gram_form(K))
-    inv_t = [solve_linear(B, [int(i == j) for i in range(d)]) for j in range(d)]
+    inv_t = [tuple(map(int, solve_linear(B, [int(i == j) for i in range(d)])))
+             for j in range(d)]
     normals = [_matvec(B, a) for a, _ in facets]
-    vertices = [_matvec(inv_t, v) for v in K.body.vertices]
+    m, scaled = clear_denominators(K.body.vertices)
+    vertices = [_matvec(inv_t, v) for v in scaled]
     to_x = list(zip(*B))
     R = sorted(gauge(K, b) for b in B)[k - 1]
     rhs = [math.floor(R * b) for _, b in facets]
     candidates = []
-    for y in enumerate_points(normals, vertices, rhs, R):
+    for y in enumerate_points(normals, vertices, rhs, R / m):
         x = _matvec(to_x, y)
         if any(x):
             candidates.append((gauge(K, x), x))

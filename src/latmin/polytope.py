@@ -17,6 +17,7 @@ from itertools import combinations, product
 
 from .core import (
     as_ratvec,
+    clear_denominators,
     determinant,
     independent,
     kernel_vector,
@@ -187,16 +188,17 @@ def convex_hull(points, d: int) -> Polytope:
 
 
 def _facet_hyperplane(points, ref, d):
-    """Primitive integer outward normal and offset through d affinely
-    independent points, oriented away from the interior point ref."""
+    """Primitive integer outward normal and integer offset through d affinely
+    independent integer points, oriented away from the interior point
+    ref / (d + 1)."""
     base = points[0]
     normal = primitive(kernel_vector([vsub(p, base) for p in points[1:]], d))
     offset = vdot(normal, base)
     side = vdot(normal, ref)
-    if side > offset:
+    if side > (d + 1) * offset:
         normal = tuple(-c for c in normal)
         offset = -offset
-    elif side == offset:
+    elif side == (d + 1) * offset:
         raise InternalError("reference point on facet hyperplane")
     return normal, offset
 
@@ -204,14 +206,20 @@ def _facet_hyperplane(points, ref, d):
 def _hull_full_dim(pts, d, simplex):
     """Beneath-beyond hull from the affinely independent start ``simplex``
     (d + 1 point indices); returns triangulated boundary facets as
-    (vertex index tuple, primitive outward normal, offset)."""
-    ref = tuple(sum(coords, Fraction(0)) / (d + 1)
-                for coords in zip(*(pts[i] for i in simplex)))
+    (vertex index tuple, primitive outward normal, offset).
+
+    The work is on integers: the points are multiplied once by the lcm L of
+    their denominators, the reference point is the sum of the start points,
+    (d + 1) times their centroid, and an offset b of the scaled points
+    leaves as the Fraction b / L.
+    """
+    L, ipts = clear_denominators(pts)
+    ref = tuple(map(sum, zip(*(ipts[i] for i in simplex))))
 
     facets = {}
     next_id = 0
     for subset in combinations(simplex, d):
-        normal, offset = _facet_hyperplane([pts[i] for i in subset], ref, d)
+        normal, offset = _facet_hyperplane([ipts[i] for i in subset], ref, d)
         facets[next_id] = (tuple(sorted(subset)), normal, offset)
         next_id += 1
 
@@ -219,7 +227,7 @@ def _hull_full_dim(pts, d, simplex):
     for p in range(len(pts)):
         if p in in_simplex:
             continue
-        x = pts[p]
+        x = ipts[p]
         visible = [fid for fid, (_, a, b) in facets.items() if vdot(a, x) > b]
         if not visible:
             continue
@@ -235,10 +243,10 @@ def _hull_full_dim(pts, d, simplex):
             if cnt != 1:
                 continue
             new_verts = tuple(sorted(ridge + (p,)))
-            normal, offset = _facet_hyperplane([pts[i] for i in new_verts], ref, d)
+            normal, offset = _facet_hyperplane([ipts[i] for i in new_verts], ref, d)
             facets[next_id] = (new_verts, normal, offset)
             next_id += 1
-    return list(facets.values())
+    return [(verts, a, Fraction(b, L)) for verts, a, b in facets.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +288,15 @@ def enumerate_points(normals, vertices, rhs, scale=1) -> list:
     """Integer points x with a.x <= r for each integer normal a in ``normals``
     and its integer right-hand side r in ``rhs``, sorted lexicographically.
 
-    The integer bounding box of scale * conv(vertices) must hold every
-    solution.  Each coordinate is cut to exact interval bounds given its
-    prefix, so the scan is exhaustive without walking the whole box.
+    The integer bounding box of scale * conv(vertices), for a scale > 0,
+    must hold every solution.  Each coordinate is cut to exact interval
+    bounds given its prefix, so the scan is exhaustive without walking the
+    whole box.
     """
     d = len(vertices[0])
-    los = [math.ceil(min(scale * v[j] for v in vertices)) for j in range(d)]
-    his = [math.floor(max(scale * v[j] for v in vertices)) for j in range(d)]
+    cols = list(zip(*vertices))
+    los = [math.ceil(scale * min(c)) for c in cols]
+    his = [math.floor(scale * max(c)) for c in cols]
     # tail_min[i][j] = least value of sum_{k>=j} a_k x_k over the box, a = normals[i]
     tail_min = []
     for a in normals:
@@ -400,8 +410,7 @@ def polar(K: SymmetricBody) -> SymmetricBody:
             vertices.append(tuple(Fraction(c) / b for c in a))
         facets = []
         for v in K.body.vertices:
-            m = math.lcm(*(c.denominator for c in v))
-            w = [int(c * m) for c in v]
+            m, (w,) = clear_denominators([v])
             g = math.gcd(*w)
             facets.append((tuple(c // g for c in w), Fraction(m, g)))
         K._polar = SymmetricBody(Polytope(K.ambient_dim, tuple(sorted(vertices)), K.ambient_dim,

@@ -24,6 +24,7 @@ from .core import (
 )
 from .errors import (
     DimensionDeficient,
+    InvalidInput,
     InvalidWeights,
     MixedProfile,
     NotAmplePolytope,
@@ -44,9 +45,9 @@ class MomentPolytope:
         if not polytope.is_full_dimensional:
             raise DimensionDeficient("moment polytopes are full-dimensional")
         for v in polytope.vertices:
-            for c in v:
-                if Fraction(c).denominator != 1:
-                    raise ValueError(f"vertex {v} is not a lattice point")
+            if any(c.denominator != 1 for c in v):
+                raise InvalidInput(f"vertex ({', '.join(rat_str(c) for c in v)}) "
+                                   "is not a lattice point")
         self.polytope = polytope
         self.d = polytope.ambient_dim
 

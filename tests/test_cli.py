@@ -155,6 +155,8 @@ class TestErrors:
 
 
 # non-integer integer fields, then inexact or overlong rational tokens
+HALF_INTEGER_TRIANGLE = {"dim": 2, "vertices": [["0", "0"], ["1/2", "0"], ["0", "1"]]}
+
 INVALID_INPUTS = [
     ("width", {"dim": 2.9, "vertices": [[0, 0], [1, 0], [0, 1]]}),
     ("width", {"dim": True, "vertices": [[0], [1]]}),
@@ -181,12 +183,15 @@ INVALID_INPUTS = [
                  id="postulation-literal-5000-digits"),
     pytest.param("width", '{"dim": %s, "vertices": [[0], [1]]}' % ("2" * 4301),
                  id="width-literal-4301-digits"),
+    # a moment polytope needs integer vertices
+    pytest.param("toric-eps --vertex 0,0", HALF_INTEGER_TRIANGLE, id="toric-eps-half-integer-vertex"),
+    pytest.param("toric-bracket", HALF_INTEGER_TRIANGLE, id="toric-bracket-half-integer-vertex"),
 ]
 
 
 @pytest.mark.parametrize("command, doc", INVALID_INPUTS)
 def test_non_integer_json_refused(command, doc):
-    code, out = invoke(command, "--inline", doc if isinstance(doc, str) else json.dumps(doc))
+    code, out = invoke(*command.split(), "--inline", doc if isinstance(doc, str) else json.dumps(doc))
     assert code == 2
     assert out["error"]["code"] == "InvalidInput"
 

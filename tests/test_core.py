@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -260,3 +260,15 @@ def positive_definite_forms(draw):
 @settings(max_examples=60, deadline=None)
 def test_lll_reduced_and_unimodular(gram):
     assert_lll_reduced(gram)
+
+
+@given(positive_definite_forms(), st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_lll_invariant_under_positive_scaling(gram, c):
+    # what lets the minima run LLL on an integer multiple of their Gram form
+    B = lll_reduce(gram)
+    assert lll_reduce([[c * g for g in row] for row in gram]) == B
+    m = lcm(*(g.denominator for row in gram for g in row))
+    integer = [[g.numerator * (m // g.denominator) for g in row] for row in gram]
+    assert all(type(g) is int for row in integer for g in row)
+    assert lll_reduce(integer) == B

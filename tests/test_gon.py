@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latmin import gon
+from counting import counted_fractions, counting_wrapper
+from latmin import core, gon
 from latmin.core import lattice_span, vdot
 from latmin.errors import DimensionDeficient, DimensionMismatch
 from latmin.gon import (
@@ -502,3 +503,65 @@ def test_report_json_key_order():
     # verdict is recomputable from the quantities alone
     q = data["quantities"]
     assert F(q["lower"]) <= F(q["product"]) <= F(q["upper"])
+
+
+# --- integer gauge and Gram form against the Fraction formulas -----------------
+
+def reference_gauge(K, x):
+    """Reference: the largest facet ratio a.x / b, in Fractions."""
+    pt = tuple(F(c) for c in x)
+    g = F(0)
+    for a, b in K.body.facets:
+        s = sum((u * c for u, c in zip(a, pt)), F(0))
+        if s > 0 and s / b > g:
+            g = s / b
+    return g
+
+
+def reference_gram_form(K):
+    """Reference: G = sum of a a^T / b^2 over the facets, in Fractions."""
+    d = K.ambient_dim
+    return [[sum((a[i] * a[j] / (b * b) for a, b in K.body.facets), F(0)) for j in range(d)]
+            for i in range(d)]
+
+
+@st.composite
+def bodies_and_points(draw):
+    """A symmetric body in d = 1..4 with integer or rational vertices, or its
+    polar, and rational points with negative entries and the zero vector."""
+    d = draw(st.integers(1, 4))
+    rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+    coord = draw(st.sampled_from((st.integers(-3, 3), rational)))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d, max_size=d + 2))
+    P = convex_hull(pts + [tuple(-c for c in p) for p in pts], d)
+    assume(P.is_full_dimensional)
+    K = SymmetricBody(P)
+    if draw(st.booleans()):
+        K = polar(K)
+    xs = draw(st.lists(st.tuples(*[st.one_of(st.integers(-7, 7), rational)] * d), max_size=6))
+    return K, xs + [(0,) * d]
+
+
+@given(bodies_and_points())
+@settings(max_examples=80, deadline=None)
+def test_gauge_and_gram_form_match_fraction_references(case):
+    K, xs = case
+    for x in xs:
+        assert gauge(K, x) == reference_gauge(K, x)
+    G, ref = gon._gram_form(K), reference_gram_form(K)
+    assert all(type(g) is int for row in G for g in row)
+    scale = F(G[0][0]) / ref[0][0]
+    assert scale > 0 and G == [[scale * r for r in row] for row in ref]
+    assert core.lll_reduce(G) == core.lll_reduce(ref)
+
+
+def test_gauge_builds_one_fraction_per_call(monkeypatch):
+    K = polar(sym([(3, 1, 0), (0, F(2, 3), 1), (1, 1, F(5, 2))], 3))
+    points = [(1, -2, 3), (F(-1, 2), 0, F(7, 3)), (0, 0, 0), (5, 5, -5)]
+    calls = counting_wrapper(monkeypatch, gon)
+    with counted_fractions() as made:
+        values = [gauge(K, x) for x in points]
+    assert len(calls) == len(points)
+    # d reading each point, one for each result: no Fraction arithmetic
+    assert made.count <= len(points) * (3 + 1)
+    assert values == [reference_gauge(K, x) for x in points]

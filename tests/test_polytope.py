@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from counting import counted_fractions, counting_wrapper
 from latmin import core, polytope
 from latmin.errors import DimensionDeficient, DimensionMismatch, NotSymmetric
 from latmin.generate import SuiteConfig, generate_instance
@@ -520,3 +521,141 @@ def test_scale_and_json_roundtrip():
     data = P.to_json()
     Q = convex_hull([[F(c) for c in v] for v in data["vertices"]], data["dim"])
     assert Q == P
+
+
+# ---------------------------------------------------------------------------
+# the integer beneath-beyond hull against the Fraction one it replaced
+
+
+def reference_hull_full_dim(pts, d, simplex):
+    """Reference: the beneath-beyond hull on Fractions, with the centroid of
+    the start simplex as its interior point."""
+    def hyperplane(points, ref):
+        base = points[0]
+        normal = core.primitive(core.kernel_vector([core.vsub(p, base) for p in points[1:]], d))
+        offset = sum((a * c for a, c in zip(normal, base)), F(0))
+        side = sum((a * c for a, c in zip(normal, ref)), F(0))
+        if side > offset:
+            normal = tuple(-c for c in normal)
+            offset = -offset
+        elif side == offset:
+            raise AssertionError("reference point on facet hyperplane")
+        return normal, offset
+
+    ref = tuple(sum(coords, F(0)) / (d + 1) for coords in zip(*(pts[i] for i in simplex)))
+    facets = {}
+    next_id = 0
+    for subset in combinations(simplex, d):
+        facets[next_id] = (tuple(sorted(subset)),) + hyperplane([pts[i] for i in subset], ref)
+        next_id += 1
+    for p in range(len(pts)):
+        if p in simplex:
+            continue
+        x = pts[p]
+        visible = [fid for fid, (_, a, b) in facets.items()
+                   if sum((u * c for u, c in zip(a, x)), F(0)) > b]
+        ridge_count = {}
+        for fid in visible:
+            verts = facets.pop(fid)[0]
+            for drop in verts:
+                ridge = tuple(v for v in verts if v != drop)
+                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
+        for ridge, cnt in ridge_count.items():
+            if cnt == 1:
+                new_verts = tuple(sorted(ridge + (p,)))
+                facets[next_id] = (new_verts,) + hyperplane([pts[i] for i in new_verts], ref)
+                next_id += 1
+    return list(facets.values())
+
+
+def mixed_rational(q):
+    """A rational in [-5, 5] with denominator q."""
+    return st.integers(-5 * q, 5 * q).map(lambda n: F(n, q))
+
+
+@st.composite
+def mixed_denominator_point_sets(draw):
+    """d = 2..4 points whose coordinates each draw their own denominator,
+    small or up to 10^12, with integers mixed in."""
+    d = draw(st.integers(2, 4))
+    coord = st.one_of(st.integers(-5, 5),
+                      st.integers(1, 12).flatmap(mixed_rational),
+                      st.integers(1, 10 ** 12).flatmap(mixed_rational))
+    return d, draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 5))
+
+
+@given(mixed_denominator_point_sets())
+@settings(max_examples=80, deadline=None)
+def test_integer_hull_matches_fraction_reference(case):
+    d, pts = case
+    P = convex_hull(pts, d)
+    real = polytope._hull_full_dim
+    polytope._hull_full_dim = reference_hull_full_dim
+    try:
+        ref = convex_hull(pts, d)
+    finally:
+        polytope._hull_full_dim = real
+    assert P.vertices == ref.vertices
+    assert P.affine_dim == ref.affine_dim
+    if P.is_full_dimensional:
+        assert P.facets == ref.facets
+        assert P._boundary_simplices == ref._boundary_simplices
+    assert volume(P) == volume(ref)
+
+
+@st.composite
+def point_sets_and_integer_affine_maps(draw):
+    """Integer or rational points in d = 2..4, a map x -> U D x + t with U a
+    product of elementary integer row operations and a sign flip
+    (unimodular), D a diagonal of 1..3, and t an integer translation."""
+    d = draw(st.integers(2, 4))
+    coord = draw(st.sampled_from((st.integers(-4, 4),
+                                  st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4)))))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.sampled_from(pairs))
+        k = draw(st.integers(-2, 2))
+        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+    if draw(st.booleans()):
+        U[0] = [-a for a in U[0]]
+    diag = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    M = [[u * k for u, k in zip(row, diag)] for row in U]
+    t = draw(st.tuples(*[st.integers(-5, 5)] * d))
+    return d, pts, M, t
+
+
+@given(point_sets_and_integer_affine_maps())
+@settings(max_examples=60, deadline=None)
+def test_hull_commutes_with_integer_affine_maps(case):
+    # facet a.x <= b of P becomes (M^-T a).y <= b + (M^-T a).t on y = Mx + t;
+    # the primitive normal n is c M^-T a with c > 0, and the offset c b + n.t
+    d, pts, M, t = case
+    P = convex_hull(pts, d)
+    assume(P.is_full_dimensional)
+    moved = [tuple(c + s for c, s in zip(p, t)) for p in apply(M, pts)]
+    Q = convex_hull(moved, d)
+    assert Q.vertices == tuple(sorted(tuple(c + s for c, s in zip(p, t))
+                                      for p in apply(M, P.vertices)))
+    expect = []
+    for a, b in P.facets:
+        w = core.solve_linear(list(zip(*M)), a)
+        n = core.primitive([x * math.lcm(*(y.denominator for y in w)) for x in w])
+        c = next(F(x, y) for x, y in zip(n, w) if y)
+        expect.append((n, c * b + core.vdot(n, t)))
+    assert Q.facets == tuple(sorted(expect))
+    assert volume(Q) == abs(laplace_det(M)) * volume(P)
+
+
+def test_hull_builds_one_fraction_per_facet_simplex(monkeypatch):
+    pts = list(product(range(3), repeat=3)) + [(1, 1, 5), (-2, 1, 1), (4, 3, -1)]
+    calls = counting_wrapper(monkeypatch, polytope)
+    P = convex_hull(pts, 3)
+    assert 0 < len(calls) <= len(P._boundary_simplices)
+    # no Fraction arithmetic either: the hull proper builds only its offsets
+    fpts = sorted({tuple(F(c) for c in p) for p in pts})
+    start = [0] + core.independent([core.vsub(p, fpts[0]) for p in fpts])
+    with counted_fractions() as made:
+        simplices = polytope._hull_full_dim(fpts, 3, start)
+    assert 0 < made.count <= len(simplices)

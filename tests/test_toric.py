@@ -416,3 +416,8 @@ def test_splitmix_reference_stream():
     rng = SplitMix64(0)
     assert rng.next_u64() == 0xE220A8397B1DCDAF
     assert rng.next_u64() == 0x6E789E6AA1B965F4
+
+
+def test_fractional_vertex_is_invalid_input_in_canonical_form():
+    with pytest.raises(InvalidInput, match=r"^vertex \(0, 1/2\) is not a lattice point$"):
+        MomentPolytope(convex_hull([(0, 0), (1, 0), (0, F(1, 2))], 2))
