@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import gon, postulation, toric
-from .core import as_intvec, parse_rat, rat_str, strict_int
+from .core import as_intvec, as_ratvec, parse_rat, rat_str, strict_int
 from .errors import LatminError
 from .generate import (GenerationError, SuiteConfig, generate_instance, instance_stream,
                        random_polytope)
@@ -83,7 +83,7 @@ def _parse_polytope(obj) -> Polytope:
     if not isinstance(obj, dict) or "dim" not in obj or "vertices" not in obj:
         raise LatminError('polytope JSON needs keys "dim" and "vertices"')
     d = strict_int(obj["dim"], "dim")
-    pts = [[parse_rat(c) for c in v] for v in obj["vertices"]]
+    pts = [as_ratvec(v) for v in obj["vertices"]]
     return convex_hull(pts, d)
 
 
@@ -202,7 +202,7 @@ def _dispatch(args) -> tuple[int, dict]:
     obj = _load_json(args)
     if cmd == "postulation":
         if "t" in obj:
-            t = [parse_rat(x) for x in obj["t"]]
+            t = as_ratvec(obj["t"])
             rep = postulation.check_vol_bound(t)
             return 0, {
                 "t": [rat_str(x) for x in t],

@@ -66,18 +66,19 @@ def strict_int(value, name: str) -> int:
 
 
 def as_ratvec(v: Iterable) -> tuple:
+    """Entries read by parse_rat; a str or dict is refused, not iterated."""
+    if isinstance(v, (str, dict)):
+        raise InvalidInput(f"expected a list of rationals, not a {type(v).__name__}")
     return tuple(parse_rat(c) for c in v)
 
 
 def as_intvec(v: Iterable) -> tuple:
-    """Entries read by parse_rat, each of which must be an integer."""
-    out = []
-    for c in v:
-        f = parse_rat(c)
-        if f.denominator != 1:
-            raise InvalidInput(f"not an integer entry: {c!r}")
-        out.append(f.numerator)
-    return tuple(out)
+    """Entries read by as_ratvec, each of which must be an integer."""
+    vec = as_ratvec(v)
+    for c in vec:
+        if c.denominator != 1:
+            raise InvalidInput(f"not an integer entry: {rat_str(c)}")
+    return tuple(c.numerator for c in vec)
 
 
 def vdot(a: Sequence, b: Sequence):

@@ -5,7 +5,8 @@ vertex tuples).  Full-dimensional polytopes also carry an exact facet
 description with primitive integer outward normals, plus the boundary
 triangulation produced by the incremental hull, from which the vertices are
 read off and which drives volume.  A polar body is read off its dual by
-bipolarity and is triangulated only when its volume is asked.
+bipolarity and is triangulated only when its volume is asked.  A
+lower-dimensional polytope carries an integer chart of its affine lattice.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .core import (
     as_ratvec,
     clear_denominators,
     determinant,
+    echelon,
     independent,
     kernel_vector,
     primitive,
@@ -54,7 +56,7 @@ class Polytope:
         self.affine_dim = affine_dim
         self._facets = facets
         self._boundary_simplices = boundary_simplices
-        # (base point, basis rows, inner polytope) for lower-dimensional bodies
+        # (origin, d x k basis, inner body in R^k) of a lower-dimensional body
         self._chart = chart
         self._difference = None  # P - P, set by difference_body
 
@@ -151,22 +153,19 @@ def convex_hull(points, d: int) -> Polytope:
     basis_idx = independent(diffs)  # diffs[0] = 0 is never picked
     k = len(basis_idx)
 
-    if k == 0:
-        return Polytope(d, (base,), 0)
-
     if k < d:
-        basis_rows = [diffs[i] for i in basis_idx]
+        origin, basis = _lattice_chart(base, [diffs[i] for i in basis_idx], d)
         coords = []
-        cols = list(zip(*basis_rows))  # d rows of length k
-        for p, diff in zip(pts, diffs):
-            c = solve_linear(cols, diff)
+        for p in pts:
+            c = solve_linear(basis, vsub(p, origin))
             if c is None:
                 raise InternalError(f"point {p} outside the affine span of the input")
             coords.append(c)
-        inner = convex_hull(coords, k)
+        # the inner body of a point is the one point of R^0
+        inner = convex_hull(coords, k) if k else Polytope(0, ((),), 0, facets=())
         inner_to_outer = {c: p for c, p in zip(coords, pts)}
         verts = tuple(sorted(inner_to_outer[c] for c in inner.vertices))
-        return Polytope(d, verts, k, chart=(base, tuple(basis_rows), inner))
+        return Polytope(d, verts, k, chart=(origin, basis, inner))
 
     facet_simplices = _hull_full_dim(pts, d, [0] + basis_idx)
 
@@ -185,6 +184,28 @@ def convex_hull(points, d: int) -> Polytope:
                           for verts_idx, _, _ in facet_simplices)
     return Polytope(d, vertices, d, facets=tuple(facet_list),
                     boundary_simplices=triangulation)
+
+
+def _lattice_chart(base, span, d):
+    """Origin and d x k basis of the lattice chart x = origin + basis·c of
+    base + span(``span``), for k independent vectors ``span``.
+
+    One integer echelon turns [spanᵀ | I] into [H | U], U unimodular, so the
+    last d - k rows N of U span the integer normals of the span; a lattice
+    point x on it has N·x = s = N·base, so exists iff s is integral, and then
+    U⁻¹·(0, s) is one, the origin, and the U⁻¹·e_j, j < k, are a basis of
+    Z^d ∩ span (Cohen, §2.4).  With no lattice point the origin is base.
+    """
+    k = len(span)
+    _, ispan = clear_denominators(span)
+    rows = [[v[i] for v in ispan] + [int(i == j) for j in range(d)] for i in range(d)]
+    U = [r[k:] for r in echelon(rows, k + d)[0]]
+    s = [vdot(n, base) for n in U[k:]]
+    columns = [solve_linear(U, [int(i == j) for i in range(d)]) for j in range(k)]
+    basis = tuple(tuple(int(w[i]) for w in columns) for i in range(d))
+    if any(c.denominator != 1 for c in s):
+        return base, basis
+    return tuple(int(c) for c in solve_linear(U, [0] * k + s)), basis
 
 
 def _facet_hyperplane(points, ref, d):
@@ -277,10 +298,8 @@ def contains(P: Polytope, x) -> bool:
         raise DimensionMismatch(f"point of length {len(pt)} in dimension {P.ambient_dim}")
     if P.is_full_dimensional:
         return locate(P, pt) is not PointLocation.OUTSIDE
-    if P.affine_dim == 0:
-        return pt == P.vertices[0]
-    base, basis_rows, inner = P._chart
-    c = solve_linear(list(zip(*basis_rows)), vsub(pt, base))
+    origin, basis, inner = P._chart
+    c = solve_linear(basis, vsub(pt, origin))
     return c is not None and contains(inner, c)
 
 
@@ -338,8 +357,11 @@ def lattice_points(P: Polytope, mode: str = "all") -> list:
 
     ``mode`` is "all" or "interior"; the interior mode requires a
     full-dimensional polytope.  On integer points a facet a.x <= b reads
-    a.x <= floor(b), and a.x < b reads a.x <= ceil(b) - 1.  A lower-dimensional
-    P is scanned over its bounding box by exact membership.
+    a.x <= floor(b), and a.x < b reads a.x <= ceil(b) - 1, and
+    ``enumerate_points`` walks those inequalities.  A lower-dimensional P goes
+    through its lattice chart: with no lattice point on its affine span it
+    has none, and otherwise its points are origin + basis . c for the integer
+    points c of the full-dimensional inner polytope.
     """
     if mode not in ("all", "interior"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -349,11 +371,11 @@ def lattice_points(P: Polytope, mode: str = "all") -> list:
         return enumerate_points(normals, P.vertices, rhs)
     if mode == "interior":
         raise DimensionDeficient("interior enumeration requires full dimension")
-    ranges = []
-    for j in range(P.ambient_dim):
-        cs = [v[j] for v in P.vertices]
-        ranges.append(range(math.ceil(min(cs)), math.floor(max(cs)) + 1))
-    return [xs for xs in product(*ranges) if contains(P, xs)]
+    origin, basis, inner = P._chart
+    if any(c.denominator != 1 for c in origin):
+        return []
+    return sorted(tuple(o + vdot(row, c) for o, row in zip(origin, basis))
+                  for c in lattice_points(inner))
 
 
 def volume(P: Polytope) -> Fraction:

@@ -13,17 +13,17 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import parse_rat, rat_str, strict_int
-from .errors import InternalError, NegativeParameter
+from .core import as_ratvec, rat_str, strict_int
+from .errors import InternalError, InvalidInput, NegativeParameter
 from .report import TheoremReport, verdict
 
 
 def _as_params(t) -> tuple:
-    params = tuple(parse_rat(x) for x in t)
+    params = as_ratvec(t)
     if not params:
         raise NegativeParameter("need at least one parameter")
     if any(x < 0 for x in params):
-        raise NegativeParameter(f"negative box parameter in {params}")
+        raise NegativeParameter(f"negative box parameter in ({', '.join(map(rat_str, params))})")
     return params
 
 
@@ -121,15 +121,16 @@ def flag_h0(d: int, p, q: int) -> int:
 
     Counts exponent vectors alpha in N^{d+1} of total degree q with suffix
     sums alpha_i + ... + alpha_d <= q - p_i; zero as soon as some q - p_i is
-    negative.  ``d``, ``q`` and every multiplicity must be ints; anything else,
-    a bool included, raises InvalidInput rather than being coerced.
+    negative.  ``d``, ``q`` and every multiplicity must be ints: anything else,
+    a bool included, and d < 1 or other than d multiplicities raise
+    InvalidInput, and a negative q or multiplicity NegativeParameter.
     """
     d, q = strict_int(d, "d"), strict_int(q, "q")
     p = tuple(strict_int(x, "multiplicity") for x in p)
-    if len(p) != d:
-        raise ValueError(f"expected {d} multiplicities, got {len(p)}")
-    if d < 1 or q < 0 or any(x < 0 for x in p):
-        raise ValueError("d >= 1, q >= 0 and nonnegative multiplicities required")
+    if d < 1 or len(p) != d:
+        raise InvalidInput(f"need d >= 1 and d multiplicities, got d = {d} and {len(p)}")
+    if q < 0 or any(x < 0 for x in p):
+        raise NegativeParameter("q and the multiplicities must be nonnegative")
     caps = [q - pi for pi in p]
     if any(c < 0 for c in caps):
         return 0

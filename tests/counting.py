@@ -1,5 +1,7 @@
-"""Counters for Fraction constructions, shared by the work-counter tests."""
+"""Counters for Fraction constructions and a wall-clock limit, shared by the
+work-bound tests."""
 
+import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
@@ -36,3 +38,18 @@ def counting_wrapper(monkeypatch, module):
 
     monkeypatch.setattr(module, "Fraction", counting)
     return calls
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -186,6 +186,15 @@ INVALID_INPUTS = [
     # a moment polytope needs integer vertices
     pytest.param("toric-eps --vertex 0,0", HALF_INTEGER_TRIANGLE, id="toric-eps-half-integer-vertex"),
     pytest.param("toric-bracket", HALF_INTEGER_TRIANGLE, id="toric-bracket-half-integer-vertex"),
+    # a string or an object where a list is expected is refused, not iterated
+    pytest.param("points", {"dim": 2, "vertices": ["12", "30"]}, id="points-vertex-as-string"),
+    pytest.param("points", {"dim": 1, "vertices": "12"}, id="points-vertices-as-string"),
+    pytest.param("points", {"dim": 1, "vertices": {"1": 0}}, id="points-vertices-as-object"),
+    pytest.param("postulation", {"t": "12"}, id="postulation-t-as-string"),
+    pytest.param("postulation", {"t": {"3": 1, "2": 0}}, id="postulation-t-as-object"),
+    # flag counts need d >= 1 and exactly d multiplicities
+    pytest.param("postulation", {"d": 2, "p": [1], "q": 2}, id="postulation-multiplicity-count"),
+    pytest.param("postulation", {"d": 0, "p": [], "q": 2}, id="postulation-d-zero"),
 ]
 
 
@@ -194,6 +203,18 @@ def test_non_integer_json_refused(command, doc):
     code, out = invoke(*command.split(), "--inline", doc if isinstance(doc, str) else json.dumps(doc))
     assert code == 2
     assert out["error"]["code"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"d": 2, "p": [1, -1], "q": 2}, "q and the multiplicities must be nonnegative"),
+    ({"d": 1, "p": [0], "q": -1}, "q and the multiplicities must be nonnegative"),
+    ({"t": ["1", "-1"]}, "negative box parameter in (1, -1)"),
+    ({"t": ["5/2", "-1/3", "0"]}, "negative box parameter in (5/2, -1/3, 0)"),
+])
+def test_negative_postulation_parameters(doc, message):
+    code, out = invoke("postulation", "--inline", json.dumps(doc))
+    assert code == 2
+    assert out["error"] == {"code": "NegativeParameter", "message": message}
 
 
 def test_answer_past_the_int_str_digit_limit():

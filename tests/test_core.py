@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from latmin.core import (
     as_intvec,
+    as_ratvec,
     determinant,
     independent,
     kernel_vector,
@@ -54,6 +55,14 @@ def test_as_intvec():
     for bad in (["1/2"], [Fraction(1, 2)], ["0_0"], ["\u0660"], [" 0"], ["+0"], [0.0]):
         with pytest.raises(InvalidInput):
             as_intvec(bad)
+
+
+@pytest.mark.parametrize("read", [as_ratvec, as_intvec])
+@pytest.mark.parametrize("vector", ["12", {"1": 0, "2": 0}, {}], ids=["string", "object", "empty-object"])
+def test_vectors_refuse_strings_and_objects(read, vector):
+    # iterating would read a str digit by digit and a dict by its keys
+    with pytest.raises(InvalidInput):
+        read(vector)
 
 
 class TestPrimitive:

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from counting import counted_fractions, counting_wrapper
+from counting import counted_fractions, counting_wrapper, time_limit
 from latmin import core, polytope
-from latmin.errors import DimensionDeficient, DimensionMismatch, NotSymmetric
+from latmin.errors import DimensionDeficient, DimensionMismatch, InvalidInput, NotSymmetric
 from latmin.generate import SuiteConfig, generate_instance
 from latmin.polytope import (
     PointLocation,
     SymmetricBody,
+    contains,
     convex_hull,
     difference_body,
     lattice_points,
@@ -69,6 +70,11 @@ class TestConvexHull:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             convex_hull([(1, 2, 3)], 2)
+
+    def test_string_points_refused(self):
+        # "12" is not the point (1, 2)
+        with pytest.raises(InvalidInput):
+            convex_hull(["12", "30"], 2)
 
     @given(small_pts_2d)
     @settings(max_examples=50, deadline=None)
@@ -315,13 +321,36 @@ class TestLatticePoints:
 
 def lattice_points_by_box_scan(P, mode):
     """Reference oracle: every integer point of the vertex bounding box,
-    kept by exact point location."""
+    kept by exact point location.
+
+    A lower-dimensional P of affine dimension k shares no chart code: a point
+    is kept when the vertices and it still have affine rank k, and its
+    projection onto k coordinates, chosen so that the projection is
+    injective on aff(P), lies in the hull of the projected vertices.
+    """
+    d = P.ambient_dim
     ranges = [range(math.ceil(min(v[j] for v in P.vertices)),
                     math.floor(max(v[j] for v in P.vertices)) + 1)
-              for j in range(P.ambient_dim)]
-    keep = ({PointLocation.INTERIOR} if mode == "interior"
-            else {PointLocation.INTERIOR, PointLocation.BOUNDARY})
-    return [x for x in product(*ranges) if locate(P, x) in keep]
+              for j in range(d)]
+    if P.is_full_dimensional:
+        keep = ({PointLocation.INTERIOR} if mode == "interior"
+                else {PointLocation.INTERIOR, PointLocation.BOUNDARY})
+        return [x for x in product(*ranges) if locate(P, x) in keep]
+    if mode == "interior":
+        raise DimensionDeficient("a lower-dimensional body has no interior points")
+    k, v0 = P.affine_dim, P.vertices[0]
+    span = [core.vsub(v, v0) for v in P.vertices]
+
+    def on_span(x):
+        return core.rank(span + [core.vsub(x, v0)], d) == k
+
+    if k == 0:
+        return [x for x in product(*ranges) if on_span(x)]
+    axes = next(c for c in combinations(range(d), k)
+                if core.rank([[w[i] for i in c] for w in span], k) == k)
+    shadow = convex_hull([[v[i] for i in axes] for v in P.vertices], k)
+    return [x for x in product(*ranges)
+            if locate(shadow, [x[i] for i in axes]) is not PointLocation.OUTSIDE and on_span(x)]
 
 
 @st.composite
@@ -339,6 +368,135 @@ def rational_polytopes(draw):
 @given(rational_polytopes(), st.sampled_from(("all", "interior")))
 def test_lattice_points_match_box_scan(P, mode):
     assert lattice_points(P, mode) == lattice_points_by_box_scan(P, mode)
+
+
+@st.composite
+def lower_dimensional_bodies(draw):
+    """Bodies in d = 2..4 of affine dimension k = 0..d - 1: the points p0,
+    p0 + w_j and p0 + sum_j t_j w_j for a base point p0, independent integer
+    directions w_j and steps t_j in [-1, 1] with denominators 1..3.  The base
+    point is integral or rational, or it has x_1 = 1/2 while the directions
+    keep x_1 fixed, an affine span with no lattice point."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    k = draw(st.sampled_from(range(d)))
+    kind = draw(st.sampled_from(("integral", "rational", "half-plane")))
+    coord = (st.integers(-4, 4) if kind == "integral"
+             else st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3)))
+    p0 = draw(st.tuples(*[coord] * d))
+    entry = st.integers(-2, 2)
+    first = st.just(0) if kind == "half-plane" else entry
+    if kind == "half-plane":
+        p0 = (F(1, 2),) + p0[1:]
+    dirs = draw(st.lists(st.tuples(first, *[entry] * (d - 1)), min_size=k, max_size=k))
+    step = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)).filter(lambda t: abs(t) <= 1)
+    pts = [p0] + [tuple(c + x for c, x in zip(p0, w)) for w in dirs]
+    for _ in range(draw(st.integers(0, 3))):
+        ts = draw(st.tuples(*[step] * k))
+        pts.append(tuple(c + sum(t * w[i] for t, w in zip(ts, dirs)) for i, c in enumerate(p0)))
+    P = convex_hull(pts, d)
+    assume(P.affine_dim == k)
+    return P
+
+
+@settings(max_examples=200, deadline=None)
+@given(lower_dimensional_bodies())
+def test_lower_dimensional_lattice_points_match_box_scan(P):
+    assert lattice_points(P) == lattice_points_by_box_scan(P, "all")
+    for x in lattice_points(P):
+        assert contains(P, x)
+    with pytest.raises(DimensionDeficient):
+        lattice_points(P, "interior")
+
+
+@st.composite
+def bodies_and_unimodular_maps(draw):
+    """A full- or lower-dimensional body, a unimodular U and an integer
+    translation t."""
+    P = draw(st.one_of(lower_dimensional_bodies(), rational_polytopes()))
+    d = P.ambient_dim
+    return P, draw(unimodular_matrices(d)), draw(st.tuples(*[st.integers(-5, 5)] * d))
+
+
+@settings(max_examples=120, deadline=None)
+@given(bodies_and_unimodular_maps())
+def test_lattice_points_commute_with_unimodular_maps(case):
+    P, U, t = case
+
+    def move(pts):
+        return [tuple(c + s for c, s in zip(p, t)) for p in apply(U, pts)]
+
+    Q = convex_hull(move(P.vertices), P.ambient_dim)
+    assert lattice_points(Q) == sorted(move(lattice_points(P)))
+
+
+# ---------------------------------------------------------------------------
+# lattice-point work grows with the answer, not with the bounding box
+
+
+def skew_triangle(n):
+    """conv(0, n u, n v) in R^4 for u = (1, 1, 1, 1) and v = (0, 1, 2, 3),
+    which extend to a lattice basis: (n + 1)(n + 2) / 2 lattice points in a
+    bounding box of about 6 n^4."""
+    u, v = (1, 1, 1, 1), (0, 1, 2, 3)
+    return convex_hull([(0,) * 4, tuple(n * c for c in u), tuple(n * c for c in v)], 4), u, v
+
+
+def half_offset_triangle(n):
+    """A rational triangle of side n on the plane x_1 - x_2 = 1/2, which
+    holds no lattice point."""
+    h = F(1, 2)
+    return convex_hull([(h, 0, 0), (h + n, n, 0), (h, 0, n)], 3)
+
+
+def test_long_segment_lattice_points():
+    n = 10 ** 5
+    with time_limit(20):
+        pts = lattice_points(convex_hull([(0, 0, 0), (n, n, n)], 3))
+    assert pts == [(i, i, i) for i in range(n + 1)]
+
+
+def test_skew_triangle_lattice_points():
+    n = 300
+    with time_limit(20):
+        P, u, v = skew_triangle(n)
+        pts = lattice_points(P)
+    assert len(pts) == (n + 1) * (n + 2) // 2 == 45451
+    assert pts == sorted(tuple(a * x + b * y for x, y in zip(u, v))
+                         for a in range(n + 1) for b in range(n + 1 - a))
+
+
+def test_plane_without_lattice_points_enumerates_nothing(monkeypatch):
+    calls = []
+    real = polytope.enumerate_points
+
+    def counting_enumerate(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope, "enumerate_points", counting_enumerate)
+    # side 10^6 first: a bounding-box scan, which materialises each coordinate
+    # range, then fails on time before side 10^9 asks it for tens of GB
+    for n in (10 ** 6, 10 ** 9):
+        with time_limit(20):
+            assert lattice_points(half_offset_triangle(n)) == []
+    assert calls == []
+
+
+def test_lattice_points_never_test_membership(monkeypatch):
+    calls = []
+    real = polytope.contains
+
+    def counting_contains(P, x):
+        calls.append(x)
+        return real(P, x)
+
+    monkeypatch.setattr(polytope, "contains", counting_contains)
+    bodies = [box(3, 2), convex_hull([(0, 0, 0), (5, 5, 5)], 3), skew_triangle(4)[0],
+              half_offset_triangle(6), convex_hull([(1, 2, 3)], 3),
+              convex_hull([(F(1, 2), 0)], 2)]
+    counts = [len(lattice_points(P)) for P in bodies]
+    assert counts == [12, 6, 15, 0, 1, 0]
+    assert calls == []
 
 
 class TestVolume:
@@ -457,6 +615,20 @@ def apply(U, pts):
 
 
 @st.composite
+def unimodular_matrices(draw, d, max_ops=4):
+    """Up to ``max_ops`` elementary integer row operations and a sign flip."""
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    for _ in range(draw(st.integers(0, max_ops)) if pairs else 0):
+        i, j = draw(st.sampled_from(pairs))
+        k = draw(st.integers(-2, 2))
+        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+    if draw(st.booleans()):
+        U[0] = [-a for a in U[0]]
+    return U
+
+
+@st.composite
 def symmetric_bodies_and_maps(draw):
     """A random symmetric body in d = 1..4 with integer or rational vertices,
     and a unimodular map: elementary integer row operations and a sign flip."""
@@ -466,15 +638,7 @@ def symmetric_bodies_and_maps(draw):
     pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d, max_size=d + 2))
     P = convex_hull(pts + [tuple(-c for c in p) for p in pts], d)
     assume(P.is_full_dimensional)
-    U = [[int(i == j) for j in range(d)] for i in range(d)]
-    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
-    for _ in range(draw(st.integers(0, 3)) if pairs else 0):
-        i, j = draw(st.sampled_from(pairs))
-        k = draw(st.integers(-2, 2))
-        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
-    if draw(st.booleans()):
-        U[0] = [-a for a in U[0]]
-    return SymmetricBody(P), U
+    return SymmetricBody(P), draw(unimodular_matrices(d, 3))
 
 
 @given(symmetric_bodies_and_maps())
@@ -612,14 +776,7 @@ def point_sets_and_integer_affine_maps(draw):
     coord = draw(st.sampled_from((st.integers(-4, 4),
                                   st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4)))))
     pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))
-    U = [[int(i == j) for j in range(d)] for i in range(d)]
-    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
-    for _ in range(draw(st.integers(0, 4))):
-        i, j = draw(st.sampled_from(pairs))
-        k = draw(st.integers(-2, 2))
-        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
-    if draw(st.booleans()):
-        U[0] = [-a for a in U[0]]
+    U = draw(unimodular_matrices(d))
     diag = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
     M = [[u * k for u, k in zip(row, diag)] for row in U]
     t = draw(st.tuples(*[st.integers(-5, 5)] * d))

@@ -1,6 +1,4 @@
 import math
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counting import time_limit
 from latmin.core import solve_linear
 from latmin.errors import InvalidInput, NegativeParameter
 from latmin.polytope import convex_hull, volume
@@ -69,21 +68,6 @@ def box_volume_by_hull(t):
     return volume(convex_hull(verts, d))
 
 
-@contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block after ``seconds`` of wall time."""
-    def expire(signum, frame):
-        raise TimeoutError(f"over {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestBoxCount:
     def test_example_21(self):
         assert box_count([2, 1]) == 5
@@ -101,7 +85,8 @@ class TestBoxCount:
         with pytest.raises(NegativeParameter):
             box_count([2, -1])
 
-    @pytest.mark.parametrize("t", [[0.1, 2], [True, 2], ["1e3"]], ids=["float", "bool", "exponent"])
+    @pytest.mark.parametrize("t", [[0.1, 2], [True, 2], ["1e3"], "12", {"3": 1, "2": 0}],
+                             ids=["float", "bool", "exponent", "string", "object"])
     def test_inexact_parameters_refused(self, t):
         with pytest.raises(InvalidInput):
             box_count(t)
@@ -227,6 +212,17 @@ class TestFlagH0:
     ])
     def test_non_integers_refused(self, d, p, q):
         with pytest.raises(InvalidInput):
+            flag_h0(d, p, q)
+
+    @pytest.mark.parametrize("d, p, q, error", [
+        (2, [1], 2, InvalidInput),
+        (0, [], 2, InvalidInput),
+        (-1, [], 2, InvalidInput),
+        (2, [1, -1], 2, NegativeParameter),
+        (1, [0], -1, NegativeParameter),
+    ])
+    def test_bad_shapes_and_negatives_typed(self, d, p, q, error):
+        with pytest.raises(error):
             flag_h0(d, p, q)
 
     def test_monotonicity(self):
