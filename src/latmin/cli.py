@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import gon, postulation, toric
 from .core import as_intvec, as_ratvec, parse_rat, rat_str, strict_int
-from .errors import LatminError
+from .errors import InvalidInput, LatminError
 from .generate import (GenerationError, SuiteConfig, generate_instance, instance_stream,
                        random_polytope)
 from .polytope import Polytope, SymmetricBody, convex_hull, lattice_points, polar, volume
@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_json(args) -> dict:
+def _load_json(args) -> object:
     if args.inline is not None and args.infile is not None:
         raise UsageError("give --in or --inline, not both")
     # integer literals follow the parse_rat rule, digit limit included
@@ -80,9 +80,11 @@ def _load_json(args) -> dict:
 
 
 def _parse_polytope(obj) -> Polytope:
-    if not isinstance(obj, dict) or "dim" not in obj or "vertices" not in obj:
-        raise LatminError('polytope JSON needs keys "dim" and "vertices"')
+    if "dim" not in obj or "vertices" not in obj:
+        raise InvalidInput('polytope JSON needs keys "dim" and "vertices"')
     d = strict_int(obj["dim"], "dim")
+    if not isinstance(obj["vertices"], list):
+        raise InvalidInput(f'"vertices" must be a list, not {type(obj["vertices"]).__name__}')
     pts = [as_ratvec(v) for v in obj["vertices"]]
     return convex_hull(pts, d)
 
@@ -156,11 +158,8 @@ def _postulation(cfg: SuiteConfig, i: int, track) -> bool:
     rng = instance_stream(cfg.seed, i)
     t = tuple(Fraction(rng.int_in(0, 4 * cfg.coord_bound), rng.int_in(1, 4))
               for _ in range(cfg.dim))
-    ok = postulation.check_vol_bound(t).holds
-    if cfg.dim <= 3:
-        # on nonincreasing parameters box_volume checks its closed form itself
-        postulation.box_volume(sorted(t, reverse=True))
-    return ok
+    # for d <= 3 box_volume checks its closed form itself
+    return postulation.check_vol_bound(t).holds
 
 
 SUITES = {
@@ -200,6 +199,8 @@ def _dispatch(args) -> tuple[int, dict]:
         return (1 if summary["violated"] else 0), summary
 
     obj = _load_json(args)
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"input JSON must be an object, not {type(obj).__name__}")
     if cmd == "postulation":
         if "t" in obj:
             t = as_ratvec(obj["t"])
@@ -213,7 +214,7 @@ def _dispatch(args) -> tuple[int, dict]:
             }
         if {"d", "p", "q"} <= set(obj):
             return 0, {"h0": postulation.flag_h0(obj["d"], obj["p"], obj["q"])}
-        raise LatminError('postulation input needs "t" or "d","p","q"')
+        raise InvalidInput('postulation input needs "t" or "d","p","q"')
 
     P = _parse_polytope(obj)
     if cmd == "width":

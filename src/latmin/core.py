@@ -5,7 +5,7 @@ gcd-reduced form by the stdlib) or a tuple of them; no floating point is used
 anywhere.  Every exact linear-algebra question (rank, lattice generation,
 determinant, kernel vector, unique solution, greedy independent subset) is
 answered from the output of ``echelon``, one integer row echelon routine;
-only ``lll_reduce`` keeps its own Gram-Schmidt update.
+``lll_reduce`` reads its Gram-Schmidt data off the form at each step.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ def strict_int(value, name: str) -> int:
 
 
 def as_ratvec(v: Iterable) -> tuple:
-    """Entries read by parse_rat; a str or dict is refused, not iterated."""
-    if isinstance(v, (str, dict)):
+    """Entries read by parse_rat; a str, a dict or a value that is not
+    iterable is refused with InvalidInput."""
+    if isinstance(v, (str, dict)) or not hasattr(v, "__iter__"):
         raise InvalidInput(f"expected a list of rationals, not a {type(v).__name__}")
     return tuple(parse_rat(c) for c in v)
 
@@ -234,28 +235,30 @@ def lll_reduce(gram: Sequence[Sequence]) -> list:
     basis, so an integer form serves as well.
 
     Exact version of Cohen, *A Course in Computational Algebraic Number
-    Theory*, Alg. 2.6.3: the Gram-Schmidt coefficients ``mu`` and squared
-    lengths ``bstar`` are updated in place by each size reduction and swap,
-    and computed from the form only when a new index is reached.  Returns the
-    rows b_1..b_d of a unimodular integer matrix with |mu_kj| <= 1/2 and
-    bstar_k >= (delta - mu_{k,k-1}^2) bstar_{k-1}.
+    Theory*, Alg. 2.6.3, without its swap update: each step computes the
+    Gram-Schmidt ``mu`` and ``bstar`` of b_1..b_k from the form, exact values
+    equal to the carried ones, so a swap exchanges two rows and nothing else.
+    Returns the rows b_1..b_d of a unimodular integer matrix with
+    |mu_kj| <= 1/2 and bstar_k >= (delta - mu_{k,k-1}^2) bstar_{k-1}.
     """
     d = len(gram)
     delta = Fraction(3, 4)
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
-    mu = [[Fraction(0)] * d for _ in range(d)]
-    bstar = [Fraction(0)] * d
 
     def form(x, y):
         return sum(x[i] * gram[i][j] * y[j] for i in range(d) for j in range(d) if x[i] and y[j])
 
     def gram_schmidt(k):
-        for j in range(k):
-            s = form(basis[k], basis[j]) - sum(mu[j][i] * mu[k][i] * bstar[i] for i in range(j))
-            mu[k][j] = Fraction(s, bstar[j])
-        bstar[k] = form(basis[k], basis[k]) - sum(mu[k][j] ** 2 * bstar[j] for j in range(k))
+        mu, bstar = [], []
+        for r in range(k + 1):
+            mu.append([])
+            for j in range(r):
+                s = form(basis[r], basis[j]) - sum(mu[j][i] * mu[r][i] * bstar[i] for i in range(j))
+                mu[r].append(Fraction(s, bstar[j]))
+            bstar.append(form(basis[r], basis[r]) - sum(m * m * b for m, b in zip(mu[r], bstar)))
+        return mu, bstar
 
-    def size_reduce(k, l):
+    def size_reduce(mu, k, l):
         if 2 * abs(mu[k][l]) <= 1:
             return
         q = round(mu[k][l])
@@ -264,32 +267,15 @@ def lll_reduce(gram: Sequence[Sequence]) -> list:
         for i in range(l):
             mu[k][i] -= q * mu[l][i]
 
-    def swap(k, kmax):
-        basis[k - 1], basis[k] = basis[k], basis[k - 1]
-        for j in range(k - 1):
-            mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
-        m = mu[k][k - 1]
-        b = bstar[k] + m * m * bstar[k - 1]
-        mu[k][k - 1] = m * bstar[k - 1] / b
-        bstar[k] = bstar[k - 1] * bstar[k] / b
-        bstar[k - 1] = b
-        for i in range(k + 1, kmax + 1):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - m * t
-            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
-
-    gram_schmidt(0)
-    k, kmax = 1, 0
+    k = 1
     while k < d:
-        if k > kmax:
-            kmax = k
-            gram_schmidt(k)
-        size_reduce(k, k - 1)
+        mu, bstar = gram_schmidt(k)
+        size_reduce(mu, k, k - 1)
         if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
-            swap(k, kmax)
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
+                size_reduce(mu, k, l)
             k += 1
     return [tuple(r) for r in basis]

@@ -20,10 +20,11 @@ from .core import (
     lll_reduce,
     rat_str,
     solve_linear,
+    strict_int,
     vdot,
     vsub,
 )
-from .errors import DimensionDeficient, DimensionMismatch
+from .errors import DimensionDeficient, DimensionMismatch, InvalidInput
 from .polytope import (Polytope, SymmetricBody, difference_body, enumerate_points,
                        lattice_points, polar, volume)
 from .report import HOLDS, TheoremReport, verdict
@@ -74,16 +75,17 @@ def gauge(K: SymmetricBody, x) -> Fraction:
 def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinima:
     """Exact first k successive minima of (Z^d, K), each with a witness vector.
 
-    ``k`` defaults to d.  Vectors are ranked by (gauge, lexicographic order)
-    and a witness is taken greedily whenever it increases the rank, so the
-    first k minima are the length-k prefix of all d.  Witness signs are
-    normalized so the first nonzero entry is positive.  The longest result
-    is kept on K and later calls take their prefix of it.
+    ``k`` defaults to d; a k that is not an int in 1..d, a bool or a float
+    included, raises InvalidInput.  Vectors are ranked by (gauge,
+    lexicographic order) and a witness is taken greedily whenever it
+    increases the rank, so the first k minima are the length-k prefix of all
+    d.  Witness signs are normalized so the first nonzero entry is positive.
+    The longest result is kept on K and later calls take their prefix of it.
     """
     d = K.ambient_dim
-    k = d if k is None else k
+    k = d if k is None else strict_int(k, "k")
     if not 1 <= k <= d:
-        raise ValueError(f"k must be in 1..{d}, got {k}")
+        raise InvalidInput(f"k must be in 1..{d}, got {k}")
     sm = K._minima
     if sm is None or len(sm.lambdas) < k:
         sm = K._minima = _minima(K, k)
@@ -120,11 +122,11 @@ def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
     A point is x = B^T y, so K's facet a.x <= b reads (B a).y <= b and its
     vertex v becomes B^-T v, whose rows solve B z = e_j and are integer, as
     B is unimodular.  The vertices enter as integers m v, for the lcm m of
-    their denominators, with the scale R / m.  R is the k-th
-    smallest gauge of the rows of B; the facet normals are integer, so those
-    k independent rows lie among the enumerated points and one pass finds k
-    witnesses.  Candidates are ranked
-    in the original coordinates, so the result does not depend on B.
+    their denominators, with the scale R / m.  R is the k-th smallest gauge
+    of the rows of B; the facet normals are integer, so those k independent
+    rows lie among the enumerated points and one pass finds k witnesses.
+    Candidates are ranked in the original coordinates, so the result does
+    not depend on B.
     """
     d = K.ambient_dim
     facets = K.body.facets

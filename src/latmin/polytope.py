@@ -30,7 +30,8 @@ from .core import (
     vdot,
     vsub,
 )
-from .errors import DimensionDeficient, DimensionMismatch, InternalError, NotSymmetric
+from .errors import (DimensionDeficient, DimensionMismatch, InternalError, InvalidInput,
+                     NotSymmetric)
 
 
 class PointLocation(enum.Enum):
@@ -364,7 +365,7 @@ def lattice_points(P: Polytope, mode: str = "all") -> list:
     points c of the full-dimensional inner polytope.
     """
     if mode not in ("all", "interior"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidInput(f"unknown mode {mode!r}")
     if P.is_full_dimensional:
         normals = [a for a, _ in P.facets]
         rhs = [math.ceil(b) - 1 if mode == "interior" else math.floor(b) for _, b in P.facets]

@@ -66,18 +66,18 @@ def box_volume(t) -> Fraction:
     h_{i-1} over [y, c_i], one polynomial of degree i on the range that
     matters, kept by its Fraction coefficients; the volume is h_d(0).
 
-    When the parameters are sorted nonincreasing and d <= 3, the closed form
-    is evaluated as well and must agree.
+    For d <= 3 the closed form is evaluated as well, at the nonincreasing
+    prefix minima c, whose box is the box of t, and must agree.
     """
-    params = _as_params(t)
+    caps = list(accumulate(_as_params(t), min))
     h = [Fraction(1)]  # h_0 = 1, coefficients of y^0, y^1, ...
-    for c in accumulate(params, min):
+    for c in caps:
         integral = [a / (k + 1) for k, a in enumerate(h)]  # of y^(k+1)
         top = sum(a * c ** (k + 1) for k, a in enumerate(integral))
         h = [top] + [-a for a in integral]
     vol = h[0]
-    if len(params) <= 3 and all(a >= b for a, b in zip(params, params[1:])):
-        closed = box_volume_closed_form(params)
+    if len(caps) <= 3:
+        closed = box_volume_closed_form(caps)
         if closed != vol:
             raise InternalError(f"closed form {closed} != chain integral {vol}")
     return vol
@@ -87,7 +87,7 @@ def box_volume_closed_form(t) -> Fraction:
     """Closed-form volume for sorted parameters, d <= 3."""
     params = _as_params(t)
     if any(a < b for a, b in zip(params, params[1:])):
-        raise ValueError("closed form requires nonincreasing parameters")
+        raise InvalidInput("closed form requires nonincreasing parameters")
     if len(params) == 1:
         return params[0]
     if len(params) == 2:
@@ -96,7 +96,7 @@ def box_volume_closed_form(t) -> Fraction:
     if len(params) == 3:
         t1, t2, t3 = params
         return (6 * t1 * t2 * t3 - 3 * t3 ** 2 * t1 - 3 * t3 * t2 ** 2 + t3 ** 3) / 6
-    raise ValueError("closed form only available for d <= 3")
+    raise InvalidInput("closed form only available for d <= 3")
 
 
 def check_vol_bound(t) -> TheoremReport:
@@ -121,11 +121,14 @@ def flag_h0(d: int, p, q: int) -> int:
 
     Counts exponent vectors alpha in N^{d+1} of total degree q with suffix
     sums alpha_i + ... + alpha_d <= q - p_i; zero as soon as some q - p_i is
-    negative.  ``d``, ``q`` and every multiplicity must be ints: anything else,
-    a bool included, and d < 1 or other than d multiplicities raise
-    InvalidInput, and a negative q or multiplicity NegativeParameter.
+    negative.  ``d``, ``q`` and every multiplicity must be ints and ``p`` a
+    list or tuple: anything else, a bool included, and d < 1 or other than d
+    multiplicities raise InvalidInput, and a negative q or multiplicity
+    NegativeParameter.
     """
     d, q = strict_int(d, "d"), strict_int(q, "q")
+    if not isinstance(p, (list, tuple)):
+        raise InvalidInput(f"multiplicities must be a list, not {type(p).__name__}")
     p = tuple(strict_int(x, "multiplicity") for x in p)
     if d < 1 or len(p) != d:
         raise InvalidInput(f"need d >= 1 and d multiplicities, got d = {d} and {len(p)}")

@@ -101,15 +101,15 @@ class EpsProfile:
     def __init__(self, entries):
         entries = tuple(entries)
         if not entries:
-            raise ValueError("empty profile")
+            raise InvalidInput("empty profile")
         exact = [e.value for e in entries if isinstance(e, EpsExact)]
         if len(exact) == len(entries):
             for prev, nxt in zip(exact, exact[1:]):
                 if nxt > prev:
-                    raise ValueError("exact profile must be nonincreasing")
+                    raise InvalidInput("exact profile must be nonincreasing")
         for e in entries:
             if isinstance(e, EpsBracket) and e.lo > e.hi:
-                raise ValueError(f"empty bracket [{e.lo}, {e.hi}]")
+                raise InvalidInput(f"empty bracket [{e.lo}, {e.hi}]")
         self.entries = entries
 
     @property

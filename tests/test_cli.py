@@ -195,6 +195,17 @@ INVALID_INPUTS = [
     # flag counts need d >= 1 and exactly d multiplicities
     pytest.param("postulation", {"d": 2, "p": [1], "q": 2}, id="postulation-multiplicity-count"),
     pytest.param("postulation", {"d": 0, "p": [], "q": 2}, id="postulation-d-zero"),
+    # a value that is not iterable where a list is expected, and a top level
+    # that is not an object
+    pytest.param("points", {"dim": 1, "vertices": [5]}, id="points-vertex-as-int"),
+    pytest.param("points", {"dim": 2, "vertices": None}, id="points-vertices-null"),
+    pytest.param("postulation", {"t": None}, id="postulation-t-null"),
+    pytest.param("postulation", {"d": 2, "p": 5, "q": 1}, id="postulation-p-as-int"),
+    pytest.param("postulation", "5", id="postulation-top-level-int"),
+    pytest.param("width", "5", id="width-top-level-int"),
+    pytest.param("width", "[1, 2]", id="width-top-level-list"),
+    pytest.param("width", {"dim": 2}, id="width-missing-vertices"),
+    pytest.param("postulation", {"d": 2, "p": [1, 1]}, id="postulation-missing-q"),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm, prod
@@ -22,6 +23,9 @@ from latmin.core import (
     strict_int,
 )
 from latmin.errors import DimensionMismatch, InvalidInput, ZeroVector
+from latmin.generate import SuiteConfig, generate_instance, instance_stream
+from latmin.gon import _gram_form
+from latmin.polytope import difference_body, polar
 
 ints = st.integers(min_value=-30, max_value=30)
 
@@ -281,3 +285,33 @@ def test_lll_invariant_under_positive_scaling(gram, c):
     integer = [[g.numerator * (m // g.denominator) for g in row] for row in gram]
     assert all(type(g) is int for row in integer for g in row)
     assert lll_reduce(integer) == B
+
+
+def pinned_forms():
+    """The Gram forms of P - P and of its polar for the minkowski instances
+    at seed 0, then 300 forms A^T D A with entries of A in [-1000, 1000]."""
+    for d, bound in ((2, 4), (3, 4), (4, 3)):
+        cfg = SuiteConfig("minkowski", 0, 30, d, bound)
+        for i in range(cfg.count):
+            K = difference_body(generate_instance(cfg, i))
+            yield _gram_form(K)
+            yield _gram_form(polar(K))
+    for i in range(300):
+        rng = instance_stream(7, i)
+        d = 1 + i % 4
+        while True:
+            A = [[rng.int_in(-1000, 1000) for _ in range(d)] for _ in range(d)]
+            if determinant(A):
+                break
+        D = [Fraction(rng.int_in(1, 50), rng.int_in(1, 50)) for _ in range(d)]
+        yield [[sum(A[k][r] * D[k] * A[k][c] for k in range(d)) for c in range(d)]
+               for r in range(d)]
+
+
+def test_lll_bases_pinned():
+    # the exact bases, not only their reducedness: the digest was recorded
+    # with the textbook swap update, so a change to any decision shows
+    bases = [lll_reduce(g) for g in pinned_forms()]
+    assert len(bases) == 480
+    assert hashlib.sha256(repr(bases).encode()).hexdigest() == (
+        "1e760b996c010b08718078ec4a768c78f8f5e9a49f49b82b81ce43001528392f")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from counting import counted_fractions, counting_wrapper
 from latmin import core, gon
 from latmin.core import lattice_span, vdot
-from latmin.errors import DimensionDeficient, DimensionMismatch
+from latmin.errors import DimensionDeficient, DimensionMismatch, InvalidInput
 from latmin.gon import (
     SuccessiveMinima,
     flatness_report,
@@ -306,6 +306,16 @@ def test_k_out_of_range():
     for k in (0, 3):
         with pytest.raises(ValueError):
             successive_minima(hexagon(), k)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1"])
+def test_k_is_a_strict_int_in_range(k):
+    # on a fresh body and on one whose minima are cached
+    cached = hexagon()
+    successive_minima(cached)
+    for K in (hexagon(), cached):
+        with pytest.raises(InvalidInput):
+            successive_minima(K, k)
 
 
 @pytest.mark.parametrize("t", [0, 5])

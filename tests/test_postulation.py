@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from counting import time_limit
 from latmin.core import solve_linear
-from latmin.errors import InvalidInput, NegativeParameter
+from latmin import postulation
+from latmin.errors import InternalError, InvalidInput, NegativeParameter
 from latmin.polytope import convex_hull, volume
 from latmin.postulation import (
     box_count,
@@ -136,6 +137,14 @@ class TestBoxVolume:
     def test_degenerate(self):
         assert box_volume([3, 0]) == 0
         assert box_volume([0, 0, 0]) == 0
+
+    def test_closed_form_checked_at_prefix_minima(self, monkeypatch):
+        # unsorted t is checked at c = (min(t_1..t_i)), whose box is the box of t
+        assert box_volume((1, 2, 3)) == box_volume_closed_form((1, 1, 1))
+        monkeypatch.setattr(postulation, "box_volume_closed_form",
+                            lambda c: box_volume_closed_form(c) + 1)
+        with pytest.raises(InternalError):
+            box_volume((1, 2, 3))
 
     def test_unsorted_input_allowed(self):
         # with t1 <= t2 the deeper cap is inactive: region is the t1-simplex

@@ -70,3 +70,23 @@ def test_dead_helper_shadowed_by_a_parameter_is_found():
               "POINTS = enumerate_points([1]), dilate([1])\n")
     assert dead_helpers([("m.py", source)]) == ["m.py:scale", "m.py:factor"]
     assert dead_helpers([("m.py", source + "BOTH = scale(1, 2), factor()\n")]) == []
+
+
+def untyped_raises(tree):
+    """Lines that raise ValueError, TypeError or LatminError itself, called or
+    not: errors that name no cause a caller can catch."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError", "LatminError"):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_untyped_raises(path):
+    # every error the package raises is a typed LatminError subclass
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = untyped_raises(tree)
+    assert not lines, f"{path.name} raises untyped errors at lines {lines}"
