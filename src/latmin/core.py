@@ -4,7 +4,11 @@ Every quantity in this package is a ``fractions.Fraction`` (kept in canonical
 gcd-reduced form by the stdlib) or a tuple of them; no floating point is used
 anywhere.  Every exact linear-algebra question (rank, lattice generation,
 determinant, kernel vector, unique solution, greedy independent subset) is
-answered from the output of ``echelon``, one integer row echelon routine;
+answered from the output of ``echelon``, one integer row echelon routine,
+except the normal of d - 1 integer vectors in Z^d: that is
+``cofactor_normal``, their signed minors from one fraction-free Gauss-Jordan
+elimination, which gives hull facet normals, vertex-cone edges and the
+adjugate.
 ``lll_reduce`` reads its Gram-Schmidt data off the form at each step.
 """
 
@@ -101,9 +105,7 @@ def clear_denominators(vectors: Sequence[Sequence]) -> tuple[int, list]:
 def primitive(v: Sequence[int]) -> tuple:
     """Divide an integer vector by the gcd of its entries, keeping its direction."""
     w = tuple(int(c) for c in v)
-    g = 0
-    for c in w:
-        g = gcd(g, abs(c))
+    g = gcd(*w)
     if g == 0:
         raise ZeroVector("cannot primitivize the zero vector")
     return tuple(c // g for c in w)
@@ -183,6 +185,54 @@ def determinant(rows: Sequence[Sequence]) -> Fraction:
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(prod(r[p] for r, p in zip(ech, pivots)), scale)
+
+
+def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple:
+    """The generalized cross product of d - 1 integer rows in Z^d: the vector
+    n of signed (d-1) x (d-1) minors with n.x = det(rows; x) for every x.
+
+    n is orthogonal to every row, and it is the zero vector exactly when the
+    rows are dependent; for independent rows it spans their orthogonal line.
+    One fraction-free Gauss-Jordan elimination (each step divides exactly by
+    the previous pivot, as in Bareiss's algorithm, and clears the pivot
+    column above the pivot as well as below) turns the rows into D * I on
+    their d - 1 pivot columns, D the determinant of those columns up to the
+    sign of the row swaps, and into Cramer's minors g on the one free column
+    f; n is then +-(D at f, -g elsewhere).  The cost is O(d^3) for every d.
+    """
+    d = len(rows) + 1
+    if any(len(r) != d for r in rows):
+        raise DimensionMismatch(f"{d - 1} rows not all of length {d}")
+    work = list(rows)
+    sign, prev, placed, free = 1, 1, 0, d - 1
+    for col in range(d):
+        if placed == d - 1:
+            break
+        i = placed
+        while i < d - 1 and not work[i][col]:
+            i += 1
+        if i == d - 1:
+            if placed < col:
+                return (0,) * d  # a second column without a pivot: rank < d - 1
+            free = col
+            continue
+        if i != placed:
+            work[i], work[placed] = work[placed], work[i]
+            sign = -sign
+        top = work[placed]
+        piv = top[col]
+        for i in range(d - 1):
+            if i != placed:
+                a = work[i][col]
+                work[i] = [(piv * x - a * y) // prev for x, y in zip(work[i], top)]
+        prev = piv
+        placed += 1
+    # n_f = (-1)^(d-1+f) det(pivot columns); the swaps made D = sign * det
+    if (d - 1 + free) % 2:
+        sign = -sign
+    normal = [-sign * r[free] for r in work]
+    normal.insert(free, sign * prev)
+    return tuple(normal)
 
 
 def kernel_vector(rows: Sequence[Sequence], ncols: int):

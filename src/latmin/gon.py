@@ -15,16 +15,16 @@ from fractions import Fraction
 from .core import (
     as_ratvec,
     clear_denominators,
+    cofactor_normal,
     independent,
     lattice_span,
     lll_reduce,
     rat_str,
-    solve_linear,
     strict_int,
     vdot,
     vsub,
 )
-from .errors import DimensionDeficient, DimensionMismatch, InvalidInput
+from .errors import DimensionDeficient, DimensionMismatch, InternalError, InvalidInput
 from .polytope import (Polytope, SymmetricBody, difference_body, enumerate_points,
                        lattice_points, polar, volume)
 from .report import HOLDS, TheoremReport, verdict
@@ -57,11 +57,20 @@ class WidthResult:
 def gauge(K: SymmetricBody, x) -> Fraction:
     """min{t >= 0 : x in tK}, the largest facet ratio a.x / b.
 
-    x is scaled once to the integer vector m * x; with b = p / q a ratio is
-    s * q / p for s = a.(m x), and ratios are compared by cross
-    multiplication, so one Fraction is built, for the result.
+    x is scaled once to the integer vector m * x and measured by
+    ``_integer_gauge``.
     """
     m, (xs,) = clear_denominators([as_ratvec(x)])
+    return _integer_gauge(K, xs, m)
+
+
+def _integer_gauge(K: SymmetricBody, xs, m: int = 1) -> Fraction:
+    """The gauge of xs / m for an integer vector xs and a positive int m.
+
+    With b = p / q a facet ratio is s * q / p for s = a.xs, and ratios are
+    compared by cross multiplication, so one Fraction is built, for the
+    result.
+    """
     num, den = 0, 1
     for a, b in K.body.facets:
         s = vdot(a, xs)
@@ -115,35 +124,47 @@ def _matvec(rows, v) -> tuple:
     return tuple(vdot(row, v) for row in rows)
 
 
+def _inverse_transpose(B) -> list:
+    """B^-T of a unimodular integer matrix B: its cofactor matrix divided by
+    det B = +-1.  Row i of the cofactor matrix is (-1)^(d-1-i) times the
+    cofactor normal of the other rows, which moves x from the last row of
+    det(...; x) to row i."""
+    d = len(B)
+    normals = [cofactor_normal(B[:i] + B[i + 1:]) for i in range(d)]
+    det = (-1) ** (d - 1) * vdot(normals[0], B[0])
+    if det not in (1, -1):
+        raise InternalError(f"basis of determinant {det} is not unimodular")
+    return [tuple((-1) ** (d - 1 - i) * det * c for c in n) for i, n in enumerate(normals)]
+
+
 def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
     """Greedy minima over the lattice points of R*K, enumerated in the
     coordinates y of an LLL-reduced basis B of the form ``_gram_form(K)``.
 
     A point is x = B^T y, so K's facet a.x <= b reads (B a).y <= b and its
-    vertex v becomes B^-T v, whose rows solve B z = e_j and are integer, as
-    B is unimodular.  The vertices enter as integers m v, for the lcm m of
-    their denominators, with the scale R / m.  R is the k-th smallest gauge
-    of the rows of B; the facet normals are integer, so those k independent
-    rows lie among the enumerated points and one pass finds k witnesses.
-    Candidates are ranked in the original coordinates, so the result does
-    not depend on B.
+    vertex v becomes B^-T v, which is integer as B is unimodular.  The
+    vertices enter as integers m v, for the lcm m of their denominators,
+    with the scale R / m.  R is the k-th smallest gauge of the rows of B;
+    the facet normals are integer, so those k independent rows lie among
+    the enumerated points and one pass finds k witnesses.
+    Candidates are integer, ranked by ``_integer_gauge`` in the original
+    coordinates, so the result does not depend on B.
     """
     d = K.ambient_dim
     facets = K.body.facets
     B = lll_reduce(_gram_form(K))
-    inv_t = [tuple(map(int, solve_linear(B, [int(i == j) for i in range(d)])))
-             for j in range(d)]
+    inv_t = _inverse_transpose(B)
     normals = [_matvec(B, a) for a, _ in facets]
     m, scaled = clear_denominators(K.body.vertices)
     vertices = [_matvec(inv_t, v) for v in scaled]
     to_x = list(zip(*B))
-    R = sorted(gauge(K, b) for b in B)[k - 1]
+    R = sorted(_integer_gauge(K, b) for b in B)[k - 1]
     rhs = [math.floor(R * b) for _, b in facets]
     candidates = []
     for y in enumerate_points(normals, vertices, rhs, R / m):
         x = _matvec(to_x, y)
         if any(x):
-            candidates.append((gauge(K, x), x))
+            candidates.append((_integer_gauge(K, x), x))
     candidates.sort()
     lambdas, witnesses = [], []
     for i in independent([x for _, x in candidates])[:k]:

@@ -19,10 +19,10 @@ from itertools import combinations
 from .core import (
     as_ratvec,
     clear_denominators,
+    cofactor_normal,
     determinant,
     echelon,
     independent,
-    kernel_vector,
     primitive,
     rank,
     rat_str,
@@ -31,7 +31,7 @@ from .core import (
     vsub,
 )
 from .errors import (DimensionDeficient, DimensionMismatch, InternalError, InvalidInput,
-                     NotSymmetric)
+                     NotSymmetric, ZeroVector)
 
 
 class PointLocation(enum.Enum):
@@ -105,7 +105,7 @@ class SymmetricBody:
         vset = set(body.vertices)
         for v in body.vertices:
             if tuple(-c for c in v) not in vset:
-                raise NotSymmetric(f"vertex {v} has no mirror image")
+                raise NotSymmetric(f"vertex ({', '.join(map(rat_str, v))}) has no mirror image")
         self.body = body
         self._polar = None  # set by polar
         self._minima = None  # the longest result of gon.successive_minima so far
@@ -136,6 +136,9 @@ def convex_hull(points, d: int) -> Polytope:
 
     Keeps exactly the extreme points; computes the affine dimension, and for
     full-dimensional input the facet halfspaces and a boundary triangulation.
+    The points are multiplied once by the lcm L of their denominators, which
+    keeps their lexicographic order and affine rank, so they are sorted,
+    tested for rank and passed to the hull as ints.
     """
     if d < 1:
         raise DimensionMismatch("ambient dimension must be positive")
@@ -147,15 +150,17 @@ def convex_hull(points, d: int) -> Polytope:
         pts.append(q)
     if not pts:
         raise DimensionMismatch("need at least one point")
-    pts = sorted(set(pts))
+    L, ipts = clear_denominators(pts)
+    scaled = dict(zip(ipts, pts))  # keeps the parsed points for the output
+    ipts = sorted(scaled)
+    pts = [scaled[p] for p in ipts]
 
-    base = pts[0]
-    diffs = [vsub(p, base) for p in pts]
+    diffs = [vsub(p, ipts[0]) for p in ipts]
     basis_idx = independent(diffs)  # diffs[0] = 0 is never picked
     k = len(basis_idx)
 
     if k < d:
-        origin, basis = _lattice_chart(base, [diffs[i] for i in basis_idx], d)
+        origin, basis = _lattice_chart(pts[0], [diffs[i] for i in basis_idx], d)
         coords = []
         for p in pts:
             c = solve_linear(basis, vsub(p, origin))
@@ -168,7 +173,10 @@ def convex_hull(points, d: int) -> Polytope:
         verts = tuple(sorted(inner_to_outer[c] for c in inner.vertices))
         return Polytope(d, verts, k, chart=(origin, basis, inner))
 
-    facet_simplices = _hull_full_dim(pts, d, [0] + basis_idx)
+    # offsets of the scaled points come back over 1; the points' are over L
+    facet_simplices = _hull_full_dim(ipts, d, [0] + basis_idx)
+    if L > 1:
+        facet_simplices = [(idx, a, b / L) for idx, a, b in facet_simplices]
 
     # merge triangulated pieces into geometric facets
     facet_list = sorted({(normal, offset) for _, normal, offset in facet_simplices})
@@ -189,7 +197,8 @@ def convex_hull(points, d: int) -> Polytope:
 
 def _lattice_chart(base, span, d):
     """Origin and d x k basis of the lattice chart x = origin + basis·c of
-    base + span(``span``), for k independent vectors ``span``.
+    base + span(``span``), for k independent vectors ``span``; a positive
+    multiple of ``span`` gives the same chart.
 
     One integer echelon turns [spanᵀ | I] into [H | U], U unimodular, so the
     last d - k rows N of U span the integer normals of the span; a lattice
@@ -212,9 +221,13 @@ def _lattice_chart(base, span, d):
 def _facet_hyperplane(points, ref, d):
     """Primitive integer outward normal and integer offset through d affinely
     independent integer points, oriented away from the interior point
-    ref / (d + 1)."""
+    ref / (d + 1).  The normal is the cofactor normal of the d - 1 edges
+    from the first point, divided by the gcd of its entries."""
     base = points[0]
-    normal = primitive(kernel_vector([vsub(p, base) for p in points[1:]], d))
+    try:
+        normal = primitive(cofactor_normal([vsub(p, base) for p in points[1:]]))
+    except ZeroVector:
+        raise InternalError("affinely dependent facet simplex") from None
     offset = vdot(normal, base)
     side = vdot(normal, ref)
     if side > (d + 1) * offset:
@@ -231,9 +244,10 @@ def _hull_full_dim(pts, d, simplex):
     (vertex index tuple, primitive outward normal, offset).
 
     The work is on integers: the points are multiplied once by the lcm L of
-    their denominators, the reference point is the sum of the start points,
-    (d + 1) times their centroid, and an offset b of the scaled points
-    leaves as the Fraction b / L.
+    their denominators (``convex_hull`` passes ints, so L = 1 there), the
+    reference point is the sum of the start points, (d + 1) times their
+    centroid, and an offset b of the scaled points leaves as the Fraction
+    b / L.
     """
     L, ipts = clear_denominators(pts)
     ref = tuple(map(sum, zip(*(ipts[i] for i in simplex))))
@@ -408,11 +422,16 @@ def volume(P: Polytope) -> Fraction:
 
 def difference_body(P: Polytope) -> SymmetricBody:
     """The 0-symmetric body of pairwise vertex differences of P, built once
-    per polytope."""
+    per polytope.  The differences are formed on the vertices scaled to
+    integers by the lcm L of their denominators, and each distinct one is
+    divided by L once, when L > 1."""
     if not P.is_full_dimensional:
         raise DimensionDeficient("difference body requires a full-dimensional polytope")
     if P._difference is None:
-        diffs = {vsub(v, w) for v in P.vertices for w in P.vertices}
+        L, verts = clear_denominators(P.vertices)
+        diffs = {vsub(v, w) for v in verts for w in verts}
+        if L > 1:
+            diffs = [tuple(Fraction(c, L) for c in p) for p in diffs]
         P._difference = SymmetricBody(convex_hull(diffs, P.ambient_dim))
     return P._difference
 

@@ -21,7 +21,7 @@ from .report import TheoremReport, verdict
 def _as_params(t) -> tuple:
     params = as_ratvec(t)
     if not params:
-        raise NegativeParameter("need at least one parameter")
+        raise InvalidInput("need at least one parameter")
     if any(x < 0 for x in params):
         raise NegativeParameter(f"negative box parameter in ({', '.join(map(rat_str, params))})")
     return params

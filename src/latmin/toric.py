@@ -15,8 +15,8 @@ from itertools import combinations, product as iproduct
 
 from .core import (
     as_intvec,
+    cofactor_normal,
     determinant,
-    kernel_vector,
     primitive,
     rat_str,
     strict_int,
@@ -149,7 +149,7 @@ def vertex_cone(MP: MomentPolytope, u) -> VertexCone:
     """Edge directions at a vertex, primitivized; flags lattice smoothness.
 
     The vertex must be simple, on exactly d facets.  Edge i then lies on the
-    other d - 1 facets: it is their primitive kernel vector, oriented to
+    other d - 1 facets: it is their primitive cofactor normal, oriented to
     leave facet i.
     """
     u = as_intvec(u)
@@ -163,7 +163,7 @@ def vertex_cone(MP: MomentPolytope, u) -> VertexCone:
             f"vertex {u} lies on {len(active)} facets; expected exactly {d}")
     gens = []
     for i, a in enumerate(active):
-        e = primitive(kernel_vector(active[:i] + active[i + 1:], d))
+        e = primitive(cofactor_normal(active[:i] + active[i + 1:]))
         gens.append(e if vdot(a, e) < 0 else tuple(-c for c in e))
     gens = tuple(sorted(gens))
     smooth = abs(determinant(gens)) == 1

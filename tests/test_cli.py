@@ -206,6 +206,8 @@ INVALID_INPUTS = [
     pytest.param("width", "[1, 2]", id="width-top-level-list"),
     pytest.param("width", {"dim": 2}, id="width-missing-vertices"),
     pytest.param("postulation", {"d": 2, "p": [1, 1]}, id="postulation-missing-q"),
+    # an empty parameter list has nothing negative in it
+    pytest.param("postulation", {"t": []}, id="postulation-t-empty"),
 ]
 
 
@@ -226,6 +228,17 @@ def test_negative_postulation_parameters(doc, message):
     code, out = invoke("postulation", "--inline", json.dumps(doc))
     assert code == 2
     assert out["error"] == {"code": "NegativeParameter", "message": message}
+
+
+@pytest.mark.parametrize("command, vertices, message", [
+    ("minima", [[0, 0], [1, 0], [0, 1]], "vertex (0, 1) has no mirror image"),
+    ("polar", [[1, 0], [-1, 0], [0, 1]], "vertex (0, 1) has no mirror image"),
+    ("minima", [["1/2", "0"], ["-1/2", "0"], ["0", "2/3"]], "vertex (0, 2/3) has no mirror image"),
+])
+def test_missing_mirror_image_named_in_rationals(command, vertices, message):
+    code, out = invoke(command, "--inline", json.dumps({"dim": 2, "vertices": vertices}))
+    assert code == 2
+    assert out["error"] == {"code": "NotSymmetric", "message": message}
 
 
 def test_answer_past_the_int_str_digit_limit():

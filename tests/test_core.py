@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from latmin.core import (
     as_intvec,
     as_ratvec,
+    cofactor_normal,
     determinant,
     independent,
     kernel_vector,
@@ -21,10 +22,11 @@ from latmin.core import (
     rat_str,
     solve_linear,
     strict_int,
+    vdot,
 )
-from latmin.errors import DimensionMismatch, InvalidInput, ZeroVector
+from latmin.errors import DimensionMismatch, InternalError, InvalidInput, ZeroVector
 from latmin.generate import SuiteConfig, generate_instance, instance_stream
-from latmin.gon import _gram_form
+from latmin.gon import _gram_form, _inverse_transpose
 from latmin.polytope import difference_body, polar
 
 ints = st.integers(min_value=-30, max_value=30)
@@ -200,6 +202,69 @@ def test_kernel_against_minors(rows, x0):
     assert independent(cols) == [j for j in range(n) if rank(cols[:j + 1], m) > rank(cols[:j], m)]
 
 
+# --- the cofactor kernel against the echelon kernel ------------------------------
+
+
+@st.composite
+def cofactor_cases(draw):
+    """d - 1 integer rows in Z^d, d = 1..4, and a point x of Z^d; about half
+    the time the last row is an integer combination of the others, so that
+    the rows are dependent."""
+    d = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
+    rows = [draw(vector) for _ in range(d - 1)]
+    if rows and draw(st.booleans()):
+        ks = draw(st.lists(st.integers(-2, 2), min_size=d - 2, max_size=d - 2))
+        rows[-1] = [sum(k * r[j] for k, r in zip(ks, rows)) for j in range(d)]
+    return rows, draw(vector)
+
+
+@given(cofactor_cases())
+@settings(max_examples=200, deadline=None)
+def test_cofactor_normal_against_kernel_vector(case):
+    rows, x = case
+    d = len(x)
+    n = cofactor_normal(rows)
+    assert vdot(n, x) == leibniz_det(rows + [x])
+    if rank(rows, d) == d - 1:
+        kv = primitive(kernel_vector(rows, d))
+        assert primitive(n) in (kv, tuple(-c for c in kv))
+    else:
+        assert n == (0,) * d
+
+
+@given(st.integers(5, 9).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                       min_size=d, max_size=d)))
+@settings(max_examples=60, deadline=None)
+def test_cofactor_normal_in_higher_dimension(m):
+    # beyond d = 4 the kernel is checked against the echelon determinant
+    rows, x = m[:-1], m[-1]
+    d = len(x)
+    n = cofactor_normal(rows)
+    assert vdot(n, x) == determinant(rows + [x])
+    assert all(vdot(n, r) == 0 for r in rows)
+    assert any(n) == (rank(rows, d) == d - 1)
+
+
+def test_cofactor_normal_examples():
+    assert cofactor_normal([]) == (1,)
+    assert cofactor_normal([(3, 5)]) == (-5, 3)
+    assert cofactor_normal([(1, 0, 0), (0, 1, 0)]) == (0, 0, 1)
+    assert cofactor_normal([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]) == (0, 0, 0, 1)
+    # a zero leading column puts the one column without a pivot first
+    assert cofactor_normal([(0, 2, 1), (0, 1, 3)]) == (5, 0, 0)
+    assert cofactor_normal([(0, 1, 0), (0, 0, 1)]) == (1, 0, 0)
+    assert cofactor_normal([(0, 1, 0), (0, 2, 0)]) == (0, 0, 0)
+    # d = 30 in O(d^3): the standard basis vectors without e_j give +-e_j
+    for j in (0, 17, 29):
+        rows = [tuple(int(i == k) for k in range(30)) for i in range(30) if i != j]
+        assert cofactor_normal(rows) == tuple((-1) ** (29 - j) * int(k == j) for k in range(30))
+    for rows in ([(1, 2), (3, 4)], [(1, 2, 3), (4, 5)]):
+        with pytest.raises(DimensionMismatch):
+            cofactor_normal(rows)
+
+
 def test_strict_int():
     assert strict_int(7, "n") == 7
     for bad in (7.0, True, "7", Fraction(7)):
@@ -315,3 +380,14 @@ def test_lll_bases_pinned():
     assert len(bases) == 480
     assert hashlib.sha256(repr(bases).encode()).hexdigest() == (
         "1e760b996c010b08718078ec4a768c78f8f5e9a49f49b82b81ce43001528392f")
+
+
+def test_inverse_transpose_matches_solve_linear():
+    # B^-T by cofactors against its rows z_j, the solutions of B z = e_j
+    for gram in pinned_forms():
+        B = lll_reduce(gram)
+        d = len(B)
+        expect = [solve_linear(B, [int(i == j) for i in range(d)]) for j in range(d)]
+        assert _inverse_transpose(B) == expect
+    with pytest.raises(InternalError):
+        _inverse_transpose([(2, 0), (0, 1)])

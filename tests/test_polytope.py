@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from counting import counted_fractions, counting_wrapper, time_limit
 from latmin import core, polytope
-from latmin.errors import DimensionDeficient, DimensionMismatch, InvalidInput, NotSymmetric
+from latmin.errors import (DimensionDeficient, DimensionMismatch, InternalError, InvalidInput,
+                           NotSymmetric)
 from latmin.generate import SuiteConfig, generate_instance
 from latmin.polytope import (
     PointLocation,
@@ -816,3 +817,57 @@ def test_hull_builds_one_fraction_per_facet_simplex(monkeypatch):
     with counted_fractions() as made:
         simplices = polytope._hull_full_dim(fpts, 3, start)
     assert 0 < made.count <= len(simplices)
+
+
+@pytest.mark.parametrize("pts, per_diff, per_simplex", [
+    ([(0, 0, 0), (3, 0, 0), (0, 5, 0), (0, 0, 2), (1, 1, 1), (-1, 2, 1), (1, -2, 1)], 3, 1),
+    ([(0, 0, 0), (F(3, 2), 0, 0), (0, F(5, 3), 0), (0, 0, 2), (1, 1, F(1, 2)),
+      (F(-1, 2), 1, 1), (1, F(-2, 3), 1)], 6, 2),
+], ids=["integer", "rational"])
+def test_difference_body_subtracts_integers(monkeypatch, pts, per_diff, per_simplex):
+    # the differences are formed on the lcm-scaled integer vertices, so no
+    # Fraction is subtracted: the hull parses each distinct difference once
+    # (after one division by the lcm L > 1 of rational vertices), builds one
+    # offset per boundary simplex (divided by L > 1 once more) and the mirror
+    # test negates each vertex
+    P = convex_hull(pts, 3)
+    diffs = {core.vsub(v, w) for v in P.vertices for w in P.vertices}
+    with counted_fractions() as made:
+        body = difference_body(P).body
+    assert made.count <= (per_diff * len(diffs) + per_simplex * len(body._boundary_simplices)
+                          + 3 * len(body.vertices))
+    monkeypatch.setattr(polytope, "_hull_full_dim", reference_hull_full_dim)
+    ref = convex_hull(diffs, 3)
+    assert body.vertices == ref.vertices
+    assert body.facets == ref.facets
+    assert body._boundary_simplices == ref._boundary_simplices
+
+
+def test_difference_body_goes_through_convex_hull(monkeypatch):
+    # the hull of P - P is built by the public convex_hull, once per
+    # polytope, on one point per distinct difference
+    P = convex_hull([(0, 0, 0), (F(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    seen = []
+    real = polytope.convex_hull
+    monkeypatch.setattr(polytope, "convex_hull", lambda pts, d: seen.append(len(pts)) or real(pts, d))
+    K = difference_body(P)
+    assert difference_body(P) is K
+    assert seen == [len({core.vsub(v, w) for v in P.vertices for w in P.vertices})]
+
+
+def test_simplex_hull_in_high_dimension_is_fast():
+    # the facet normals cost O(d^3) each, not d! products
+    for d in (8, 12):
+        pts = [(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        with time_limit(10):
+            P = convex_hull(pts, d)
+            assert volume(P) == F(1, math.factorial(d))
+        assert P.vertices == tuple(sorted(pts))
+        assert len(P.facets) == d + 1
+        assert ((tuple([1] * d), 1) in P.facets)
+
+
+def test_dependent_facet_simplex_is_an_internal_error():
+    # a zero cofactor normal is a broken hull invariant, not a division by zero
+    with pytest.raises(InternalError):
+        polytope._facet_hyperplane([(0, 0, 0), (1, 2, 3), (2, 4, 6)], (1, 1, 1), 3)

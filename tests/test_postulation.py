@@ -86,8 +86,8 @@ class TestBoxCount:
         with pytest.raises(NegativeParameter):
             box_count([2, -1])
 
-    @pytest.mark.parametrize("t", [[0.1, 2], [True, 2], ["1e3"], "12", {"3": 1, "2": 0}],
-                             ids=["float", "bool", "exponent", "string", "object"])
+    @pytest.mark.parametrize("t", [[0.1, 2], [True, 2], ["1e3"], "12", {"3": 1, "2": 0}, []],
+                             ids=["float", "bool", "exponent", "string", "object", "empty"])
     def test_inexact_parameters_refused(self, t):
         with pytest.raises(InvalidInput):
             box_count(t)
