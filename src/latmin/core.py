@@ -103,12 +103,24 @@ def clear_denominators(vectors: Sequence[Sequence]) -> tuple[int, list]:
 
 
 def primitive(v: Sequence[int]) -> tuple:
-    """Divide an integer vector by the gcd of its entries, keeping its direction."""
-    w = tuple(int(c) for c in v)
+    """Divide an integer vector by the gcd of its entries, keeping its direction.
+
+    Entries are ints or Fractions with denominator 1; any other entry, a
+    bool, a float or a proper fraction, raises InvalidInput rather than
+    being truncated.
+    """
+    w = tuple(c if type(c) is int else _integer_entry(c) for c in v)
     g = gcd(*w)
     if g == 0:
         raise ZeroVector("cannot primitivize the zero vector")
     return tuple(c // g for c in w)
+
+
+def _integer_entry(c) -> int:
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    shown = rat_str(c) if isinstance(c, Fraction) else repr(c)
+    raise InvalidInput(f"not an integer entry: {shown}")
 
 
 # ---------------------------------------------------------------------------

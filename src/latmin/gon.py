@@ -25,8 +25,8 @@ from .core import (
     vsub,
 )
 from .errors import DimensionDeficient, DimensionMismatch, InternalError, InvalidInput
-from .polytope import (Polytope, SymmetricBody, difference_body, enumerate_points,
-                       lattice_points, polar, volume)
+from .polytope import (Polytope, SymmetricBody, bounding_box, difference_body,
+                       enumerate_points, lattice_points, polar, volume)
 from .report import HOLDS, TheoremReport, verdict
 
 
@@ -124,17 +124,25 @@ def _matvec(rows, v) -> tuple:
     return tuple(vdot(row, v) for row in rows)
 
 
+def _cofactors(M) -> tuple[list, int]:
+    """The cofactor matrix C of a square integer matrix M, and det M.
+
+    Row i of C is (-1)^(d-1-i) times the cofactor normal of the other rows,
+    which moves x from the last row of det(...; x) to row i; expanding along
+    row 0 gives det M = C_0 . M_0."""
+    d = len(M)
+    C = [tuple((-1) ** (d - 1 - i) * c for c in cofactor_normal(M[:i] + M[i + 1:]))
+         for i in range(d)]
+    return C, vdot(C[0], M[0])
+
+
 def _inverse_transpose(B) -> list:
     """B^-T of a unimodular integer matrix B: its cofactor matrix divided by
-    det B = +-1.  Row i of the cofactor matrix is (-1)^(d-1-i) times the
-    cofactor normal of the other rows, which moves x from the last row of
-    det(...; x) to row i."""
-    d = len(B)
-    normals = [cofactor_normal(B[:i] + B[i + 1:]) for i in range(d)]
-    det = (-1) ** (d - 1) * vdot(normals[0], B[0])
+    det B = +-1."""
+    C, det = _cofactors(B)
     if det not in (1, -1):
         raise InternalError(f"basis of determinant {det} is not unimodular")
-    return [tuple((-1) ** (d - 1 - i) * det * c for c in n) for i, n in enumerate(normals)]
+    return [tuple(det * c for c in row) for row in C]
 
 
 def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
@@ -161,7 +169,7 @@ def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
     R = sorted(_integer_gauge(K, b) for b in B)[k - 1]
     rhs = [math.floor(R * b) for _, b in facets]
     candidates = []
-    for y in enumerate_points(normals, vertices, rhs, R / m):
+    for y in enumerate_points(normals, rhs, *bounding_box(vertices, R / m)):
         x = _matvec(to_x, y)
         if any(x):
             candidates.append((_integer_gauge(K, x), x))
@@ -176,11 +184,57 @@ def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
 
 
 def lattice_width(P: Polytope) -> WidthResult:
-    """Lattice width of P: the first minimum of the polar of its difference body."""
+    """Lattice width of P: the least max a.v - min a.v over the vertices v of
+    P and the nonzero integer functionals a, which is the first minimum of
+    polar(P - P), with a witness a.  Built once per polytope by ``_width``."""
     if not P.is_full_dimensional:
         raise DimensionDeficient("width requires a full-dimensional polytope")
-    sm = successive_minima(polar(difference_body(P)), 1)
-    return WidthResult(sm.lambdas[0], sm.witnesses[0])
+    if P._width is None:
+        P._width = _width(P)
+    return P._width
+
+
+def _width(P: Polytope) -> WidthResult:
+    """The width from P's vertices alone, with no difference body or polar.
+
+    The support function of P - P is h_P(a) + h_P(-a), so the width along a
+    is w(a) = max |a.x| / L over the set D of differences x = v - w, v > w,
+    of P's vertices scaled to integers by the lcm L of their denominators.
+    The integer form G = sum of x x^T over D sandwiches it: L^2 w(a)^2 <=
+    a^T G a <= |D| L^2 w(a)^2.  With B an LLL-reduced basis of G and R the
+    least L w over its rows, the functionals a = B^T y with L w(a) <= R are
+    the integer y with |(B x).y| <= R for x in D, and they lie in the
+    ellipsoid y^T G_B y <= |D| R^2, G_B = B G B^T, whose box is |y_j| <=
+    sqrt(|D| R^2 (G_B^-1)_jj) (Fincke-Pohst).  Candidates are ranked by
+    (w(a), a) and the sign is normalized so the first nonzero entry is
+    positive, which picks the first minimum and witness of polar(P - P).
+    """
+    d = P.ambient_dim
+    L, verts = clear_denominators(P.vertices)
+    diffs = list({vsub(u, v) for u in verts for v in verts if u > v})
+
+    def width(a):  # L times the width along a
+        return max(abs(vdot(a, x)) for x in diffs)
+
+    G = [[sum(x[i] * x[j] for x in diffs) for j in range(d)] for i in range(d)]
+    B = lll_reduce(G)
+    R = min(width(b) for b in B)
+    C, det = _cofactors([[vdot(_matvec(G, b), c) for c in B] for b in B])  # of G_B
+    his = [math.isqrt(len(diffs) * R * R * C[j][j] // det) for j in range(d)]
+    normals = [_matvec(B, x) for x in diffs]
+    normals += [tuple(-c for c in n) for n in normals]
+    to_a = list(zip(*B))
+    best = None
+    for y in enumerate_points(normals, [R] * len(normals), [-h for h in his], his):
+        if any(y):
+            a = _matvec(to_a, y)
+            candidate = (width(a), a)
+            if best is None or candidate < best:
+                best = candidate
+    least, a = best
+    if next(c for c in a if c != 0) < 0:
+        a = tuple(-c for c in a)
+    return WidthResult(Fraction(least, L), a)
 
 
 # ---------------------------------------------------------------------------

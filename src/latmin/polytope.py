@@ -48,7 +48,7 @@ class Polytope:
     """
 
     __slots__ = ("ambient_dim", "vertices", "affine_dim", "_facets",
-                 "_boundary_simplices", "_chart", "_difference")
+                 "_boundary_simplices", "_chart", "_difference", "_width")
 
     def __init__(self, ambient_dim, vertices, affine_dim, facets=None,
                  boundary_simplices=None, chart=None):
@@ -60,6 +60,7 @@ class Polytope:
         # (origin, d x k basis, inner body in R^k) of a lower-dimensional body
         self._chart = chart
         self._difference = None  # P - P, set by difference_body
+        self._width = None  # set by gon.lattice_width
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -94,7 +95,9 @@ class Polytope:
 class SymmetricBody:
     """A full-dimensional polytope whose vertex set is closed under negation.
 
-    Such a body automatically has the origin in its interior.
+    Such a body automatically has the origin in its interior.  The mirror
+    test runs on the vertices scaled to integers by the lcm of their
+    denominators.
     """
 
     __slots__ = ("body", "_polar", "_minima")
@@ -102,9 +105,10 @@ class SymmetricBody:
     def __init__(self, body: Polytope):
         if not body.is_full_dimensional:
             raise DimensionDeficient("symmetric bodies must be full-dimensional")
-        vset = set(body.vertices)
-        for v in body.vertices:
-            if tuple(-c for c in v) not in vset:
+        _, scaled = clear_denominators(body.vertices)
+        vset = set(scaled)
+        for v, x in zip(body.vertices, scaled):
+            if tuple(-c for c in x) not in vset:
                 raise NotSymmetric(f"vertex ({', '.join(map(rat_str, v))}) has no mirror image")
         self.body = body
         self._polar = None  # set by polar
@@ -187,12 +191,24 @@ def convex_hull(points, d: int) -> Polytope:
     for verts_idx, normal, _ in facet_simplices:
         for i in verts_idx:
             normals_at.setdefault(i, set()).add(normal)
-    vertices = tuple(pts[i] for i in sorted(normals_at) if rank(list(normals_at[i]), d) == d)
+    vertices = tuple(pts[i] for i in sorted(normals_at) if _is_vertex(normals_at[i], d))
 
     triangulation = tuple(tuple(pts[i] for i in verts_idx)
                           for verts_idx, _, _ in facet_simplices)
     return Polytope(d, vertices, d, facets=tuple(facet_list),
                     boundary_simplices=triangulation)
+
+
+def _is_vertex(normals, d) -> bool:
+    """Whether the distinct facet normals at a boundary point have rank d.
+
+    They are the normals of the facets through the point's face F, and they
+    have rank d - dim F.  For d <= 3 that rank is d exactly when there are at
+    least d of them: an edge lies in two facets, and a facet in one.  From
+    d = 4 on an edge can lie in d facets or more, so the rank is computed,
+    and only for a point with at least d normals.
+    """
+    return len(normals) >= d and (d <= 3 or rank(list(normals), d) == d)
 
 
 def _lattice_chart(base, span, d):
@@ -247,10 +263,16 @@ def _hull_full_dim(pts, d, simplex):
     their denominators (``convex_hull`` passes ints, so L = 1 there), the
     reference point is the sum of the start points, (d + 1) times their
     centroid, and an offset b of the scaled points leaves as the Fraction
-    b / L.
+    b / L.  The other points are inserted farthest from the centroid first,
+    by decreasing |(d + 1) x - ref|^2 with ties in index order, so that the
+    later ones mostly fall inside and make no short-lived facets
+    (Clarkson-Shor).
     """
     L, ipts = clear_denominators(pts)
     ref = tuple(map(sum, zip(*(ipts[i] for i in simplex))))
+    in_simplex = set(simplex)
+    order = sorted((p for p in range(len(pts)) if p not in in_simplex),
+                   key=lambda p: -sum(((d + 1) * c - r) ** 2 for c, r in zip(ipts[p], ref)))
 
     facets = {}
     next_id = 0
@@ -259,10 +281,7 @@ def _hull_full_dim(pts, d, simplex):
         facets[next_id] = (tuple(sorted(subset)), normal, offset)
         next_id += 1
 
-    in_simplex = set(simplex)
-    for p in range(len(pts)):
-        if p in in_simplex:
-            continue
+    for p in order:
         x = ipts[p]
         visible = [fid for fid, (_, a, b) in facets.items() if vdot(a, x) > b]
         if not visible:
@@ -318,19 +337,21 @@ def contains(P: Polytope, x) -> bool:
     return c is not None and contains(inner, c)
 
 
-def enumerate_points(normals, vertices, rhs, scale=1) -> list:
+def bounding_box(vertices, scale=1) -> tuple[list, list]:
+    """The integer box (los, his) of scale * conv(vertices), for a scale > 0."""
+    cols = list(zip(*vertices))
+    return [math.ceil(scale * min(c)) for c in cols], [math.floor(scale * max(c)) for c in cols]
+
+
+def enumerate_points(normals, rhs, los, his) -> list:
     """Integer points x with a.x <= r for each integer normal a in ``normals``
     and its integer right-hand side r in ``rhs``, sorted lexicographically.
 
-    The integer bounding box of scale * conv(vertices), for a scale > 0,
-    must hold every solution.  Each coordinate is cut to exact interval
-    bounds given its prefix, so the scan is exhaustive without walking the
-    whole box.
+    The integer box los[j] <= x_j <= his[j] must hold every solution.  Each
+    coordinate is cut to exact interval bounds given its prefix, so the scan
+    is exhaustive without walking the whole box.
     """
-    d = len(vertices[0])
-    cols = list(zip(*vertices))
-    los = [math.ceil(scale * min(c)) for c in cols]
-    his = [math.floor(scale * max(c)) for c in cols]
+    d = len(los)
     # tail_min[i][j] = least value of sum_{k>=j} a_k x_k over the box, a = normals[i]
     tail_min = []
     for a in normals:
@@ -383,7 +404,7 @@ def lattice_points(P: Polytope, mode: str = "all") -> list:
     if P.is_full_dimensional:
         normals = [a for a, _ in P.facets]
         rhs = [math.ceil(b) - 1 if mode == "interior" else math.floor(b) for _, b in P.facets]
-        return enumerate_points(normals, P.vertices, rhs)
+        return enumerate_points(normals, rhs, *bounding_box(P.vertices))
     if mode == "interior":
         raise DimensionDeficient("interior enumeration requires full dimension")
     origin, basis, inner = P._chart

@@ -82,6 +82,17 @@ class TestPrimitive:
         with pytest.raises(ZeroVector):
             primitive((0, 0, 0))
 
+    @pytest.mark.parametrize("v", [(Fraction(1, 2), 1), (Fraction(3, 2), Fraction(3, 2)),
+                                   (2.7, 4), (2.0, 4), (True, 1), ("2", 4)])
+    def test_non_integer_entries_refused(self, v):
+        # refused, not truncated to (0, 1), (1, 1) or (1, 2)
+        with pytest.raises(InvalidInput):
+            primitive(v)
+
+    def test_integral_fractions_accepted(self):
+        assert primitive((Fraction(4), Fraction(-6, 1))) == (2, -3)
+        assert all(type(c) is int for c in primitive((Fraction(4), 6)))
+
     @given(st.lists(ints, min_size=1, max_size=4), st.integers(min_value=1, max_value=9))
     @settings(max_examples=60)
     def test_scaling_invariance(self, v, k):

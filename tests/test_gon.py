@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from counting import counted_fractions, counting_wrapper
-from latmin import core, gon
+from latmin import core, gon, polytope
 from latmin.core import lattice_span, vdot
 from latmin.errors import DimensionDeficient, DimensionMismatch, InvalidInput
 from latmin.gon import (
@@ -270,18 +270,15 @@ def test_minima_match_standard_basis_reference(body_and_map):
 
 def counting_enumerator(monkeypatch, max_box=None):
     """Replace the enumerator seen by gon with one recording how many points
-    each call returns.  With ``max_box`` a call whose integer bounding box
-    holds more points fails before it starts, so a blow-up cannot hang."""
+    each call returns.  With ``max_box`` a call whose integer box holds more
+    points fails before it starts, so a blow-up cannot hang."""
     counts = []
     real = gon.enumerate_points
 
-    def counting(normals, vertices, rhs, scale=1):
+    def counting(normals, rhs, los, his):
         if max_box is not None:
-            box = math.prod(max(0, math.floor(max(scale * v[j] for v in vertices))
-                                - math.ceil(min(scale * v[j] for v in vertices)) + 1)
-                            for j in range(len(vertices[0])))
-            assert box <= max_box
-        pts = real(normals, vertices, rhs, scale)
+            assert math.prod(max(0, hi - lo + 1) for lo, hi in zip(los, his)) <= max_box
+        pts = real(normals, rhs, los, his)
         counts.append(len(pts))
         return pts
 
@@ -332,6 +329,69 @@ def test_thin_triangle_width(monkeypatch, s, t):
 
 
 # --- lattice width -------------------------------------------------------------
+
+def width_by_polar_minima(P):
+    """Reference: the first minimum of polar(P - P) and its witness."""
+    sm = successive_minima(polar(difference_body(P)), 1)
+    return sm.lambdas[0], sm.witnesses[0]
+
+
+@st.composite
+def rational_bodies_and_integer_affine_maps(draw):
+    """Rational points in d = 2..4 with a full-dimensional hull, a product
+    U of elementary integer row operations (shears) and a sign flip, and an
+    integer translation t."""
+    d = draw(st.integers(2, 4))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3)))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 3))
+    P = convex_hull(pts, d)
+    assume(P.is_full_dimensional)
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
+        k = draw(st.integers(-3, 3))
+        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+    if draw(st.booleans()):
+        U[0] = [-a for a in U[0]]
+    t = draw(st.tuples(*[st.integers(-5, 5)] * d))
+    return P, U, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_bodies_and_integer_affine_maps())
+def test_width_matches_polar_minima_reference(case):
+    # on P and on its image U P + t the width and witness are those of the
+    # reference; the widths agree, and U^T pulls the image's witness back to
+    # a functional of the same width on P
+    P, U, t = case
+    d = P.ambient_dim
+    image = convex_hull([tuple(vdot(row, v) + s for row, s in zip(U, t)) for v in P.vertices], d)
+    res = lattice_width(P)
+    moved = lattice_width(image)
+    assert (res.width, res.witness) == width_by_polar_minima(P)
+    assert (moved.width, moved.witness) == width_by_polar_minima(image)
+    assert moved.width == res.width
+    pulled = tuple(vdot(col, moved.witness) for col in zip(*U))
+    vals = [vdot(pulled, v) for v in P.vertices]
+    assert max(vals) - min(vals) == res.width
+
+
+def test_width_builds_no_derived_body(monkeypatch):
+    # the width reads P's vertices alone, and is kept on P
+    calls = []
+    for module in (gon, polytope):
+        for name in ("difference_body", "polar"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda K, real=real, name=name: calls.append(name) or real(K))
+    for P in (convex_hull([(0, 0), (4, 1), (1, 3), (-1, -2)], 2),
+              convex_hull([(0, 0, 0), (F(3, 2), 0, 0), (0, 2, 1), (1, 1, F(5, 2))], 3)):
+        res = lattice_width(P)
+        assert lattice_width(P) is res
+    assert calls == []
+    verify_transference(gon.difference_body(P))  # the wrappers do see other callers
+    assert calls == ["difference_body", "polar"]
+
 
 class TestLatticeWidth:
     def test_simplex(self):

@@ -231,12 +231,25 @@ class TestHullVertices:
         assert P.vertices == vertices_by_incidence(pts, facets, d)
 
     def test_rank_threshold_mutation_is_caught(self, monkeypatch):
-        # a hull that keeps corners whose normals only have rank d - 1 keeps
-        # edge points of the grid, and the oracle sees it
-        monkeypatch.setattr(polytope, "rank", lambda rows, n: min(n, core.rank(rows, n) + 1))
+        # a vertex rule that accepts corners whose normals only have rank
+        # d - 1 keeps edge points of the grid, and the oracle sees it
+        monkeypatch.setattr(polytope, "_is_vertex",
+                            lambda normals, d: core.rank(list(normals), d) >= d - 1)
         for d in (3, 4):
             pts = list(product(range(3), repeat=d))
             assert convex_hull(pts, d).vertices != vertices_by_incidence(pts, cube_facets(d, 2), d)
+
+    def test_edge_point_on_d_facets_needs_the_rank(self, monkeypatch):
+        # an edge of the 4-dimensional cross-polytope lies in 4 facets, so a
+        # corner at its midpoint has d normals of rank d - 1: a count of the
+        # normals alone keeps it, the rank drops it
+        d = 4
+        corners = [tuple(s * 2 * int(i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+        midpoints = [tuple((x + y) // 2 for x, y in zip(a, b))
+                     for a, b in combinations(corners, 2) if any(x + y for x, y in zip(a, b))]
+        assert convex_hull(corners + midpoints, d).vertices == tuple(sorted(corners))
+        monkeypatch.setattr(polytope, "_is_vertex", lambda normals, d: len(normals) >= d)
+        assert convex_hull(corners + midpoints, d).vertices != tuple(sorted(corners))
 
 
 class TestHull1D:
@@ -557,6 +570,17 @@ class TestSymmetricBody:
         with pytest.raises(DimensionDeficient):
             SymmetricBody(convex_hull([(1, 0), (-1, 0)], 2))
 
+    def test_mirror_test_builds_no_fraction(self):
+        # the vertices are compared as lcm-scaled ints; a rational body
+        # with a vertex missing its mirror is still refused
+        pts = [(F(1, 2), 0, 1), (0, F(2, 3), -3), (1, 1, F(5, 6))]
+        body = convex_hull(pts + [tuple(-c for c in p) for p in pts], 3)
+        with counted_fractions() as made:
+            SymmetricBody(body)
+        assert made.count == 0
+        with pytest.raises(NotSymmetric):
+            SymmetricBody(convex_hull(pts + [tuple(-c for c in p) for p in pts[1:]], 3))
+
 
 class TestPolar:
     def test_cube_cross_duality(self):
@@ -694,7 +718,8 @@ def test_scale_and_json_roundtrip():
 
 def reference_hull_full_dim(pts, d, simplex):
     """Reference: the beneath-beyond hull on Fractions, with the centroid of
-    the start simplex as its interior point."""
+    the start simplex as its interior point, inserting the other points in
+    the hull's farthest-first order."""
     def hyperplane(points, ref):
         base = points[0]
         normal = core.primitive(core.kernel_vector([core.vsub(p, base) for p in points[1:]], d))
@@ -713,9 +738,10 @@ def reference_hull_full_dim(pts, d, simplex):
     for subset in combinations(simplex, d):
         facets[next_id] = (tuple(sorted(subset)),) + hyperplane([pts[i] for i in subset], ref)
         next_id += 1
-    for p in range(len(pts)):
-        if p in simplex:
-            continue
+    # farthest from the centroid first, ties in index order (a stable sort)
+    order = sorted((p for p in range(len(pts)) if p not in simplex),
+                   key=lambda p: -sum((c - r) ** 2 for c, r in zip(pts[p], ref)))
+    for p in order:
         x = pts[p]
         visible = [fid for fid, (_, a, b) in facets.items()
                    if sum((u * c for u, c in zip(a, x)), F(0)) > b]
@@ -827,15 +853,14 @@ def test_hull_builds_one_fraction_per_facet_simplex(monkeypatch):
 def test_difference_body_subtracts_integers(monkeypatch, pts, per_diff, per_simplex):
     # the differences are formed on the lcm-scaled integer vertices, so no
     # Fraction is subtracted: the hull parses each distinct difference once
-    # (after one division by the lcm L > 1 of rational vertices), builds one
-    # offset per boundary simplex (divided by L > 1 once more) and the mirror
-    # test negates each vertex
+    # (after one division by the lcm L > 1 of rational vertices) and builds
+    # one offset per boundary simplex (divided by L > 1 once more); the
+    # mirror test runs on ints
     P = convex_hull(pts, 3)
     diffs = {core.vsub(v, w) for v in P.vertices for w in P.vertices}
     with counted_fractions() as made:
         body = difference_body(P).body
-    assert made.count <= (per_diff * len(diffs) + per_simplex * len(body._boundary_simplices)
-                          + 3 * len(body.vertices))
+    assert made.count <= per_diff * len(diffs) + per_simplex * len(body._boundary_simplices)
     monkeypatch.setattr(polytope, "_hull_full_dim", reference_hull_full_dim)
     ref = convex_hull(diffs, 3)
     assert body.vertices == ref.vertices
