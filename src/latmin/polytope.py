@@ -14,7 +14,8 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add, floordiv, mul, sub
 
 from .core import (
     as_ratvec,
@@ -48,7 +49,7 @@ class Polytope:
     """
 
     __slots__ = ("ambient_dim", "vertices", "affine_dim", "_facets",
-                 "_boundary_simplices", "_chart", "_difference", "_width")
+                 "_boundary_simplices", "_chart", "_difference", "_width", "_volume")
 
     def __init__(self, ambient_dim, vertices, affine_dim, facets=None,
                  boundary_simplices=None, chart=None):
@@ -61,6 +62,7 @@ class Polytope:
         self._chart = chart
         self._difference = None  # P - P, set by difference_body
         self._width = None  # set by gon.lattice_width
+        self._volume = None  # set by volume
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -338,103 +340,172 @@ def contains(P: Polytope, x) -> bool:
 
 
 def bounding_box(vertices, scale=1) -> tuple[list, list]:
-    """The integer box (los, his) of scale * conv(vertices), for a scale > 0."""
+    """The integer box (los, his) of scale * conv(vertices), for a rational
+    scale > 0: the least ceiling and the greatest floor of each scaled
+    coordinate, read off numerators and denominators with no Fraction
+    arithmetic."""
+    p, q = scale.numerator, scale.denominator
     cols = list(zip(*vertices))
-    return [math.ceil(scale * min(c)) for c in cols], [math.floor(scale * max(c)) for c in cols]
+    return ([min([-(-p * c.numerator // (q * c.denominator)) for c in col]) for col in cols],
+            [max([p * c.numerator // (q * c.denominator) for c in col]) for col in cols])
 
 
 def enumerate_points(normals, rhs, los, his) -> list:
     """Integer points x with a.x <= r for each integer normal a in ``normals``
     and its integer right-hand side r in ``rhs``, sorted lexicographically.
 
-    The integer box los[j] <= x_j <= his[j] must hold every solution.  Each
-    coordinate is cut to exact interval bounds given its prefix, so the scan
-    is exhaustive without walking the whole box.
+    The integer box los[j] <= x_j <= his[j] must hold every solution.  The
+    points are the runs of ``_runs``, each expanded by one ``extend``, so the
+    work per innermost row is O(len(normals)) and not that per point.  In
+    dimension 0 the empty point solves every r >= 0.
     """
-    d = len(los)
-    # tail_min[i][j] = least value of sum_{k>=j} a_k x_k over the box, a = normals[i]
-    tail_min = []
-    for a in normals:
-        tm = [0] * (d + 1)
-        for j in range(d - 1, -1, -1):
-            tm[j] = tm[j + 1] + min(a[j] * los[j], a[j] * his[j])
-        tail_min.append(tm)
-    out, stack, partial = [], [], [0] * len(normals)
-
-    def rec(j):
-        if j == d:
-            out.append(tuple(stack))
-            return
-        lo, hi = los[j], his[j]
-        for i, a in enumerate(normals):
-            slack = rhs[i] - partial[i] - tail_min[i][j + 1]
-            if a[j] > 0:
-                hi = min(hi, slack // a[j])  # floor(slack / a_j)
-            elif a[j] < 0:
-                lo = max(lo, -(slack // -a[j]))  # ceil(slack / a_j)
-            elif slack < 0:
-                return
-        for x in range(lo, hi + 1):
-            stack.append(x)
-            for i, a in enumerate(normals):
-                partial[i] += a[j] * x
-            rec(j + 1)
-            for i, a in enumerate(normals):
-                partial[i] -= a[j] * x
-            stack.pop()
-
-    if all(lo <= hi for lo, hi in zip(los, his)):
-        rec(0)
+    if not los:
+        return [()] if all(r >= 0 for r in rhs) else []
+    out = []
+    for prefix, lo, hi in _runs(normals, rhs, los, his):
+        out.extend(zip(*map(repeat, prefix), range(lo, hi + 1)))
     return out
+
+
+def _runs(normals, rhs, los, his):
+    """The solutions of ``enumerate_points`` for d >= 1 as runs (prefix, lo,
+    hi), the points prefix + (t,) for lo <= t <= hi, in lexicographic order.
+
+    The plan is made once per call: at each level j the normals split into
+    those with a positive, a negative and a zero coefficient a_j.  A prefix
+    of length j carries one list of slacks, r - a.prefix less the least
+    value sum_{k>j} min(a_k los[k], a_k his[k]) that the later coordinates
+    can add over the box.  So a_j x_j <= slack bounds x_j from above for
+    a_j > 0 and from below for a_j < 0, and a negative slack at a_j = 0 has
+    no solution.  Descending to level j + 1 builds a child's slacks by one
+    ``map``; at the last level the interval is the run, with no descent and
+    no per-point update.  The walk is depth first and keeps one lazy
+    iterator of children per level, so it holds O(d len(normals)) values
+    however wide the box.  It is exhaustive and never scans the whole box
+    (Fincke-Pohst 1985).
+    """
+    if any(lo > hi for lo, hi in zip(los, his)):
+        return
+    d = len(los)
+    cols = [[a[j] for a in normals] for j in range(d)]
+    # least value of a_j x_j over the box, per level j and normal a
+    mins = [[c * (lo if c > 0 else hi) for c in col] for col, lo, hi in zip(cols, los, his)]
+    # per level: box, positive normals and coefficients, negative normals and
+    # |coefficients|, zero normals, the column and the next level's minima
+    plan = []
+    for j, col in enumerate(cols):
+        pos = [i for i, c in enumerate(col) if c > 0]
+        neg = [i for i, c in enumerate(col) if c < 0]
+        plan.append((los[j], his[j], pos, [col[i] for i in pos], neg, [-col[i] for i in neg],
+                     [i for i, c in enumerate(col) if c == 0],
+                     col, mins[j + 1] if j + 1 < d else None))
+    slack = list(rhs)
+    for m in mins[1:]:
+        slack = list(map(sub, slack, m))
+    # the children (prefix, slacks) still to visit, one iterator per level of the path
+    stack = [iter([((), slack)])]
+    while stack:
+        for prefix, slack in stack[-1]:
+            break
+        else:
+            stack.pop()
+            continue
+        lo, hi, pos, pc, neg, nc, zero, col, nxt = plan[len(prefix)]
+        get = slack.__getitem__
+        if pos:
+            top = min(map(floordiv, map(get, pos), pc))
+            if top < hi:
+                hi = top
+        if neg:
+            bottom = -min(map(floordiv, map(get, neg), nc))
+            if bottom > lo:
+                lo = bottom
+        if lo > hi or (zero and min(map(get, zero)) < 0):
+            continue
+        if len(prefix) == d - 1:
+            yield prefix, lo, hi
+            continue
+        stack.append(_children(prefix, list(map(add, slack, nxt)), col, lo, hi))
+
+
+def _children(prefix, base, col, lo, hi):
+    """The prefixes prefix + (x,), lo <= x <= hi, each with its slacks
+    base - col * x."""
+    for x in range(lo, hi + 1):
+        yield (*prefix, x), list(map(sub, base, map(mul, col, repeat(x))))
+
+
+def _integer_system(P: Polytope, mode: str):
+    """The arguments (normals, rhs, los, his) of ``enumerate_points`` for the
+    integer points of a full-dimensional P, read off numerators and
+    denominators: a facet a.x <= b holds on integer points iff a.x <=
+    floor(b), and a.x < b iff a.x <= ceil(b) - 1; the box is that of P's
+    vertices."""
+    facets = P.facets
+    if mode == "interior":
+        rhs = [-(-b.numerator // b.denominator) - 1 for _, b in facets]
+    else:
+        rhs = [b.numerator // b.denominator for _, b in facets]
+    return [a for a, _ in facets], rhs, *bounding_box(P.vertices)
 
 
 def lattice_points(P: Polytope, mode: str = "all") -> list:
     """Integer points of P, sorted lexicographically.
 
     ``mode`` is "all" or "interior"; the interior mode requires a
-    full-dimensional polytope.  On integer points a facet a.x <= b reads
-    a.x <= floor(b), and a.x < b reads a.x <= ceil(b) - 1, and
-    ``enumerate_points`` walks those inequalities.  A lower-dimensional P goes
-    through its lattice chart: with no lattice point on its affine span it
-    has none, and otherwise its points are origin + basis . c for the integer
-    points c of the full-dimensional inner polytope.
+    full-dimensional polytope, whose points ``enumerate_points`` finds from
+    ``_integer_system``.  A lower-dimensional P goes through its lattice
+    chart: with no lattice point on its affine span it has none, and
+    otherwise its points are origin + basis . c for the integer points c of
+    the full-dimensional inner polytope.  Each run of c's, which differ only
+    in the last coordinate, maps to one arithmetic progression per
+    coordinate, stepping by the last basis column; the points are then
+    sorted.
     """
     if mode not in ("all", "interior"):
         raise InvalidInput(f"unknown mode {mode!r}")
     if P.is_full_dimensional:
-        normals = [a for a, _ in P.facets]
-        rhs = [math.ceil(b) - 1 if mode == "interior" else math.floor(b) for _, b in P.facets]
-        return enumerate_points(normals, rhs, *bounding_box(P.vertices))
+        return enumerate_points(*_integer_system(P, mode))
     if mode == "interior":
         raise DimensionDeficient("interior enumeration requires full dimension")
     origin, basis, inner = P._chart
     if any(c.denominator != 1 for c in origin):
         return []
-    return sorted(tuple(o + vdot(row, c) for o, row in zip(origin, basis))
-                  for c in lattice_points(inner))
+    if not inner.ambient_dim:
+        return [origin]
+    steps = [row[-1] for row in basis]
+    pts = []
+    for prefix, lo, hi in _runs(*_integer_system(inner, "all")):
+        starts = [o + vdot(row, prefix) for o, row in zip(origin, basis)]
+        pts.extend(zip(*[range(b + s * lo, b + s * (hi + 1), s) if s else repeat(b)
+                         for b, s in zip(starts, steps)]))
+    pts.sort()
+    return pts
 
 
 def volume(P: Polytope) -> Fraction:
     """Lebesgue volume normalized to the lattice (unit cube has volume 1).
 
-    Lower-dimensional polytopes have volume 0.  Computed as a fan of exact
-    determinant simplices from the first canonical vertex over the boundary
-    triangulation; a polar body gets one from a hull of its vertices on
-    first use.
+    Lower-dimensional polytopes have volume 0.  Computed once per polytope
+    as a fan of exact determinant simplices from the first canonical vertex
+    over the boundary triangulation; a polar body gets one from a hull of
+    its vertices on first use.
     """
     d = P.ambient_dim
     if P.affine_dim < d:
         return Fraction(0)
-    if P._boundary_simplices is None:
-        P._boundary_simplices = convex_hull(P.vertices, d)._boundary_simplices
-    v0 = P.vertices[0]
-    total = Fraction(0)
-    for simplex in P._boundary_simplices:
-        if v0 in simplex:
-            continue
-        rows = [vsub(s, v0) for s in simplex]
-        total += abs(determinant(rows))
-    return total / math.factorial(d)
+    if P._volume is None:
+        if P._boundary_simplices is None:
+            P._boundary_simplices = convex_hull(P.vertices, d)._boundary_simplices
+        v0 = P.vertices[0]
+        total = Fraction(0)
+        for simplex in P._boundary_simplices:
+            if v0 in simplex:
+                continue
+            rows = [vsub(s, v0) for s in simplex]
+            total += abs(determinant(rows))
+        P._volume = total / math.factorial(d)
+    return P._volume
 
 
 # ---------------------------------------------------------------------------

@@ -368,10 +368,11 @@ def lattice_points_by_box_scan(P, mode):
 
 
 @st.composite
-def rational_polytopes(draw):
-    """Full-dimensional 2-D/3-D hulls of points with denominators 1..3."""
+def rational_polytopes(draw, denominators=(1, 3)):
+    """Full-dimensional 2-D/3-D hulls of points with denominators in the
+    given range, 1..3 by default."""
     d = draw(st.sampled_from((2, 3)))
-    coord = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-12, 12), st.integers(*denominators))
     pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))
     P = convex_hull(pts, d)
     assume(P.is_full_dimensional)
@@ -382,6 +383,26 @@ def rational_polytopes(draw):
 @given(rational_polytopes(), st.sampled_from(("all", "interior")))
 def test_lattice_points_match_box_scan(P, mode):
     assert lattice_points(P, mode) == lattice_points_by_box_scan(P, mode)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_polytopes((2, 7)), st.sampled_from(("all", "interior")))
+def test_integer_box_of_rational_bodies_matches_box_scan(P, mode):
+    # the box and the right-hand sides are read off numerators and denominators
+    assert lattice_points(P, mode) == lattice_points_by_box_scan(P, mode)
+
+
+def test_integer_vertex_bodies_build_no_fraction():
+    bodies = [box(3, 2), simplex(3, 4), convex_hull([(0, 0, 0), (5, 1, 2), (2, 4, 1), (-1, 2, 3),
+                                                     (1, 1, -2)], 3),
+              convex_hull([(0, 0, 0), (6, 3, 9)], 3), skew_triangle(5)[0]]
+    for P in bodies:
+        for mode in ("all", "interior") if P.is_full_dimensional else ("all",):
+            expect = lattice_points_by_box_scan(P, mode)
+            with counted_fractions() as made:
+                pts = lattice_points(P, mode)
+            assert pts == expect
+            assert made.count == 0, (P, mode)
 
 
 @st.composite
@@ -443,6 +464,92 @@ def test_lattice_points_commute_with_unimodular_maps(case):
     assert lattice_points(Q) == sorted(move(lattice_points(P)))
 
 
+def enumerate_points_reference(normals, rhs, los, his) -> list:
+    """The recursive enumerator that ``polytope._runs`` replaced: a prefix
+    carries the partial sums a.prefix, updated point by point, and each
+    coordinate is cut to the interval its inequalities leave over the box."""
+    d = len(los)
+    # tail_min[i][j] = least value of sum_{k>=j} a_k x_k over the box, a = normals[i]
+    tail_min = []
+    for a in normals:
+        tm = [0] * (d + 1)
+        for j in range(d - 1, -1, -1):
+            tm[j] = tm[j + 1] + min(a[j] * los[j], a[j] * his[j])
+        tail_min.append(tm)
+    out, stack, partial = [], [], [0] * len(normals)
+
+    def rec(j):
+        if j == d:
+            out.append(tuple(stack))
+            return
+        lo, hi = los[j], his[j]
+        for i, a in enumerate(normals):
+            slack = rhs[i] - partial[i] - tail_min[i][j + 1]
+            if a[j] > 0:
+                hi = min(hi, slack // a[j])  # floor(slack / a_j)
+            elif a[j] < 0:
+                lo = max(lo, -(slack // -a[j]))  # ceil(slack / a_j)
+            elif slack < 0:
+                return
+        for x in range(lo, hi + 1):
+            stack.append(x)
+            for i, a in enumerate(normals):
+                partial[i] += a[j] * x
+            rec(j + 1)
+            for i, a in enumerate(normals):
+                partial[i] -= a[j] * x
+            stack.pop()
+
+    if all(lo <= hi for lo, hi in zip(los, his)):
+        rec(0)
+    return out
+
+
+@st.composite
+def inequality_systems(draw):
+    """(normals, rhs, los, his) in d = 1..5: coefficients in [-3, 3], so zero
+    and negative ones occur, a zero row with a negative right-hand side now
+    and then (infeasible), and boxes of width -1..4 per coordinate, so empty
+    (lo > hi) and single-point boxes occur."""
+    d = draw(st.integers(1, 5))
+    coeff = st.integers(-3, 3)
+    normals = draw(st.lists(st.tuples(*[coeff] * d), max_size=6))
+    rhs = draw(st.lists(st.integers(-8, 12), min_size=len(normals), max_size=len(normals)))
+    if draw(st.integers(0, 9)) == 0:
+        normals.append((0,) * d)
+        rhs.append(-1)
+    los = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    widths = st.integers(-1, 4) if d <= 3 else st.integers(-1, 3)
+    his = [lo + draw(widths) for lo in los]
+    return normals, rhs, los, his
+
+
+@settings(max_examples=400, deadline=None)
+@given(inequality_systems())
+def test_enumerate_points_matches_reference(system):
+    normals, rhs, los, his = system
+    pts = polytope.enumerate_points(normals, rhs, los, his)
+    assert pts == enumerate_points_reference(normals, rhs, los, his)
+    assert all(p < q for p, q in zip(pts, pts[1:]))
+    box_scan = [x for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+                if all(core.vdot(a, x) <= r for a, r in zip(normals, rhs))]
+    assert pts == box_scan
+
+
+def test_enumerate_points_edge_boxes():
+    # a single-point box, in and out of the halfspaces
+    assert polytope.enumerate_points([(1, -2)], [0], [2, 1], [2, 1]) == [(2, 1)]
+    assert polytope.enumerate_points([(1, -2)], [-1], [2, 1], [2, 1]) == []
+    # an empty box, and an infeasible row with a zero normal
+    assert polytope.enumerate_points([(1, 1)], [5], [0, 3], [4, 2]) == []
+    assert polytope.enumerate_points([(1, 0), (0, 0)], [3, -1], [0, 0], [4, 4]) == []
+    # no inequalities: the whole box, in lexicographic order
+    assert polytope.enumerate_points([], [], [0, 1], [1, 2]) == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    # dimension 0: the empty point, unless a right-hand side is negative
+    assert polytope.enumerate_points([()], [0], [], []) == [()]
+    assert polytope.enumerate_points([()], [-1], [], []) == []
+
+
 # ---------------------------------------------------------------------------
 # lattice-point work grows with the answer, not with the bounding box
 
@@ -481,13 +588,14 @@ def test_skew_triangle_lattice_points():
 
 def test_plane_without_lattice_points_enumerates_nothing(monkeypatch):
     calls = []
-    real = polytope.enumerate_points
+    real = polytope._runs
 
-    def counting_enumerate(*args):
+    def counting_runs(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(polytope, "enumerate_points", counting_enumerate)
+    # every enumeration, full-dimensional or through a chart, walks _runs
+    monkeypatch.setattr(polytope, "_runs", counting_runs)
     # side 10^6 first: a bounding-box scan, which materialises each coordinate
     # range, then fails on time before side 10^9 asks it for tens of GB
     for n in (10 ** 6, 10 ** 9):
@@ -514,6 +622,22 @@ def test_lattice_points_never_test_membership(monkeypatch):
 
 
 class TestVolume:
+    def test_built_once(self, monkeypatch):
+        calls = []
+        real = polytope.determinant
+
+        def counting_determinant(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(polytope, "determinant", counting_determinant)
+        P = convex_hull([(0, 0, 0), (3, 0, 1), (0, 2, 0), (1, 1, 4), (2, 3, 3)], 3)
+        first = volume(P)
+        built = len(calls)
+        assert built > 0
+        assert volume(P) == first
+        assert len(calls) == built
+
     def test_examples(self):
         assert volume(convex_hull(list(product((0, 1), repeat=3)), 3)) == 1
         assert volume(simplex(2)) == F(1, 2)
