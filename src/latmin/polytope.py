@@ -4,9 +4,11 @@ Polytopes are stored canonically by their extreme points (sorted rational
 vertex tuples).  Full-dimensional polytopes also carry an exact facet
 description with primitive integer outward normals, plus the boundary
 triangulation produced by the incremental hull, from which the vertices are
-read off and which drives volume.  A polar body is read off its dual by
-bipolarity and is triangulated only when its volume is asked.  A
-lower-dimensional polytope carries an integer chart of its affine lattice.
+read off and which drives volume.  Two derived bodies build no hull: the
+difference body P - P is read off P's faces as the Minkowski sum P + (-P),
+and a polar body off its dual by bipolarity; each is triangulated only when
+its volume is asked.  A lower-dimensional polytope carries an integer chart
+of its affine lattice.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class Polytope:
         self._boundary_simplices = boundary_simplices
         # (origin, d x k basis, inner body in R^k) of a lower-dimensional body
         self._chart = chart
-        self._difference = None  # P - P, set by difference_body
+        self._difference = None  # P - P read off P's faces, set by difference_body
         self._width = None  # set by gon.lattice_width
         self._volume = None  # set by volume
 
@@ -488,8 +490,8 @@ def volume(P: Polytope) -> Fraction:
 
     Lower-dimensional polytopes have volume 0.  Computed once per polytope
     as a fan of exact determinant simplices from the first canonical vertex
-    over the boundary triangulation; a polar body gets one from a hull of
-    its vertices on first use.
+    over the boundary triangulation; a difference or polar body gets one
+    from a hull of its vertices on first use.
     """
     d = P.ambient_dim
     if P.affine_dim < d:
@@ -513,19 +515,136 @@ def volume(P: Polytope) -> Fraction:
 
 
 def difference_body(P: Polytope) -> SymmetricBody:
-    """The 0-symmetric body of pairwise vertex differences of P, built once
-    per polytope.  The differences are formed on the vertices scaled to
-    integers by the lcm L of their denominators, and each distinct one is
-    divided by L once, when L > 1."""
+    """The 0-symmetric body P - P of pairwise vertex differences of P, built
+    once per polytope and read off P's faces by ``_minkowski_difference``
+    with no hull."""
     if not P.is_full_dimensional:
         raise DimensionDeficient("difference body requires a full-dimensional polytope")
     if P._difference is None:
-        L, verts = clear_denominators(P.vertices)
-        diffs = {vsub(v, w) for v in verts for w in verts}
-        if L > 1:
-            diffs = [tuple(Fraction(c, L) for c in p) for p in diffs]
-        P._difference = SymmetricBody(convex_hull(diffs, P.ambient_dim))
+        P._difference = SymmetricBody(_minkowski_difference(P))
     return P._difference
+
+
+def _minkowski_difference(P: Polytope) -> Polytope:
+    """P - P as the Minkowski sum P + (-P), read off P's facets and faces.
+
+    The face of P - P with outer normal n is F(n) - F(-n), F(n) the face of
+    P at max n.v, so n is a facet normal when that difference has dimension
+    d - 1 (Fukuda 2004).  The work is on P's vertices scaled to integers by
+    the lcm L of their denominators, with each face a bit mask of them:
+
+    * each facet normal a of P gives the facets +-a, with offset the width
+      max a.v - min a.v over L;
+    * any other facet normal n has F(n) and F(-n) of dimension at most
+      d - 2, and they contain faces G1 and G2 of dimensions summing to
+      d - 1 whose directions are independent (G1 = F(n) and a face of F(-n)
+      that a generic section over the directions of F(n) picks out).  Such
+      G1 and G2 lie on no common facet, whose normal would be +-n.  So the
+      pairs of lower faces of P, its facets' nonempty intersections, with
+      those dimensions and no common facet give n as the primitive
+      cofactor normal of their direction bases.  n is kept when G1 lies at
+      max n.v and G2 at min n.v: first the normal cones must allow it (no
+      direction of one face is positive, or negative, on every facet
+      normal at the other; the signs are bit masks over the facets), then
+      the edge graph neighbours of one vertex of each face (a vertex that
+      no neighbour beats is a global max), then all vertices;
+    * u - w is a vertex when the normals of the facets with u at their max
+      and w at their min have rank d, the test of ``convex_hull``.
+
+    Fractions are made only for the offsets and the vertex coordinates.  The
+    body carries no boundary triangulation; ``volume`` builds one on use.
+    """
+    d = P.ambient_dim
+    L, verts = clear_denominators(P.vertices)
+
+    def members(mask):
+        return [i for i in range(len(verts)) if mask >> i & 1]
+
+    def extent(vals):  # L times the width along n, masks at max and min, from the n.v
+        top, bottom = max(vals), min(vals)
+        return (top - bottom, sum(1 << i for i, x in enumerate(vals) if x == top),
+                sum(1 << i for i, x in enumerate(vals) if x == bottom))
+
+    def keep(n, width, top, bottom):
+        body[n] = width, top, bottom
+        body[tuple(-c for c in n)] = width, bottom, top
+
+    def signs(i, j):  # masks of the facets a with a.(v_j - v_i) >= 0 and <= 0
+        up = down = 0
+        for f, row in enumerate(levels):
+            x = row[j] - row[i]
+            if x >= 0:
+                up |= 1 << f
+            if x <= 0:
+                down |= 1 << f
+        return up, down
+
+    body = {}  # facet normal of P - P -> (L times its offset, masks of P at max and at min)
+    normals = [a for a, _ in P.facets]
+    levels = [[vdot(a, v) for v in verts] for a in normals]  # a.v per facet and vertex
+    facet_masks = []
+    for a, row in zip(normals, levels):
+        width, top, bottom = extent(row)
+        facet_masks.append(top)
+        if a not in body:
+            keep(a, width, top, bottom)
+
+    faces, new = set(), set(facet_masks)
+    while new:
+        faces |= new
+        new = {f & g for f in new for g in facet_masks} - faces - {0}
+    neighbours = [[] for _ in verts]
+    # per dimension, each lower face's mask of facets, the sign masks and the
+    # vectors of a direction basis, and one vertex
+    by_dim = [[] for _ in range(d - 1)]
+    for f in faces - set(facet_masks):
+        idx = members(f)
+        if len(idx) == 1:
+            continue
+        if len(idx) == 2:
+            neighbours[idx[0]].append(idx[1])
+            neighbours[idx[1]].append(idx[0])
+        diffs = [vsub(verts[i], verts[idx[0]]) for i in idx[1:]]
+        picked = independent(diffs) if len(diffs) > 1 else [0]
+        through = sum(1 << j for j, g in enumerate(facet_masks) if f & g == f)
+        by_dim[len(picked)].append((through, [signs(idx[0], idx[j + 1]) for j in picked],
+                                    [diffs[j] for j in picked], idx[0]))
+
+    for k in range(1, (d - 1) // 2 + 1):
+        firsts, seconds = by_dim[k], by_dim[d - 1 - k]
+        for i, (mask1, signs1, basis1, r1) in enumerate(firsts):
+            for mask2, signs2, basis2, r2 in seconds[i + 1:] if 2 * k == d - 1 else seconds:
+                if (mask1 & mask2
+                        or not all(mask2 & up and mask2 & down for up, down in signs1)
+                        or not all(mask1 & up and mask1 & down for up, down in signs2)):
+                    continue
+                n = cofactor_normal(basis1 + basis2)
+                side = vdot(n, verts[r1]) - vdot(n, verts[r2])
+                if not side:  # n = 0 for dependent directions
+                    continue
+                if side < 0:  # G1 above G2
+                    n = [-c for c in n]
+                high, low = vdot(n, verts[r1]), vdot(n, verts[r2])
+                if (any(vdot(n, verts[j]) > high for j in neighbours[r1])
+                        or any(vdot(n, verts[j]) < low for j in neighbours[r2])):
+                    continue
+                n = primitive(n)
+                if n not in body:
+                    width, top, bottom = extent([vdot(n, v) for v in verts])
+                    if top >> r1 & 1 and bottom >> r2 & 1:
+                        keep(n, width, top, bottom)
+
+    normals_at = {}
+    for n, (_, top, bottom) in body.items():
+        lows = members(bottom)
+        for u in members(top):
+            for w in lows:
+                normals_at.setdefault((u, w), []).append(n)
+    points = sorted(vsub(verts[u], verts[w])
+                    for (u, w), at in normals_at.items() if _is_vertex(at, d))
+    vertices = tuple(tuple(Fraction(c, L) for c in x) for x in points)
+    facets = tuple(sorted((n, Fraction(width, L)) for n, (width, _, _) in body.items()))
+    return Polytope(d, vertices, d, facets=facets)
 
 
 def polar(K: SymmetricBody) -> SymmetricBody:

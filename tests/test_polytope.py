@@ -969,39 +969,155 @@ def test_hull_builds_one_fraction_per_facet_simplex(monkeypatch):
     assert 0 < made.count <= len(simplices)
 
 
-@pytest.mark.parametrize("pts, per_diff, per_simplex", [
-    ([(0, 0, 0), (3, 0, 0), (0, 5, 0), (0, 0, 2), (1, 1, 1), (-1, 2, 1), (1, -2, 1)], 3, 1),
-    ([(0, 0, 0), (F(3, 2), 0, 0), (0, F(5, 3), 0), (0, 0, 2), (1, 1, F(1, 2)),
-      (F(-1, 2), 1, 1), (1, F(-2, 3), 1)], 6, 2),
-], ids=["integer", "rational"])
-def test_difference_body_subtracts_integers(monkeypatch, pts, per_diff, per_simplex):
-    # the differences are formed on the lcm-scaled integer vertices, so no
-    # Fraction is subtracted: the hull parses each distinct difference once
-    # (after one division by the lcm L > 1 of rational vertices) and builds
-    # one offset per boundary simplex (divided by L > 1 once more); the
-    # mirror test runs on ints
-    P = convex_hull(pts, 3)
-    diffs = {core.vsub(v, w) for v in P.vertices for w in P.vertices}
-    with counted_fractions() as made:
-        body = difference_body(P).body
-    assert made.count <= per_diff * len(diffs) + per_simplex * len(body._boundary_simplices)
-    monkeypatch.setattr(polytope, "_hull_full_dim", reference_hull_full_dim)
-    ref = convex_hull(diffs, 3)
+# P - P read off P's faces against the hull of the n^2 differences it replaced
+
+
+def reference_difference_body(P):
+    """Reference: the hull, through ``convex_hull``, of the distinct
+    differences of P's vertices, formed on the vertices scaled to integers
+    by the lcm L of their denominators and divided by L once."""
+    L, verts = core.clear_denominators(P.vertices)
+    diffs = {core.vsub(v, w) for v in verts for w in verts}
+    return convex_hull([tuple(F(c, L) for c in x) for x in diffs], P.ambient_dim)
+
+
+def assert_matches_reference(P):
+    body = difference_body(P).body
+    ref = reference_difference_body(P)
     assert body.vertices == ref.vertices
     assert body.facets == ref.facets
-    assert body._boundary_simplices == ref._boundary_simplices
 
 
-def test_difference_body_goes_through_convex_hull(monkeypatch):
-    # the hull of P - P is built by the public convex_hull, once per
-    # polytope, on one point per distinct difference
-    P = convex_hull([(0, 0, 0), (F(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    seen = []
-    real = polytope.convex_hull
-    monkeypatch.setattr(polytope, "convex_hull", lambda pts, d: seen.append(len(pts)) or real(pts, d))
+@pytest.mark.parametrize("pts", [
+    [(0, 0, 0), (3, 0, 0), (0, 5, 0), (0, 0, 2), (1, 1, 1), (-1, 2, 1), (1, -2, 1)],
+    [(0, 0, 0), (F(3, 2), 0, 0), (0, F(5, 3), 0), (0, 0, 2), (1, 1, F(1, 2)),
+     (F(-1, 2), 1, 1), (1, F(-2, 3), 1)],
+], ids=["integer", "rational"])
+def test_difference_body_subtracts_integers(monkeypatch, pts):
+    # P - P is read off P's vertices and facets scaled to integers by the
+    # lcm of their denominators, so the only Fractions made are the output's:
+    # d coordinates per vertex and one offset per facet, within d + 1 per
+    # vertex and facet; the mirror test runs on ints
+    P = convex_hull(pts, 3)
+    with counted_fractions() as made:
+        body = difference_body(P).body
+    assert 0 < made.count <= 4 * (len(body.vertices) + len(body.facets))
+    monkeypatch.setattr(polytope, "_hull_full_dim", reference_hull_full_dim)
+    assert_matches_reference(P)
+
+
+def test_difference_body_builds_no_hull(monkeypatch):
+    # P - P is built once per polytope with no hull; only its volume asks for one
+    P = convex_hull([(0, 0, 0), (F(1, 2), 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, F(2, 3))], 3)
+    expect = volume(reference_difference_body(P))
+    calls = []
+    for name in ("convex_hull", "_hull_full_dim", "_minkowski_difference"):
+        real = getattr(polytope, name)
+        monkeypatch.setattr(polytope, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
     K = difference_body(P)
     assert difference_body(P) is K
-    assert seen == [len({core.vsub(v, w) for v in P.vertices for w in P.vertices})]
+    assert difference_body(P).body is K.body
+    assert calls == ["_minkowski_difference"]
+    assert volume(K.body) == expect
+    assert calls == ["_minkowski_difference", "convex_hull", "_hull_full_dim"]
+
+
+DIFFERENCE_FAMILIES = {
+    "segment": ([(F(-2, 3),), (3,)], 1),
+    "hexagonal prism": ([(x, y, z) for x, y in [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2),
+                                                (1, -2)] for z in (0, 3)], 3),
+    "4-cross-polytope": ([tuple(s * int(i == j) for j in range(4))
+                          for i in range(4) for s in (1, -1)], 4),
+    "square pyramid": ([(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 2)], 3),
+    "triangle x triangle": ([p + q for p in [(0, 0), (1, 0), (0, 1)]
+                             for q in [(0, 0), (1, 0), (0, 1)]], 4),
+    "sheared 4-cube": ([(a + 2 * b, b - c, c + 3 * d, d)
+                        for a, b, c, d in product((0, 1), repeat=4)], 4),
+    "cyclic 4-polytope": ([tuple(t ** k for k in range(1, 5)) for t in range(-3, 5)], 4),
+    "rational octagon": ([(2, F(1, 2)), (F(1, 2), 2), (F(-1, 3), 2), (-2, F(1, 3)),
+                          (-2, F(-1, 2)), (F(-1, 2), -2), (F(1, 3), -2), (2, F(-1, 3))], 2),
+    # a facet of P - P whose face pair has a direction orthogonal to a facet
+    # normal at the other face: the normal cone test must let a 0 through
+    "cone boundary": ([(-4, -2, -1, 2), (-3, 1, -2, 2), (-2, -2, -1, 1), (-2, 2, 2, -1),
+                       (-2, 4, -3, 0), (3, 2, 3, 0), (4, -1, 4, -1)], 4),
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENCE_FAMILIES))
+def test_difference_body_families_match_reference(name):
+    pts, d = DIFFERENCE_FAMILIES[name]
+    P = convex_hull(pts, d)
+    assert P.vertices == tuple(sorted(tuple(F(c) for c in p) for p in pts))
+    assert_matches_reference(P)
+
+
+@st.composite
+def rational_bodies(draw):
+    """Full-dimensional hulls in d = 2..4 of small integer points, whose
+    faces are often parallel, or of points with denominators 1..7."""
+    d = draw(st.integers(2, 4))
+    coord = draw(st.sampled_from((st.integers(-3, 3),
+                                  st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)))))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 5))
+    P = convex_hull(pts, d)
+    assume(P.is_full_dimensional)
+    return P
+
+
+@given(rational_bodies())
+@settings(max_examples=80, deadline=None)
+def test_difference_body_matches_reference(P):
+    assert_matches_reference(P)
+
+
+@given(rational_bodies(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_difference_body_commutes_with_translations_and_shears(P, data):
+    # (P + t) - (P + t) = P - P, and U(P) - U(P) = U(P - P) for U in GL_d(Z),
+    # whose facets a.x <= b become (U^-T a).y <= b with U^-T a primitive
+    d = P.ambient_dim
+    K = difference_body(P).body
+    t = data.draw(st.tuples(*[st.integers(-5, 5)] * d))
+    moved = difference_body(convex_hull([core.vsub(v, t) for v in P.vertices], d)).body
+    assert moved.vertices == K.vertices and moved.facets == K.facets
+    U = data.draw(unimodular_matrices(d))
+    sheared = difference_body(convex_hull(apply(U, P.vertices), d)).body
+    assert sheared.vertices == tuple(sorted(apply(U, K.vertices)))
+    dual = inverse_transpose(U)
+    assert sheared.facets == tuple(sorted((apply(dual, [a])[0], b) for a, b in K.facets))
+
+
+def test_difference_body_of_simplices_and_cube_is_fast():
+    # closed forms: the d-simplex gives 2^(d+1) - 2 facets, one per proper
+    # nonempty subset of its vertices, and d(d + 1) vertices e_i - e_j; the
+    # unit 5-cube gives [-1, 1]^5
+    with time_limit(4):
+        for d in (5, 6, 7):
+            K = difference_body(simplex(d)).body
+            assert len(K.facets) == 2 ** (d + 1) - 2
+            assert len(K.vertices) == d * (d + 1)
+        K = difference_body(box(1, 1, 1, 1, 1)).body
+    assert K.vertices == tuple(sorted(product((-1, 1), repeat=5)))
+    assert K.facets == tuple(sorted((tuple(s * int(i == j) for j in range(5)), 1)
+                                    for i in range(5) for s in (1, -1)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_difference_body_volume_of_simplices(d):
+    # Rogers-Shephard: vol(P - P) = C(2d, d) vol(P) exactly for simplices
+    rational = [(0,) * d] + [tuple(F(i + 1, 2) if j == i else F(j - i, 3) for j in range(d))
+                             for i in range(d)]
+    for P in (simplex(d), simplex(d, 3), convex_hull(rational, d)):
+        assert volume(difference_body(P).body) == math.comb(2 * d, d) * volume(P)
+
+
+@given(rational_bodies())
+@settings(max_examples=30, deadline=None)
+def test_difference_body_volume_within_rogers_shephard(P):
+    d = P.ambient_dim
+    vol = volume(difference_body(P).body)
+    assert 2 ** d * volume(P) <= vol <= math.comb(2 * d, d) * volume(P)
 
 
 def test_simplex_hull_in_high_dimension_is_fast():
