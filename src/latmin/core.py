@@ -1,14 +1,14 @@
-"""Exact rational scalars, integer vectors, and the one elimination kernel.
+"""Exact rational scalars, integer vectors, and the two elimination kernels.
 
 Every quantity in this package is a ``fractions.Fraction`` (kept in canonical
 gcd-reduced form by the stdlib) or a tuple of them; no floating point is used
 anywhere.  Every exact linear-algebra question (rank, lattice generation,
-determinant, kernel vector, unique solution, greedy independent subset) is
-answered from the output of ``echelon``, one integer row echelon routine,
+determinant, greedy independent subset, the unimodular U of a lattice chart)
+is answered from the output of ``echelon``, one integer row echelon routine,
 except the normal of d - 1 integer vectors in Z^d: that is
 ``cofactor_normal``, their signed minors from one fraction-free Gauss-Jordan
-elimination, which gives hull facet normals, vertex-cone edges and the
-adjugate.
+elimination, which gives hull facet normals, vertex-cone edges, and through
+``cofactors`` the adjugate and the inverse transpose of a unimodular matrix.
 ``lll_reduce`` reads its Gram-Schmidt data off the form at each step.
 """
 
@@ -21,7 +21,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, InvalidInput, ZeroVector
+from .errors import DimensionMismatch, InternalError, InvalidInput, ZeroVector
 
 
 def rat_str(x: Fraction) -> str:
@@ -247,41 +247,30 @@ def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple:
     return tuple(normal)
 
 
-def kernel_vector(rows: Sequence[Sequence], ncols: int):
-    """A nonzero integer vector orthogonal to all rows, or None when the rows
-    have rank ``ncols``.
-
-    The first non-pivot column gets 1 and the other free columns 0.
-    Back-substitution up the echelon rows stays fraction-free: where a pivot
-    does not divide its row's remainder, the whole vector is scaled first.
-    """
-    ech, pivots, _ = echelon(rows, ncols)
-    free = next((c for c in range(ncols) if c not in pivots), None)
-    if free is None:
-        return None
-    x = [0] * ncols
-    x[free] = 1
-    for row, p in zip(reversed(ech), reversed(pivots)):
-        s = -sum(a * c for a, c in zip(row[p + 1:], x[p + 1:]))
-        g = gcd(s, row[p])
-        x = [c * (row[p] // g) for c in x]
-        x[p] = s // g
-    return tuple(x)
+def matvec(rows: Sequence[Sequence], v: Sequence) -> tuple:
+    """The product of a matrix, given by its rows, and a vector."""
+    return tuple(vdot(row, v) for row in rows)
 
 
-def solve_linear(a_rows: Sequence[Sequence], b: Sequence):
-    """The unique x with A x = b over Q, or None when there is no solution or
-    more than one.
+def cofactors(M: Sequence[Sequence[int]]) -> tuple[list, int]:
+    """The cofactor matrix C of a square integer matrix M, and det M.
 
-    x comes from a kernel vector (x, 1) of [A | -b]: the kernel vector ends
-    in a nonzero entry exactly when every column of A is a pivot and the
-    system is consistent.
-    """
-    n = len(a_rows[0])
-    x = kernel_vector([list(r) + [-c] for r, c in zip(a_rows, b)], n + 1)
-    if x is None or x[n] == 0:
-        return None
-    return tuple(Fraction(c, x[n]) for c in x[:n])
+    Row i of C is (-1)^(d-1-i) times the cofactor normal of the other rows,
+    which moves x from the last row of det(...; x) to row i; expanding along
+    row 0 gives det M = C_0 . M_0."""
+    d = len(M)
+    C = [tuple((-1) ** (d - 1 - i) * c for c in cofactor_normal(M[:i] + M[i + 1:]))
+         for i in range(d)]
+    return C, vdot(C[0], M[0])
+
+
+def inverse_transpose(B: Sequence[Sequence[int]]) -> list:
+    """B^-T of a unimodular integer matrix B: its cofactor matrix divided by
+    det B = +-1."""
+    C, det = cofactors(B)
+    if det not in (1, -1):
+        raise InternalError(f"matrix of determinant {det} is not unimodular")
+    return [tuple(det * c for c in row) for row in C]
 
 
 def independent(vectors: Sequence[Sequence]) -> list:

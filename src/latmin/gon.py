@@ -15,16 +15,18 @@ from fractions import Fraction
 from .core import (
     as_ratvec,
     clear_denominators,
-    cofactor_normal,
+    cofactors,
     independent,
+    inverse_transpose,
     lattice_span,
     lll_reduce,
+    matvec,
     rat_str,
     strict_int,
     vdot,
     vsub,
 )
-from .errors import DimensionDeficient, DimensionMismatch, InternalError, InvalidInput
+from .errors import DimensionDeficient, DimensionMismatch, InvalidInput
 from .polytope import (Polytope, SymmetricBody, bounding_box, difference_body,
                        enumerate_points, lattice_points, polar, volume)
 from .report import HOLDS, TheoremReport, verdict
@@ -120,31 +122,6 @@ def _gram_form(K: SymmetricBody) -> list:
     return G
 
 
-def _matvec(rows, v) -> tuple:
-    return tuple(vdot(row, v) for row in rows)
-
-
-def _cofactors(M) -> tuple[list, int]:
-    """The cofactor matrix C of a square integer matrix M, and det M.
-
-    Row i of C is (-1)^(d-1-i) times the cofactor normal of the other rows,
-    which moves x from the last row of det(...; x) to row i; expanding along
-    row 0 gives det M = C_0 . M_0."""
-    d = len(M)
-    C = [tuple((-1) ** (d - 1 - i) * c for c in cofactor_normal(M[:i] + M[i + 1:]))
-         for i in range(d)]
-    return C, vdot(C[0], M[0])
-
-
-def _inverse_transpose(B) -> list:
-    """B^-T of a unimodular integer matrix B: its cofactor matrix divided by
-    det B = +-1."""
-    C, det = _cofactors(B)
-    if det not in (1, -1):
-        raise InternalError(f"basis of determinant {det} is not unimodular")
-    return [tuple(det * c for c in row) for row in C]
-
-
 def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
     """Greedy minima over the lattice points of R*K, enumerated in the
     coordinates y of an LLL-reduced basis B of the form ``_gram_form(K)``.
@@ -161,16 +138,16 @@ def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
     d = K.ambient_dim
     facets = K.body.facets
     B = lll_reduce(_gram_form(K))
-    inv_t = _inverse_transpose(B)
-    normals = [_matvec(B, a) for a, _ in facets]
+    inv_t = inverse_transpose(B)
+    normals = [matvec(B, a) for a, _ in facets]
     m, scaled = clear_denominators(K.body.vertices)
-    vertices = [_matvec(inv_t, v) for v in scaled]
+    vertices = [matvec(inv_t, v) for v in scaled]
     to_x = list(zip(*B))
     R = sorted(_integer_gauge(K, b) for b in B)[k - 1]
     rhs = [math.floor(R * b) for _, b in facets]
     candidates = []
     for y in enumerate_points(normals, rhs, *bounding_box(vertices, R / m)):
-        x = _matvec(to_x, y)
+        x = matvec(to_x, y)
         if any(x):
             candidates.append((_integer_gauge(K, x), x))
     candidates.sort()
@@ -219,15 +196,15 @@ def _width(P: Polytope) -> WidthResult:
     G = [[sum(x[i] * x[j] for x in diffs) for j in range(d)] for i in range(d)]
     B = lll_reduce(G)
     R = min(width(b) for b in B)
-    C, det = _cofactors([[vdot(_matvec(G, b), c) for c in B] for b in B])  # of G_B
+    C, det = cofactors([[vdot(matvec(G, b), c) for c in B] for b in B])  # of G_B
     his = [math.isqrt(len(diffs) * R * R * C[j][j] // det) for j in range(d)]
-    normals = [_matvec(B, x) for x in diffs]
+    normals = [matvec(B, x) for x in diffs]
     normals += [tuple(-c for c in n) for n in normals]
     to_a = list(zip(*B))
     best = None
     for y in enumerate_points(normals, [R] * len(normals), [-h for h in his], his):
         if any(y):
-            a = _matvec(to_a, y)
+            a = matvec(to_a, y)
             candidate = (width(a), a)
             if best is None or candidate < best:
                 best = candidate

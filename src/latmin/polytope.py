@@ -26,10 +26,11 @@ from .core import (
     determinant,
     echelon,
     independent,
+    inverse_transpose,
+    matvec,
     primitive,
     rank,
     rat_str,
-    solve_linear,
     vdot,
     vsub,
 )
@@ -60,7 +61,8 @@ class Polytope:
         self.affine_dim = affine_dim
         self._facets = facets
         self._boundary_simplices = boundary_simplices
-        # (origin, d x k basis, inner body in R^k) of a lower-dimensional body
+        # (origin, unimodular U, d x k basis, inner body in R^k) of a
+        # lower-dimensional body, see _lattice_chart
         self._chart = chart
         self._difference = None  # P - P read off P's faces, set by difference_body
         self._width = None  # set by gon.lattice_width
@@ -168,26 +170,26 @@ def convex_hull(points, d: int) -> Polytope:
     k = len(basis_idx)
 
     if k < d:
-        origin, basis = _lattice_chart(pts[0], [diffs[i] for i in basis_idx], d)
+        origin, U, basis = _lattice_chart(pts[0], [diffs[i] for i in basis_idx], d)
+        shift = [c.numerator * (L // c.denominator) for c in origin]  # L * origin
         coords = []
-        for p in pts:
-            c = solve_linear(basis, vsub(p, origin))
-            if c is None:
+        for p, x in zip(pts, ipts):
+            c = matvec(U, vsub(x, shift))
+            if any(c[k:]):
                 raise InternalError(f"point {p} outside the affine span of the input")
-            coords.append(c)
+            coords.append(tuple(Fraction(v, L) for v in c[:k]) if L > 1 else c[:k])
         # the inner body of a point is the one point of R^0
         inner = convex_hull(coords, k) if k else Polytope(0, ((),), 0, facets=())
         inner_to_outer = {c: p for c, p in zip(coords, pts)}
         verts = tuple(sorted(inner_to_outer[c] for c in inner.vertices))
-        return Polytope(d, verts, k, chart=(origin, basis, inner))
+        return Polytope(d, verts, k, chart=(origin, U, basis, inner))
 
-    # offsets of the scaled points come back over 1; the points' are over L
+    # offsets of the scaled points are ints; the points' are over L
     facet_simplices = _hull_full_dim(ipts, d, [0] + basis_idx)
-    if L > 1:
-        facet_simplices = [(idx, a, b / L) for idx, a, b in facet_simplices]
 
     # merge triangulated pieces into geometric facets
-    facet_list = sorted({(normal, offset) for _, normal, offset in facet_simplices})
+    facet_list = [(normal, Fraction(offset, L)) for normal, offset in
+                  sorted({(normal, offset) for _, normal, offset in facet_simplices})]
 
     # an extreme point is a corner of a simplex in every facet through it, so
     # the vertices are the corners whose simplices' normals have rank d
@@ -216,26 +218,28 @@ def _is_vertex(normals, d) -> bool:
 
 
 def _lattice_chart(base, span, d):
-    """Origin and d x k basis of the lattice chart x = origin + basis·c of
-    base + span(``span``), for k independent vectors ``span``; a positive
-    multiple of ``span`` gives the same chart.
+    """(origin, U, basis) of the lattice chart x = origin + basis·c of
+    base + span(``span``), for k independent integer vectors ``span``.
 
     One integer echelon turns [spanᵀ | I] into [H | U], U unimodular, so the
     last d - k rows N of U span the integer normals of the span; a lattice
     point x on it has N·x = s = N·base, so exists iff s is integral, and then
-    U⁻¹·(0, s) is one, the origin, and the U⁻¹·e_j, j < k, are a basis of
+    U⁻¹·(0, s) = sum of s_i times row i of U⁻ᵀ, i >= k, is one, the origin,
+    and the first k columns of U⁻¹, d x k ``basis``, are a basis of
     Z^d ∩ span (Cohen, §2.4).  With no lattice point the origin is base.
+    The chart coordinates of x are then c = (U·(x - origin))[:k], and x lies
+    on the span exactly when the other d - k entries of U·(x - origin) are 0.
     """
     k = len(span)
-    _, ispan = clear_denominators(span)
-    rows = [[v[i] for v in ispan] + [int(i == j) for j in range(d)] for i in range(d)]
+    rows = [[v[i] for v in span] + [int(i == j) for j in range(d)] for i in range(d)]
     U = [r[k:] for r in echelon(rows, k + d)[0]]
+    inv_t = inverse_transpose(U)
+    basis = tuple(tuple(row[i] for row in inv_t[:k]) for i in range(d))
     s = [vdot(n, base) for n in U[k:]]
-    columns = [solve_linear(U, [int(i == j) for i in range(d)]) for j in range(k)]
-    basis = tuple(tuple(int(w[i]) for w in columns) for i in range(d))
     if any(c.denominator != 1 for c in s):
-        return base, basis
-    return tuple(int(c) for c in solve_linear(U, [0] * k + s)), basis
+        return base, U, basis
+    origin = tuple(sum(int(c) * row[i] for c, row in zip(s, inv_t[k:])) for i in range(d))
+    return origin, U, basis
 
 
 def _facet_hyperplane(points, ref, d):
@@ -258,24 +262,21 @@ def _facet_hyperplane(points, ref, d):
     return normal, offset
 
 
-def _hull_full_dim(pts, d, simplex):
-    """Beneath-beyond hull from the affinely independent start ``simplex``
-    (d + 1 point indices); returns triangulated boundary facets as
-    (vertex index tuple, primitive outward normal, offset).
+def _hull_full_dim(ipts, d, simplex):
+    """Beneath-beyond hull of integer points from the affinely independent
+    start ``simplex`` (d + 1 point indices); returns triangulated boundary
+    facets as (vertex index tuple, primitive outward normal, int offset).
 
-    The work is on integers: the points are multiplied once by the lcm L of
-    their denominators (``convex_hull`` passes ints, so L = 1 there), the
-    reference point is the sum of the start points, (d + 1) times their
-    centroid, and an offset b of the scaled points leaves as the Fraction
-    b / L.  The other points are inserted farthest from the centroid first,
-    by decreasing |(d + 1) x - ref|^2 with ties in index order, so that the
-    later ones mostly fall inside and make no short-lived facets
-    (Clarkson-Shor).
+    The work is on ints and builds no Fraction: ``convex_hull`` clears the
+    denominators before and divides the offsets after.  The reference point
+    is the sum of the start points, (d + 1) times their centroid.  The other
+    points are inserted farthest from the centroid first, by decreasing
+    |(d + 1) x - ref|^2 with ties in index order, so that the later ones
+    mostly fall inside and make no short-lived facets (Clarkson-Shor).
     """
-    L, ipts = clear_denominators(pts)
     ref = tuple(map(sum, zip(*(ipts[i] for i in simplex))))
     in_simplex = set(simplex)
-    order = sorted((p for p in range(len(pts)) if p not in in_simplex),
+    order = sorted((p for p in range(len(ipts)) if p not in in_simplex),
                    key=lambda p: -sum(((d + 1) * c - r) ** 2 for c, r in zip(ipts[p], ref)))
 
     facets = {}
@@ -305,7 +306,7 @@ def _hull_full_dim(pts, d, simplex):
             normal, offset = _facet_hyperplane([ipts[i] for i in new_verts], ref, d)
             facets[next_id] = (new_verts, normal, offset)
             next_id += 1
-    return [(verts, a, Fraction(b, L)) for verts, a, b in facets.values()]
+    return list(facets.values())
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +331,25 @@ def locate(P: Polytope, x) -> PointLocation:
 
 
 def contains(P: Polytope, x) -> bool:
-    """Membership test valid in any affine dimension."""
+    """Membership test valid in any affine dimension.
+
+    A lower-dimensional P is read through the U of its chart on ints: with m
+    the lcm of the denominators of x and the origin, c = m·U·(x - origin) is
+    integral, x lies on aff(P) iff c's last d - k entries are 0, and a facet
+    a.y <= p / q of the inner body holds at y = c[:k] / m iff
+    q·a.c[:k] <= p·m.
+    """
     pt = as_ratvec(x)
     if len(pt) != P.ambient_dim:
         raise DimensionMismatch(f"point of length {len(pt)} in dimension {P.ambient_dim}")
     if P.is_full_dimensional:
         return locate(P, pt) is not PointLocation.OUTSIDE
-    origin, basis, inner = P._chart
-    c = solve_linear(basis, vsub(pt, origin))
-    return c is not None and contains(inner, c)
+    origin, U, _, inner = P._chart
+    m, (xs, shift) = clear_denominators([pt, origin])
+    k = P.affine_dim
+    c = matvec(U, vsub(xs, shift))
+    return not any(c[k:]) and all(vdot(a, c[:k]) * b.denominator <= b.numerator * m
+                                  for a, b in inner.facets)
 
 
 def bounding_box(vertices, scale=1) -> tuple[list, list]:
@@ -470,7 +481,7 @@ def lattice_points(P: Polytope, mode: str = "all") -> list:
         return enumerate_points(*_integer_system(P, mode))
     if mode == "interior":
         raise DimensionDeficient("interior enumeration requires full dimension")
-    origin, basis, inner = P._chart
+    origin, _, basis, inner = P._chart
     if any(c.denominator != 1 for c in origin):
         return []
     if not inner.ambient_dim:

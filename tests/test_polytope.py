@@ -22,6 +22,7 @@ from latmin.polytope import (
     polar,
     volume,
 )
+from reference import kernel_vector, solve_linear
 
 F = Fraction
 
@@ -335,13 +336,8 @@ class TestLatticePoints:
 
 def lattice_points_by_box_scan(P, mode):
     """Reference oracle: every integer point of the vertex bounding box,
-    kept by exact point location.
-
-    A lower-dimensional P of affine dimension k shares no chart code: a point
-    is kept when the vertices and it still have affine rank k, and its
-    projection onto k coordinates, chosen so that the projection is
-    injective on aff(P), lies in the hull of the projected vertices.
-    """
+    kept by exact point location, or by ``shadow_membership`` for a
+    lower-dimensional P."""
     d = P.ambient_dim
     ranges = [range(math.ceil(min(v[j] for v in P.vertices)),
                     math.floor(max(v[j] for v in P.vertices)) + 1)
@@ -352,19 +348,28 @@ def lattice_points_by_box_scan(P, mode):
         return [x for x in product(*ranges) if locate(P, x) in keep]
     if mode == "interior":
         raise DimensionDeficient("a lower-dimensional body has no interior points")
-    k, v0 = P.affine_dim, P.vertices[0]
+    return list(filter(shadow_membership(P), product(*ranges)))
+
+
+def shadow_membership(P):
+    """Reference membership test for a P of affine dimension k < d that
+    shares no chart code: a point is in P when the vertices and it still have
+    affine rank k, and its projection onto k coordinates, chosen so that the
+    projection is injective on aff(P), lies in the hull of the projected
+    vertices."""
+    d, k, v0 = P.ambient_dim, P.affine_dim, P.vertices[0]
     span = [core.vsub(v, v0) for v in P.vertices]
 
     def on_span(x):
         return core.rank(span + [core.vsub(x, v0)], d) == k
 
     if k == 0:
-        return [x for x in product(*ranges) if on_span(x)]
+        return on_span
     axes = next(c for c in combinations(range(d), k)
                 if core.rank([[w[i] for i in c] for w in span], k) == k)
     shadow = convex_hull([[v[i] for i in axes] for v in P.vertices], k)
-    return [x for x in product(*ranges)
-            if locate(shadow, [x[i] for i in axes]) is not PointLocation.OUTSIDE and on_span(x)]
+    return lambda x: (locate(shadow, [x[i] for i in axes]) is not PointLocation.OUTSIDE
+                      and on_span(x))
 
 
 @st.composite
@@ -441,6 +446,55 @@ def test_lower_dimensional_lattice_points_match_box_scan(P):
         assert contains(P, x)
     with pytest.raises(DimensionDeficient):
         lattice_points(P, "interior")
+
+
+def membership_queries(P, steps, offsets):
+    """Rational points v0 + sum_j t_j (v_j - v0) on aff(P), one for each
+    tuple t in ``steps``, and each of them moved off aff(P) by each
+    rational in ``offsets`` along every unit vector outside the span."""
+    d, v0 = P.ambient_dim, P.vertices[0]
+    span = [core.vsub(v, v0) for v in P.vertices[1:]]
+    on = [tuple(c + sum((t * w[i] for t, w in zip(ts, span)), F(0)) for i, c in enumerate(v0))
+          for ts in steps]
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    normal_to = [e for e in units if core.rank(span + [e], d) > P.affine_dim]
+    off = [tuple(c + h * x for c, x in zip(p, e)) for p in on for e in normal_to for h in offsets]
+    return on, off
+
+
+def assert_contains_matches_shadow(P, steps, offsets):
+    member = shadow_membership(P)
+    on, off = membership_queries(P, steps, offsets)
+    for x in on + off + list(P.vertices):
+        assert contains(P, x) == member(x), x
+    assert not any(contains(P, x) for x in off)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lower_dimensional_bodies(), st.data())
+def test_lower_dimensional_contains_matches_shadow_oracle(P, data):
+    # rational points on aff(P), inside and outside P, and points off aff(P)
+    t = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    steps = data.draw(st.lists(st.tuples(*[t] * (len(P.vertices) - 1)), min_size=1, max_size=6))
+    offsets = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5)
+                                 .filter(bool), min_size=1, max_size=2))
+    assert_contains_matches_shadow(P, steps, offsets)
+
+
+FIXED_LOWER_DIMENSIONAL = {
+    "rational-point": lambda: convex_hull([(F(1, 2), F(-2, 3), 5)], 3),  # k = 0
+    "lattice-point": lambda: convex_hull([(1, 2, 3, 4)], 4),  # k = 0
+    "segment": lambda: convex_hull([(0, 0, 0), (4, 2, 6)], 3),
+    "rational-segment": lambda: convex_hull([(F(1, 3), 0), (F(7, 3), 1)], 2),  # no lattice point
+    "half-plane": lambda: half_offset_triangle(3),  # on x_1 - x_2 = 1/2, no lattice point
+}
+
+
+@pytest.mark.parametrize("name", FIXED_LOWER_DIMENSIONAL)
+def test_lower_dimensional_contains_fixed_bodies(name):
+    P = FIXED_LOWER_DIMENSIONAL[name]()
+    steps = list(product((F(-1, 2), 0, F(1, 3), 1, F(3, 2)), repeat=len(P.vertices) - 1))
+    assert_contains_matches_shadow(P, steps, (F(1, 4), -1, 2))
 
 
 @st.composite
@@ -846,7 +900,7 @@ def reference_hull_full_dim(pts, d, simplex):
     the hull's farthest-first order."""
     def hyperplane(points, ref):
         base = points[0]
-        normal = core.primitive(core.kernel_vector([core.vsub(p, base) for p in points[1:]], d))
+        normal = core.primitive(kernel_vector([core.vsub(p, base) for p in points[1:]], d))
         offset = sum((a * c for a, c in zip(normal, base)), F(0))
         side = sum((a * c for a, c in zip(normal, ref)), F(0))
         if side > offset:
@@ -948,7 +1002,7 @@ def test_hull_commutes_with_integer_affine_maps(case):
                                       for p in apply(M, P.vertices)))
     expect = []
     for a, b in P.facets:
-        w = core.solve_linear(list(zip(*M)), a)
+        w = solve_linear(list(zip(*M)), a)
         n = core.primitive([x * math.lcm(*(y.denominator for y in w)) for x in w])
         c = next(F(x, y) for x, y in zip(n, w) if y)
         expect.append((n, c * b + core.vdot(n, t)))
@@ -961,12 +1015,14 @@ def test_hull_builds_one_fraction_per_facet_simplex(monkeypatch):
     calls = counting_wrapper(monkeypatch, polytope)
     P = convex_hull(pts, 3)
     assert 0 < len(calls) <= len(P._boundary_simplices)
-    # no Fraction arithmetic either: the hull proper builds only its offsets
-    fpts = sorted({tuple(F(c) for c in p) for p in pts})
-    start = [0] + core.independent([core.vsub(p, fpts[0]) for p in fpts])
+    assert len(calls) == len(P.facets)
+    # the hull proper takes ints, returns int offsets and builds no Fraction
+    ipts = sorted(set(pts))
+    start = [0] + core.independent([core.vsub(p, ipts[0]) for p in ipts])
     with counted_fractions() as made:
-        simplices = polytope._hull_full_dim(fpts, 3, start)
-    assert 0 < made.count <= len(simplices)
+        simplices = polytope._hull_full_dim(ipts, 3, start)
+    assert made.count == 0
+    assert simplices and all(type(b) is int for _, _, b in simplices)
 
 
 # P - P read off P's faces against the hull of the n^2 differences it replaced

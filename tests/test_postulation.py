@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counting import time_limit
-from latmin.core import solve_linear
 from latmin import postulation
 from latmin.errors import InternalError, InvalidInput, NegativeParameter
 from latmin.polytope import convex_hull, volume
@@ -18,6 +17,7 @@ from latmin.postulation import (
     check_vol_bound,
     flag_h0,
 )
+from reference import solve_linear
 
 F = Fraction
 

@@ -72,6 +72,70 @@ def test_dead_helper_shadowed_by_a_parameter_is_found():
     assert dead_helpers([("m.py", source + "BOTH = scale(1, 2), factor()\n")]) == []
 
 
+def _private_names(tree):
+    """The _-prefixed, non-dunder names that a module defines or assigns at top level."""
+    names = [getattr(node, "name", None) for node in tree.body]
+    names += [t.id for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)]
+    return {n for n in names if n and n.startswith("_") and not n.startswith("__")}
+
+
+def _package_path(node):
+    """The module path inside the package that ``from ... import`` reads,
+    "" for the package itself, or None for a module outside it."""
+    if node.level:
+        return node.module or ""
+    if node.module == "latmin" or (node.module or "").startswith("latmin."):
+        return node.module.removeprefix("latmin").removeprefix(".")
+    return None
+
+
+def private_reaches(sources):
+    """Uses, as "file:line name", of a _-prefixed top-level name of another
+    module of the package: imported from it, or read as ``module._name``
+    off a module bound by ``from . import module`` or ``import latmin.module``."""
+    trees = {name.removesuffix(".py"): ast.parse(text, filename=name) for name, text in sources}
+    private = {mod: _private_names(tree) for mod, tree in trees.items()}
+    found = []
+    for own, tree in trees.items():
+        bound = {}  # name in this module -> the package module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                path = _package_path(node)
+                for alias in node.names:
+                    if path == "" and alias.name in trees:
+                        bound[alias.asname or alias.name] = alias.name
+                    elif path in trees and path != own and alias.name in private[path]:
+                        found.append(f"{own}.py:{node.lineno} {alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    mod = alias.name.removeprefix("latmin.")
+                    if alias.name.startswith("latmin.") and mod in trees:
+                        bound[alias.asname or alias.name] = mod
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                mod = bound.get(ast.unparse(node.value))
+                if mod and mod != own and node.attr in private[mod]:
+                    found.append(f"{own}.py:{node.lineno} {node.attr}")
+    return found
+
+
+def test_no_private_names_across_modules():
+    # a helper shared by two modules is public, in the module that owns it
+    sources = [(p.name, p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    found = private_reaches(sources)
+    assert not found, f"_-prefixed names used outside their module: {found}"
+
+
+def test_private_reach_is_found():
+    core = "def _helper():\n    return 1\n\n_TABLE = {}\n\ndef shared():\n    return 2\n"
+    user = ("from . import core\nfrom .core import _helper, shared\nimport latmin.core as lc\n\n"
+            "def f(P):\n    return core._TABLE, lc._helper(), core.shared(), P._chart\n")
+    assert private_reaches([("core.py", core), ("user.py", user)]) == [
+        "user.py:2 _helper", "user.py:6 _TABLE", "user.py:6 _helper"]
+    assert private_reaches([("core.py", core), ("user.py", "from .core import shared\n")]) == []
+
+
 def untyped_raises(tree):
     """Lines that raise ValueError, TypeError or LatminError itself, called or
     not: errors that name no cause a caller can catch."""

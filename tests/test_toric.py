@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from latmin import toric
-from latmin.core import determinant, primitive, rank, solve_linear, vdot, vsub
+from latmin.core import determinant, primitive, rank, vdot, vsub
 from latmin.errors import (
     InvalidInput,
     InvalidWeights,
@@ -30,6 +30,7 @@ from latmin.toric import (
     verify_m2m,
     vertex_cone,
 )
+from reference import solve_linear
 
 F = Fraction
 
