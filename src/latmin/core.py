@@ -9,7 +9,8 @@ except the normal of d - 1 integer vectors in Z^d: that is
 ``cofactor_normal``, their signed minors from one fraction-free Gauss-Jordan
 elimination, which gives hull facet normals, vertex-cone edges, and through
 ``cofactors`` the adjugate and the inverse transpose of a unimodular matrix.
-``lll_reduce`` reads its Gram-Schmidt data off the form at each step.
+``lll_reduce`` is the integral LLL: it carries Gram determinants and scaled
+Gram-Schmidt coefficients as ints and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -190,13 +191,15 @@ def lattice_span(vectors: Sequence[Sequence], d: int) -> tuple[int, bool]:
     return len(pivots), full
 
 
-def determinant(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square rational matrix."""
+def determinant(rows: Sequence[Sequence]):
+    """Determinant of a square rational matrix: an int for integer rows,
+    whose echelon scale is +-1, else a Fraction."""
     n = len(rows)
     ech, pivots, scale = echelon(rows, n)
     if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(prod(r[p] for r, p in zip(ech, pivots)), scale)
+        return 0
+    det = prod(r[p] for r, p in zip(ech, pivots))
+    return det * scale if abs(scale) == 1 else Fraction(det, scale)
 
 
 def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple:
@@ -283,50 +286,69 @@ def independent(vectors: Sequence[Sequence]) -> list:
 def lll_reduce(gram: Sequence[Sequence]) -> list:
     """LLL-reduced basis of Z^d, with delta = 3/4, for the positive definite
     rational form ``gram``; a positive multiple of the form gives the same
-    basis, so an integer form serves as well.
+    basis, so the form is first cleared to ints.
 
-    Exact version of Cohen, *A Course in Computational Algebraic Number
-    Theory*, Alg. 2.6.3, without its swap update: each step computes the
-    Gram-Schmidt ``mu`` and ``bstar`` of b_1..b_k from the form, exact values
-    equal to the carried ones, so a swap exchanges two rows and nothing else.
-    Returns the rows b_1..b_d of a unimodular integer matrix with
-    |mu_kj| <= 1/2 and bstar_k >= (delta - mu_{k,k-1}^2) bstar_{k-1}.
+    Integral LLL, Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 2.6.7: it carries the Gram determinant d_j of the first j
+    rows (d_0 = 1) and lam_kj = d_j mu_kj, all integers, and updates them
+    on a swap with exact integer divisions.  Its decisions are those of the
+    rational Alg. 2.6.3: mu_kl is rounded half to even, as ``round`` does a
+    Fraction, and the swap test bstar_k < (3/4 - mu^2) bstar_{k-1} reads
+    4 d_k d_{k-2} < 3 d_{k-1}^2 - 4 lam_{k,k-1}^2.  Returns the rows
+    b_1..b_d of a unimodular integer matrix with |mu_kj| <= 1/2 and
+    bstar_k >= (delta - mu_{k,k-1}^2) bstar_{k-1}.
     """
     d = len(gram)
-    delta = Fraction(3, 4)
+    _, G = clear_denominators(gram)
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    dets = [1] * (d + 1)  # dets[j] = d_j, the Gram determinant of the first j rows
+    lam = [[0] * d for _ in range(d)]  # lam[k][j] = dets[j + 1] mu_kj for rows k > j
 
-    def form(x, y):
-        return sum(x[i] * gram[i][j] * y[j] for i in range(d) for j in range(d) if x[i] and y[j])
-
-    def gram_schmidt(k):
-        mu, bstar = [], []
-        for r in range(k + 1):
-            mu.append([])
-            for j in range(r):
-                s = form(basis[r], basis[j]) - sum(mu[j][i] * mu[r][i] * bstar[i] for i in range(j))
-                mu[r].append(Fraction(s, bstar[j]))
-            bstar.append(form(basis[r], basis[r]) - sum(m * m * b for m, b in zip(mu[r], bstar)))
-        return mu, bstar
-
-    def size_reduce(mu, k, l):
-        if 2 * abs(mu[k][l]) <= 1:
+    def reduce(k, l):
+        x, dl = lam[k][l], dets[l + 1]
+        if 2 * abs(x) <= dl:
             return
-        q = round(mu[k][l])
+        q, r = divmod(2 * x + dl, 2 * dl)
+        if r == 0 and q % 2:
+            q -= 1
         basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
-        mu[k][l] -= q
+        lam[k][l] = x - q * dl
         for i in range(l):
-            mu[k][i] -= q * mu[l][i]
+            lam[k][i] -= q * lam[l][i]
 
-    k = 1
+    def extend(k):  # the data of row k, the first time k is reached, while it is e_k
+        for j in range(k + 1):
+            u = vdot(G[k], basis[j])
+            for i in range(j):
+                u = (dets[i + 1] * u - lam[k][i] * lam[j][i]) // dets[i]
+            if j < k:
+                lam[k][j] = u
+        if u <= 0:
+            raise InvalidInput("the form is not positive definite")
+        dets[k + 1] = u
+
+    if d:
+        extend(0)
+    k, kmax = 1, 0
     while k < d:
-        mu, bstar = gram_schmidt(k)
-        size_reduce(mu, k, k - 1)
-        if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+        if k > kmax:
+            kmax = k
+            extend(k)
+        reduce(k, k - 1)
+        x = lam[k][k - 1]
+        if 4 * dets[k + 1] * dets[k - 1] < 3 * dets[k] ** 2 - 4 * x * x:
             basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            b = (dets[k - 1] * dets[k + 1] + x * x) // dets[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (dets[k + 1] * lam[i][k - 1] - x * t) // dets[k]
+                lam[i][k - 1] = (b * t + x * lam[i][k]) // dets[k + 1]
+            dets[k] = b
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
-                size_reduce(mu, k, l)
+                reduce(k, l)
             k += 1
     return [tuple(r) for r in basis]

@@ -59,28 +59,13 @@ class WidthResult:
 def gauge(K: SymmetricBody, x) -> Fraction:
     """min{t >= 0 : x in tK}, the largest facet ratio a.x / b.
 
-    x is scaled once to the integer vector m * x and measured by
-    ``_integer_gauge``.
+    x is scaled once to the integer vector m * x; with (M, W) =
+    ``K.dual_vertices``, M times the gauge of m * x is the int max W.(m x),
+    so one Fraction is built, for the result.
     """
     m, (xs,) = clear_denominators([as_ratvec(x)])
-    return _integer_gauge(K, xs, m)
-
-
-def _integer_gauge(K: SymmetricBody, xs, m: int = 1) -> Fraction:
-    """The gauge of xs / m for an integer vector xs and a positive int m.
-
-    With b = p / q a facet ratio is s * q / p for s = a.xs, and ratios are
-    compared by cross multiplication, so one Fraction is built, for the
-    result.
-    """
-    num, den = 0, 1
-    for a, b in K.body.facets:
-        s = vdot(a, xs)
-        if s > 0:
-            s *= b.denominator
-            if s * den > num * b.numerator:
-                num, den = s, b.numerator
-    return Fraction(num, den * m)
+    M, W = K.dual_vertices
+    return Fraction(max([vdot(w, xs) for w in W]), M * m)
 
 
 def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinima:
@@ -106,55 +91,56 @@ def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinim
 
 
 def _gram_form(K: SymmetricBody) -> list:
-    """The integer form M * G, for G = sum of a a^T / b^2 over the facets
-    a.x <= b of K and M the lcm of the squared numerators of the b.  With m
-    facets G sandwiches the gauge: g(x)^2 <= x^T G x <= m g(x)^2.  LLL is
-    invariant under positive scaling of the form, so M changes no basis."""
+    """The integer form sum of W W^T over the rows W of ``K.dual_vertices``,
+    which is M^2 G for G = sum of a a^T / b^2 over the facets a.x <= b of K.
+    With m facets G sandwiches the gauge: g(x)^2 <= x^T G x <= m g(x)^2.
+    LLL is invariant under positive scaling of the form, so M^2 changes no
+    basis."""
     d = K.ambient_dim
-    facets = K.body.facets
-    M = math.lcm(*(b.numerator ** 2 for _, b in facets))
-    G = [[0] * d for _ in range(d)]
-    for a, b in facets:
-        w = M // b.numerator ** 2 * b.denominator ** 2
-        for i in range(d):
-            for j in range(d):
-                G[i][j] += a[i] * a[j] * w
-    return G
+    _, W = K.dual_vertices
+    return [[sum([w[i] * w[j] for w in W]) for j in range(d)] for i in range(d)]
 
 
 def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
     """Greedy minima over the lattice points of R*K, enumerated in the
     coordinates y of an LLL-reduced basis B of the form ``_gram_form(K)``.
 
-    A point is x = B^T y, so K's facet a.x <= b reads (B a).y <= b and its
-    vertex v becomes B^-T v, which is integer as B is unimodular.  The
-    vertices enter as integers m v, for the lcm m of their denominators,
-    with the scale R / m.  R is the k-th smallest gauge of the rows of B;
-    the facet normals are integer, so those k independent rows lie among
-    the enumerated points and one pass finds k witnesses.
-    Candidates are integer, ranked by ``_integer_gauge`` in the original
-    coordinates, so the result does not depend on B.
+    All on ints: with (M, W) = ``K.dual_vertices`` the gauge of an integer
+    x is g(x) = G(x) / M for the int G(x) = max W.x.  A point is x = B^T y,
+    so K's facet a.x <= p / q reads (B a).y <= p / q, and on R*K, for the
+    int R = M r, (B a).y <= floor(R p / (q M)).  K's integer vertices x = L v
+    become B^-T x, integer as B is unimodular, with the scale R / (M L).  R
+    is the k-th smallest G over the rows of B; the facet normals are
+    integer, so those k independent rows lie among the enumerated points and
+    one pass finds k witnesses.  Candidates are ranked by (G(x), x) in the
+    original coordinates, so the result does not depend on B, and a
+    Fraction G / M is made only for each minimum returned.
     """
     d = K.ambient_dim
     facets = K.body.facets
+    M, W = K.dual_vertices
+
+    def scaled_gauge(x):  # M times the gauge of x
+        return max([vdot(w, x) for w in W])
+
     B = lll_reduce(_gram_form(K))
     inv_t = inverse_transpose(B)
     normals = [matvec(B, a) for a, _ in facets]
-    m, scaled = clear_denominators(K.body.vertices)
-    vertices = [matvec(inv_t, v) for v in scaled]
+    L, xs = K.body.integer_vertices
+    vertices = [matvec(inv_t, x) for x in xs]
     to_x = list(zip(*B))
-    R = sorted(_integer_gauge(K, b) for b in B)[k - 1]
-    rhs = [math.floor(R * b) for _, b in facets]
+    R = sorted(map(scaled_gauge, B))[k - 1]
+    rhs = [R * b.numerator // (b.denominator * M) for _, b in facets]
     candidates = []
-    for y in enumerate_points(normals, rhs, *bounding_box(vertices, R / m)):
+    for y in enumerate_points(normals, rhs, *bounding_box(vertices, R, M * L)):
         x = matvec(to_x, y)
         if any(x):
-            candidates.append((_integer_gauge(K, x), x))
+            candidates.append((scaled_gauge(x), x))
     candidates.sort()
     lambdas, witnesses = [], []
     for i in independent([x for _, x in candidates])[:k]:
         g, v = candidates[i]
-        lambdas.append(g)
+        lambdas.append(Fraction(g, M))
         lead = next(c for c in v if c != 0)
         witnesses.append(tuple(-c for c in v) if lead < 0 else v)
     return SuccessiveMinima(d, tuple(lambdas), tuple(witnesses))
@@ -176,7 +162,7 @@ def _width(P: Polytope) -> WidthResult:
 
     The support function of P - P is h_P(a) + h_P(-a), so the width along a
     is w(a) = max |a.x| / L over the set D of differences x = v - w, v > w,
-    of P's vertices scaled to integers by the lcm L of their denominators.
+    of P's integer vertices over their L.
     The integer form G = sum of x x^T over D sandwiches it: L^2 w(a)^2 <=
     a^T G a <= |D| L^2 w(a)^2.  With B an LLL-reduced basis of G and R the
     least L w over its rows, the functionals a = B^T y with L w(a) <= R are
@@ -187,7 +173,7 @@ def _width(P: Polytope) -> WidthResult:
     positive, which picks the first minimum and witness of polar(P - P).
     """
     d = P.ambient_dim
-    L, verts = clear_denominators(P.vertices)
+    L, verts = P.integer_vertices
     diffs = list({vsub(u, v) for u in verts for v in verts if u > v})
 
     def width(a):  # L times the width along a

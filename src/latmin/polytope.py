@@ -1,14 +1,16 @@
 """Exact convex polytope kernel.
 
 Polytopes are stored canonically by their extreme points (sorted rational
-vertex tuples).  Full-dimensional polytopes also carry an exact facet
-description with primitive integer outward normals, plus the boundary
-triangulation produced by the incremental hull, from which the vertices are
-read off and which drives volume.  Two derived bodies build no hull: the
-difference body P - P is read off P's faces as the Minkowski sum P + (-P),
-and a polar body off its dual by bipolarity; each is triangulated only when
-its volume is asked.  A lower-dimensional polytope carries an integer chart
-of its affine lattice.
+vertex tuples), and every one carries those vertices scaled to integers by a
+common denominator L, so no later step clears their denominators again.
+Full-dimensional polytopes also carry an exact facet description with
+primitive integer outward normals, plus the boundary triangulation produced
+by the incremental hull, on the ints, from which the vertices are read off
+and which drives volume.  Two derived bodies build no hull: the difference
+body P - P is read off P's faces as the Minkowski sum P + (-P), and a polar
+body off its dual by bipolarity; the volume of each is that of a hull of its
+vertices, built when asked.  A lower-dimensional polytope carries an integer
+chart of its affine lattice.
 """
 
 from __future__ import annotations
@@ -47,19 +49,22 @@ class PointLocation(enum.Enum):
 class Polytope:
     """Immutable rational polytope, canonical V-representation.
 
-    Build instances through :func:`convex_hull` or :func:`polar`; the
-    constructor trusts its arguments.
+    Build instances through :func:`convex_hull`, :func:`difference_body` or
+    :func:`polar`; the constructor trusts its arguments.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "affine_dim", "_facets",
+    __slots__ = ("ambient_dim", "vertices", "affine_dim", "_integer_vertices", "_facets",
                  "_boundary_simplices", "_chart", "_difference", "_width", "_volume")
 
-    def __init__(self, ambient_dim, vertices, affine_dim, facets=None,
+    def __init__(self, ambient_dim, vertices, affine_dim, integer_vertices, facets=None,
                  boundary_simplices=None, chart=None):
         self.ambient_dim = ambient_dim
         self.vertices = vertices
         self.affine_dim = affine_dim
+        self._integer_vertices = integer_vertices
         self._facets = facets
+        # the hull's boundary simplices, their corners as ints over the L of
+        # integer_vertices; None for a difference or polar body
         self._boundary_simplices = boundary_simplices
         # (origin, unimodular U, d x k basis, inner body in R^k) of a
         # lower-dimensional body, see _lattice_chart
@@ -71,6 +76,13 @@ class Polytope:
     @property
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.ambient_dim
+
+    @property
+    def integer_vertices(self) -> tuple:
+        """(L, xs): a positive int L, a common denominator of the vertices,
+        and the vertices times L as integer tuples, in the order of
+        ``vertices``.  Every constructor holds them already."""
+        return self._integer_vertices
 
     @property
     def facets(self):
@@ -102,27 +114,42 @@ class SymmetricBody:
     """A full-dimensional polytope whose vertex set is closed under negation.
 
     Such a body automatically has the origin in its interior.  The mirror
-    test runs on the vertices scaled to integers by the lcm of their
-    denominators.
+    test runs on the body's integer vertices.
     """
 
-    __slots__ = ("body", "_polar", "_minima")
+    __slots__ = ("body", "_dual", "_polar", "_minima")
 
     def __init__(self, body: Polytope):
         if not body.is_full_dimensional:
             raise DimensionDeficient("symmetric bodies must be full-dimensional")
-        _, scaled = clear_denominators(body.vertices)
+        _, scaled = body.integer_vertices
         vset = set(scaled)
         for v, x in zip(body.vertices, scaled):
             if tuple(-c for c in x) not in vset:
                 raise NotSymmetric(f"vertex ({', '.join(map(rat_str, v))}) has no mirror image")
         self.body = body
+        self._dual = None  # set by dual_vertices
         self._polar = None  # set by polar
         self._minima = None  # the longest result of gon.successive_minima so far
 
     @property
     def ambient_dim(self) -> int:
         return self.body.ambient_dim
+
+    @property
+    def dual_vertices(self) -> tuple:
+        """(M, W), kept once per body: M the lcm of the numerators p of the
+        facet offsets, and W_f = a q (M / p) per facet a.x <= p / q.  The
+        W_f / M are the vertices of the polar, and M g(x) = max W_f.x for
+        the gauge g of the body."""
+        if self._dual is None:
+            facets = self.body.facets
+            if any(b.numerator <= 0 for _, b in facets):
+                raise InternalError("origin not interior: a facet offset is not positive")
+            M = math.lcm(*(b.numerator for _, b in facets))
+            self._dual = M, [tuple(c * (b.denominator * (M // b.numerator)) for c in a)
+                             for a, b in facets]
+        return self._dual
 
     def __eq__(self, other):
         return isinstance(other, SymmetricBody) and self.body == other.body
@@ -147,8 +174,8 @@ def convex_hull(points, d: int) -> Polytope:
     Keeps exactly the extreme points; computes the affine dimension, and for
     full-dimensional input the facet halfspaces and a boundary triangulation.
     The points are multiplied once by the lcm L of their denominators, which
-    keeps their lexicographic order and affine rank, so they are sorted,
-    tested for rank and passed to the hull as ints.
+    keeps their lexicographic order and affine rank, and ``_integer_hull``
+    works on the ints.
     """
     if d < 1:
         raise DimensionMismatch("ambient dimension must be positive")
@@ -161,28 +188,42 @@ def convex_hull(points, d: int) -> Polytope:
     if not pts:
         raise DimensionMismatch("need at least one point")
     L, ipts = clear_denominators(pts)
-    scaled = dict(zip(ipts, pts))  # keeps the parsed points for the output
-    ipts = sorted(scaled)
-    pts = [scaled[p] for p in ipts]
+    parsed = dict(zip(ipts, pts))  # keeps the parsed points for the output
+    return _integer_hull(d, L, sorted(parsed), parsed)
+
+
+def _integer_hull(d, L, ipts, parsed=None) -> Polytope:
+    """The hull of the points x / L in R^d for the sorted distinct integer
+    points x of ``ipts``.
+
+    ``parsed`` maps each x to the rational point x / L when the caller holds
+    it; otherwise a Fraction is made only for each coordinate of a vertex
+    kept, and the only other Fractions are the facet offsets.  A
+    lower-dimensional input is read through its lattice chart, and its
+    chart coordinates, still ints over L, go to the inner hull as they are.
+    """
+    def point(x):
+        return parsed[x] if parsed is not None else tuple(Fraction(c, L) for c in x)
 
     diffs = [vsub(p, ipts[0]) for p in ipts]
     basis_idx = independent(diffs)  # diffs[0] = 0 is never picked
     k = len(basis_idx)
 
     if k < d:
-        origin, U, basis = _lattice_chart(pts[0], [diffs[i] for i in basis_idx], d)
+        origin, U, basis = _lattice_chart(point(ipts[0]), [diffs[i] for i in basis_idx], d)
         shift = [c.numerator * (L // c.denominator) for c in origin]  # L * origin
-        coords = []
-        for p, x in zip(pts, ipts):
+        outer = {}  # chart coordinates times L -> the point times L
+        for x in ipts:
             c = matvec(U, vsub(x, shift))
             if any(c[k:]):
-                raise InternalError(f"point {p} outside the affine span of the input")
-            coords.append(tuple(Fraction(v, L) for v in c[:k]) if L > 1 else c[:k])
+                raise InternalError(f"point {point(x)} outside the affine span of the input")
+            outer[c[:k]] = x
         # the inner body of a point is the one point of R^0
-        inner = convex_hull(coords, k) if k else Polytope(0, ((),), 0, facets=())
-        inner_to_outer = {c: p for c, p in zip(coords, pts)}
-        verts = tuple(sorted(inner_to_outer[c] for c in inner.vertices))
-        return Polytope(d, verts, k, chart=(origin, U, basis, inner))
+        inner = (_integer_hull(k, L, sorted(outer)) if k
+                 else Polytope(0, ((),), 0, (1, ((),)), facets=()))
+        ints = tuple(sorted(outer[c] for c in inner.integer_vertices[1]))
+        return Polytope(d, tuple(map(point, ints)), k, (L, ints),
+                        chart=(origin, U, basis, inner))
 
     # offsets of the scaled points are ints; the points' are over L
     facet_simplices = _hull_full_dim(ipts, d, [0] + basis_idx)
@@ -197,11 +238,11 @@ def convex_hull(points, d: int) -> Polytope:
     for verts_idx, normal, _ in facet_simplices:
         for i in verts_idx:
             normals_at.setdefault(i, set()).add(normal)
-    vertices = tuple(pts[i] for i in sorted(normals_at) if _is_vertex(normals_at[i], d))
+    ints = tuple(ipts[i] for i in sorted(normals_at) if _is_vertex(normals_at[i], d))
 
-    triangulation = tuple(tuple(pts[i] for i in verts_idx)
+    triangulation = tuple(tuple(ipts[i] for i in verts_idx)
                           for verts_idx, _, _ in facet_simplices)
-    return Polytope(d, vertices, d, facets=tuple(facet_list),
+    return Polytope(d, tuple(map(point, ints)), d, (L, ints), facets=tuple(facet_list),
                     boundary_simplices=triangulation)
 
 
@@ -314,53 +355,62 @@ def _hull_full_dim(ipts, d, simplex):
 
 
 def locate(P: Polytope, x) -> PointLocation:
-    """Classify a point as Interior, Boundary, or Outside of a full-dimensional P."""
+    """Classify a point as Interior, Boundary, or Outside of a full-dimensional P.
+
+    The point is scaled once to the integer vector xs = m x, m the lcm of its
+    denominators, and a facet a.y <= p / q is compared as q a.xs against
+    p m, on ints.
+    """
     pt = as_ratvec(x)
     if len(pt) != P.ambient_dim:
         raise DimensionMismatch(f"point of length {len(pt)} in dimension {P.ambient_dim}")
     if not P.is_full_dimensional:
         raise DimensionDeficient("locate requires a full-dimensional polytope")
+    m, (xs,) = clear_denominators([pt])
     on_boundary = False
     for a, b in P.facets:
-        s = vdot(a, pt)
-        if s > b:
+        s, r = vdot(a, xs) * b.denominator, b.numerator * m
+        if s > r:
             return PointLocation.OUTSIDE
-        if s == b:
+        if s == r:
             on_boundary = True
     return PointLocation.BOUNDARY if on_boundary else PointLocation.INTERIOR
 
 
 def contains(P: Polytope, x) -> bool:
-    """Membership test valid in any affine dimension.
+    """Membership test valid in any affine dimension, on ints.
 
-    A lower-dimensional P is read through the U of its chart on ints: with m
-    the lcm of the denominators of x and the origin, c = m·U·(x - origin) is
-    integral, x lies on aff(P) iff c's last d - k entries are 0, and a facet
-    a.y <= p / q of the inner body holds at y = c[:k] / m iff
-    q·a.c[:k] <= p·m.
+    With m the lcm of the denominators of x, a full-dimensional P holds x
+    iff q a.(m x) <= p m for each facet a.y <= p / q.  A lower-dimensional P
+    is read through the U of its chart: with m the lcm of the denominators
+    of x and the origin, c = m U (x - origin) is integral, x lies on aff(P)
+    iff c's last d - k entries are 0, and then the same test runs on c[:k]
+    against the facets of the inner body.
     """
     pt = as_ratvec(x)
     if len(pt) != P.ambient_dim:
         raise DimensionMismatch(f"point of length {len(pt)} in dimension {P.ambient_dim}")
     if P.is_full_dimensional:
-        return locate(P, pt) is not PointLocation.OUTSIDE
-    origin, U, _, inner = P._chart
-    m, (xs, shift) = clear_denominators([pt, origin])
-    k = P.affine_dim
-    c = matvec(U, vsub(xs, shift))
-    return not any(c[k:]) and all(vdot(a, c[:k]) * b.denominator <= b.numerator * m
-                                  for a, b in inner.facets)
+        m, (xs,) = clear_denominators([pt])
+        facets = P.facets
+    else:
+        origin, U, _, inner = P._chart
+        m, (xs, shift) = clear_denominators([pt, origin])
+        k = P.affine_dim
+        c = matvec(U, vsub(xs, shift))
+        if any(c[k:]):
+            return False
+        xs, facets = c[:k], inner.facets
+    return all(vdot(a, xs) * b.denominator <= b.numerator * m for a, b in facets)
 
 
-def bounding_box(vertices, scale=1) -> tuple[list, list]:
-    """The integer box (los, his) of scale * conv(vertices), for a rational
-    scale > 0: the least ceiling and the greatest floor of each scaled
-    coordinate, read off numerators and denominators with no Fraction
-    arithmetic."""
-    p, q = scale.numerator, scale.denominator
+def bounding_box(vertices, p: int = 1, q: int = 1) -> tuple[list, list]:
+    """The integer box (los, his) of (p / q) conv(vertices), for integer
+    vertices and ints p > 0, q > 0: the least ceiling and the greatest floor
+    of each scaled coordinate."""
     cols = list(zip(*vertices))
-    return ([min([-(-p * c.numerator // (q * c.denominator)) for c in col]) for col in cols],
-            [max([p * c.numerator // (q * c.denominator) for c in col]) for col in cols])
+    return ([min([-(-p * c // q) for c in col]) for col in cols],
+            [max([p * c // q for c in col]) for col in cols])
 
 
 def enumerate_points(normals, rhs, los, his) -> list:
@@ -453,13 +503,14 @@ def _integer_system(P: Polytope, mode: str):
     integer points of a full-dimensional P, read off numerators and
     denominators: a facet a.x <= b holds on integer points iff a.x <=
     floor(b), and a.x < b iff a.x <= ceil(b) - 1; the box is that of P's
-    vertices."""
+    integer vertices over their L."""
     facets = P.facets
     if mode == "interior":
         rhs = [-(-b.numerator // b.denominator) - 1 for _, b in facets]
     else:
         rhs = [b.numerator // b.denominator for _, b in facets]
-    return [a for a, _ in facets], rhs, *bounding_box(P.vertices)
+    L, xs = P.integer_vertices
+    return [a for a, _ in facets], rhs, *bounding_box(xs, 1, L)
 
 
 def lattice_points(P: Polytope, mode: str = "all") -> list:
@@ -500,24 +551,25 @@ def volume(P: Polytope) -> Fraction:
     """Lebesgue volume normalized to the lattice (unit cube has volume 1).
 
     Lower-dimensional polytopes have volume 0.  Computed once per polytope
-    as a fan of exact determinant simplices from the first canonical vertex
-    over the boundary triangulation; a difference or polar body gets one
-    from a hull of its vertices on first use.
+    as a fan of simplices from the first canonical vertex over the boundary
+    triangulation, whose corners are ints over the L of the integer
+    vertices: the integer |det| are summed and divided once by L^d d!.  A
+    difference or polar body takes the volume of a hull of its vertices on
+    first use.
     """
     d = P.ambient_dim
     if P.affine_dim < d:
         return Fraction(0)
     if P._volume is None:
         if P._boundary_simplices is None:
-            P._boundary_simplices = convex_hull(P.vertices, d)._boundary_simplices
-        v0 = P.vertices[0]
-        total = Fraction(0)
-        for simplex in P._boundary_simplices:
-            if v0 in simplex:
-                continue
-            rows = [vsub(s, v0) for s in simplex]
-            total += abs(determinant(rows))
-        P._volume = total / math.factorial(d)
+            P._volume = volume(convex_hull(P.vertices, d))
+        else:
+            L, xs = P.integer_vertices
+            v0, total = xs[0], 0
+            for simplex in P._boundary_simplices:
+                if v0 not in simplex:
+                    total += abs(determinant([vsub(s, v0) for s in simplex]))
+            P._volume = Fraction(total, L ** d * math.factorial(d))
     return P._volume
 
 
@@ -566,7 +618,7 @@ def _minkowski_difference(P: Polytope) -> Polytope:
     body carries no boundary triangulation; ``volume`` builds one on use.
     """
     d = P.ambient_dim
-    L, verts = clear_denominators(P.vertices)
+    L, verts = P.integer_vertices
 
     def members(mask):
         return [i for i in range(len(verts)) if mask >> i & 1]
@@ -655,28 +707,27 @@ def _minkowski_difference(P: Polytope) -> Polytope:
                     for (u, w), at in normals_at.items() if _is_vertex(at, d))
     vertices = tuple(tuple(Fraction(c, L) for c in x) for x in points)
     facets = tuple(sorted((n, Fraction(width, L)) for n, (width, _, _) in body.items()))
-    return Polytope(d, vertices, d, facets=facets)
+    return Polytope(d, vertices, d, (L, tuple(points)), facets=facets)
 
 
 def polar(K: SymmetricBody) -> SymmetricBody:
     """Polar body of a symmetric K: functionals bounded by 1 in absolute value on K.
 
     Read off K by bipolarity, with no hull: the vertices of the polar are the
-    facet normals a / b of K, and its facets are the vertices v of K, each as
-    the primitive normal n of lcm * v with offset lcm / gcd (lcm of v's
-    denominators, gcd of lcm * v).  Built once per body.
+    facet normals a / b of K, the ints W_f over M of ``K.dual_vertices``,
+    and its facets are the vertices v of K, each, for K's integer vertex
+    x = L v, as the primitive normal x / g with offset L / g, g the gcd of
+    x.  Built once per body.
     """
     if K._polar is None:
-        vertices = []
-        for a, b in K.body.facets:
-            if b <= 0:
-                raise InternalError(f"origin not interior: facet offset {b}")
-            vertices.append(tuple(Fraction(c) / b for c in a))
+        M, W = K.dual_vertices
+        ints = tuple(sorted(W))
+        vertices = tuple(tuple(Fraction(c, M) for c in w) for w in ints)
+        L, xs = K.body.integer_vertices
         facets = []
-        for v in K.body.vertices:
-            m, (w,) = clear_denominators([v])
-            g = math.gcd(*w)
-            facets.append((tuple(c // g for c in w), Fraction(m, g)))
-        K._polar = SymmetricBody(Polytope(K.ambient_dim, tuple(sorted(vertices)), K.ambient_dim,
+        for x in xs:
+            g = math.gcd(*x)
+            facets.append((tuple(c // g for c in x), Fraction(L, g)))
+        K._polar = SymmetricBody(Polytope(K.ambient_dim, vertices, K.ambient_dim, (M, ints),
                                           facets=tuple(sorted(facets))))
     return K._polar

@@ -1,7 +1,9 @@
 """Linear-algebra references shared by the tests: a kernel vector and the
 unique solution of a linear system, by back-substitution up the rows of
-``core.echelon``.  The library reads its lattice charts off a unimodular
-matrix and needs neither; the tests keep them as references."""
+``core.echelon``, and the rational LLL that recomputes its Gram-Schmidt
+data from the form at each step.  The library reads its lattice charts off
+a unimodular matrix and needs neither of the first two, and its LLL is the
+integral one; the tests keep these as references."""
 
 from fractions import Fraction
 from math import gcd
@@ -45,3 +47,55 @@ def solve_linear(a_rows: Sequence[Sequence], b: Sequence):
     if x is None or x[n] == 0:
         return None
     return tuple(Fraction(c, x[n]) for c in x[:n])
+
+
+def lll_reduce(gram: Sequence[Sequence]) -> list:
+    """LLL-reduced basis of Z^d, with delta = 3/4, for the positive definite
+    rational form ``gram``; a positive multiple of the form gives the same
+    basis, so an integer form serves as well.
+
+    Exact version of Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 2.6.3, without its swap update: each step computes the
+    Gram-Schmidt ``mu`` and ``bstar`` of b_1..b_k from the form, exact values
+    equal to the carried ones, so a swap exchanges two rows and nothing else.
+    Returns the rows b_1..b_d of a unimodular integer matrix with
+    |mu_kj| <= 1/2 and bstar_k >= (delta - mu_{k,k-1}^2) bstar_{k-1}.
+    """
+    d = len(gram)
+    delta = Fraction(3, 4)
+    basis = [[int(i == j) for j in range(d)] for i in range(d)]
+
+    def form(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(d) for j in range(d) if x[i] and y[j])
+
+    def gram_schmidt(k):
+        mu, bstar = [], []
+        for r in range(k + 1):
+            mu.append([])
+            for j in range(r):
+                s = form(basis[r], basis[j]) - sum(mu[j][i] * mu[r][i] * bstar[i] for i in range(j))
+                mu[r].append(Fraction(s, bstar[j]))
+            bstar.append(form(basis[r], basis[r]) - sum(m * m * b for m, b in zip(mu[r], bstar)))
+        return mu, bstar
+
+    def size_reduce(mu, k, l):
+        if 2 * abs(mu[k][l]) <= 1:
+            return
+        q = round(mu[k][l])
+        basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
+        mu[k][l] -= q
+        for i in range(l):
+            mu[k][i] -= q * mu[l][i]
+
+    k = 1
+    while k < d:
+        mu, bstar = gram_schmidt(k)
+        size_reduce(mu, k, k - 1)
+        if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(mu, k, l)
+            k += 1
+    return [tuple(r) for r in basis]

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latmin.core import (
@@ -27,7 +27,9 @@ from latmin.errors import DimensionMismatch, InternalError, InvalidInput, ZeroVe
 from latmin.generate import SuiteConfig, generate_instance, instance_stream
 from latmin.gon import _gram_form
 from latmin.polytope import difference_body, polar
+from counting import counted_fractions
 from reference import kernel_vector, solve_linear
+from reference import lll_reduce as rational_lll_reduce
 
 ints = st.integers(min_value=-30, max_value=30)
 
@@ -361,6 +363,57 @@ def test_lll_invariant_under_positive_scaling(gram, c):
     integer = [[g.numerator * (m // g.denominator) for g in row] for row in gram]
     assert all(type(g) is int for row in integer for g in row)
     assert lll_reduce(integer) == B
+
+
+@st.composite
+def large_integer_forms(draw):
+    """A^T D A for a random nonsingular A with entries in [-250, 250] and
+    integer weights 1..4, so entries up to 10^6."""
+    d = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(-250, 250), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    assume(determinant(rows) != 0)
+    weights = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    return [[sum(rows[k][i] * weights[k] * rows[k][j] for k in range(d)) for j in range(d)]
+            for i in range(d)]
+
+
+@given(st.one_of(positive_definite_forms(), large_integer_forms()), st.integers(1, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_integral_lll_matches_rational_reference(gram, c):
+    # the same decisions on ints as the rational LLL on Fractions, on the
+    # form and on an integer multiple of it
+    B = rational_lll_reduce(gram)
+    assert lll_reduce(gram) == B
+    assert lll_reduce([[c * g for g in row] for row in gram]) == B
+
+
+def test_integral_lll_rounds_ties_half_to_even():
+    # mu = 5/2, -3/2 and 7/2 round to 2, -2 and 4, as round() does a
+    # Fraction; the 3-D form has the tie mu_20 = 5/2, reduced against a row
+    # that is not the one before
+    forms = [[[2, 5], [5, 100]], [[2, -3], [-3, 100]], [[2, 7], [7, 200]],
+             [[2, 0, 5], [0, 1000, 0], [5, 0, 1000]]]
+    bases = [lll_reduce(g) for g in forms]
+    assert bases == [rational_lll_reduce(g) for g in forms]
+    assert bases[:3] == [[(1, 0), (-2, 1)], [(1, 0), (2, 1)], [(1, 0), (-4, 1)]]
+    assert bases[3] == [(1, 0, 0), (0, 1, 0), (-2, 0, 1)]
+
+
+def test_integral_lll_builds_no_fraction():
+    forms = [g for g in pinned_forms() if all(type(x) is int for row in g for x in row)]
+    assert len(forms) >= 180
+    expect = [rational_lll_reduce(g) for g in forms]
+    with counted_fractions() as made:
+        bases = [lll_reduce(g) for g in forms]
+    assert made.count == 0
+    assert bases == expect
+
+
+def test_lll_refuses_a_form_that_is_not_positive_definite():
+    for gram in ([[1, 2], [2, 1]], [[0, 0], [0, 1]], [[-1]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]]):
+        with pytest.raises(InvalidInput):
+            lll_reduce(gram)
 
 
 def pinned_forms():

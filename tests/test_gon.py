@@ -635,3 +635,62 @@ def test_gauge_builds_one_fraction_per_call(monkeypatch):
     # d reading each point, one for each result: no Fraction arithmetic
     assert made.count <= len(points) * (3 + 1)
     assert values == [reference_gauge(K, x) for x in points]
+
+
+def reference_polar(K):
+    """Reference: the bipolarity formula in Fractions.  The vertices are the
+    a / b of K's facets a.x <= b, and each vertex v of K gives the facet
+    (m v / g) . y <= m / g, m the lcm of v's denominators and g the gcd of
+    m v."""
+    vertices = sorted(tuple(F(c) / b for c in a) for a, b in K.body.facets)
+    facets = []
+    for v in K.body.vertices:
+        m = math.lcm(*(F(c).denominator for c in v))
+        w = [int(c * m) for c in v]
+        g = math.gcd(*w)
+        facets.append((tuple(c // g for c in w), F(m, g)))
+    return tuple(vertices), tuple(sorted(facets))
+
+
+@given(bodies_and_points())
+@settings(max_examples=80, deadline=None)
+def test_polar_matches_bipolarity_formula(case):
+    K, xs = case
+    dual = polar(K).body
+    assert (dual.vertices, dual.facets) == reference_polar(K)
+    M, ints = dual.integer_vertices
+    assert tuple(tuple(F(c, M) for c in w) for w in ints) == dual.vertices
+    # the polar's gauge is the support function of K: max v.x over its vertices
+    for x in xs:
+        assert gauge(polar(K), x) == max(sum((F(a) * c for a, c in zip(v, x)), F(0))
+                                         for v in K.body.vertices)
+
+
+def test_minima_build_one_fraction_per_minimum():
+    # on prebuilt bodies, integer and rational, the minima run on ints and
+    # build a Fraction only for each lambda returned
+    bodies = [difference_body(convex_hull([(0, 0, 0), (3, 1, 0), (1, 4, 1), (0, 1, 5), (2, 2, 2)], 3)),
+              difference_body(simplex(4, 2)), hexagon(3), cube(3, 2)]
+    bodies += [polar(K) for K in bodies]
+    bodies.append(sym([(F(1, 2), 3, 0), (0, F(2, 3), 1), (1, 1, F(5, 2))], 3))
+    for K in bodies:
+        for k in range(1, K.ambient_dim + 1):
+            K._minima = None
+            lambdas, _ = minima_by_standard_basis(K)
+            with counted_fractions() as made:
+                sm = successive_minima(K, k)
+            assert made.count == k, (K, k)
+            assert sm.lambdas == lambdas[:k]
+
+
+def test_minima_box_scales_integer_vertices_by_their_l(monkeypatch):
+    # the box of R*K comes from the integer vertices L v with the scale
+    # R / (M L); bodies with L = 1000 and L ~ 10^15 keep it small
+    counting_enumerator(monkeypatch, max_box=100)
+    flat = sym([(F(7, 1000), F(1, 1000)), (F(-2, 1000), F(5, 1000))], 2)
+    assert flat.body.integer_vertices[0] == 1000
+    assert successive_minima(flat).lambdas == minima_by_standard_basis(flat)[0]
+    small = sym([(F(7, 999), F(1, 1000), 0), (F(-2, 1000), F(5, 1001), F(1, 997)),
+                 (0, F(1, 1003), F(3, 1000))], 3)
+    assert small.body.integer_vertices[0] > 10 ** 14
+    assert len(successive_minima(small).lambdas) == 3

@@ -291,6 +291,58 @@ class TestLocate:
             locate(box(1, 1), (1, 1, 1))
 
 
+def locate_by_fractions(P, x):
+    """Reference: the side of each facet a.x <= b, in Fractions."""
+    pt = tuple(F(c) for c in x)
+    sides = [sum((u * c for u, c in zip(a, pt)), F(0)) - b for a, b in P.facets]
+    if any(s > 0 for s in sides):
+        return PointLocation.OUTSIDE
+    return PointLocation.BOUNDARY if any(s == 0 for s in sides) else PointLocation.INTERIOR
+
+
+@st.composite
+def polytopes_and_queries(draw):
+    """A full-dimensional hull in d = 2..4 of points with denominators 1..5,
+    and rational queries: random points, the vertices, a point on each
+    facet (the mean of its vertices) and that point pushed out and in."""
+    d = draw(st.integers(2, 4))
+    coord = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5))
+    P = convex_hull(draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 5)), d)
+    assume(P.is_full_dimensional)
+    queries = draw(st.lists(st.tuples(*[st.one_of(st.integers(-4, 4), coord)] * d), max_size=8))
+    queries += list(P.vertices)
+    h = draw(st.fractions(min_value=F(1, 100), max_value=1))
+    for a, b in P.facets:
+        on = [v for v in P.vertices if sum((u * c for u, c in zip(a, v)), F(0)) == b]
+        mid = tuple(sum(col, F(0)) / len(on) for col in zip(*on))
+        queries += [mid, tuple(c + h * u for c, u in zip(mid, a)),
+                    tuple(c - h * u for c, u in zip(mid, a))]
+    return P, queries
+
+
+@given(polytopes_and_queries())
+@settings(max_examples=100, deadline=None)
+def test_locate_and_contains_match_fraction_formula(case):
+    # the facet test runs on ints, q a.(m x) against p m
+    P, queries = case
+    seen = set()
+    for x in queries:
+        expect = locate_by_fractions(P, x)
+        assert locate(P, x) is expect, x
+        assert contains(P, x) == (expect is not PointLocation.OUTSIDE), x
+        seen.add(expect)
+    assert PointLocation.BOUNDARY in seen and PointLocation.OUTSIDE in seen
+
+
+def test_locate_builds_only_the_parsed_point():
+    P = convex_hull([(F(1, 2), 0, 0), (0, F(7, 3), 0), (0, 0, 2), (F(-5, 4), -1, F(-1, 6))], 3)
+    points = [(F(1, 5), F(1, 7), F(1, 9)), (0, 0, 0), (F(1, 2), 0, 0), (3, 3, 3)]
+    with counted_fractions() as made:
+        found = [locate(P, x) for x in points] + [contains(P, x) for x in points]
+    assert made.count == 2 * 3 * len(points)  # d per parse, none for the facet tests
+    assert found == [locate_by_fractions(P, x) for x in points] + [True, True, True, False]
+
+
 class TestLatticePoints:
     def test_interior_grid(self):
         pts = lattice_points(box(3, 3), "interior")
@@ -1192,3 +1244,63 @@ def test_dependent_facet_simplex_is_an_internal_error():
     # a zero cofactor normal is a broken hull invariant, not a division by zero
     with pytest.raises(InternalError):
         polytope._facet_hyperplane([(0, 0, 0), (1, 2, 3), (2, 4, 6)], (1, 1, 1), 3)
+
+
+class TestIntegerVertices:
+    @staticmethod
+    def assert_scaled(P):
+        L, xs = P.integer_vertices
+        assert type(L) is int and L > 0
+        assert all(type(c) is int for x in xs for c in x)
+        assert tuple(tuple(F(c, L) for c in x) for x in xs) == P.vertices
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_denominator_point_sets())
+    def test_every_constructor_carries_them(self, case):
+        d, pts = case
+        P = convex_hull(pts, d)
+        self.assert_scaled(P)
+        if P.is_full_dimensional:
+            K = difference_body(P)
+            for body in (K.body, polar(K).body, polar(polar(K)).body):
+                self.assert_scaled(body)
+        else:
+            self.assert_scaled(P._chart[3])
+
+    @settings(max_examples=80, deadline=None)
+    @given(lower_dimensional_bodies())
+    def test_lower_dimensional_bodies_carry_them(self, P):
+        self.assert_scaled(P)
+        self.assert_scaled(P._chart[3])
+
+    def test_chart_hull_parses_each_point_once(self, monkeypatch):
+        # 3,000 rational points on a 2-plane in R^4: the chart coordinates go
+        # to the inner hull as ints, so only the points given are parsed, and
+        # the inner hull makes a Fraction only for its offsets and vertices
+        origin, u, w = (F(1, 2), 0, F(1, 3), 1), (1, 2, 0, -1), (0, 1, 3, 1)
+        pts = []
+        for i in range(3000):
+            s, t = F(i % 97 - 48, 1 + i % 7), F(i % 89 - 44, 1 + i % 5)
+            pts.append(tuple(o + s * a + t * b for o, a, b in zip(origin, u, w)))
+        parsed = []
+        real = polytope.as_ratvec
+        monkeypatch.setattr(polytope, "as_ratvec", lambda p: parsed.append(p) or real(p))
+        calls = counting_wrapper(monkeypatch, polytope)
+        P = convex_hull(pts, 4)
+        inner = P._chart[3]
+        assert P.affine_dim == 2 and len(parsed) == len(pts)
+        assert len(calls) == len(inner.facets) + 2 * len(inner.vertices)
+        assert P.vertices == tuple(sorted(set(pts) & set(P.vertices)))
+        assert len(P.vertices) == len(inner.vertices)
+
+    def test_volume_sums_integer_determinants(self):
+        # one Fraction for the result; rational scaling by 1/s scales the volume by 1/s^d
+        for pts, d in ((list(product((0, 1), repeat=3)), 3),
+                       ([(0, 0, 0, 0), (3, 1, 0, 2), (0, 2, 5, 1), (1, 1, 4, 0), (2, 3, 3, 3),
+                         (4, 0, 1, 1)], 4)):
+            for s in (1, 3, 7):
+                P = convex_hull([tuple(F(c, s) for c in p) for p in pts], d)
+                with counted_fractions() as made:
+                    vol = volume(P)
+                assert made.count == 1
+                assert vol == volume(convex_hull(pts, d)) / s ** d

@@ -136,6 +136,38 @@ def test_private_reach_is_found():
     assert private_reaches([("core.py", core), ("user.py", "from .core import shared\n")]) == []
 
 
+def vertices_cleared(tree):
+    """Lines of calls of ``clear_denominators`` that pass it ``<expr>.vertices``,
+    bare or inside another expression: a body carries its integer vertices,
+    so none is cleared again."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "clear_denominators" and any(
+                    isinstance(n, ast.Attribute) and n.attr == "vertices"
+                    for arg in node.args for n in ast.walk(arg)):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_denominators_cleared_off_vertices(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = vertices_cleared(tree)
+    assert not lines, f"{path.name} clears the denominators of vertices at lines {lines}"
+
+
+def test_vertices_cleared_is_found():
+    source = ("from .core import clear_denominators\nfrom . import core\n\n"
+              "def f(P, K, v):\n"
+              "    a = clear_denominators(P.vertices)\n"
+              "    b = core.clear_denominators([w for w in K.body.vertices])\n"
+              "    c = clear_denominators([v])\n"
+              "    return a, b, c, P.integer_vertices\n")
+    assert vertices_cleared(ast.parse(source)) == [5, 6]
+
+
 def untyped_raises(tree):
     """Lines that raise ValueError, TypeError or LatminError itself, called or
     not: errors that name no cause a caller can catch."""
