@@ -61,9 +61,13 @@ def gauge(K: SymmetricBody, x) -> Fraction:
 
     x is scaled once to the integer vector m * x; with (M, W) =
     ``K.dual_vertices``, M times the gauge of m * x is the int max W.(m x),
-    so one Fraction is built, for the result.
+    so one Fraction is built, for the result.  A point whose length is not
+    the dimension of K raises DimensionMismatch.
     """
-    m, (xs,) = clear_denominators([as_ratvec(x)])
+    v = as_ratvec(x)
+    if len(v) != K.ambient_dim:
+        raise DimensionMismatch(f"point of length {len(v)} in dimension {K.ambient_dim}")
+    m, (xs,) = clear_denominators([v])
     M, W = K.dual_vertices
     return Fraction(max([vdot(w, xs) for w in W]), M * m)
 
@@ -77,6 +81,8 @@ def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinim
     increases the rank, so the first k minima are the length-k prefix of all
     d.  Witness signs are normalized so the first nonzero entry is positive.
     The longest result is kept on K and later calls take their prefix of it.
+    K's gauge is max |w.x| / M over one row w of each +- pair of
+    ``K.dual_vertices`` (M, W), and ``_least`` enumerates in K's vertex box.
     """
     d = K.ambient_dim
     k = d if k is None else strict_int(k, "k")
@@ -84,120 +90,87 @@ def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinim
         raise InvalidInput(f"k must be in 1..{d}, got {k}")
     sm = K._minima
     if sm is None or len(sm.lambdas) < k:
-        sm = K._minima = _minima(K, k)
+        M, W = K.dual_vertices
+        zero = (0,) * d
+        sm = K._minima = _least(d, [w for w in W if w > zero], M, k, K.body.integer_vertices)
     if len(sm.lambdas) > k:
         sm = SuccessiveMinima(d, sm.lambdas[:k], sm.witnesses[:k])
     return sm
 
 
-def _gram_form(K: SymmetricBody) -> list:
-    """The integer form sum of W W^T over the rows W of ``K.dual_vertices``,
-    which is M^2 G for G = sum of a a^T / b^2 over the facets a.x <= b of K.
-    With m facets G sandwiches the gauge: g(x)^2 <= x^T G x <= m g(x)^2.
-    LLL is invariant under positive scaling of the form, so M^2 changes no
-    basis."""
-    d = K.ambient_dim
-    _, W = K.dual_vertices
-    return [[sum([w[i] * w[j] for w in W]) for j in range(d)] for i in range(d)]
-
-
-def _minima(K: SymmetricBody, k: int) -> SuccessiveMinima:
-    """Greedy minima over the lattice points of R*K, enumerated in the
-    coordinates y of an LLL-reduced basis B of the form ``_gram_form(K)``.
-
-    All on ints: with (M, W) = ``K.dual_vertices`` the gauge of an integer
-    x is g(x) = G(x) / M for the int G(x) = max W.x.  A point is x = B^T y,
-    so K's facet a.x <= p / q reads (B a).y <= p / q, and on R*K, for the
-    int R = M r, (B a).y <= floor(R p / (q M)).  K's integer vertices x = L v
-    become B^-T x, integer as B is unimodular, with the scale R / (M L).  R
-    is the k-th smallest G over the rows of B; the facet normals are
-    integer, so those k independent rows lie among the enumerated points and
-    one pass finds k witnesses.  Candidates are ranked by (G(x), x) in the
-    original coordinates, so the result does not depend on B, and a
-    Fraction G / M is made only for each minimum returned.
-    """
-    d = K.ambient_dim
-    facets = K.body.facets
-    M, W = K.dual_vertices
-
-    def scaled_gauge(x):  # M times the gauge of x
-        return max([vdot(w, x) for w in W])
-
-    B = lll_reduce(_gram_form(K))
-    inv_t = inverse_transpose(B)
-    normals = [matvec(B, a) for a, _ in facets]
-    L, xs = K.body.integer_vertices
-    vertices = [matvec(inv_t, x) for x in xs]
-    to_x = list(zip(*B))
-    R = sorted(map(scaled_gauge, B))[k - 1]
-    rhs = [R * b.numerator // (b.denominator * M) for _, b in facets]
-    candidates = []
-    for y in enumerate_points(normals, rhs, *bounding_box(vertices, R, M * L)):
-        x = matvec(to_x, y)
-        if any(x):
-            candidates.append((scaled_gauge(x), x))
-    candidates.sort()
-    lambdas, witnesses = [], []
-    for i in independent([x for _, x in candidates])[:k]:
-        g, v = candidates[i]
-        lambdas.append(Fraction(g, M))
-        lead = next(c for c in v if c != 0)
-        witnesses.append(tuple(-c for c in v) if lead < 0 else v)
-    return SuccessiveMinima(d, tuple(lambdas), tuple(witnesses))
-
-
 def lattice_width(P: Polytope) -> WidthResult:
     """Lattice width of P: the least max a.v - min a.v over the vertices v of
     P and the nonzero integer functionals a, which is the first minimum of
-    polar(P - P), with a witness a.  Built once per polytope by ``_width``."""
+    polar(P - P), with a witness a.  Built once per polytope.
+
+    The support function of P - P is h_P(a) + h_P(-a), so the width along a
+    is max |a.x| / L over the differences x = u - v, u > v, of P's integer
+    vertices over their L: ``_least`` reads it off those rows with k = 1,
+    and builds neither P - P nor its polar.
+    """
     if not P.is_full_dimensional:
         raise DimensionDeficient("width requires a full-dimensional polytope")
     if P._width is None:
-        P._width = _width(P)
+        L, verts = P.integer_vertices
+        diffs = list({vsub(u, v) for u in verts for v in verts if u > v})
+        sm = _least(P.ambient_dim, diffs, L, 1)
+        P._width = WidthResult(sm.lambdas[0], sm.witnesses[0])
     return P._width
 
 
-def _width(P: Polytope) -> WidthResult:
-    """The width from P's vertices alone, with no difference body or polar.
+def _form(d: int, rows) -> list:
+    """The integer form sum of r r^T over the rows r."""
+    return [[sum([r[i] * r[j] for r in rows]) for j in range(d)] for i in range(d)]
 
-    The support function of P - P is h_P(a) + h_P(-a), so the width along a
-    is w(a) = max |a.x| / L over the set D of differences x = v - w, v > w,
-    of P's integer vertices over their L.
-    The integer form G = sum of x x^T over D sandwiches it: L^2 w(a)^2 <=
-    a^T G a <= |D| L^2 w(a)^2.  With B an LLL-reduced basis of G and R the
-    least L w over its rows, the functionals a = B^T y with L w(a) <= R are
-    the integer y with |(B x).y| <= R for x in D, and they lie in the
-    ellipsoid y^T G_B y <= |D| R^2, G_B = B G B^T, whose box is |y_j| <=
-    sqrt(|D| R^2 (G_B^-1)_jj) (Fincke-Pohst).  Candidates are ranked by
-    (w(a), a) and the sign is normalized so the first nonzero entry is
-    positive, which picks the first minimum and witness of polar(P - P).
+
+def _least(d: int, rows, scale: int, k: int, vertices=None) -> SuccessiveMinima:
+    """First k minima and witnesses of the body {x : |r.x| <= scale for every
+    row r}, for integer rows r, one per +- pair, and an int scale > 0.
+
+    All on ints: scale times the gauge of an integer x is the int g(x) =
+    max |r.x|.  With m rows the form G = ``_form(d, rows)`` sandwiches it:
+    g(x)^2 <= x^T G x <= m g(x)^2.  B is an LLL-reduced basis of G, and R
+    the k-th smallest g over its rows, so those k independent rows lie
+    among the points y of x = B^T y with |(B r).y| <= R, and one pass finds
+    k witnesses.  The box of those y is read off the body's integer
+    vertices ``vertices`` = (L, xs), when the caller holds them, as B^-T x,
+    integer as B is unimodular, with the scale R / (scale L); otherwise
+    off the ellipsoid y^T G_B y <= m R^2, G_B = B G B^T, as |y_j| <=
+    sqrt(m R^2 (G_B^-1)_jj) (Fincke-Pohst).  Candidates are ranked by (g(x),
+    x) in the original coordinates, so the result does not depend on B, the
+    sign is normalized so the first nonzero entry is positive, and a
+    Fraction g / scale is made only for each minimum returned.
     """
-    d = P.ambient_dim
-    L, verts = P.integer_vertices
-    diffs = list({vsub(u, v) for u in verts for v in verts if u > v})
+    def g(x):  # scale times the gauge of x
+        return max([abs(vdot(r, x)) for r in rows])
 
-    def width(a):  # L times the width along a
-        return max(abs(vdot(a, x)) for x in diffs)
-
-    G = [[sum(x[i] * x[j] for x in diffs) for j in range(d)] for i in range(d)]
+    G = _form(d, rows)
     B = lll_reduce(G)
-    R = min(width(b) for b in B)
-    C, det = cofactors([[vdot(matvec(G, b), c) for c in B] for b in B])  # of G_B
-    his = [math.isqrt(len(diffs) * R * R * C[j][j] // det) for j in range(d)]
-    normals = [matvec(B, x) for x in diffs]
+    R = sorted(map(g, B))[k - 1]
+    if vertices is None:
+        C, det = cofactors([[vdot(matvec(G, b), c) for c in B] for b in B])  # of G_B
+        his = [math.isqrt(len(rows) * R * R * C[j][j] // det) for j in range(d)]
+        box = [-h for h in his], his
+    else:
+        L, xs = vertices
+        inv_t = inverse_transpose(B)
+        box = bounding_box([matvec(inv_t, x) for x in xs], R, scale * L)
+    normals = [matvec(B, r) for r in rows]
     normals += [tuple(-c for c in n) for n in normals]
-    to_a = list(zip(*B))
-    best = None
-    for y in enumerate_points(normals, [R] * len(normals), [-h for h in his], his):
-        if any(y):
-            a = matvec(to_a, y)
-            candidate = (width(a), a)
-            if best is None or candidate < best:
-                best = candidate
-    least, a = best
-    if next(c for c in a if c != 0) < 0:
-        a = tuple(-c for c in a)
-    return WidthResult(Fraction(least, L), a)
+    to_x = list(zip(*B))
+    candidates = []
+    for y in enumerate_points(normals, [R] * len(normals), *box):
+        x = matvec(to_x, y)
+        if any(x):
+            candidates.append((g(x), x))
+    candidates.sort()
+    lambdas, witnesses = [], []
+    for i in independent([x for _, x in candidates])[:k]:
+        least, v = candidates[i]
+        lambdas.append(Fraction(least, scale))
+        lead = next(c for c in v if c != 0)
+        witnesses.append(tuple(-c for c in v) if lead < 0 else v)
+    return SuccessiveMinima(d, tuple(lambdas), tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

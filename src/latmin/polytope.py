@@ -554,15 +554,15 @@ def volume(P: Polytope) -> Fraction:
     as a fan of simplices from the first canonical vertex over the boundary
     triangulation, whose corners are ints over the L of the integer
     vertices: the integer |det| are summed and divided once by L^d d!.  A
-    difference or polar body takes the volume of a hull of its vertices on
-    first use.
+    difference or polar body takes the volume of the hull of its sorted
+    integer vertices over their L on first use.
     """
     d = P.ambient_dim
     if P.affine_dim < d:
         return Fraction(0)
     if P._volume is None:
         if P._boundary_simplices is None:
-            P._volume = volume(convex_hull(P.vertices, d))
+            P._volume = volume(_integer_hull(d, *P.integer_vertices))
         else:
             L, xs = P.integer_vertices
             v0, total = xs[0], 0

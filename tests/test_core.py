@@ -25,7 +25,7 @@ from latmin.core import (
 )
 from latmin.errors import DimensionMismatch, InternalError, InvalidInput, ZeroVector
 from latmin.generate import SuiteConfig, generate_instance, instance_stream
-from latmin.gon import _gram_form
+from latmin.gon import _form
 from latmin.polytope import difference_body, polar
 from counting import counted_fractions
 from reference import kernel_vector, solve_linear
@@ -417,14 +417,17 @@ def test_lll_refuses_a_form_that_is_not_positive_definite():
 
 
 def pinned_forms():
-    """The Gram forms of P - P and of its polar for the minkowski instances
-    at seed 0, then 300 forms A^T D A with entries of A in [-1000, 1000]."""
+    """The Gram forms that the minima of P - P and of its polar reduce, over
+    one row of each +- pair of their dual vertices, for the minkowski
+    instances at seed 0, then 300 forms A^T D A with entries of A in
+    [-1000, 1000]."""
     for d, bound in ((2, 4), (3, 4), (4, 3)):
         cfg = SuiteConfig("minkowski", 0, 30, d, bound)
         for i in range(cfg.count):
             K = difference_body(generate_instance(cfg, i))
-            yield _gram_form(K)
-            yield _gram_form(polar(K))
+            for body in (K, polar(K)):
+                _, W = body.dual_vertices
+                yield _form(d, [w for w in W if w > (0,) * d])
     for i in range(300):
         rng = instance_stream(7, i)
         d = 1 + i % 4

@@ -615,14 +615,28 @@ def bodies_and_points(draw):
 @given(bodies_and_points())
 @settings(max_examples=80, deadline=None)
 def test_gauge_and_gram_form_match_fraction_references(case):
+    # the minima reduce the form of one row of each +- pair of the dual
+    # vertices (M, W): half of sum W W^T, a positive multiple of M^2 G
     K, xs = case
     for x in xs:
         assert gauge(K, x) == reference_gauge(K, x)
-    G, ref = gon._gram_form(K), reference_gram_form(K)
+    d = K.ambient_dim
+    _, W = K.dual_vertices
+    G, ref = gon._form(d, [w for w in W if w > (0,) * d]), reference_gram_form(K)
     assert all(type(g) is int for row in G for g in row)
     scale = F(G[0][0]) / ref[0][0]
     assert scale > 0 and G == [[scale * r for r in row] for row in ref]
     assert core.lll_reduce(G) == core.lll_reduce(ref)
+
+
+def test_gauge_refuses_a_point_of_another_length():
+    # on the 2-D cross-polytope a zip would read (1, 0, 5) as (1, 0) and ()
+    # as the origin, of gauges 1 and 0
+    K = sym([(1, 0), (0, 1)], 2)
+    assert gauge(K, (1, 0)) == 1
+    for x in ((1, 0, 5), (), (1,)):
+        with pytest.raises(DimensionMismatch):
+            gauge(K, x)
 
 
 def test_gauge_builds_one_fraction_per_call(monkeypatch):

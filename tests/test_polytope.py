@@ -1115,11 +1115,12 @@ def test_difference_body_subtracts_integers(monkeypatch, pts):
 
 
 def test_difference_body_builds_no_hull(monkeypatch):
-    # P - P is built once per polytope with no hull; only its volume asks for one
+    # P - P is built once per polytope with no hull; only its volume asks for
+    # one, of its integer vertices over their L, with no rational points parsed
     P = convex_hull([(0, 0, 0), (F(1, 2), 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, F(2, 3))], 3)
     expect = volume(reference_difference_body(P))
     calls = []
-    for name in ("convex_hull", "_hull_full_dim", "_minkowski_difference"):
+    for name in ("convex_hull", "_integer_hull", "_hull_full_dim", "_minkowski_difference"):
         real = getattr(polytope, name)
         monkeypatch.setattr(polytope, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
@@ -1128,7 +1129,7 @@ def test_difference_body_builds_no_hull(monkeypatch):
     assert difference_body(P).body is K.body
     assert calls == ["_minkowski_difference"]
     assert volume(K.body) == expect
-    assert calls == ["_minkowski_difference", "convex_hull", "_hull_full_dim"]
+    assert calls == ["_minkowski_difference", "_integer_hull", "_hull_full_dim"]
 
 
 DIFFERENCE_FAMILIES = {

@@ -136,19 +136,19 @@ def test_private_reach_is_found():
     assert private_reaches([("core.py", core), ("user.py", "from .core import shared\n")]) == []
 
 
+def calls_of(tree, name):
+    """The calls of ``name``, bare or read off a module."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
 def vertices_cleared(tree):
     """Lines of calls of ``clear_denominators`` that pass it ``<expr>.vertices``,
     bare or inside another expression: a body carries its integer vertices,
     so none is cleared again."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name == "clear_denominators" and any(
-                    isinstance(n, ast.Attribute) and n.attr == "vertices"
-                    for arg in node.args for n in ast.walk(arg)):
-                lines.append(node.lineno)
-    return lines
+    return [node.lineno for node in calls_of(tree, "clear_denominators")
+            if any(isinstance(n, ast.Attribute) and n.attr == "vertices"
+                   for arg in node.args for n in ast.walk(arg))]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -166,6 +166,30 @@ def test_vertices_cleared_is_found():
               "    c = clear_denominators([v])\n"
               "    return a, b, c, P.integer_vertices\n")
     assert vertices_cleared(ast.parse(source)) == [5, 6]
+
+
+def minima_sites(tree):
+    """Lines of the calls of ``lll_reduce`` and of ``enumerate_points``."""
+    return {name: sorted(node.lineno for node in calls_of(tree, name))
+            for name in ("lll_reduce", "enumerate_points")}
+
+
+def test_one_minima_routine():
+    # the successive minima and the lattice width share one routine, so gon
+    # reduces and enumerates at one site each: no second copy comes back
+    tree = ast.parse((SRC / "gon.py").read_text(encoding="utf-8"))
+    sites = minima_sites(tree)
+    assert all(len(lines) == 1 for lines in sites.values()), f"gon.py call sites: {sites}"
+
+
+def test_second_minima_copy_is_found():
+    source = ("from . import core\nfrom .polytope import enumerate_points\n\n"
+              "def minima(G, box):\n"
+              "    return core.lll_reduce(G), enumerate_points(*box)\n\n"
+              "def width(G, box):\n"
+              "    B = core.lll_reduce(G)\n"
+              "    return B, enumerate_points(*box)\n")
+    assert minima_sites(ast.parse(source)) == {"lll_reduce": [5, 8], "enumerate_points": [5, 9]}
 
 
 def untyped_raises(tree):
