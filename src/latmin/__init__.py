@@ -19,6 +19,7 @@ from .errors import (
 from .gon import (
     SuccessiveMinima,
     WidthResult,
+    dual_minima,
     flatness_report,
     gauge,
     lattice_width,

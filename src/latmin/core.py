@@ -4,13 +4,18 @@ Every quantity in this package is a ``fractions.Fraction`` (kept in canonical
 gcd-reduced form by the stdlib) or a tuple of them; no floating point is used
 anywhere.  Every exact linear-algebra question (rank, lattice generation,
 determinant, greedy independent subset, the unimodular U of a lattice chart)
-is answered from the output of ``echelon``, one integer row echelon routine,
-except the normal of d - 1 integer vectors in Z^d: that is
-``cofactor_normal``, their signed minors from one fraction-free Gauss-Jordan
-elimination, which gives hull facet normals, vertex-cone edges, and through
-``cofactors`` the adjugate and the inverse transpose of a unimodular matrix.
-``lll_reduce`` is the integral LLL: it carries Gram determinants and scaled
-Gram-Schmidt coefficients as ints and builds no Fraction.
+is answered by one integer row echelon kernel, ``_insert``: each row is put
+into an echelon basis of at most ``ncols`` rows by 2 x 2 extended-gcd steps
+of determinant 1 (HNF by row insertion, Cohen 1993, §2.4), so ``rank`` and
+``independent`` read no row past the one that decides their answer,
+``lattice_span`` eliminates none, and ``echelon`` returns the whole form for
+``determinant`` and the charts.  The other kernel is the normal of d - 1 integer vectors in
+Z^d: ``cofactor_normal``, their signed minors from one fraction-free
+Gauss-Jordan elimination, which gives hull facet normals, vertex-cone
+edges, and through ``cofactors`` the adjugate and the inverse transpose of
+a unimodular matrix.  ``lll_reduce`` is the integral LLL: it carries Gram
+determinants and scaled Gram-Schmidt coefficients as ints and builds no
+Fraction.
 """
 
 from __future__ import annotations
@@ -128,54 +133,95 @@ def _integer_entry(c) -> int:
 # exact linear algebra over Q, sized for d <= 4: one integer echelon kernel
 
 
-def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list, list, int]:
-    """Integer row echelon form of rational rows by unimodular row operations.
+def _insert(basis: list, pivots: list, row: list) -> int:
+    """Insert an integer row into the echelon rows ``basis``, of positive
+    leading entries in the increasing columns ``pivots``.
 
-    Each row is first multiplied by the lcm of its denominators.  Then each
-    column in turn is gcd-reduced below the rows already placed, by
-    subtracting integer multiples of the row with the smallest nonzero entry
-    there, until at most one nonzero entry is left; that row is swapped up
-    and made positive.  Returns ``(rows, pivots, scale)``: the nonzero
-    echelon rows, the column of each row's positive leading entry, and the
-    product of the row scalings, negated once per swap and per sign flip, so
-    a square input of full rank has determinant prod(leading entries) / scale.
+    At each pivot column p where the row has an entry e, the basis row b,
+    of leading entry a, and the row become s b + t r and (a r - e b) / g,
+    for s a + t e = g = gcd(a, e) (Cohen 1993, §2.4): a step of determinant
+    1 that leaves g at p and clears the row there.  A row left nonzero is
+    made positive and put in place.  Returns the sign this gives the
+    determinant, (-1)^(n - i) for moving up past the n - i rows below place
+    i, negated for a negated row; +1 for a row cleared to zero and dropped.
     """
-    work, scale = [], 1
+    n, c, ncols = len(basis), 0, len(row)
+    for i in range(n):
+        p = pivots[i]
+        while c < p and not row[c]:
+            c += 1
+        if c < p:
+            break
+        e = row[p]
+        if e:
+            b = basis[i]
+            a = b[p]
+            g = gcd(a, e)
+            t = pow(e // g, -1, a // g)  # 0 when a divides e, and then s = 1
+            if t:
+                s = (g - t * e) // a
+                basis[i] = [s * x + t * y for x, y in zip(b, row)]
+            a, e = a // g, e // g
+            row = [a * y - e * x for x, y in zip(b, row)]
+        c = p + 1
+    else:
+        i = n
+        while c < ncols and not row[c]:
+            c += 1
+        if c == ncols:
+            return 1
+    sign = -1 if (n - i) % 2 else 1
+    if row[c] < 0:
+        row = [-x for x in row]
+        sign = -sign
+    basis.insert(i, row)
+    pivots.insert(i, c)
+    return sign
+
+
+def _rows_of(rows: Sequence[Sequence], ncols: int):
+    """Each row as (m, the ints m * row), m the lcm of its denominators, once
+    the lengths of all rows are checked: a row of the wrong length raises
+    DimensionMismatch however early the reader stops."""
     for r in rows:
         if len(r) != ncols:
             raise DimensionMismatch(f"row of length {len(r)} with {ncols} columns")
+    for r in rows:
         m = lcm(*(c.denominator for c in r))
-        work.append([c.numerator * (m // c.denominator) for c in r])
-        scale *= m
-    pivots = []
-    for col in range(ncols):
-        pr = len(pivots)
-        if pr == len(work):
-            break
-        while True:
-            nz = [i for i in range(pr, len(work)) if work[i][col]]
-            if len(nz) <= 1:
+        yield m, [c.numerator * (m // c.denominator) for c in r]
+
+
+def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list, list, int]:
+    """Integer row echelon form of rational rows by unimodular row operations.
+
+    Each row, times the lcm of its denominators, goes in by ``_insert``.
+    Returns ``(rows, pivots, scale)``: the nonzero echelon rows, at most
+    ``ncols``, the column of each row's positive leading entry, and the
+    product of the row scalings and of the signs of the insertions, so a
+    square input of full rank has determinant prod(leading entries) / scale.
+    """
+    basis, pivots, scale = [], [], 1
+    for m, row in _rows_of(rows, ncols):
+        scale *= m * _insert(basis, pivots, row)
+    return basis, pivots, scale
+
+
+def _greedy(rows: Sequence[Sequence], ncols: int) -> list:
+    """Indices of the rows whose insertion raises the rank; no row past the
+    one that brings it to ``ncols`` is read."""
+    basis, pivots, picked = [], [], []
+    for i, (_, row) in enumerate(_rows_of(rows, ncols)):
+        _insert(basis, pivots, row)
+        if len(pivots) > len(picked):
+            picked.append(i)
+            if len(picked) == ncols:
                 break
-            i0 = min(nz, key=lambda i: abs(work[i][col]))
-            for i in nz:
-                if i != i0:
-                    q = work[i][col] // work[i0][col]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[i0])]
-        if nz:
-            i0 = nz[0]
-            if i0 != pr:
-                work[pr], work[i0] = work[i0], work[pr]
-                scale = -scale
-            if work[pr][col] < 0:
-                work[pr] = [-a for a in work[pr]]
-                scale = -scale
-            pivots.append(col)
-    return work[:len(pivots)], pivots, scale
+    return picked
 
 
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
     """Rank over Q of rational rows of length ``ncols``."""
-    return len(echelon(rows, ncols)[1])
+    return len(_greedy(rows, ncols))
 
 
 def lattice_span(vectors: Sequence[Sequence], d: int) -> tuple[int, bool]:
@@ -183,12 +229,20 @@ def lattice_span(vectors: Sequence[Sequence], d: int) -> tuple[int, bool]:
 
     Returns ``(rank_over_Q, generates_full_lattice)`` where the second entry
     is True iff the integer span of the vectors is all of Z^d: the vectors
-    are integers (no row was scaled) and the echelon form has d pivots, each
-    equal to 1.
+    are integers and their echelon rows have d pivots, each equal to 1.
+    Insertion stops at rank d after a non-integral row, or at d unit
+    pivots, after which the rows left are only checked to be integral.
     """
-    rows, pivots, scale = echelon(vectors, d)
-    full = abs(scale) == 1 and len(pivots) == d and all(r[p] == 1 for r, p in zip(rows, pivots))
-    return len(pivots), full
+    basis, pivots, integral = [], [], True
+    for i, (m, row) in enumerate(_rows_of(vectors, d)):
+        integral = integral and m == 1
+        _insert(basis, pivots, row)
+        if len(pivots) == d:
+            if not integral:
+                return d, False
+            if all(r[p] == 1 for r, p in zip(basis, pivots)):
+                return d, all(c.denominator == 1 for v in vectors[i + 1:] for c in v)
+    return len(pivots), False
 
 
 def determinant(rows: Sequence[Sequence]):
@@ -278,9 +332,8 @@ def inverse_transpose(B: Sequence[Sequence[int]]) -> list:
 
 def independent(vectors: Sequence[Sequence]) -> list:
     """Indices of the vectors that are independent of all vectors before
-    them (the greedy basis): the pivot columns of the matrix whose columns
-    are the vectors."""
-    return echelon(list(zip(*vectors)), len(vectors))[1]
+    them (the greedy basis), read up to full rank."""
+    return _greedy(vectors, len(vectors[0])) if vectors else []
 
 
 def lll_reduce(gram: Sequence[Sequence]) -> list:

@@ -1,9 +1,9 @@
 """Geometry-of-numbers engine.
 
-Gauge functions, successive minima with witness vectors, lattice width, and
-exact verifiers for the second theorem of Minkowski, the transference
-theorem, the sharp two-dimensional transference bound, and the flatness
-theorem family.
+Gauge functions, successive minima with witness vectors, those of the polar
+body read off the body's own vertices, lattice width, and exact verifiers
+for the second theorem of Minkowski, the transference theorem, the sharp
+two-dimensional transference bound, and the flatness theorem family.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import DimensionDeficient, DimensionMismatch, InvalidInput
 from .polytope import (Polytope, SymmetricBody, bounding_box, difference_body,
-                       enumerate_points, lattice_points, polar, volume)
+                       enumerate_points, lattice_points, volume)
 from .report import HOLDS, TheoremReport, verdict
 
 
@@ -81,18 +81,42 @@ def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinim
     increases the rank, so the first k minima are the length-k prefix of all
     d.  Witness signs are normalized so the first nonzero entry is positive.
     The longest result is kept on K and later calls take their prefix of it.
-    K's gauge is max |w.x| / M over one row w of each +- pair of
-    ``K.dual_vertices`` (M, W), and ``_least`` enumerates in K's vertex box.
+    K's gauge is max |w.x| / M over the rows w of ``K.dual_vertices`` (M,
+    W), and ``_least`` enumerates in K's vertex box.
     """
+    def minima(k):
+        M, W = K.dual_vertices
+        return _least(K.ambient_dim, W, M, k, K.body.integer_vertices)
+    return _kept(K, "_minima", k, minima)
+
+
+def dual_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinima:
+    """``successive_minima(polar(K), k)``, read off K with no polar body.
+
+    The gauge of polar(K) at a is max |a.x| / L over K's integer vertices x
+    over their L, so ``_least`` takes those as its rows, with the scale L
+    and the ellipsoid box; the ranking and the sign rule give the same
+    minima and witnesses.  k is checked, and the result kept on K, as by
+    ``successive_minima``.
+    """
+    def minima(k):
+        L, xs = K.body.integer_vertices
+        return _least(K.ambient_dim, xs, L, k)
+    return _kept(K, "_dual_minima", k, minima)
+
+
+def _kept(K: SymmetricBody, slot: str, k, minima) -> SuccessiveMinima:
+    """The first k minima, k d by default and refused with InvalidInput
+    unless an int in 1..d, off the result kept in K's ``slot``, replaced by
+    ``minima(k)`` when it is shorter."""
     d = K.ambient_dim
     k = d if k is None else strict_int(k, "k")
     if not 1 <= k <= d:
         raise InvalidInput(f"k must be in 1..{d}, got {k}")
-    sm = K._minima
+    sm = getattr(K, slot)
     if sm is None or len(sm.lambdas) < k:
-        M, W = K.dual_vertices
-        zero = (0,) * d
-        sm = K._minima = _least(d, [w for w in W if w > zero], M, k, K.body.integer_vertices)
+        sm = minima(k)
+        setattr(K, slot, sm)
     if len(sm.lambdas) > k:
         sm = SuccessiveMinima(d, sm.lambdas[:k], sm.witnesses[:k])
     return sm
@@ -125,7 +149,8 @@ def _form(d: int, rows) -> list:
 
 def _least(d: int, rows, scale: int, k: int, vertices=None) -> SuccessiveMinima:
     """First k minima and witnesses of the body {x : |r.x| <= scale for every
-    row r}, for integer rows r, one per +- pair, and an int scale > 0.
+    row r}, for integer rows r and an int scale > 0.  Only the rows r > 0
+    are read: the rows are closed under negation, or one per +- pair.
 
     All on ints: scale times the gauge of an integer x is the int g(x) =
     max |r.x|.  With m rows the form G = ``_form(d, rows)`` sandwiches it:
@@ -134,13 +159,19 @@ def _least(d: int, rows, scale: int, k: int, vertices=None) -> SuccessiveMinima:
     among the points y of x = B^T y with |(B r).y| <= R, and one pass finds
     k witnesses.  The box of those y is read off the body's integer
     vertices ``vertices`` = (L, xs), when the caller holds them, as B^-T x,
-    integer as B is unimodular, with the scale R / (scale L); otherwise
-    off the ellipsoid y^T G_B y <= m R^2, G_B = B G B^T, as |y_j| <=
-    sqrt(m R^2 (G_B^-1)_jj) (Fincke-Pohst).  Candidates are ranked by (g(x),
-    x) in the original coordinates, so the result does not depend on B, the
-    sign is normalized so the first nonzero entry is positive, and a
-    Fraction g / scale is made only for each minimum returned.
+    integer as B is unimodular, with the scale R / (scale L); otherwise off
+    the ellipsoid y^T G_B y <= m R^2, G_B = B G B^T, as |y_j| <= sqrt(m R^2
+    (G_B^-1)_jj) (Fincke-Pohst).  y -> -y maps x to -x, so the box is
+    symmetric, read off the xs > 0, and only its half y_1 >= 0 is
+    enumerated.  Candidates are ranked by (g(x), min(x, -x)) in the
+    original coordinates, so the result does not depend on B: the least
+    one for k = 1, else the ``independent`` ones.  A witness is -min(x, -x),
+    whose first nonzero entry is positive, and a Fraction g / scale is made
+    only for each minimum returned.
     """
+    zero = (0,) * d
+    rows = [r for r in rows if r > zero]
+
     def g(x):  # scale times the gauge of x
         return max([abs(vdot(r, x)) for r in rows])
 
@@ -150,27 +181,26 @@ def _least(d: int, rows, scale: int, k: int, vertices=None) -> SuccessiveMinima:
     if vertices is None:
         C, det = cofactors([[vdot(matvec(G, b), c) for c in B] for b in B])  # of G_B
         his = [math.isqrt(len(rows) * R * R * C[j][j] // det) for j in range(d)]
-        box = [-h for h in his], his
     else:
         L, xs = vertices
         inv_t = inverse_transpose(B)
-        box = bounding_box([matvec(inv_t, x) for x in xs], R, scale * L)
+        los, his = bounding_box([matvec(inv_t, x) for x in xs if x > zero], R, scale * L)
+        his = [max(hi, -lo) for lo, hi in zip(los, his)]
     normals = [matvec(B, r) for r in rows]
     normals += [tuple(-c for c in n) for n in normals]
     to_x = list(zip(*B))
     candidates = []
-    for y in enumerate_points(normals, [R] * len(normals), *box):
+    for y in enumerate_points(normals, [R] * len(normals), [0] + [-h for h in his[1:]], his):
         x = matvec(to_x, y)
         if any(x):
-            candidates.append((g(x), x))
-    candidates.sort()
-    lambdas, witnesses = [], []
-    for i in independent([x for _, x in candidates])[:k]:
-        least, v = candidates[i]
-        lambdas.append(Fraction(least, scale))
-        lead = next(c for c in v if c != 0)
-        witnesses.append(tuple(-c for c in v) if lead < 0 else v)
-    return SuccessiveMinima(d, tuple(lambdas), tuple(witnesses))
+            candidates.append((g(x), min(x, tuple(-c for c in x))))
+    if k == 1:
+        picked = [min(candidates)]
+    else:
+        candidates.sort()
+        picked = [candidates[i] for i in independent([x for _, x in candidates])[:k]]
+    return SuccessiveMinima(d, tuple(Fraction(least, scale) for least, _ in picked),
+                            tuple(tuple(-c for c in v) for _, v in picked))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +238,7 @@ def verify_transference(K: SymmetricBody) -> TheoremReport:
     """Check 1 <= lambda_i(K) * lambda_{d-i+1}(K*) <= d for every i."""
     d = K.ambient_dim
     sm = successive_minima(K)
-    sm_dual = successive_minima(polar(K))
+    sm_dual = dual_minima(K)
     pairings = [sm.lambdas[i] * sm_dual.lambdas[d - 1 - i] for i in range(d)]
     ok = all(1 <= p <= d for p in pairings)
     return TheoremReport(
@@ -233,7 +263,7 @@ def verify_sharp_2d(K: SymmetricBody) -> TheoremReport:
     if K.ambient_dim != 2:
         raise DimensionMismatch("sharp transference bound is two-dimensional")
     sm = successive_minima(K)
-    sm_dual = successive_minima(polar(K))
+    sm_dual = dual_minima(K)
     prod = sm.lambdas[0] * sm_dual.lambdas[1]
     ok = 1 <= prod <= Fraction(3, 2)
     return TheoremReport(

@@ -117,7 +117,7 @@ class SymmetricBody:
     test runs on the body's integer vertices.
     """
 
-    __slots__ = ("body", "_dual", "_polar", "_minima")
+    __slots__ = ("body", "_dual", "_polar", "_minima", "_dual_minima")
 
     def __init__(self, body: Polytope):
         if not body.is_full_dimensional:
@@ -131,6 +131,7 @@ class SymmetricBody:
         self._dual = None  # set by dual_vertices
         self._polar = None  # set by polar
         self._minima = None  # the longest result of gon.successive_minima so far
+        self._dual_minima = None  # the longest result of gon.dual_minima so far
 
     @property
     def ambient_dim(self) -> int:

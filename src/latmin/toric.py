@@ -31,8 +31,8 @@ from .errors import (
     NotAVertex,
     SingularVertex,
 )
-from .polytope import Polytope, convex_hull, difference_body, polar, volume
-from .gon import successive_minima
+from .polytope import Polytope, convex_hull, difference_body, volume
+from .gon import dual_minima, successive_minima
 from .report import TheoremReport, verdict
 
 
@@ -213,7 +213,7 @@ def eps_bracket_general(MP: MomentPolytope) -> EpsProfile:
     d = MP.d
     K = difference_body(MP.polytope)
     sm = successive_minima(K)
-    sm_dual = successive_minima(polar(K))
+    sm_dual = dual_minima(K)
     w = sm_dual.lambdas[0]
     entries = []
     for i in range(1, d + 1):

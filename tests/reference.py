@@ -1,11 +1,15 @@
 """Linear-algebra references shared by the tests: a kernel vector and the
 unique solution of a linear system, by back-substitution up the rows of
-``core.echelon``, and the rational LLL that recomputes its Gram-Schmidt
-data from the form at each step.  The library reads its lattice charts off
-a unimodular matrix and needs neither of the first two, and its LLL is the
-integral one; the tests keep these as references."""
+``core.echelon``, the rational LLL that recomputes its Gram-Schmidt data
+from the form at each step, and Gaussian elimination in Fractions with the
+rank, determinant, greedy basis and lattice-generation test read off it.
+The library reads its lattice charts off a unimodular matrix and needs
+neither of the first two, its LLL is the integral one, and its elimination
+inserts integer rows with unimodular steps; the tests keep these as
+references."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -99,3 +103,43 @@ def lll_reduce(gram: Sequence[Sequence]) -> list:
                 size_reduce(mu, k, l)
             k += 1
     return [tuple(r) for r in basis]
+
+
+def gauss(rows: Sequence[Sequence], ncols: int) -> tuple[int, Fraction]:
+    """(rank, det) by Gaussian elimination over Q in Fractions, with a row
+    swap wherever a pivot column has a zero on the diagonal; det is the
+    determinant of a square input and 0 for one of lower rank."""
+    work = [[Fraction(c) for c in r] for r in rows]
+    det, r = Fraction(1), 0
+    for col in range(ncols):
+        i = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if i is None:
+            det = Fraction(0)
+            continue
+        if i != r:
+            work[r], work[i] = work[i], work[r]
+            det = -det
+        det *= work[r][col]
+        for j in range(r + 1, len(work)):
+            f = work[j][col] / work[r][col]
+            work[j] = [a - f * b for a, b in zip(work[j], work[r])]
+        r += 1
+    return r, det
+
+
+def greedy_basis(vectors: Sequence[Sequence]) -> list:
+    """Indices of the vectors that raise the rank of those before them."""
+    picked = []
+    for i, v in enumerate(vectors):
+        if gauss([vectors[j] for j in picked] + [v], len(v))[0] > len(picked):
+            picked.append(i)
+    return picked
+
+
+def generates_lattice(vectors: Sequence[Sequence], d: int) -> bool:
+    """Whether the integer span of the vectors is Z^d: they are integral and
+    their d x d minors have gcd 1 (Cohen 1993, §2.4)."""
+    if any(Fraction(c).denominator != 1 for v in vectors for c in v):
+        return False
+    minors = [int(gauss(sub, d)[1]) for sub in combinations(vectors, d)]
+    return gcd(*minors) == 1

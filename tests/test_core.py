@@ -28,7 +28,8 @@ from latmin.generate import SuiteConfig, generate_instance, instance_stream
 from latmin.gon import _form
 from latmin.polytope import difference_body, polar
 from counting import counted_fractions
-from reference import kernel_vector, solve_linear
+from latmin import core
+from reference import gauss, generates_lattice, greedy_basis, kernel_vector, solve_linear
 from reference import lll_reduce as rational_lll_reduce
 
 ints = st.integers(min_value=-30, max_value=30)
@@ -213,6 +214,86 @@ def test_kernel_against_minors(rows, x0):
     assert solve_linear(rows, b) == (tuple(x0[:n]) if r == n else None)
     cols = list(zip(*rows))
     assert independent(cols) == [j for j in range(n) if rank(cols[:j + 1], m) > rank(cols[:j], m)]
+
+
+# --- the insertion kernel against Gaussian elimination in Fractions --------------
+
+
+@st.composite
+def row_sets(draw):
+    """0..7 rows of 1..4 entries, small integers, often 0 and +-1 so that
+    rank and unit pivots are reached early, with fractions mixed in."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.sampled_from((0, 0, 1, -1)), st.integers(-6, 6))
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    return n, draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=7))
+
+
+@given(row_sets())
+@settings(max_examples=300, deadline=None)
+def test_kernel_against_fraction_elimination(case):
+    n, rows = case
+    r, det = gauss(rows, n)
+    assert rank(rows, n) == r
+    assert lattice_span(rows, n) == (r, generates_lattice(rows, n))
+    assert independent(rows) == greedy_basis(rows)
+    if len(rows) == n:
+        assert determinant(rows) == det
+
+
+class CountingRow(tuple):
+    """A row that records its index in ``read`` whenever its entries are read."""
+
+    def __new__(cls, index, entries, read):
+        row = super().__new__(cls, entries)
+        row.index, row.read = index, read
+        return row
+
+    def __iter__(self):
+        self.read.append(self.index)
+        return super().__iter__()
+
+
+def counting_rows(rows):
+    read = []
+    return [CountingRow(i, r, read) for i, r in enumerate(rows)], read
+
+
+def test_rank_and_independent_read_no_row_past_full_rank():
+    # rows 0..3 have rank 3; the rest are never read
+    rows, read = counting_rows([(0, 0, 0), (2, 1, 0), (0, 3, 1), (1, 0, 4)] + [(5, -7, 9)] * 20)
+    assert rank(rows, 3) == 3
+    assert sorted(set(read)) == [0, 1, 2, 3]
+    rows, read = counting_rows([(1, 2), (2, 4), (0, 5)] + [(1, 1)] * 20)
+    assert independent(rows) == [0, 2]
+    assert sorted(set(read)) == [0, 1, 2]
+
+
+def test_lattice_span_eliminates_no_row_past_unit_pivots(monkeypatch):
+    # (2, 0) and (0, 1) have rank 2 but index 2; (1, 3) makes the pivots
+    # units, so (7, 7) and later rows are only checked to be integral
+    inserted = []
+    real = core._insert
+    monkeypatch.setattr(core, "_insert", lambda b, p, row: inserted.append(row) or real(b, p, row))
+    assert lattice_span([(2, 0), (0, 1), (1, 3)] + [(7, 7)] * 20, 2) == (2, True)
+    assert len(inserted) == 3
+    assert lattice_span([(2, 0), (0, 1), (1, 3)] + [(7, 7)] * 20 + [(Fraction(1, 2), 0)], 2) == (2, False)
+    inserted.clear()
+    # after a non-integral row the answer is False, decided at rank 2
+    assert lattice_span([(Fraction(1, 2), 0), (0, 2)] + [(1, 0)] * 20, 2) == (2, False)
+    assert len(inserted) == 2
+
+
+def test_wrong_row_length_past_the_early_exit():
+    full = [(1, 0), (0, 1)]
+    for bad in ((1, 0, 0), (1,), ()):
+        with pytest.raises(DimensionMismatch):
+            rank(full + [bad], 2)
+        with pytest.raises(DimensionMismatch):
+            lattice_span(full + [bad], 2)
+        with pytest.raises(DimensionMismatch):
+            independent(full + [bad])
 
 
 # --- the cofactor kernel against the echelon kernel ------------------------------

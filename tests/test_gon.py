@@ -7,11 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from counting import counted_fractions, counting_wrapper
-from latmin import core, gon, polytope
-from latmin.core import lattice_span, vdot
+from latmin import core, gon, polytope, toric
+from latmin.core import lattice_span, rat_str, vdot
 from latmin.errors import DimensionDeficient, DimensionMismatch, InvalidInput
 from latmin.gon import (
     SuccessiveMinima,
+    dual_minima,
     flatness_report,
     gauge,
     lattice_width,
@@ -315,6 +316,27 @@ def test_k_is_a_strict_int_in_range(k):
             successive_minima(K, k)
 
 
+def test_dual_minima_cached_on_body(monkeypatch):
+    counts = counting_enumerator(monkeypatch)
+    K = difference_body(convex_hull([(0, 0), (4, 1), (1, 3)], 2))
+    first = dual_minima(K, 1)
+    full = dual_minima(K)  # longer than the cached result: enumerates again
+    assert len(counts) == 2
+    assert dual_minima(K) == full
+    assert dual_minima(K, 1) == first == SuccessiveMinima(2, full.lambdas[:1], full.witnesses[:1])
+    assert len(counts) == 2
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1", 0, 3])
+def test_dual_minima_k_is_a_strict_int_in_range(k):
+    # on a fresh body and on one whose dual minima are cached
+    cached = hexagon()
+    dual_minima(cached)
+    for K in (hexagon(), cached):
+        with pytest.raises(InvalidInput):
+            dual_minima(K, k)
+
+
 @pytest.mark.parametrize("t", [0, 5])
 @pytest.mark.parametrize("s", [10 ** e for e in range(3, 10)])
 def test_thin_triangle_width(monkeypatch, s, t):
@@ -378,19 +400,27 @@ def test_width_matches_polar_minima_reference(case):
 
 def test_width_builds_no_derived_body(monkeypatch):
     # the width reads P's vertices alone, and is kept on P
-    calls = []
-    for module in (gon, polytope):
-        for name in ("difference_body", "polar"):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda K, real=real, name=name: calls.append(name) or real(K))
+    calls = wrap_derived_bodies(monkeypatch)
     for P in (convex_hull([(0, 0), (4, 1), (1, 3), (-1, -2)], 2),
               convex_hull([(0, 0, 0), (F(3, 2), 0, 0), (0, 2, 1), (1, 1, F(5, 2))], 3)):
         res = lattice_width(P)
         assert lattice_width(P) is res
     assert calls == []
-    verify_transference(gon.difference_body(P))  # the wrappers do see other callers
+    successive_minima(polytope.polar(gon.difference_body(P)))  # the wrappers do see other callers
     assert calls == ["difference_body", "polar"]
+
+
+def wrap_derived_bodies(monkeypatch):
+    """Record the calls of ``difference_body`` and ``polar`` made through the
+    names that gon, toric and polytope hold."""
+    calls = []
+    for module in (gon, toric, polytope):
+        for name in ("difference_body", "polar"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda K, real=real, name=name: calls.append(name) or real(K))
+    return calls
 
 
 class TestLatticeWidth:
@@ -689,12 +719,17 @@ def test_minima_build_one_fraction_per_minimum():
     bodies.append(sym([(F(1, 2), 3, 0), (0, F(2, 3), 1), (1, 1, F(5, 2))], 3))
     for K in bodies:
         for k in range(1, K.ambient_dim + 1):
-            K._minima = None
+            K._minima = K._dual_minima = None
             lambdas, _ = minima_by_standard_basis(K)
+            dual = successive_minima(SymmetricBody(polar(K).body), k)
             with counted_fractions() as made:
                 sm = successive_minima(K, k)
             assert made.count == k, (K, k)
             assert sm.lambdas == lambdas[:k]
+            with counted_fractions() as made:
+                sm = dual_minima(K, k)
+            assert made.count == k, (K, k)
+            assert sm == dual
 
 
 def test_minima_box_scales_integer_vertices_by_their_l(monkeypatch):
@@ -708,3 +743,80 @@ def test_minima_box_scales_integer_vertices_by_their_l(monkeypatch):
                  (0, F(1, 1003), F(3, 1000))], 3)
     assert small.body.integer_vertices[0] > 10 ** 14
     assert len(successive_minima(small).lambdas) == 3
+
+
+@given(bodies_and_points())
+@settings(max_examples=60, deadline=None)
+def test_dual_minima_match_polar_minima(case):
+    # read off K's integer vertices, the minima of polar(K) agree in every
+    # lambda and witness, for every k and on fresh bodies
+    K, _ = case
+    d = K.ambient_dim
+    full = successive_minima(polar(K))
+    assert dual_minima(K) == full
+    for k in range(1, d + 1):
+        fresh = SymmetricBody(K.body)
+        assert dual_minima(fresh, k) == successive_minima(SymmetricBody(polar(K).body), k)
+        assert dual_minima(fresh, k) == SuccessiveMinima(d, full.lambdas[:k], full.witnesses[:k])
+
+
+def test_verifiers_build_no_polar(monkeypatch):
+    # transference, the sharp 2-D bound and the bracket read the dual minima
+    # off K; their quantities are those of the polar's minima
+    P3 = convex_hull([(0, 0, 0), (3, 1, 0), (1, 4, 1), (0, 1, 5), (2, 2, 2)], 3)
+    P2 = convex_hull([(0, 0), (4, 1), (1, 3), (-1, -2)], 2)
+    K3, K2 = difference_body(P3), difference_body(P2)
+    expected = [successive_minima(SymmetricBody(polar(K).body)) for K in (K3, K2)]
+    calls = wrap_derived_bodies(monkeypatch)
+    rep = verify_transference(K3)
+    assert rep.quantities["lambda_dual"] == [rat_str(x) for x in expected[0].lambdas]
+    assert rep.witnesses["dual_witnesses"] == [list(w) for w in expected[0].witnesses]
+    rep = verify_sharp_2d(K2)
+    assert rep.quantities["lambda_2_dual"] == rat_str(expected[1].lambdas[1])
+    assert calls == []
+    bracket = toric.eps_bracket_general(toric.MomentPolytope(P3))
+    assert calls == ["difference_body"]
+    assert [e.hi for e in bracket.entries] == [
+        (4 - i) * expected[0].lambdas[3 - i] for i in range(1, 4)]
+
+
+def test_minima_enumerate_half_of_each_symmetric_box(monkeypatch):
+    # y -> -y maps x to -x, so only y_1 >= 0 is enumerated: each full box
+    # holds the half's points twice less those with y_1 = 0, and the results
+    # are those of the standard-basis reference
+    seen = []
+    real = gon.enumerate_points
+
+    def counting(normals, rhs, los, his):
+        assert los == [0] + [-h for h in his[1:]]
+        pts = real(normals, rhs, los, his)
+        full = real(normals, rhs, [-h for h in his], his)
+        seen.append((len(pts), len(full), sum(1 for y in full if y[0] == 0)))
+        return pts
+
+    monkeypatch.setattr(gon, "enumerate_points", counting)
+    thin = convex_hull([(0, 0), (10, 0), (0, F(1, 10))], 2)
+    bodies = [polar(difference_body(thin)), difference_body(simplex(3, 2)), hexagon(3),
+              difference_body(convex_hull([(0, 0, 0), (3, 1, 0), (1, 4, 1), (0, 1, 5)], 3))]
+    for K in bodies:
+        sm = successive_minima(K)
+        assert (sm.lambdas, sm.witnesses) == minima_by_standard_basis(K)
+        assert dual_minima(K) == successive_minima(SymmetricBody(polar(K).body))
+    assert lattice_width(thin).width == F(1, 10)
+    assert all(2 * half == full + axis for half, full, axis in seen)
+    assert sum(h for h, _, _ in seen) < 0.55 * sum(f for _, f, _ in seen)
+
+
+def test_first_minimum_needs_no_elimination(monkeypatch):
+    # k = 1 takes the least candidate; only k > 1 picks independent ones
+    calls = []
+    real = gon.independent
+    monkeypatch.setattr(gon, "independent", lambda xs: calls.append(len(xs)) or real(xs))
+    K = hexagon(3)
+    P = convex_hull([(0, 0), (4, 1), (1, 3), (-1, -2)], 2)
+    assert successive_minima(K, 1).lambdas == minima_by_standard_basis(K)[0][:1]
+    assert dual_minima(K, 1) == successive_minima(SymmetricBody(polar(K).body), 1)
+    assert lattice_width(P).width == width_by_brute_force(P)
+    assert calls == []
+    successive_minima(K)
+    assert len(calls) == 1
