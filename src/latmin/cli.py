@@ -208,7 +208,7 @@ def _dispatch(args) -> tuple[int, dict]:
             return 0, {
                 "t": [rat_str(x) for x in t],
                 "count": postulation.box_count(t),
-                "volume": rat_str(postulation.box_volume(t)),
+                "volume": rep.quantities["vol"],
                 "bound": rep.quantities["bound"],
                 "verdict": rep.verdict,
             }

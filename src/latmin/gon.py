@@ -17,7 +17,6 @@ from .core import (
     clear_denominators,
     cofactors,
     independent,
-    inverse_transpose,
     lattice_span,
     lll_reduce,
     matvec,
@@ -27,8 +26,8 @@ from .core import (
     vsub,
 )
 from .errors import DimensionDeficient, DimensionMismatch, InvalidInput
-from .polytope import (Polytope, SymmetricBody, bounding_box, difference_body,
-                       enumerate_points, lattice_points, volume)
+from .polytope import (Polytope, SymmetricBody, difference_body, enumerate_points,
+                       lattice_points, volume)
 from .report import HOLDS, TheoremReport, verdict
 
 
@@ -82,11 +81,11 @@ def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinim
     d.  Witness signs are normalized so the first nonzero entry is positive.
     The longest result is kept on K and later calls take their prefix of it.
     K's gauge is max |w.x| / M over the rows w of ``K.dual_vertices`` (M,
-    W), and ``_least`` enumerates in K's vertex box.
+    W), the rows ``_least`` reads.
     """
     def minima(k):
         M, W = K.dual_vertices
-        return _least(K.ambient_dim, W, M, k, K.body.integer_vertices)
+        return _least(K.ambient_dim, W, M, k)
     return _kept(K, "_minima", k, minima)
 
 
@@ -94,10 +93,9 @@ def dual_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinima:
     """``successive_minima(polar(K), k)``, read off K with no polar body.
 
     The gauge of polar(K) at a is max |a.x| / L over K's integer vertices x
-    over their L, so ``_least`` takes those as its rows, with the scale L
-    and the ellipsoid box; the ranking and the sign rule give the same
-    minima and witnesses.  k is checked, and the result kept on K, as by
-    ``successive_minima``.
+    over their L, so ``_least`` takes those as its rows, with the scale L;
+    the ranking and the sign rule give the same minima and witnesses.  k is
+    checked, and the result kept on K, as by ``successive_minima``.
     """
     def minima(k):
         L, xs = K.body.integer_vertices
@@ -147,59 +145,49 @@ def _form(d: int, rows) -> list:
     return [[sum([r[i] * r[j] for r in rows]) for j in range(d)] for i in range(d)]
 
 
-def _least(d: int, rows, scale: int, k: int, vertices=None) -> SuccessiveMinima:
+def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
     """First k minima and witnesses of the body {x : |r.x| <= scale for every
     row r}, for integer rows r and an int scale > 0.  Only the rows r > 0
     are read: the rows are closed under negation, or one per +- pair.
 
     All on ints: scale times the gauge of an integer x is the int g(x) =
     max |r.x|.  With m rows the form G = ``_form(d, rows)`` sandwiches it:
-    g(x)^2 <= x^T G x <= m g(x)^2.  B is an LLL-reduced basis of G, and R
-    the k-th smallest g over its rows, so those k independent rows lie
-    among the points y of x = B^T y with |(B r).y| <= R, and one pass finds
-    k witnesses.  The box of those y is read off the body's integer
-    vertices ``vertices`` = (L, xs), when the caller holds them, as B^-T x,
-    integer as B is unimodular, with the scale R / (scale L); otherwise off
-    the ellipsoid y^T G_B y <= m R^2, G_B = B G B^T, as |y_j| <= sqrt(m R^2
-    (G_B^-1)_jj) (Fincke-Pohst).  y -> -y maps x to -x, so the box is
-    symmetric, read off the xs > 0, and only its half y_1 >= 0 is
-    enumerated.  Candidates are ranked by (g(x), min(x, -x)) in the
-    original coordinates, so the result does not depend on B: the least
-    one for k = 1, else the ``independent`` ones.  A witness is -min(x, -x),
-    whose first nonzero entry is positive, and a Fraction g / scale is made
-    only for each minimum returned.
+    g(x)^2 <= x^T G x <= m g(x)^2.  B is an LLL-reduced basis of G, and at
+    x = B^T y, r.x = n.y for the reduced normals n = B r, so g(x) is max
+    |n.y| and g of row j of B is max |n_j|.  R is the k-th smallest of
+    those, so k independent rows of B lie among the points y with |n.y| <=
+    R, and one pass finds k witnesses.  Their box is that of the ellipsoid
+    y^T G_B y <= m R^2, G_B = B G B^T = ``_form(d, normals)``, |y_j| <=
+    sqrt(m R^2 (G_B^-1)_jj) (Fincke-Pohst).  y -> -y maps x to -x, so only
+    the half y_1 >= 0 of the box is enumerated.  Candidates are ranked by
+    (g, min(x, -x)) in the original coordinates, so the result does not
+    depend on B, and x is built only for the nonzero y that are kept: the
+    ones of least g for k = 1, else all, of which the ``independent`` ones
+    are taken.  A witness is -min(x, -x), whose first nonzero entry is
+    positive, and a Fraction g / scale is made only for each minimum
+    returned.
     """
     zero = (0,) * d
     rows = [r for r in rows if r > zero]
-
-    def g(x):  # scale times the gauge of x
-        return max([abs(vdot(r, x)) for r in rows])
-
-    G = _form(d, rows)
-    B = lll_reduce(G)
-    R = sorted(map(g, B))[k - 1]
-    if vertices is None:
-        C, det = cofactors([[vdot(matvec(G, b), c) for c in B] for b in B])  # of G_B
-        his = [math.isqrt(len(rows) * R * R * C[j][j] // det) for j in range(d)]
-    else:
-        L, xs = vertices
-        inv_t = inverse_transpose(B)
-        los, his = bounding_box([matvec(inv_t, x) for x in xs if x > zero], R, scale * L)
-        his = [max(hi, -lo) for lo, hi in zip(los, his)]
+    B = lll_reduce(_form(d, rows))
     normals = [matvec(B, r) for r in rows]
-    normals += [tuple(-c for c in n) for n in normals]
+    R = sorted([max(map(abs, col)) for col in zip(*normals)])[k - 1]
+    C, det = cofactors(_form(d, normals))  # of G_B
+    his = [math.isqrt(len(rows) * R * R * C[j][j] // det) for j in range(d)]
+    bounds = normals + [tuple(-c for c in n) for n in normals]
+    ys = enumerate_points(bounds, [R] * len(bounds), [0] + [-h for h in his[1:]], his)
+    gs = [max([abs(vdot(n, y)) for n in normals]) for y in ys]
+    top = min([g for g in gs if g]) if k == 1 else R  # the rows span: g = 0 at y = 0 only
     to_x = list(zip(*B))
     candidates = []
-    for y in enumerate_points(normals, [R] * len(normals), [0] + [-h for h in his[1:]], his):
-        x = matvec(to_x, y)
-        if any(x):
-            candidates.append((g(x), min(x, tuple(-c for c in x))))
-    if k == 1:
-        picked = [min(candidates)]
-    else:
-        candidates.sort()
-        picked = [candidates[i] for i in independent([x for _, x in candidates])[:k]]
-    return SuccessiveMinima(d, tuple(Fraction(least, scale) for least, _ in picked),
+    for g, y in zip(gs, ys):
+        if 0 < g <= top:
+            x = matvec(to_x, y)
+            candidates.append((g, min(x, tuple(-c for c in x))))
+    candidates.sort()
+    picked = candidates[:1] if k == 1 else [
+        candidates[i] for i in independent([x for _, x in candidates])[:k]]
+    return SuccessiveMinima(d, tuple(Fraction(g, scale) for g, _ in picked),
                             tuple(tuple(-c for c in v) for _, v in picked))
 
 

@@ -405,30 +405,19 @@ def contains(P: Polytope, x) -> bool:
     return all(vdot(a, xs) * b.denominator <= b.numerator * m for a, b in facets)
 
 
-def bounding_box(vertices, p: int = 1, q: int = 1) -> tuple[list, list]:
-    """The integer box (los, his) of (p / q) conv(vertices), for integer
-    vertices and ints p > 0, q > 0: the least ceiling and the greatest floor
-    of each scaled coordinate."""
-    cols = list(zip(*vertices))
-    return ([min([-(-p * c // q) for c in col]) for col in cols],
-            [max([p * c // q for c in col]) for col in cols])
-
-
 def enumerate_points(normals, rhs, los, his) -> list:
     """Integer points x with a.x <= r for each integer normal a in ``normals``
     and its integer right-hand side r in ``rhs``, sorted lexicographically.
 
     The integer box los[j] <= x_j <= his[j] must hold every solution.  The
-    points are the runs of ``_runs``, each expanded by one ``extend``, so the
-    work per innermost row is O(len(normals)) and not that per point.  In
-    dimension 0 the empty point solves every r >= 0.
+    points are read straight off the runs of ``_runs`` in one comprehension,
+    so the work per innermost row is O(len(normals)) and one tuple per
+    point.  In dimension 0 the empty point solves every r >= 0.
     """
     if not los:
         return [()] if all(r >= 0 for r in rhs) else []
-    out = []
-    for prefix, lo, hi in _runs(normals, rhs, los, his):
-        out.extend(zip(*map(repeat, prefix), range(lo, hi + 1)))
-    return out
+    return [(*prefix, t) for prefix, lo, hi in _runs(normals, rhs, los, his)
+            for t in range(lo, hi + 1)]
 
 
 def _runs(normals, rhs, los, his):
@@ -504,14 +493,17 @@ def _integer_system(P: Polytope, mode: str):
     integer points of a full-dimensional P, read off numerators and
     denominators: a facet a.x <= b holds on integer points iff a.x <=
     floor(b), and a.x < b iff a.x <= ceil(b) - 1; the box is that of P's
-    integer vertices over their L."""
+    integer vertices over their L, from the least ceiling to the greatest
+    floor of each coordinate."""
     facets = P.facets
     if mode == "interior":
         rhs = [-(-b.numerator // b.denominator) - 1 for _, b in facets]
     else:
         rhs = [b.numerator // b.denominator for _, b in facets]
     L, xs = P.integer_vertices
-    return [a for a, _ in facets], rhs, *bounding_box(xs, 1, L)
+    cols = list(zip(*xs))
+    return ([a for a, _ in facets], rhs, [-(-min(col) // L) for col in cols],
+            [max(col) // L for col in cols])
 
 
 def lattice_points(P: Polytope, mode: str = "all") -> list:

@@ -27,34 +27,24 @@ def _as_params(t) -> tuple:
     return params
 
 
-def _sum_below(values, m: int) -> int:
-    """Sum of p(s) over 0 <= s < m for the polynomial p through the points
-    (s, values[s]): in Newton's form p(s) = sum_k D^k p(0) C(s, k), so the
-    sum is sum_k D^k p(0) C(m, k + 1)."""
-    total, diffs = 0, list(values)
-    for k in range(len(values)):
-        total += diffs[0] * math.comb(m, k + 1)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return total
-
-
 def box_count(t) -> int:
-    """Number of lattice points of the suffix-sum box, in O(d^3) integer
+    """Number of lattice points of the suffix-sum box, in O(d^2) integer
     operations whatever the size of the parameters.
 
     A point is the chain of its suffix sums S_1 >= ... >= S_d >= 0, and since
     S_i <= S_j for j < i the constraints read S_i <= c_i = floor(min(t_1..t_i)),
-    so c_1 >= ... >= c_d.  The number g_i(y) of chains S_1..S_i with S_i >= y
-    is the running sum of g_{i-1}(s) over y <= s <= c_i.  As y <= c_i <= c_{i-1}
-    throughout, g_i is one polynomial of degree i on the range that matters,
-    kept by its values at y = 0..i; the count is g_d(0).
+    so c_1 >= ... >= c_d.  The number g_i(y) of chains S_1..S_i with S_i >= y,
+    for 0 <= y <= c_i, is T_i minus the sum of g_{i-1}(s) over s < y, with T_i
+    = g_i(0) the count of chains of length i.  The sum of C(s, k) over s < m
+    is C(m, k + 1), so in the binomial basis g_i(y) = sum_k (-1)^k T_{i-k}
+    C(y, k), and T_0 = 1, T_i = sum_{k<i} (-1)^k C(c_i + 1, k + 1) T_{i-1-k}.
+    The count is T_d.
     """
     caps = [math.floor(m) for m in accumulate(_as_params(t), min)]
-    g = [1]  # g_0 = 1
+    T = [1]
     for i, c in enumerate(caps):
-        top = _sum_below(g, c + 1)
-        g = [top - _sum_below(g, y) for y in range(i + 2)]
-    return g[0]
+        T.append(sum([(-1) ** k * math.comb(c + 1, k + 1) * T[i - k] for k in range(i + 1)]))
+    return T[-1]
 
 
 def box_volume(t) -> Fraction:
@@ -62,20 +52,25 @@ def box_volume(t) -> Fraction:
 
     The map from x to its suffix sums is unimodular, so the volume is that of
     the chains S_1 >= ... >= S_d >= 0 with S_i <= c_i = min(t_1..t_i).  The
-    volume h_i(y) of the chains S_1..S_i with S_i >= y is the integral of
-    h_{i-1} over [y, c_i], one polynomial of degree i on the range that
-    matters, kept by its Fraction coefficients; the volume is h_d(0).
+    volume h_i(y) of the chains S_1..S_i with S_i >= y is V_i minus the
+    integral of h_{i-1} over [0, y], with V_i = h_i(0), so in the basis
+    y^k / k! it is h_i(y) = sum_k (-1)^k V_{i-k} y^k / k!.  With the c_i
+    scaled to ints C_i = L c_i by the lcm L of their denominators, U_i =
+    i! L^i V_i obeys U_0 = 1, U_i = sum_{j=1..i} (-1)^(j-1) C(i, j) C_i^j
+    U_{i-j}, all on ints, and the volume is U_d / (d! L^d): O(d^2) integer
+    operations and one Fraction.
 
     For d <= 3 the closed form is evaluated as well, at the nonincreasing
     prefix minima c, whose box is the box of t, and must agree.
     """
     caps = list(accumulate(_as_params(t), min))
-    h = [Fraction(1)]  # h_0 = 1, coefficients of y^0, y^1, ...
-    for c in caps:
-        integral = [a / (k + 1) for k, a in enumerate(h)]  # of y^(k+1)
-        top = sum(a * c ** (k + 1) for k, a in enumerate(integral))
-        h = [top] + [-a for a in integral]
-    vol = h[0]
+    L = math.lcm(*[c.denominator for c in caps])
+    U = [1]
+    for i, c in enumerate(caps, 1):
+        C = c.numerator * (L // c.denominator)
+        U.append(sum([(-1) ** (j - 1) * math.comb(i, j) * C ** j * U[i - j]
+                      for j in range(1, i + 1)]))
+    vol = Fraction(U[-1], math.factorial(len(caps)) * L ** len(caps))
     if len(caps) <= 3:
         closed = box_volume_closed_form(caps)
         if closed != vol:

@@ -2,18 +2,23 @@
 unique solution of a linear system, by back-substitution up the rows of
 ``core.echelon``, the rational LLL that recomputes its Gram-Schmidt data
 from the form at each step, and Gaussian elimination in Fractions with the
-rank, determinant, greedy basis and lattice-generation test read off it.
-The library reads its lattice charts off a unimodular matrix and needs
-neither of the first two, its LLL is the integral one, and its elimination
-inserts integer rows with unimodular steps; the tests keep these as
+rank, determinant, greedy basis and lattice-generation test read off it,
+and the suffix-sum box count by Newton difference tables and its volume by
+Fraction polynomials.  The library reads its lattice charts off a unimodular
+matrix and needs neither of the first two, its LLL is the integral one, its
+elimination inserts integer rows with unimodular steps, and its box count
+and volume are O(d^2) integer recurrences; the tests keep these as
 references."""
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd
 from typing import Sequence
 
 from latmin.core import echelon
+from latmin.errors import InternalError
+from latmin.postulation import _as_params, box_volume_closed_form
 
 
 def kernel_vector(rows: Sequence[Sequence], ncols: int):
@@ -143,3 +148,59 @@ def generates_lattice(vectors: Sequence[Sequence], d: int) -> bool:
         return False
     minors = [int(gauss(sub, d)[1]) for sub in combinations(vectors, d)]
     return gcd(*minors) == 1
+
+
+def _sum_below(values, m: int) -> int:
+    """Sum of p(s) over 0 <= s < m for the polynomial p through the points
+    (s, values[s]): in Newton's form p(s) = sum_k D^k p(0) C(s, k), so the
+    sum is sum_k D^k p(0) C(m, k + 1)."""
+    total, diffs = 0, list(values)
+    for k in range(len(values)):
+        total += diffs[0] * math.comb(m, k + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return total
+
+
+def newton_box_count(t) -> int:
+    """Number of lattice points of the suffix-sum box, in O(d^3) integer
+    operations whatever the size of the parameters.
+
+    A point is the chain of its suffix sums S_1 >= ... >= S_d >= 0, and since
+    S_i <= S_j for j < i the constraints read S_i <= c_i = floor(min(t_1..t_i)),
+    so c_1 >= ... >= c_d.  The number g_i(y) of chains S_1..S_i with S_i >= y
+    is the running sum of g_{i-1}(s) over y <= s <= c_i.  As y <= c_i <= c_{i-1}
+    throughout, g_i is one polynomial of degree i on the range that matters,
+    kept by its values at y = 0..i; the count is g_d(0).
+    """
+    caps = [math.floor(m) for m in accumulate(_as_params(t), min)]
+    g = [1]  # g_0 = 1
+    for i, c in enumerate(caps):
+        top = _sum_below(g, c + 1)
+        g = [top - _sum_below(g, y) for y in range(i + 2)]
+    return g[0]
+
+
+def polynomial_box_volume(t) -> Fraction:
+    """Exact volume of the suffix-sum box, the integral twin of box_count.
+
+    The map from x to its suffix sums is unimodular, so the volume is that of
+    the chains S_1 >= ... >= S_d >= 0 with S_i <= c_i = min(t_1..t_i).  The
+    volume h_i(y) of the chains S_1..S_i with S_i >= y is the integral of
+    h_{i-1} over [y, c_i], one polynomial of degree i on the range that
+    matters, kept by its Fraction coefficients; the volume is h_d(0).
+
+    For d <= 3 the closed form is evaluated as well, at the nonincreasing
+    prefix minima c, whose box is the box of t, and must agree.
+    """
+    caps = list(accumulate(_as_params(t), min))
+    h = [Fraction(1)]  # h_0 = 1, coefficients of y^0, y^1, ...
+    for c in caps:
+        integral = [a / (k + 1) for k, a in enumerate(h)]  # of y^(k+1)
+        top = sum(a * c ** (k + 1) for k, a in enumerate(integral))
+        h = [top] + [-a for a in integral]
+    vol = h[0]
+    if len(caps) <= 3:
+        closed = box_volume_closed_form(caps)
+        if closed != vol:
+            raise InternalError(f"closed form {closed} != chain integral {vol}")
+    return vol

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -654,6 +655,27 @@ def test_enumerate_points_edge_boxes():
     # dimension 0: the empty point, unless a right-hand side is negative
     assert polytope.enumerate_points([()], [0], [], []) == [()]
     assert polytope.enumerate_points([()], [-1], [], []) == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("rhs", [(1, 0), (0, 0), (2, -1)])
+def test_enumerate_points_runs_against_box_scan(d, rhs):
+    # with S the sum of the first d - 1 coordinates, the last one is cut to
+    # S - rhs[1] <= x_d <= rhs[0] - S: the box [-1, 2]^d leaves prefixes
+    # whose run is empty (large S), one point long (S = 0 at rhs (0, 0)) or
+    # longer, and the swapped box holds no point at all
+    normals = [(1,) * d, (1,) * (d - 1) + (-1,)]
+    los, his = [-1] * d, [2] * d
+    pts = polytope.enumerate_points(normals, list(rhs), los, his)
+    scan = [x for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+            if all(core.vdot(a, x) <= r for a, r in zip(normals, rhs))]
+    assert type(pts) is list and all(type(p) is tuple for p in pts)
+    assert pts == scan
+    runs = Counter(x[:-1] for x in pts)
+    if d > 1:
+        assert len(runs) < 4 ** (d - 1)  # some prefixes of the box have an empty run
+    assert (1 in runs.values()) == (rhs == (0, 0))
+    assert polytope.enumerate_points(normals, list(rhs), his, los) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from counting import time_limit
+from counting import counted_fractions, time_limit
 from latmin import postulation
 from latmin.errors import InternalError, InvalidInput, NegativeParameter
 from latmin.polytope import convex_hull, volume
@@ -17,11 +17,15 @@ from latmin.postulation import (
     check_vol_bound,
     flag_h0,
 )
-from reference import solve_linear
+from reference import newton_box_count, polynomial_box_volume, solve_linear
 
 F = Fraction
 
 rats = st.fractions(min_value=0, max_value=6, max_denominator=4)
+
+# integer entries up to 10^6 and rationals with denominators up to 7
+wide_params = st.one_of(st.integers(0, 10 ** 6),
+                        st.fractions(min_value=0, max_value=10 ** 6, max_denominator=7))
 
 
 def box_count_by_grid(t):
@@ -176,6 +180,36 @@ class TestBoxVolume:
         # (10,2,2,2): integral of (10 - s) over the 2-simplex in 3 vars,
         # = 10 * 8/6 - 3 * 2^4/24 = 40/3 - 2 = 34/3
         assert box_volume([10, 2, 2, 2]) == F(34, 3)
+
+
+class TestRecurrences:
+    @given(st.lists(wide_params, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_match_references(self, t):
+        # the parameters come unsorted: only the prefix minima are active
+        assert box_count(t) == newton_box_count(t)
+        assert box_volume(t) == polynomial_box_volume(t)
+
+    @pytest.mark.parametrize("t", [[5, 4, 3, 2], [F(7, 2), 3, F(1, 3), 2, 9],
+                                   [10 ** 6, F(5, 7), 4, F(2, 3), 1, 0, 8, F(6, 5)]])
+    def test_fractions_built(self, t):
+        # past the closed form (d >= 4) box_volume builds one Fraction beyond
+        # those _as_params parses, for the result, and box_count none
+        with counted_fractions() as parsed:
+            postulation._as_params(t)
+        with counted_fractions() as vol:
+            box_volume(t)
+        with counted_fractions() as count:
+            box_count(t)
+        assert parsed.count == len(t)
+        assert vol.count == parsed.count + 1
+        assert count.count == parsed.count
+
+    def test_large_d12(self):
+        T = 10 ** 30
+        with time_limit(20):
+            assert box_count([T] * 12) == math.comb(T + 12, 12)
+            assert box_volume([T] * 12) == F(T ** 12, math.factorial(12))
 
 
 class TestVolBound:
