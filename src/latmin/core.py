@@ -1,21 +1,21 @@
 """Exact rational scalars, integer vectors, and the two elimination kernels.
 
-Every quantity in this package is a ``fractions.Fraction`` (kept in canonical
-gcd-reduced form by the stdlib) or a tuple of them; no floating point is used
-anywhere.  Every exact linear-algebra question (rank, lattice generation,
-determinant, greedy independent subset, the unimodular U of a lattice chart)
-is answered by one integer row echelon kernel, ``_insert``: each row is put
-into an echelon basis of at most ``ncols`` rows by 2 x 2 extended-gcd steps
-of determinant 1 (HNF by row insertion, Cohen 1993, §2.4), so ``rank`` and
-``independent`` read no row past the one that decides their answer,
-``lattice_span`` eliminates none, and ``echelon`` returns the whole form for
-``determinant`` and the charts.  The other kernel is the normal of d - 1 integer vectors in
-Z^d: ``cofactor_normal``, their signed minors from one fraction-free
-Gauss-Jordan elimination, which gives hull facet normals, vertex-cone
-edges, and through ``cofactors`` the adjugate and the inverse transpose of
-a unimodular matrix.  ``lll_reduce`` is the integral LLL: it carries Gram
-determinants and scaled Gram-Schmidt coefficients as ints and builds no
-Fraction.
+No floating point is used anywhere: inputs are read exactly by
+``parse_rat``, the kernels clear denominators and work on ints, and a
+``fractions.Fraction`` is built only for a rational answer.  Lattice
+questions (rank, greedy independent subset, lattice generation, the
+unimodular U of a lattice chart) go to the integer row echelon kernel
+``_insert``: each row is put into an echelon basis of at most ``ncols`` rows
+by 2 x 2 extended-gcd steps of determinant 1 (HNF by row insertion, Cohen
+1993, §2.4), so ``rank`` and ``independent`` read no row past the one that
+decides their answer, ``lattice_span`` eliminates none, and ``echelon``
+returns the whole form for the charts.  Determinant-type questions go to
+``cofactor_normal``, the signed minors of d - 1 integer vectors in Z^d from
+one fraction-free Gauss-Jordan elimination: hull facet normals, vertex-cone
+edges, ``determinant`` by expansion along the last row, and through
+``cofactors`` the adjugate and the inverse transpose of a unimodular
+matrix.  ``lll_reduce`` is the integral LLL: it carries Gram determinants
+and scaled Gram-Schmidt coefficients as ints and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ def strict_int(value, name: str) -> int:
 
 
 def as_ratvec(v: Iterable) -> tuple:
-    """Entries read by parse_rat; a str, a dict or a value that is not
-    iterable is refused with InvalidInput."""
-    if isinstance(v, (str, dict)) or not hasattr(v, "__iter__"):
+    """Entries read by parse_rat; a str, bytes, a dict, a set or a value that
+    is not iterable is refused with InvalidInput."""
+    if isinstance(v, (str, bytes, bytearray, dict, set, frozenset)) or not hasattr(v, "__iter__"):
         raise InvalidInput(f"expected a list of rationals, not a {type(v).__name__}")
     return tuple(parse_rat(c) for c in v)
 
@@ -130,10 +130,10 @@ def _integer_entry(c) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q, sized for d <= 4: one integer echelon kernel
+# exact linear algebra over Q, sized for d <= 4: the echelon and cofactor kernels
 
 
-def _insert(basis: list, pivots: list, row: list) -> int:
+def _insert(basis: list, pivots: list, row: list) -> None:
     """Insert an integer row into the echelon rows ``basis``, of positive
     leading entries in the increasing columns ``pivots``.
 
@@ -141,9 +141,7 @@ def _insert(basis: list, pivots: list, row: list) -> int:
     of leading entry a, and the row become s b + t r and (a r - e b) / g,
     for s a + t e = g = gcd(a, e) (Cohen 1993, §2.4): a step of determinant
     1 that leaves g at p and clears the row there.  A row left nonzero is
-    made positive and put in place.  Returns the sign this gives the
-    determinant, (-1)^(n - i) for moving up past the n - i rows below place
-    i, negated for a negated row; +1 for a row cleared to zero and dropped.
+    made positive and put in place; a row cleared to zero is dropped.
     """
     n, c, ncols = len(basis), 0, len(row)
     for i in range(n):
@@ -169,14 +167,11 @@ def _insert(basis: list, pivots: list, row: list) -> int:
         while c < ncols and not row[c]:
             c += 1
         if c == ncols:
-            return 1
-    sign = -1 if (n - i) % 2 else 1
+            return
     if row[c] < 0:
         row = [-x for x in row]
-        sign = -sign
     basis.insert(i, row)
     pivots.insert(i, c)
-    return sign
 
 
 def _rows_of(rows: Sequence[Sequence], ncols: int):
@@ -191,19 +186,17 @@ def _rows_of(rows: Sequence[Sequence], ncols: int):
         yield m, [c.numerator * (m // c.denominator) for c in r]
 
 
-def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list, list, int]:
+def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list, list]:
     """Integer row echelon form of rational rows by unimodular row operations.
 
     Each row, times the lcm of its denominators, goes in by ``_insert``.
-    Returns ``(rows, pivots, scale)``: the nonzero echelon rows, at most
-    ``ncols``, the column of each row's positive leading entry, and the
-    product of the row scalings and of the signs of the insertions, so a
-    square input of full rank has determinant prod(leading entries) / scale.
+    Returns ``(rows, pivots)``: the nonzero echelon rows, at most ``ncols``,
+    and the column of each row's positive leading entry.
     """
-    basis, pivots, scale = [], [], 1
-    for m, row in _rows_of(rows, ncols):
-        scale *= m * _insert(basis, pivots, row)
-    return basis, pivots, scale
+    basis, pivots = [], []
+    for _, row in _rows_of(rows, ncols):
+        _insert(basis, pivots, row)
+    return basis, pivots
 
 
 def _greedy(rows: Sequence[Sequence], ncols: int) -> list:
@@ -243,17 +236,6 @@ def lattice_span(vectors: Sequence[Sequence], d: int) -> tuple[int, bool]:
             if all(r[p] == 1 for r, p in zip(basis, pivots)):
                 return d, all(c.denominator == 1 for v in vectors[i + 1:] for c in v)
     return len(pivots), False
-
-
-def determinant(rows: Sequence[Sequence]):
-    """Determinant of a square rational matrix: an int for integer rows,
-    whose echelon scale is +-1, else a Fraction."""
-    n = len(rows)
-    ech, pivots, scale = echelon(rows, n)
-    if len(pivots) < n:
-        return 0
-    det = prod(r[p] for r, p in zip(ech, pivots))
-    return det * scale if abs(scale) == 1 else Fraction(det, scale)
 
 
 def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple:
@@ -302,6 +284,19 @@ def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple:
     normal = [-sign * r[free] for r in work]
     normal.insert(free, sign * prev)
     return tuple(normal)
+
+
+def determinant(rows: Sequence[Sequence]):
+    """Determinant of a square rational matrix by cofactor expansion along
+    its last row: each row times the lcm m of its denominators, the cofactor
+    normal of all but the last dotted with the last, divided by the product
+    of the m.  An int when that product is 1, as for integer rows, else a
+    Fraction; 1 for the empty matrix."""
+    if not rows:
+        return 1
+    scales, ints = zip(*_rows_of(rows, len(rows)))
+    det, scale = vdot(cofactor_normal(ints[:-1]), ints[-1]), prod(scales)
+    return det if scale == 1 else Fraction(det, scale)
 
 
 def matvec(rows: Sequence[Sequence], v: Sequence) -> tuple:

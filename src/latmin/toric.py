@@ -239,6 +239,8 @@ def exact_eps_family(family) -> tuple[EpsProfile, MomentPolytope]:
         profile = EpsProfile([EpsExact(Fraction(w), "family_formula")] * d)
         return profile, mp
     if isinstance(family, ProductOfP1):
+        if not isinstance(family.weights, (list, tuple)):
+            raise InvalidInput(f"weights must be a list, not {type(family.weights).__name__}")
         weights = tuple(strict_int(w, "weight") for w in family.weights)
         if not weights or any(w < 1 for w in weights):
             raise InvalidWeights("weights must be positive integers")

@@ -29,7 +29,7 @@ def kernel_vector(rows: Sequence[Sequence], ncols: int):
     Back-substitution up the echelon rows stays fraction-free: where a pivot
     does not divide its row's remainder, the whole vector is scaled first.
     """
-    ech, pivots, _ = echelon(rows, ncols)
+    ech, pivots = echelon(rows, ncols)
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         return None

@@ -67,9 +67,13 @@ def test_as_intvec():
 
 
 @pytest.mark.parametrize("read", [as_ratvec, as_intvec])
-@pytest.mark.parametrize("vector", ["12", {"1": 0, "2": 0}, {}], ids=["string", "object", "empty-object"])
+@pytest.mark.parametrize("vector", ["12", {"1": 0, "2": 0}, {}, b"12", bytearray(b"\x00\x03"),
+                                    {1, 2}, frozenset({3, 4})],
+                         ids=["string", "object", "empty-object", "bytes", "bytearray", "set",
+                              "frozenset"])
 def test_vectors_refuse_strings_and_objects(read, vector):
-    # iterating would read a str digit by digit and a dict by its keys
+    # iterating would read a str digit by digit, bytes byte by byte as ints,
+    # a dict by its keys and a set in hash order
     with pytest.raises(InvalidInput):
         read(vector)
 
@@ -327,18 +331,33 @@ def test_cofactor_normal_against_kernel_vector(case):
         assert n == (0,) * d
 
 
-@given(st.integers(5, 9).flatmap(
-    lambda d: st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
-                       min_size=d, max_size=d)))
+def square_matrices(entry):
+    """d x d matrices, d = 5..9, of entries drawn from ``entry``."""
+    return st.integers(5, 9).flatmap(
+        lambda d: st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+
+
+@given(square_matrices(st.integers(-4, 4)))
 @settings(max_examples=60, deadline=None)
 def test_cofactor_normal_in_higher_dimension(m):
-    # beyond d = 4 the kernel is checked against the echelon determinant
+    # beyond d = 4 the kernel is checked against Gaussian elimination in Fractions
     rows, x = m[:-1], m[-1]
     d = len(x)
     n = cofactor_normal(rows)
-    assert vdot(n, x) == determinant(rows + [x])
+    assert vdot(n, x) == gauss(m, d)[1]
     assert all(vdot(n, r) == 0 for r in rows)
     assert any(n) == (rank(rows, d) == d - 1)
+
+
+@given(square_matrices(st.one_of(
+    st.sampled_from((0, 0, 1, -1)), st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5))))
+@settings(max_examples=60, deadline=None)
+def test_determinant_in_higher_dimension(m):
+    det = determinant(m)
+    assert det == gauss(m, len(m))[1]
+    if all(Fraction(c).denominator == 1 for row in m for c in row):
+        assert type(det) is int
 
 
 def test_cofactor_normal_examples():

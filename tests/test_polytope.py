@@ -75,9 +75,11 @@ class TestConvexHull:
             convex_hull([(1, 2, 3)], 2)
 
     def test_string_points_refused(self):
-        # "12" is not the point (1, 2)
+        # "12" is not the point (1, 2), nor b"\x03\x00" the point (3, 0)
         with pytest.raises(InvalidInput):
             convex_hull(["12", "30"], 2)
+        with pytest.raises(InvalidInput):
+            convex_hull([b"\x00\x00", b"\x03\x00", b"\x00\x03"], 2)
 
     @given(small_pts_2d)
     @settings(max_examples=50, deadline=None)

@@ -192,6 +192,33 @@ def test_second_minima_copy_is_found():
     assert minima_sites(ast.parse(source)) == {"lll_reduce": [5, 8], "enumerate_points": [5, 9]}
 
 
+def call_sites(sources, name):
+    """The calls of ``name``, as "file:function" of the top-level function or
+    class that makes each, in file and line order."""
+    sites = []
+    for file, text in sources:
+        calls = sorted((call.lineno, getattr(node, "name", "<module>"))
+                       for node in ast.parse(text, filename=file).body
+                       for call in calls_of(node, name))
+        sites += [f"{file}:{own}" for _, own in calls]
+    return sites
+
+
+def test_one_echelon_site():
+    # the HNF kernel answers lattice questions only: every determinant goes
+    # through the cofactor kernel, so the one echelon caller is the chart's U
+    sources = [(p.name, p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    assert call_sites(sources, "echelon") == ["polytope.py:_lattice_chart"]
+
+
+def test_second_echelon_site_is_found():
+    source = ("from .core import echelon\nfrom . import core\n\n"
+              "def _lattice_chart(rows, n):\n    return echelon(rows, n)[0]\n\n"
+              "def determinant(rows):\n    ech, pivots = core.echelon(rows, len(rows))\n"
+              "    return ech, pivots\n")
+    assert call_sites([("m.py", source)], "echelon") == ["m.py:_lattice_chart", "m.py:determinant"]
+
+
 def untyped_raises(tree):
     """Lines that raise ValueError, TypeError or LatminError itself, called or
     not: errors that name no cause a caller can catch."""

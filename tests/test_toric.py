@@ -336,8 +336,10 @@ class TestFamilies:
             exact_eps_family(ProjectiveSpace(2, 0))
 
     @pytest.mark.parametrize("family", [ProductOfP1((2.9, 1)), ProductOfP1((2, True)),
+                                        ProductOfP1(5), ProductOfP1(b"\x02\x03"),
                                         ProjectiveSpace(True, 2), ProjectiveSpace(2, 2.0)],
-                             ids=["float-weight", "bool-weight", "bool-dim", "float-w"])
+                             ids=["float-weight", "bool-weight", "int-weights", "bytes-weights",
+                                  "bool-dim", "float-w"])
     def test_non_integer_inputs_refused(self, family):
         with pytest.raises(InvalidInput):
             exact_eps_family(family)
