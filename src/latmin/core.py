@@ -25,7 +25,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, InternalError, InvalidInput, ZeroVector
 
@@ -75,16 +75,18 @@ def strict_int(value, name: str) -> int:
     return value
 
 
-def as_ratvec(v: Iterable) -> tuple:
-    """Entries read by parse_rat; a str, bytes, a dict, a set or a value that
-    is not iterable is refused with InvalidInput."""
-    if isinstance(v, (str, bytes, bytearray, dict, set, frozenset)) or not hasattr(v, "__iter__"):
+def as_ratvec(v: Sequence) -> tuple:
+    """The entries of a list or tuple, read by parse_rat; any other value, a
+    str, bytes, a dict, a set, a range or a generator, is refused with
+    InvalidInput."""
+    if not isinstance(v, (list, tuple)):
         raise InvalidInput(f"expected a list of rationals, not a {type(v).__name__}")
     return tuple(parse_rat(c) for c in v)
 
 
-def as_intvec(v: Iterable) -> tuple:
-    """Entries read by as_ratvec, each of which must be an integer."""
+def as_intvec(v: Sequence) -> tuple:
+    """The entries of a list or tuple, read by as_ratvec, each of which must
+    be an integer."""
     vec = as_ratvec(v)
     for c in vec:
         if c.denominator != 1:
@@ -227,7 +229,7 @@ def lattice_span(vectors: Sequence[Sequence], d: int) -> tuple[int, bool]:
     pivots, after which the rows left are only checked to be integral.
     """
     basis, pivots, integral = [], [], True
-    for i, (m, row) in enumerate(_rows_of(vectors, d)):
+    for i, (m, row) in enumerate(_rows_of(vectors, strict_int(d, "dimension"))):
         integral = integral and m == 1
         _insert(basis, pivots, row)
         if len(pivots) == d:

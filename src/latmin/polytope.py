@@ -33,6 +33,7 @@ from .core import (
     primitive,
     rank,
     rat_str,
+    strict_int,
     vdot,
     vsub,
 )
@@ -178,7 +179,7 @@ def convex_hull(points, d: int) -> Polytope:
     keeps their lexicographic order and affine rank, and ``_integer_hull``
     works on the ints.
     """
-    if d < 1:
+    if strict_int(d, "dimension") < 1:
         raise DimensionMismatch("ambient dimension must be positive")
     pts = []
     for p in points:
@@ -598,12 +599,11 @@ def _minkowski_difference(P: Polytope) -> Polytope:
       G1 and G2 lie on no common facet, whose normal would be +-n.  So the
       pairs of lower faces of P, its facets' nonempty intersections, with
       those dimensions and no common facet give n as the primitive
-      cofactor normal of their direction bases.  n is kept when G1 lies at
-      max n.v and G2 at min n.v: first the normal cones must allow it (no
-      direction of one face is positive, or negative, on every facet
-      normal at the other; the signs are bit masks over the facets), then
-      the edge graph neighbours of one vertex of each face (a vertex that
-      no neighbour beats is a global max), then all vertices;
+      cofactor normal of their direction bases.  n and -n are kept when
+      one face lies at max n.v and the other at min n.v: first the normal
+      cones must allow it (no direction of one face is positive, or
+      negative, on every facet normal at the other; the signs are bit
+      masks over the facets), then one scan of all vertices decides;
     * u - w is a vertex when the normals of the facets with u at their max
       and w at their min have rank d, the test of ``convex_hull``.
 
@@ -649,7 +649,6 @@ def _minkowski_difference(P: Polytope) -> Polytope:
     while new:
         faces |= new
         new = {f & g for f in new for g in facet_masks} - faces - {0}
-    neighbours = [[] for _ in verts]
     # per dimension, each lower face's mask of facets, the sign masks and the
     # vectors of a direction basis, and one vertex
     by_dim = [[] for _ in range(d - 1)]
@@ -657,9 +656,6 @@ def _minkowski_difference(P: Polytope) -> Polytope:
         idx = members(f)
         if len(idx) == 1:
             continue
-        if len(idx) == 2:
-            neighbours[idx[0]].append(idx[1])
-            neighbours[idx[1]].append(idx[0])
         diffs = [vsub(verts[i], verts[idx[0]]) for i in idx[1:]]
         picked = independent(diffs) if len(diffs) > 1 else [0]
         through = sum(1 << j for j, g in enumerate(facet_masks) if f & g == f)
@@ -675,19 +671,12 @@ def _minkowski_difference(P: Polytope) -> Polytope:
                         or not all(mask1 & up and mask1 & down for up, down in signs2)):
                     continue
                 n = cofactor_normal(basis1 + basis2)
-                side = vdot(n, verts[r1]) - vdot(n, verts[r2])
-                if not side:  # n = 0 for dependent directions
-                    continue
-                if side < 0:  # G1 above G2
-                    n = [-c for c in n]
-                high, low = vdot(n, verts[r1]), vdot(n, verts[r2])
-                if (any(vdot(n, verts[j]) > high for j in neighbours[r1])
-                        or any(vdot(n, verts[j]) < low for j in neighbours[r2])):
+                if not any(n):  # dependent directions
                     continue
                 n = primitive(n)
                 if n not in body:
                     width, top, bottom = extent([vdot(n, v) for v in verts])
-                    if top >> r1 & 1 and bottom >> r2 & 1:
+                    if (top >> r1 & bottom >> r2 | top >> r2 & bottom >> r1) & 1:
                         keep(n, width, top, bottom)
 
     normals_at = {}

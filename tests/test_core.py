@@ -68,12 +68,14 @@ def test_as_intvec():
 
 @pytest.mark.parametrize("read", [as_ratvec, as_intvec])
 @pytest.mark.parametrize("vector", ["12", {"1": 0, "2": 0}, {}, b"12", bytearray(b"\x00\x03"),
-                                    {1, 2}, frozenset({3, 4})],
+                                    {1, 2}, frozenset({3, 4}), memoryview(b"12"),
+                                    {"1": 0, "2": 0}.keys(), range(2), (c for c in (1, 2))],
                          ids=["string", "object", "empty-object", "bytes", "bytearray", "set",
-                              "frozenset"])
+                              "frozenset", "memoryview", "dict-keys", "range", "generator"])
 def test_vectors_refuse_strings_and_objects(read, vector):
-    # iterating would read a str digit by digit, bytes byte by byte as ints,
-    # a dict by its keys and a set in hash order
+    # iterating would read a str digit by digit, bytes and a memoryview byte
+    # by byte as ints, a dict by its keys and a set in hash order; only a list
+    # or a tuple is a vector
     with pytest.raises(InvalidInput):
         read(vector)
 
@@ -122,6 +124,12 @@ class TestLatticeSpan:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lattice_span([(1, 0, 0)], 2)
+
+    @pytest.mark.parametrize("d", [True, 2.0, "2"])
+    def test_non_int_dimension_refused(self, d):
+        # True would answer (True, True) for [(1,)]
+        with pytest.raises(InvalidInput):
+            lattice_span([(1,)] if d is True else [(1, 0), (0, 1)], d)
 
     def test_rank_deficient(self):
         assert lattice_span([(2, 4), (1, 2)], 2) == (1, False)

@@ -23,6 +23,7 @@ from latmin.polytope import (
     polar,
     volume,
 )
+from latmin.toric import MomentPolytope
 from reference import kernel_vector, solve_linear
 
 F = Fraction
@@ -73,6 +74,14 @@ class TestConvexHull:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             convex_hull([(1, 2, 3)], 2)
+
+    @pytest.mark.parametrize("build", [convex_hull, MomentPolytope.from_points])
+    @pytest.mark.parametrize("pts, d", [([(0,), (2,)], True), ([(0, 0), (1, 0), (0, 1)], 2.0),
+                                        ([(0, 0), (1, 0), (0, 1)], "2")])
+    def test_non_int_dimension_refused(self, build, pts, d):
+        # True built a segment whose to_json() wrote "dim": true
+        with pytest.raises(InvalidInput):
+            build(pts, d)
 
     def test_string_points_refused(self):
         # "12" is not the point (1, 2), nor b"\x03\x00" the point (3, 0)
@@ -1174,6 +1183,10 @@ DIFFERENCE_FAMILIES = {
     # normal at the other face: the normal cone test must let a 0 through
     "cone boundary": ([(-4, -2, -1, 2), (-3, 1, -2, 2), (-2, -2, -1, 1), (-2, 2, 2, -1),
                        (-2, 4, -3, 0), (3, 2, 3, 0), (4, -1, 4, -1)], 4),
+    # the 78 vertices of the hull of the shell 25 <= |x|^2 <= 36, the points
+    # with |x|^2 = 35 or 36: the README's largest 3-D body
+    "3-D shell": ([x for x in product(range(-6, 7), repeat=3)
+                   if 35 <= sum(c * c for c in x) <= 36], 3),
 }
 
 
