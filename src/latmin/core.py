@@ -3,19 +3,19 @@
 No floating point is used anywhere: inputs are read exactly by
 ``parse_rat``, the kernels clear denominators and work on ints, and a
 ``fractions.Fraction`` is built only for a rational answer.  Lattice
-questions (rank, greedy independent subset, lattice generation, the
+questions (the greedy basis and so the rank, lattice generation, the
 unimodular U of a lattice chart) go to the integer row echelon kernel
 ``_insert``: each row is put into an echelon basis of at most ``ncols`` rows
 by 2 x 2 extended-gcd steps of determinant 1 (HNF by row insertion, Cohen
-1993, §2.4), so ``rank`` and ``independent`` read no row past the one that
-decides their answer, ``lattice_span`` eliminates none, and ``echelon``
-returns the whole form for the charts.  Determinant-type questions go to
-``cofactor_normal``, the signed minors of d - 1 integer vectors in Z^d from
-one fraction-free Gauss-Jordan elimination: hull facet normals, vertex-cone
-edges, ``determinant`` by expansion along the last row, and through
-``cofactors`` the adjugate and the inverse transpose of a unimodular
-matrix.  ``lll_reduce`` is the integral LLL: it carries Gram determinants
-and scaled Gram-Schmidt coefficients as ints and builds no Fraction.
+1993, §2.4), so ``independent`` reads and ``lattice_span`` eliminates no row
+past the one that decides its answer, and ``echelon`` returns the whole form
+for the charts.  Determinant-type questions go to ``cofactor_normal``, the
+signed minors of d - 1 integer vectors in Z^d from one fraction-free
+Gauss-Jordan elimination: hull facet normals, vertex-cone edges,
+``determinant`` by expansion along the last row, and through ``cofactors``
+the adjugate and the inverse transpose of a unimodular matrix.
+``lll_reduce`` is the integral LLL: it carries Gram determinants and scaled
+Gram-Schmidt coefficients as ints and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -201,24 +201,6 @@ def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list, list]:
     return basis, pivots
 
 
-def _greedy(rows: Sequence[Sequence], ncols: int) -> list:
-    """Indices of the rows whose insertion raises the rank; no row past the
-    one that brings it to ``ncols`` is read."""
-    basis, pivots, picked = [], [], []
-    for i, (_, row) in enumerate(_rows_of(rows, ncols)):
-        _insert(basis, pivots, row)
-        if len(pivots) > len(picked):
-            picked.append(i)
-            if len(picked) == ncols:
-                break
-    return picked
-
-
-def rank(rows: Sequence[Sequence], ncols: int) -> int:
-    """Rank over Q of rational rows of length ``ncols``."""
-    return len(_greedy(rows, ncols))
-
-
 def lattice_span(vectors: Sequence[Sequence], d: int) -> tuple[int, bool]:
     """Rank and lattice-generation test for a set of vectors in Q^d.
 
@@ -328,9 +310,17 @@ def inverse_transpose(B: Sequence[Sequence[int]]) -> list:
 
 
 def independent(vectors: Sequence[Sequence]) -> list:
-    """Indices of the vectors that are independent of all vectors before
-    them (the greedy basis), read up to full rank."""
-    return _greedy(vectors, len(vectors[0])) if vectors else []
+    """Indices of the vectors independent of all vectors before them, the
+    greedy basis, whose size is the rank over Q; no vector past the one that
+    brings the rank to full is read."""
+    ncols, picked, basis, pivots = len(vectors[0]) if vectors else 0, [], [], []
+    for i, (_, row) in enumerate(_rows_of(vectors, ncols)):
+        _insert(basis, pivots, row)
+        if len(pivots) > len(picked):
+            picked.append(i)
+            if len(picked) == ncols:
+                break
+    return picked
 
 
 def lll_reduce(gram: Sequence[Sequence]) -> list:

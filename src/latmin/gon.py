@@ -60,9 +60,11 @@ def gauge(K: SymmetricBody, x) -> Fraction:
 
     x is scaled once to the integer vector m * x; with (M, W) =
     ``K.dual_vertices``, M times the gauge of m * x is the int max W.(m x),
-    so one Fraction is built, for the result.  A point whose length is not
-    the dimension of K raises DimensionMismatch.
+    so one Fraction is built, for the result.  A point of the wrong length
+    raises DimensionMismatch, and a K that is no SymmetricBody InvalidInput.
     """
+    if not isinstance(K, SymmetricBody):
+        raise InvalidInput(f"the gauge needs a SymmetricBody, not a {type(K).__name__}")
     v = as_ratvec(x)
     if len(v) != K.ambient_dim:
         raise DimensionMismatch(f"point of length {len(v)} in dimension {K.ambient_dim}")
@@ -106,7 +108,10 @@ def dual_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinima:
 def _kept(K: SymmetricBody, slot: str, k, minima) -> SuccessiveMinima:
     """The first k minima, k d by default and refused with InvalidInput
     unless an int in 1..d, off the result kept in K's ``slot``, replaced by
-    ``minima(k)`` when it is shorter."""
+    ``minima(k)`` when it is shorter.  A K that is not a SymmetricBody is
+    refused with InvalidInput."""
+    if not isinstance(K, SymmetricBody):
+        raise InvalidInput(f"minima need a SymmetricBody, not a {type(K).__name__}")
     d = K.ambient_dim
     k = d if k is None else strict_int(k, "k")
     if not 1 <= k <= d:

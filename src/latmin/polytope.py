@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, product, repeat
 from operator import add, floordiv, mul, sub
 
 from .core import (
@@ -31,7 +31,6 @@ from .core import (
     inverse_transpose,
     matvec,
     primitive,
-    rank,
     rat_str,
     strict_int,
     vdot,
@@ -234,13 +233,13 @@ def _integer_hull(d, L, ipts, parsed=None) -> Polytope:
     facet_list = [(normal, Fraction(offset, L)) for normal, offset in
                   sorted({(normal, offset) for _, normal, offset in facet_simplices})]
 
-    # an extreme point is a corner of a simplex in every facet through it, so
-    # the vertices are the corners whose simplices' normals have rank d
-    normals_at = {}
+    # an extreme point is a corner in every facet through it, and they meet in
+    # it alone; a corner on a face F of positive dimension keeps F's vertices
+    corners = {}  # per facet normal, the mask of its simplices' corners
     for verts_idx, normal, _ in facet_simplices:
-        for i in verts_idx:
-            normals_at.setdefault(i, set()).add(normal)
-    ints = tuple(ipts[i] for i in sorted(normals_at) if _is_vertex(normals_at[i], d))
+        corners[normal] = corners.get(normal, 0) | sum(1 << i for i in verts_idx)
+    meet = _meets((verts_idx, corners[normal]) for verts_idx, normal, _ in facet_simplices)
+    ints = tuple(ipts[i] for i in sorted(meet) if meet[i] == 1 << i)
 
     triangulation = tuple(tuple(ipts[i] for i in verts_idx)
                           for verts_idx, _, _ in facet_simplices)
@@ -248,16 +247,14 @@ def _integer_hull(d, L, ipts, parsed=None) -> Polytope:
                     boundary_simplices=triangulation)
 
 
-def _is_vertex(normals, d) -> bool:
-    """Whether the distinct facet normals at a boundary point have rank d.
-
-    They are the normals of the facets through the point's face F, and they
-    have rank d - dim F.  For d <= 3 that rank is d exactly when there are at
-    least d of them: an edge lies in two facets, and a facet in one.  From
-    d = 4 on an edge can lie in d facets or more, so the rank is computed,
-    and only for a point with at least d normals.
-    """
-    return len(normals) >= d and (d <= 3 or rank(list(normals), d) == d)
+def _meets(faces) -> dict:
+    """Per key, the AND of the bit masks of the faces through it: the meet
+    of those faces, for ``faces`` of (the keys on the face, its mask)."""
+    meet = {}
+    for keys, mask in faces:
+        for key in keys:
+            meet[key] = meet.get(key, mask) & mask
+    return meet
 
 
 def _lattice_chart(base, span, d):
@@ -604,8 +601,12 @@ def _minkowski_difference(P: Polytope) -> Polytope:
       cones must allow it (no direction of one face is positive, or
       negative, on every facet normal at the other; the signs are bit
       masks over the facets), then one scan of all vertices decides;
-    * u - w is a vertex when the normals of the facets with u at their max
-      and w at their min have rank d, the test of ``convex_hull``.
+    * u - w is a vertex iff the AND of the max masks of the facets S with u
+      at their max and w at their min is the bit of u, as in ``convex_hull``:
+      then F(c) = {u} for c the sum of S's normals, and P's vertex w lies in
+      F(-c), so u - w is a vertex of the face u - F(-c); a vertex u - w is a
+      difference in one way only, so S holds every facet through it, and
+      their max faces meet in u alone.  The min side need not be read.
 
     Fractions are made only for the offsets and the vertex coordinates.  The
     body carries no boundary triangulation; ``volume`` builds one on use.
@@ -679,14 +680,9 @@ def _minkowski_difference(P: Polytope) -> Polytope:
                     if (top >> r1 & bottom >> r2 | top >> r2 & bottom >> r1) & 1:
                         keep(n, width, top, bottom)
 
-    normals_at = {}
-    for n, (_, top, bottom) in body.items():
-        lows = members(bottom)
-        for u in members(top):
-            for w in lows:
-                normals_at.setdefault((u, w), []).append(n)
-    points = sorted(vsub(verts[u], verts[w])
-                    for (u, w), at in normals_at.items() if _is_vertex(at, d))
+    meet = _meets((product(members(top), members(bottom)), top)
+                  for _, top, bottom in body.values())
+    points = sorted(vsub(verts[u], verts[w]) for (u, w), m in meet.items() if m == 1 << u)
     vertices = tuple(tuple(Fraction(c, L) for c in x) for x in points)
     facets = tuple(sorted((n, Fraction(width, L)) for n, (width, _, _) in body.items()))
     return Polytope(d, vertices, d, (L, tuple(points)), facets=facets)
@@ -699,8 +695,11 @@ def polar(K: SymmetricBody) -> SymmetricBody:
     facet normals a / b of K, the ints W_f over M of ``K.dual_vertices``,
     and its facets are the vertices v of K, each, for K's integer vertex
     x = L v, as the primitive normal x / g with offset L / g, g the gcd of
-    x.  Built once per body.
+    x.  Built once per body.  A K that is not a SymmetricBody is refused with
+    InvalidInput.
     """
+    if not isinstance(K, SymmetricBody):
+        raise InvalidInput(f"the polar needs a SymmetricBody, not a {type(K).__name__}")
     if K._polar is None:
         M, W = K.dual_vertices
         ints = tuple(sorted(W))

@@ -24,6 +24,7 @@ from .core import (
 )
 from .errors import (
     DimensionDeficient,
+    DimensionMismatch,
     InvalidInput,
     InvalidWeights,
     MixedProfile,
@@ -150,10 +151,11 @@ def vertex_cone(MP: MomentPolytope, u) -> VertexCone:
 
     The vertex must be simple, on exactly d facets.  Edge i then lies on the
     other d - 1 facets: it is their primitive cofactor normal, oriented to
-    leave facet i.
+    leave facet i.  A u whose length is not d raises DimensionMismatch.
     """
-    u = as_intvec(u)
-    d = MP.d
+    u, d = as_intvec(u), MP.d
+    if len(u) != d:
+        raise DimensionMismatch(f"vertex of length {len(u)} in dimension {d}")
     uvec = tuple(Fraction(c) for c in u)
     if uvec not in MP.polytope.vertices:
         raise NotAVertex(f"{u} is not a vertex")
@@ -178,9 +180,12 @@ def eps_at_invariant_point(MP: MomentPolytope, u) -> EpsProfile:
     the maximal remaining coordinate sum on the face where J vanishes; the
     maximum of a linear form over a face is attained at a vertex, so only
     vertices are scanned.  At a smooth vertex the cone coordinates of a point
-    are its lattice distances b - a.x to the d facets through u.
+    are its lattice distances b - a.x to the d facets through u.  A u whose
+    length is not d raises DimensionMismatch before any cone is built.
     """
     u = as_intvec(u)
+    if len(u) != MP.d:
+        raise DimensionMismatch(f"vertex of length {len(u)} in dimension {MP.d}")
     # every vertex must be simple, so every cone is built once, u's among them
     cones = {v: vertex_cone(MP, v) for v in MP.vertices_int}
     if u not in cones:

@@ -153,6 +153,12 @@ class TestErrors:
         assert code == 2
         assert out["error"]["code"] == "NotAVertex"
 
+    @pytest.mark.parametrize("vertex", ["0,0,0", "0"])
+    def test_vertex_of_another_length(self, vertex):
+        code, out = invoke("toric-eps", "--inline", BOX32, "--vertex", vertex)
+        assert code == 2
+        assert out["error"]["code"] == "DimensionMismatch"
+
 
 # non-integer integer fields, then inexact or overlong rational tokens
 HALF_INTEGER_TRIANGLE = {"dim": 2, "vertices": [["0", "0"], ["1/2", "0"], ["0", "1"]]}

@@ -18,7 +18,6 @@ from latmin.core import (
     lll_reduce,
     parse_rat,
     primitive,
-    rank,
     rat_str,
     strict_int,
     vdot,
@@ -148,7 +147,7 @@ class TestLatticeSpan:
 
 
 def test_rank_and_solve():
-    assert rank([(1, 2), (2, 4)], 2) == 1
+    assert independent([(1, 2), (2, 4)]) == [0]
     x = solve_linear([(2, 0), (0, 4)], (6, 8))
     assert x == (3, 2)
     assert solve_linear([(1, 0), (1, 0)], (0, 1)) is None
@@ -211,7 +210,7 @@ def small_matrices(draw):
 def test_kernel_against_minors(rows, x0):
     m, n = len(rows), len(rows[0])
     r = max([k for k in range(1, min(m, n) + 1) if any(minors(rows, k))], default=0)
-    assert rank(rows, n) == r
+    assert len(independent(rows)) == r
     if m == n:
         assert determinant(rows) == leibniz_det(rows)
     integral = all(Fraction(c).denominator == 1 for row in rows for c in row)
@@ -225,7 +224,8 @@ def test_kernel_against_minors(rows, x0):
     b = [sum(a * c for a, c in zip(row, x0)) for row in rows]
     assert solve_linear(rows, b) == (tuple(x0[:n]) if r == n else None)
     cols = list(zip(*rows))
-    assert independent(cols) == [j for j in range(n) if rank(cols[:j + 1], m) > rank(cols[:j], m)]
+    assert independent(cols) == [j for j in range(n)
+                                 if gauss(cols[:j + 1], m)[0] > gauss(cols[:j], m)[0]]
 
 
 # --- the insertion kernel against Gaussian elimination in Fractions --------------
@@ -247,7 +247,7 @@ def row_sets(draw):
 def test_kernel_against_fraction_elimination(case):
     n, rows = case
     r, det = gauss(rows, n)
-    assert rank(rows, n) == r
+    assert len(independent(rows)) == r
     assert lattice_span(rows, n) == (r, generates_lattice(rows, n))
     assert independent(rows) == greedy_basis(rows)
     if len(rows) == n:
@@ -275,7 +275,7 @@ def counting_rows(rows):
 def test_rank_and_independent_read_no_row_past_full_rank():
     # rows 0..3 have rank 3; the rest are never read
     rows, read = counting_rows([(0, 0, 0), (2, 1, 0), (0, 3, 1), (1, 0, 4)] + [(5, -7, 9)] * 20)
-    assert rank(rows, 3) == 3
+    assert independent(rows) == [1, 2, 3]
     assert sorted(set(read)) == [0, 1, 2, 3]
     rows, read = counting_rows([(1, 2), (2, 4), (0, 5)] + [(1, 1)] * 20)
     assert independent(rows) == [0, 2]
@@ -300,8 +300,6 @@ def test_lattice_span_eliminates_no_row_past_unit_pivots(monkeypatch):
 def test_wrong_row_length_past_the_early_exit():
     full = [(1, 0), (0, 1)]
     for bad in ((1, 0, 0), (1,), ()):
-        with pytest.raises(DimensionMismatch):
-            rank(full + [bad], 2)
         with pytest.raises(DimensionMismatch):
             lattice_span(full + [bad], 2)
         with pytest.raises(DimensionMismatch):
@@ -332,7 +330,7 @@ def test_cofactor_normal_against_kernel_vector(case):
     d = len(x)
     n = cofactor_normal(rows)
     assert vdot(n, x) == leibniz_det(rows + [x])
-    if rank(rows, d) == d - 1:
+    if gauss(rows, d)[0] == d - 1:
         kv = primitive(kernel_vector(rows, d))
         assert primitive(n) in (kv, tuple(-c for c in kv))
     else:
@@ -354,7 +352,7 @@ def test_cofactor_normal_in_higher_dimension(m):
     n = cofactor_normal(rows)
     assert vdot(n, x) == gauss(m, d)[1]
     assert all(vdot(n, r) == 0 for r in rows)
-    assert any(n) == (rank(rows, d) == d - 1)
+    assert any(n) == (gauss(rows, d)[0] == d - 1)
 
 
 @given(square_matrices(st.one_of(

@@ -669,6 +669,20 @@ def test_gauge_refuses_a_point_of_another_length():
             gauge(K, x)
 
 
+@pytest.mark.parametrize("call", [
+    successive_minima, dual_minima, lambda P: gauge(P, (1, 0)), polar, verify_transference,
+    verify_sharp_2d,
+], ids=["successive_minima", "dual_minima", "gauge", "polar", "verify_transference",
+        "verify_sharp_2d"])
+def test_polytope_refused_where_a_symmetric_body_is_needed(call):
+    # convex_hull returns a Polytope, which has an ambient_dim but none of a
+    # SymmetricBody's slots; it is refused by type, not by an AttributeError
+    P = convex_hull([(1, 0), (0, 1), (-1, 0), (0, -1)], 2)
+    with pytest.raises(InvalidInput):
+        call(P)
+    assert call(SymmetricBody(P)) is not None
+
+
 def test_gauge_builds_one_fraction_per_call(monkeypatch):
     K = polar(sym([(3, 1, 0), (0, F(2, 3), 1), (1, 1, F(5, 2))], 3))
     points = [(1, -2, 3), (F(-1, 2), 0, F(7, 3)), (0, 0, 0), (5, 5, -5)]

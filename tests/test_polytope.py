@@ -24,7 +24,7 @@ from latmin.polytope import (
     volume,
 )
 from latmin.toric import MomentPolytope
-from reference import kernel_vector, solve_linear
+from reference import gauss, kernel_vector, solve_linear
 
 F = Fraction
 
@@ -243,26 +243,84 @@ class TestHullVertices:
         assert set(P.facets) == facets
         assert P.vertices == vertices_by_incidence(pts, facets, d)
 
-    def test_rank_threshold_mutation_is_caught(self, monkeypatch):
-        # a vertex rule that accepts corners whose normals only have rank
-        # d - 1 keeps edge points of the grid, and the oracle sees it
-        monkeypatch.setattr(polytope, "_is_vertex",
-                            lambda normals, d: core.rank(list(normals), d) >= d - 1)
+    def test_weak_meet_rule_mutation_is_caught(self, monkeypatch):
+        # a meet rule that keeps a corner whose meet has at most three bits
+        # keeps the edge points of the grid that are corners, and the oracle
+        # sees it
+        plant_meet_rule(monkeypatch, at_most_three_bits)
         for d in (3, 4):
             pts = list(product(range(3), repeat=d))
             assert convex_hull(pts, d).vertices != vertices_by_incidence(pts, cube_facets(d, 2), d)
 
-    def test_edge_point_on_d_facets_needs_the_rank(self, monkeypatch):
+    def test_edge_point_on_d_facets_needs_the_meet(self, monkeypatch):
         # an edge of the 4-dimensional cross-polytope lies in 4 facets, so a
-        # corner at its midpoint has d normals of rank d - 1: a count of the
-        # normals alone keeps it, the rank drops it
-        d = 4
-        corners = [tuple(s * 2 * int(i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
-        midpoints = [tuple((x + y) // 2 for x, y in zip(a, b))
-                     for a, b in combinations(corners, 2) if any(x + y for x, y in zip(a, b))]
-        assert convex_hull(corners + midpoints, d).vertices == tuple(sorted(corners))
-        monkeypatch.setattr(polytope, "_is_vertex", lambda normals, d: len(normals) >= d)
-        assert convex_hull(corners + midpoints, d).vertices != tuple(sorted(corners))
+        # corner at its midpoint is on d facets whose normals have rank only
+        # d - 1; their meet is the midpoint and the two ends of the edge,
+        # which the rule drops and a rule of at most three bits keeps
+        corners, midpoints = cross_polytope_with_midpoints(4)
+        assert convex_hull(corners + midpoints, 4).vertices == tuple(sorted(corners))
+        plant_meet_rule(monkeypatch, at_most_three_bits)
+        assert convex_hull(corners + midpoints, 4).vertices != tuple(sorted(corners))
+
+
+def cross_polytope_with_midpoints(d):
+    """The corners +-2 e_i of the d-dimensional cross-polytope, and the
+    midpoints of its edges, the pairs of corners that are not opposite."""
+    corners = [tuple(s * 2 * int(i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+    midpoints = [tuple((x + y) // 2 for x, y in zip(a, b))
+                 for a, b in combinations(corners, 2) if any(x + y for x, y in zip(a, b))]
+    return corners, midpoints
+
+
+def plant_meet_rule(monkeypatch, rule):
+    """Replace the vertex rule of the hull and of P - P, that the meet is
+    the bit i of the point (of u for a pair (u, w) of P - P), by
+    ``rule(meet, i)``."""
+    real = polytope._meets
+
+    def meets(pairs):
+        out = {}
+        for key, meet in real(pairs).items():
+            i = key[0] if isinstance(key, tuple) else key
+            out[key] = 1 << i if rule(meet, i) else 0
+        return out
+
+    monkeypatch.setattr(polytope, "_meets", meets)
+
+
+def at_most_three_bits(meet, i):
+    """A weaker rule than the meet's being the bit i.  "At most two bits"
+    would be no mutant: a corner on a face of positive dimension keeps at
+    least two vertices of the face in its meet, so that rule drops it too."""
+    return meet >> i & 1 and bin(meet).count("1") <= 3
+
+
+def test_vertex_step_runs_no_elimination(monkeypatch):
+    # the hull's start simplex and P - P's face bases are the only rows put
+    # into an echelon basis, by ``independent``; the vertex rules of both
+    # are meets of bit masks and eliminate nothing
+    corners, midpoints = cross_polytope_with_midpoints(4)
+    inside, outside, depth = [], [], [0]
+    real_insert, real_independent = core._insert, polytope.independent
+
+    def insert(basis, pivots, row):
+        (inside if depth[0] else outside).append(row)
+        return real_insert(basis, pivots, row)
+
+    def independent(vectors):
+        depth[0] += 1
+        try:
+            return real_independent(vectors)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(core, "_insert", insert)
+    monkeypatch.setattr(polytope, "independent", independent)
+    P = convex_hull(corners + midpoints, 4)
+    K = difference_body(P).body
+    assert P.vertices == tuple(sorted(corners))
+    assert K.vertices == tuple(sorted(tuple(2 * c for c in x) for x in corners))  # P - P = 2P
+    assert inside and not outside
 
 
 class TestHull1D:
@@ -425,12 +483,12 @@ def shadow_membership(P):
     span = [core.vsub(v, v0) for v in P.vertices]
 
     def on_span(x):
-        return core.rank(span + [core.vsub(x, v0)], d) == k
+        return gauss(span + [core.vsub(x, v0)], d)[0] == k
 
     if k == 0:
         return on_span
     axes = next(c for c in combinations(range(d), k)
-                if core.rank([[w[i] for i in c] for w in span], k) == k)
+                if gauss([[w[i] for i in c] for w in span], k)[0] == k)
     shadow = convex_hull([[v[i] for i in axes] for v in P.vertices], k)
     return lambda x: (locate(shadow, [x[i] for i in axes]) is not PointLocation.OUTSIDE
                       and on_span(x))
@@ -521,7 +579,7 @@ def membership_queries(P, steps, offsets):
     on = [tuple(c + sum((t * w[i] for t, w in zip(ts, span)), F(0)) for i, c in enumerate(v0))
           for ts in steps]
     units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    normal_to = [e for e in units if core.rank(span + [e], d) > P.affine_dim]
+    normal_to = [e for e in units if gauss(span + [e], d)[0] > P.affine_dim]
     off = [tuple(c + h * x for c, x in zip(p, e)) for p in on for e in normal_to for h in offsets]
     return on, off
 
@@ -1127,6 +1185,16 @@ def assert_matches_reference(P):
     ref = reference_difference_body(P)
     assert body.vertices == ref.vertices
     assert body.facets == ref.facets
+
+
+def test_weak_meet_rule_in_the_difference_body_is_caught(monkeypatch):
+    # planted once P is built, the rule acts on P - P alone: (2, 2, 0) -
+    # (0, 0, 0) lies on an edge of P - P = [-2, 2]^3, and the max side of its
+    # meet is the edge x1 = x2 = 2 of P, two bits, which the rule keeps
+    P = box(2, 2, 2)
+    ref = reference_difference_body(P)
+    plant_meet_rule(monkeypatch, at_most_three_bits)
+    assert difference_body(P).body.vertices != ref.vertices
 
 
 @pytest.mark.parametrize("pts", [

@@ -4,8 +4,9 @@ from itertools import combinations, product
 import pytest
 
 from latmin import toric
-from latmin.core import determinant, primitive, rank, vdot, vsub
+from latmin.core import determinant, primitive, vdot, vsub
 from latmin.errors import (
+    DimensionMismatch,
     InvalidInput,
     InvalidWeights,
     MixedProfile,
@@ -30,7 +31,7 @@ from latmin.toric import (
     verify_m2m,
     vertex_cone,
 )
-from reference import solve_linear
+from reference import gauss, solve_linear
 
 F = Fraction
 
@@ -126,6 +127,20 @@ class TestEpsAtInvariantPoint:
         with pytest.raises(NotAVertex):
             eps_at_invariant_point(box_mp(3, 2), (1, 1))
 
+    def test_vertex_of_another_length_builds_no_cone(self, monkeypatch):
+        # a zip would read (0, 0, 0) as the vertex (0, 0) of a 2-D body; it
+        # is refused before any of the vertex cones is built
+        calls = []
+        monkeypatch.setattr(toric, "vertex_cone",
+                            lambda MP, u, real=vertex_cone: calls.append(u) or real(MP, u))
+        mp = box_mp(3, 2)
+        for u in ((0, 0, 0), (0,), ()):
+            with pytest.raises(DimensionMismatch):
+                eps_at_invariant_point(mp, u)
+            with pytest.raises(DimensionMismatch):
+                vertex_cone(mp, u)
+        assert calls == []
+
     def test_one_cone_per_vertex(self, monkeypatch):
         calls = []
 
@@ -190,7 +205,7 @@ def vertex_cone_by_pairs(MP, u):
         if v == uvec:
             continue
         common = [a for a in active_u if vdot(a, v) == offsets[a]]
-        if len(common) >= d - 1 and rank(common, d) == d - 1:
+        if len(common) >= d - 1 and gauss(common, d)[0] == d - 1:
             gens.append(primitive([int(c) for c in vsub(v, uvec)]))
     if len(gens) != d:
         raise NotAmplePolytope(f"vertex {u} has {len(gens)} edges")
