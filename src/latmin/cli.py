@@ -147,9 +147,9 @@ def _m2m(cfg: SuiteConfig, i: int, track) -> bool:
         profile = toric.eps_bracket_general(mp)
     rep = toric.verify_m2m(mp, profile)
     if profile.all_bracket:
-        w = gon.lattice_width(mp.polytope).width
+        w = gon.lattice_width(mp).width
         last = profile.entries[-1]
-        return rep.holds and Fraction(w, mp.d) <= last.lo <= last.hi <= w
+        return rep.holds and Fraction(w, mp.ambient_dim) <= last.lo <= last.hi <= w
     track("max_ratio", parse_rat(rep.quantities["ratio"]), max)
     return rep.holds
 

@@ -100,7 +100,7 @@ def dual_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinima:
     checked, and the result kept on K, as by ``successive_minima``.
     """
     def minima(k):
-        L, xs = K.body.integer_vertices
+        L, xs = K.integer_vertices
         return _least(K.ambient_dim, xs, L, k)
     return _kept(K, "_dual_minima", k, minima)
 

@@ -10,7 +10,8 @@ and which drives volume.  Two derived bodies build no hull: the difference
 body P - P is read off P's faces as the Minkowski sum P + (-P), and a polar
 body off its dual by bipolarity; the volume of each is that of a hull of its
 vertices, built when asked.  A lower-dimensional polytope carries an integer
-chart of its affine lattice.
+chart of its affine lattice.  Its two checked subclasses, ``SymmetricBody``
+and ``toric.MomentPolytope``, go wherever a Polytope does.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ class Polytope:
     """Immutable rational polytope, canonical V-representation.
 
     Build instances through :func:`convex_hull`, :func:`difference_body` or
-    :func:`polar`; the constructor trusts its arguments.
+    :func:`polar`; the constructor trusts its arguments.  The checked
+    subclasses :class:`SymmetricBody` and ``toric.MomentPolytope`` take over
+    the fields of the Polytope they are built from, and equal and hash as it.
     """
 
     __slots__ = ("ambient_dim", "vertices", "affine_dim", "_integer_vertices", "_facets",
@@ -91,6 +94,16 @@ class Polytope:
                 f"affine dimension {self.affine_dim} < ambient {self.ambient_dim}")
         return self._facets
 
+    def _take_over(self, P, kind: str) -> None:
+        """Refuse a P that is no Polytope with InvalidInput, or not full-dimensional,
+        then copy every field of P, the results kept on P among them, onto self."""
+        if not isinstance(P, Polytope):
+            raise InvalidInput(f"{kind} are built from a Polytope, not a {type(P).__name__}")
+        if not P.is_full_dimensional:
+            raise DimensionDeficient(f"{kind} must be full-dimensional")
+        for slot in Polytope.__slots__:
+            setattr(self, slot, getattr(P, slot))
+
     def __eq__(self, other):
         return (isinstance(other, Polytope)
                 and self.ambient_dim == other.ambient_dim
@@ -100,7 +113,7 @@ class Polytope:
         return hash((self.ambient_dim, self.vertices))
 
     def __repr__(self):
-        return (f"Polytope(dim={self.ambient_dim}, affine_dim={self.affine_dim}, "
+        return (f"{type(self).__name__}(dim={self.ambient_dim}, affine_dim={self.affine_dim}, "
                 f"vertices={len(self.vertices)})")
 
     def to_json(self) -> dict:
@@ -110,32 +123,27 @@ class Polytope:
         }
 
 
-class SymmetricBody:
+class SymmetricBody(Polytope):
     """A full-dimensional polytope whose vertex set is closed under negation.
 
-    Such a body automatically has the origin in its interior.  The mirror
-    test runs on the body's integer vertices.
+    Such a body automatically has the origin in its interior.  It is the
+    polytope P it is built from, checked by ``_take_over`` and by a mirror
+    test on P's integer vertices, with caches of its polar and minima added.
     """
 
-    __slots__ = ("body", "_dual", "_polar", "_minima", "_dual_minima")
+    __slots__ = ("_dual", "_polar", "_minima", "_dual_minima")
 
     def __init__(self, body: Polytope):
-        if not body.is_full_dimensional:
-            raise DimensionDeficient("symmetric bodies must be full-dimensional")
-        _, scaled = body.integer_vertices
+        self._take_over(body, "symmetric bodies")
+        _, scaled = self.integer_vertices
         vset = set(scaled)
-        for v, x in zip(body.vertices, scaled):
+        for v, x in zip(self.vertices, scaled):
             if tuple(-c for c in x) not in vset:
                 raise NotSymmetric(f"vertex ({', '.join(map(rat_str, v))}) has no mirror image")
-        self.body = body
         self._dual = None  # set by dual_vertices
         self._polar = None  # set by polar
         self._minima = None  # the longest result of gon.successive_minima so far
         self._dual_minima = None  # the longest result of gon.dual_minima so far
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.body.ambient_dim
 
     @property
     def dual_vertices(self) -> tuple:
@@ -144,25 +152,13 @@ class SymmetricBody:
         W_f / M are the vertices of the polar, and M g(x) = max W_f.x for
         the gauge g of the body."""
         if self._dual is None:
-            facets = self.body.facets
+            facets = self.facets
             if any(b.numerator <= 0 for _, b in facets):
                 raise InternalError("origin not interior: a facet offset is not positive")
             M = math.lcm(*(b.numerator for _, b in facets))
             self._dual = M, [tuple(c * (b.denominator * (M // b.numerator)) for c in a)
                              for a, b in facets]
         return self._dual
-
-    def __eq__(self, other):
-        return isinstance(other, SymmetricBody) and self.body == other.body
-
-    def __hash__(self):
-        return hash(("sym", self.body))
-
-    def __repr__(self):
-        return f"SymmetricBody({self.body!r})"
-
-    def to_json(self) -> dict:
-        return self.body.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +610,12 @@ def _minkowski_difference(P: Polytope) -> Polytope:
     d = P.ambient_dim
     L, verts = P.integer_vertices
 
-    def members(mask):
-        return [i for i in range(len(verts)) if mask >> i & 1]
+    def members(mask):  # the set bits, ascending
+        idx = []
+        while mask:
+            idx.append((mask & -mask).bit_length() - 1)
+            mask &= mask - 1
+        return idx
 
     def extent(vals):  # L times the width along n, masks at max and min, from the n.v
         top, bottom = max(vals), min(vals)
@@ -704,7 +704,7 @@ def polar(K: SymmetricBody) -> SymmetricBody:
         M, W = K.dual_vertices
         ints = tuple(sorted(W))
         vertices = tuple(tuple(Fraction(c, M) for c in w) for w in ints)
-        L, xs = K.body.integer_vertices
+        L, xs = K.integer_vertices
         facets = []
         for x in xs:
             g = math.gcd(*x)

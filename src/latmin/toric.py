@@ -23,7 +23,6 @@ from .core import (
     vdot,
 )
 from .errors import (
-    DimensionDeficient,
     DimensionMismatch,
     InvalidInput,
     InvalidWeights,
@@ -37,20 +36,22 @@ from .gon import dual_minima, successive_minima
 from .report import TheoremReport, verdict
 
 
-class MomentPolytope:
-    """A full-dimensional lattice polytope (all vertices integral)."""
+class MomentPolytope(Polytope):
+    """A full-dimensional lattice polytope (all vertices integral).
 
-    __slots__ = ("polytope", "d")
+    It is the polytope P it is built from, checked by ``_take_over`` and for
+    lattice vertices, and equals and hashes as P; a P - P, width or volume
+    already kept on P is not built again.
+    """
+
+    __slots__ = ()
 
     def __init__(self, polytope: Polytope):
-        if not polytope.is_full_dimensional:
-            raise DimensionDeficient("moment polytopes are full-dimensional")
-        for v in polytope.vertices:
+        self._take_over(polytope, "moment polytopes")
+        for v in self.vertices:
             if any(c.denominator != 1 for c in v):
                 raise InvalidInput(f"vertex ({', '.join(rat_str(c) for c in v)}) "
                                    "is not a lattice point")
-        self.polytope = polytope
-        self.d = polytope.ambient_dim
 
     @classmethod
     def from_points(cls, points, d: int) -> "MomentPolytope":
@@ -58,13 +59,14 @@ class MomentPolytope:
 
     @property
     def vertices_int(self) -> tuple:
-        return tuple(tuple(int(c) for c in v) for v in self.polytope.vertices)
+        return tuple(tuple(int(c) for c in v) for v in self.vertices)
 
-    def __eq__(self, other):
-        return isinstance(other, MomentPolytope) and self.polytope == other.polytope
 
-    def __repr__(self):
-        return f"MomentPolytope({self.polytope!r})"
+def _moment_dim(MP) -> int:
+    """The dimension of a MomentPolytope; anything else is refused with InvalidInput."""
+    if not isinstance(MP, MomentPolytope):
+        raise InvalidInput(f"needs a MomentPolytope, not a {type(MP).__name__}")
+    return MP.ambient_dim
 
 
 @dataclass(frozen=True)
@@ -100,17 +102,21 @@ class EpsProfile:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
+        if not isinstance(entries, (list, tuple)):
+            raise InvalidInput(f"entries must be a list, not {type(entries).__name__}")
         entries = tuple(entries)
         if not entries:
             raise InvalidInput("empty profile")
+        for e in entries:
+            if not isinstance(e, (EpsExact, EpsBracket)):
+                raise InvalidInput(f"entry {e!r} is neither EpsExact nor EpsBracket")
+            if isinstance(e, EpsBracket) and e.lo > e.hi:
+                raise InvalidInput(f"empty bracket [{e.lo}, {e.hi}]")
         exact = [e.value for e in entries if isinstance(e, EpsExact)]
         if len(exact) == len(entries):
             for prev, nxt in zip(exact, exact[1:]):
                 if nxt > prev:
                     raise InvalidInput("exact profile must be nonincreasing")
-        for e in entries:
-            if isinstance(e, EpsBracket) and e.lo > e.hi:
-                raise InvalidInput(f"empty bracket [{e.lo}, {e.hi}]")
         self.entries = entries
 
     @property
@@ -153,13 +159,14 @@ def vertex_cone(MP: MomentPolytope, u) -> VertexCone:
     other d - 1 facets: it is their primitive cofactor normal, oriented to
     leave facet i.  A u whose length is not d raises DimensionMismatch.
     """
-    u, d = as_intvec(u), MP.d
+    d = _moment_dim(MP)
+    u = as_intvec(u)
     if len(u) != d:
         raise DimensionMismatch(f"vertex of length {len(u)} in dimension {d}")
     uvec = tuple(Fraction(c) for c in u)
-    if uvec not in MP.polytope.vertices:
+    if uvec not in MP.vertices:
         raise NotAVertex(f"{u} is not a vertex")
-    active = [a for a, b in MP.polytope.facets if vdot(a, uvec) == b]
+    active = [a for a, b in MP.facets if vdot(a, uvec) == b]
     if len(active) != d:
         raise NotAmplePolytope(
             f"vertex {u} lies on {len(active)} facets; expected exactly {d}")
@@ -183,18 +190,18 @@ def eps_at_invariant_point(MP: MomentPolytope, u) -> EpsProfile:
     are its lattice distances b - a.x to the d facets through u.  A u whose
     length is not d raises DimensionMismatch before any cone is built.
     """
+    d = _moment_dim(MP)
     u = as_intvec(u)
-    if len(u) != MP.d:
-        raise DimensionMismatch(f"vertex of length {len(u)} in dimension {MP.d}")
+    if len(u) != d:
+        raise DimensionMismatch(f"vertex of length {len(u)} in dimension {d}")
     # every vertex must be simple, so every cone is built once, u's among them
     cones = {v: vertex_cone(MP, v) for v in MP.vertices_int}
     if u not in cones:
         raise NotAVertex(f"{u} is not a vertex")
     if not cones[u].smooth:
         raise SingularVertex(f"vertex cone at {u} is not smooth")
-    d = MP.d
-    active = [(a, b) for a, b in MP.polytope.facets if vdot(a, u) == b]
-    coords = [[b - vdot(a, v) for a, b in active] for v in MP.polytope.vertices]
+    active = [(a, b) for a, b in MP.facets if vdot(a, u) == b]
+    coords = [[b - vdot(a, v) for a, b in active] for v in MP.vertices]
 
     values = []
     for i in range(1, d + 1):
@@ -215,8 +222,8 @@ def eps_bracket_general(MP: MomentPolytope) -> EpsProfile:
     body (for the last index also width/d); upper bounds from the dual
     minima scaled by the codimension count.
     """
-    d = MP.d
-    K = difference_body(MP.polytope)
+    d = _moment_dim(MP)
+    K = difference_body(MP)
     sm = successive_minima(K)
     sm_dual = dual_minima(K)
     w = sm_dual.lambdas[0]
@@ -262,52 +269,43 @@ def exact_eps_family(family) -> tuple[EpsProfile, MomentPolytope]:
 
 def toric_volume(MP: MomentPolytope) -> Fraction:
     """Degree-style volume: d! times the lattice-normalized polytope volume."""
-    return math.factorial(MP.d) * volume(MP.polytope)
+    return math.factorial(_moment_dim(MP)) * volume(MP)
 
 
 def verify_m2m(MP: MomentPolytope, eps: EpsProfile) -> TheoremReport:
     """Check 1 <= vol / prod(eps_i) <= d!.
 
     Exact profiles are checked directly; bracket profiles are checked for
-    the implied consistency prod(lo) <= vol <= d! * prod(hi).
+    the implied consistency prod(lo) <= vol <= d! * prod(hi).  An eps that
+    is no EpsProfile raises InvalidInput, and one of length other than d
+    DimensionMismatch.
     """
-    d = MP.d
+    d = _moment_dim(MP)
+    if not isinstance(eps, EpsProfile):
+        raise InvalidInput(f"eps must be an EpsProfile, not a {type(eps).__name__}")
+    if len(eps.entries) != d:
+        raise DimensionMismatch(f"profile of length {len(eps.entries)} in dimension {d}")
     vol = toric_volume(MP)
     fact = math.factorial(d)
     if eps.all_exact:
-        prod = Fraction(1)
-        for e in eps.entries:
-            prod *= e.value
-        ratio = vol / prod
+        ratio = vol / math.prod((e.value for e in eps.entries), start=Fraction(1))
         ok = 1 <= ratio <= fact
-        quantities = {
-            "dim": str(d),
-            "vol": rat_str(vol),
-            "eps": [rat_str(e.value) for e in eps.entries],
-            "ratio": rat_str(ratio),
-            "upper": str(fact),
-        }
+        found = {"eps": [rat_str(e.value) for e in eps.entries], "ratio": rat_str(ratio)}
     elif eps.all_bracket:
-        prod_lo = Fraction(1)
-        prod_hi = Fraction(1)
-        for e in eps.entries:
-            prod_lo *= e.lo
-            prod_hi *= e.hi
+        prod_lo = math.prod((e.lo for e in eps.entries), start=Fraction(1))
+        prod_hi = math.prod((e.hi for e in eps.entries), start=Fraction(1))
         ok = prod_lo <= vol <= fact * prod_hi
-        quantities = {
-            "dim": str(d),
-            "vol": rat_str(vol),
+        found = {
             "eps_lo": [rat_str(e.lo) for e in eps.entries],
             "eps_hi": [rat_str(e.hi) for e in eps.entries],
             "prod_lo": rat_str(prod_lo),
             "prod_hi": rat_str(prod_hi),
-            "upper": str(fact),
         }
     else:
         raise MixedProfile("profile mixes exact values and brackets")
     return TheoremReport(
         theorem="volume_vs_minima",
-        quantities=quantities,
+        quantities={"dim": str(d), "vol": rat_str(vol), **found, "upper": str(fact)},
         verdict=verdict(ok),
         witnesses={},
     )

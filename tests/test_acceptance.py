@@ -81,12 +81,12 @@ def test_criterion_1_projective_space_family():
         for d in (2, 3):
             for w in (1, 2, 3):
                 prof, mp = exact_eps_family(ProjectiveSpace(d, w))
-                K = difference_body(mp.polytope)
+                K = difference_body(mp)
                 sm = successive_minima(K)
                 assert sm.lambdas == tuple([F(1, w)] * d)
                 sm_dual = successive_minima(polar(K))
                 assert sm_dual.lambdas == tuple([F(w)] * d)
-                assert lattice_width(mp.polytope).width == w
+                assert lattice_width(mp).width == w
                 for u in mp.vertices_int:
                     got = eps_at_invariant_point(mp, u)
                     assert [e.value for e in got.entries] == [w] * d
@@ -97,7 +97,7 @@ def test_criterion_1_projective_space_family():
 def test_criterion_2_product_weights_321():
     with criterion(2, "product of lines, weights (3,2,1)"):
         prof, mp = exact_eps_family(ProductOfP1((3, 2, 1)))
-        K = difference_body(mp.polytope)
+        K = difference_body(mp)
         assert successive_minima(K).lambdas == (F(1, 3), F(1, 2), F(1))
         assert successive_minima(polar(K)).lambdas == (F(1), F(2), F(3))
         assert [e.value for e in prof.entries] == [6, 3, 1]
@@ -115,7 +115,7 @@ def test_criterion_3_sharp_2d():
         K = SymmetricBody(convex_hull(
             [(1, F(3, 2)), (1, F(-1, 2)), (-1, F(-3, 2)), (-1, F(1, 2))], 2))
         dual = polar(K)
-        assert dual.body == convex_hull(
+        assert dual == convex_hull(
             [(1, 0), (-1, 0), (F(-1, 2), 1), (F(1, 2), -1)], 2)
         prod = successive_minima(K).lambdas[0] * successive_minima(dual).lambdas[1]
         assert prod == F(3, 2)
@@ -233,7 +233,7 @@ def width_by_brute_force(P):
     dual = polar(difference_body(P))
     w1 = min(max(v[j] for v in P.vertices) - min(v[j] for v in P.vertices)
              for j in range(d))
-    maxcoord = max(abs(c) for v in dual.body.vertices for c in v)
+    maxcoord = max(abs(c) for v in dual.vertices for c in v)
     B = -int(-(w1 * maxcoord) // 1)
     best = None
     for phi in product(range(-B, B + 1), repeat=d):
@@ -250,7 +250,7 @@ def gauge_matches_bisection(K, x):
     def member(t):
         if t == 0:
             return all(c == 0 for c in x)
-        return locate(K.body, tuple(F(c) / t for c in x)) is not PointLocation.OUTSIDE
+        return locate(K, tuple(F(c) / t for c in x)) is not PointLocation.OUTSIDE
 
     g = gauge(K, x)
     if g == 0:
@@ -289,7 +289,7 @@ def test_criterion_10_oracles():
         cfg = SuiteConfig("transference", seed=1014, count=100, dim=3, coord_bound=3)
         for i in range(100):
             K = generate_instance(cfg, i)
-            assert polar(polar(K)).body == K.body
+            assert polar(polar(K)) == K
 
 
 def test_criterion_11_determinism():

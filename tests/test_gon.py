@@ -69,7 +69,7 @@ def gauge_by_bisection(K, x):
     def member(t):
         if t == 0:
             return all(c == 0 for c in x)
-        return locate(K.body, tuple(F(c) / t for c in x)) is not PointLocation.OUTSIDE
+        return locate(K, tuple(F(c) / t for c in x)) is not PointLocation.OUTSIDE
 
     g = gauge(K, x)
     assert member(g) or (g == 0 and member(F(1))), "gauge value must be attained"
@@ -100,7 +100,7 @@ def width_by_brute_force(P):
     dual = polar(difference_body(P))
     w1 = min(max(v[j] for v in P.vertices) - min(v[j] for v in P.vertices)
              for j in range(d))
-    maxcoord = max(abs(c) for v in dual.body.vertices for c in v)
+    maxcoord = max(abs(c) for v in dual.vertices for c in v)
     B = -int(-(w1 * maxcoord) // 1)  # ceil
     best = None
     for phi in product(range(-B, B + 1), repeat=d):
@@ -182,7 +182,7 @@ class TestSuccessiveMinima:
 
     def test_homogeneity(self):
         K = hexagon()
-        half = SymmetricBody(convex_hull([tuple(c / 2 for c in v) for v in K.body.vertices], 2))
+        half = SymmetricBody(convex_hull([tuple(c / 2 for c in v) for v in K.vertices], 2))
         assert successive_minima(half).lambdas == tuple(
             2 * x for x in successive_minima(K).lambdas)
 
@@ -218,7 +218,7 @@ def bodies_and_unimodular_maps(draw):
 def unimodular_image(K, U):
     d = K.ambient_dim
     return SymmetricBody(convex_hull(
-        [tuple(sum(U[i][j] * v[j] for j in range(d)) for i in range(d)) for v in K.body.vertices],
+        [tuple(sum(U[i][j] * v[j] for j in range(d)) for i in range(d)) for v in K.vertices],
         d))
 
 
@@ -233,8 +233,8 @@ def standard_box(K):
     """Integer ranges of the bounding box of R*K, R the largest gauge of a unit vector."""
     d = K.ambient_dim
     R = max(gauge(K, tuple(int(i == j) for i in range(d))) for j in range(d))
-    return R, [range(math.ceil(R * min(v[j] for v in K.body.vertices)),
-                     math.floor(R * max(v[j] for v in K.body.vertices)) + 1) for j in range(d)]
+    return R, [range(math.ceil(R * min(v[j] for v in K.vertices)),
+                     math.floor(R * max(v[j] for v in K.vertices)) + 1) for j in range(d)]
 
 
 def minima_by_standard_basis(K):
@@ -265,7 +265,7 @@ def test_minima_match_standard_basis_reference(body_and_map):
     d = image.ambient_dim
     for k in range(1, d + 1):
         # a fresh wrapper of the same polytope has no cached minima
-        first_k = successive_minima(SymmetricBody(image.body), k)
+        first_k = successive_minima(SymmetricBody(image), k)
         assert (first_k.lambdas, first_k.witnesses) == (sm.lambdas[:k], sm.witnesses[:k])
 
 
@@ -611,7 +611,7 @@ def reference_gauge(K, x):
     """Reference: the largest facet ratio a.x / b, in Fractions."""
     pt = tuple(F(c) for c in x)
     g = F(0)
-    for a, b in K.body.facets:
+    for a, b in K.facets:
         s = sum((u * c for u, c in zip(a, pt)), F(0))
         if s > 0 and s / b > g:
             g = s / b
@@ -621,7 +621,7 @@ def reference_gauge(K, x):
 def reference_gram_form(K):
     """Reference: G = sum of a a^T / b^2 over the facets, in Fractions."""
     d = K.ambient_dim
-    return [[sum((a[i] * a[j] / (b * b) for a, b in K.body.facets), F(0)) for j in range(d)]
+    return [[sum((a[i] * a[j] / (b * b) for a, b in K.facets), F(0)) for j in range(d)]
             for i in range(d)]
 
 
@@ -700,9 +700,9 @@ def reference_polar(K):
     a / b of K's facets a.x <= b, and each vertex v of K gives the facet
     (m v / g) . y <= m / g, m the lcm of v's denominators and g the gcd of
     m v."""
-    vertices = sorted(tuple(F(c) / b for c in a) for a, b in K.body.facets)
+    vertices = sorted(tuple(F(c) / b for c in a) for a, b in K.facets)
     facets = []
-    for v in K.body.vertices:
+    for v in K.vertices:
         m = math.lcm(*(F(c).denominator for c in v))
         w = [int(c * m) for c in v]
         g = math.gcd(*w)
@@ -714,14 +714,14 @@ def reference_polar(K):
 @settings(max_examples=80, deadline=None)
 def test_polar_matches_bipolarity_formula(case):
     K, xs = case
-    dual = polar(K).body
+    dual = polar(K)
     assert (dual.vertices, dual.facets) == reference_polar(K)
     M, ints = dual.integer_vertices
     assert tuple(tuple(F(c, M) for c in w) for w in ints) == dual.vertices
     # the polar's gauge is the support function of K: max v.x over its vertices
     for x in xs:
         assert gauge(polar(K), x) == max(sum((F(a) * c for a, c in zip(v, x)), F(0))
-                                         for v in K.body.vertices)
+                                         for v in K.vertices)
 
 
 def test_minima_build_one_fraction_per_minimum():
@@ -735,7 +735,7 @@ def test_minima_build_one_fraction_per_minimum():
         for k in range(1, K.ambient_dim + 1):
             K._minima = K._dual_minima = None
             lambdas, _ = minima_by_standard_basis(K)
-            dual = successive_minima(SymmetricBody(polar(K).body), k)
+            dual = successive_minima(SymmetricBody(polar(K)), k)
             with counted_fractions() as made:
                 sm = successive_minima(K, k)
             assert made.count == k, (K, k)
@@ -751,11 +751,11 @@ def test_minima_box_scales_integer_vertices_by_their_l(monkeypatch):
     # R / (M L); bodies with L = 1000 and L ~ 10^15 keep it small
     counting_enumerator(monkeypatch, max_box=100)
     flat = sym([(F(7, 1000), F(1, 1000)), (F(-2, 1000), F(5, 1000))], 2)
-    assert flat.body.integer_vertices[0] == 1000
+    assert flat.integer_vertices[0] == 1000
     assert successive_minima(flat).lambdas == minima_by_standard_basis(flat)[0]
     small = sym([(F(7, 999), F(1, 1000), 0), (F(-2, 1000), F(5, 1001), F(1, 997)),
                  (0, F(1, 1003), F(3, 1000))], 3)
-    assert small.body.integer_vertices[0] > 10 ** 14
+    assert small.integer_vertices[0] > 10 ** 14
     assert len(successive_minima(small).lambdas) == 3
 
 
@@ -769,8 +769,8 @@ def test_dual_minima_match_polar_minima(case):
     full = successive_minima(polar(K))
     assert dual_minima(K) == full
     for k in range(1, d + 1):
-        fresh = SymmetricBody(K.body)
-        assert dual_minima(fresh, k) == successive_minima(SymmetricBody(polar(K).body), k)
+        fresh = SymmetricBody(K)
+        assert dual_minima(fresh, k) == successive_minima(SymmetricBody(polar(K)), k)
         assert dual_minima(fresh, k) == SuccessiveMinima(d, full.lambdas[:k], full.witnesses[:k])
 
 
@@ -780,7 +780,7 @@ def test_verifiers_build_no_polar(monkeypatch):
     P3 = convex_hull([(0, 0, 0), (3, 1, 0), (1, 4, 1), (0, 1, 5), (2, 2, 2)], 3)
     P2 = convex_hull([(0, 0), (4, 1), (1, 3), (-1, -2)], 2)
     K3, K2 = difference_body(P3), difference_body(P2)
-    expected = [successive_minima(SymmetricBody(polar(K).body)) for K in (K3, K2)]
+    expected = [successive_minima(SymmetricBody(polar(K))) for K in (K3, K2)]
     calls = wrap_derived_bodies(monkeypatch)
     rep = verify_transference(K3)
     assert rep.quantities["lambda_dual"] == [rat_str(x) for x in expected[0].lambdas]
@@ -815,7 +815,7 @@ def test_minima_enumerate_half_of_each_symmetric_box(monkeypatch):
     for K in bodies:
         sm = successive_minima(K)
         assert (sm.lambdas, sm.witnesses) == minima_by_standard_basis(K)
-        assert dual_minima(K) == successive_minima(SymmetricBody(polar(K).body))
+        assert dual_minima(K) == successive_minima(SymmetricBody(polar(K)))
     assert lattice_width(thin).width == F(1, 10)
     assert all(2 * half == full + axis for half, full, axis in seen)
     assert sum(h for h, _, _ in seen) < 0.55 * sum(f for _, f, _ in seen)
@@ -829,7 +829,7 @@ def test_first_minimum_needs_no_elimination(monkeypatch):
     K = hexagon(3)
     P = convex_hull([(0, 0), (4, 1), (1, 3), (-1, -2)], 2)
     assert successive_minima(K, 1).lambdas == minima_by_standard_basis(K)[0][:1]
-    assert dual_minima(K, 1) == successive_minima(SymmetricBody(polar(K).body), 1)
+    assert dual_minima(K, 1) == successive_minima(SymmetricBody(polar(K)), 1)
     assert lattice_width(P).width == width_by_brute_force(P)
     assert calls == []
     successive_minima(K)

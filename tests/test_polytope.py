@@ -317,7 +317,7 @@ def test_vertex_step_runs_no_elimination(monkeypatch):
     monkeypatch.setattr(core, "_insert", insert)
     monkeypatch.setattr(polytope, "independent", independent)
     P = convex_hull(corners + midpoints, 4)
-    K = difference_body(P).body
+    K = difference_body(P)
     assert P.vertices == tuple(sorted(corners))
     assert K.vertices == tuple(sorted(tuple(2 * c for c in x) for x in corners))  # P - P = 2P
     assert inside and not outside
@@ -866,16 +866,16 @@ class TestDifferenceBody:
         for w in (1, 3):
             K = difference_body(simplex(2, w))
             expect = convex_hull([(w, 0), (-w, 0), (0, w), (0, -w), (w, -w), (-w, w)], 2)
-            assert K.body == expect
+            assert K == expect
 
     def test_box(self):
         K = difference_body(box(3, 2))
-        assert K.body == convex_hull([(3, 2), (3, -2), (-3, 2), (-3, -2)], 2)
+        assert K == convex_hull([(3, 2), (3, -2), (-3, 2), (-3, -2)], 2)
 
     def test_symmetric_body_doubles(self):
         K = convex_hull([(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)], 2)
         D = difference_body(K)
-        assert D.body == convex_hull([(2 * x, 2 * y) for x, y in K.vertices], 2)
+        assert D == convex_hull([(2 * x, 2 * y) for x, y in K.vertices], 2)
 
     def test_requires_full_dim(self):
         with pytest.raises(DimensionDeficient):
@@ -890,6 +890,11 @@ class TestSymmetricBody:
     def test_rejects_lower_dim(self):
         with pytest.raises(DimensionDeficient):
             SymmetricBody(convex_hull([(1, 0), (-1, 0)], 2))
+
+    def test_rejects_what_is_no_polytope(self):
+        for x in ([(1, 0), (-1, 0), (0, 1), (0, -1)], None, "K"):
+            with pytest.raises(InvalidInput, match="built from a Polytope"):
+                SymmetricBody(x)
 
     def test_mirror_test_builds_no_fraction(self):
         # the vertices are compared as lcm-scaled ints; a rational body
@@ -910,8 +915,8 @@ class TestPolar:
             cross_pts = [tuple(s if j == i else 0 for j in range(d))
                          for i in range(d) for s in (1, -1)]
             cross = convex_hull(cross_pts, d)
-            assert polar(SymmetricBody(cube)).body == cross
-            assert polar(SymmetricBody(cross)).body == cube
+            assert polar(SymmetricBody(cube)) == cross
+            assert polar(SymmetricBody(cross)) == cube
 
     def test_simplex_difference_polar_hform(self):
         w = 2
@@ -921,13 +926,13 @@ class TestPolar:
         expect = {((1, 0), F(1, w)), ((-1, 0), F(1, w)),
                   ((0, 1), F(1, w)), ((0, -1), F(1, w)),
                   ((1, -1), F(1, w)), ((-1, 1), F(1, w))}
-        assert set(dual.body.facets) == expect
+        assert set(dual.facets) == expect
 
     def test_sharp_transference_body(self):
         K = SymmetricBody(convex_hull(
             [(1, F(3, 2)), (1, F(-1, 2)), (-1, F(-3, 2)), (-1, F(1, 2))], 2))
         dual = polar(K)
-        assert dual.body == convex_hull(
+        assert dual == convex_hull(
             [(1, 0), (-1, 0), (F(-1, 2), 1), (F(1, 2), -1)], 2)
 
     def test_derived_bodies_built_once(self):
@@ -941,12 +946,12 @@ class TestPolar:
         cfg = SuiteConfig("transference", seed=11, count=0, dim=3, coord_bound=4)
         for i in range(25):
             K = generate_instance(cfg, i)
-            assert polar(polar(K)).body == K.body
+            assert polar(polar(K)) == K
 
 
 def polar_by_hull(K):
     """Reference: the hull of the dual points a / b of K's facets."""
-    return convex_hull([tuple(F(c) / b for c in a) for a, b in K.body.facets], K.ambient_dim)
+    return convex_hull([tuple(F(c) / b for c in a) for a, b in K.facets], K.ambient_dim)
 
 
 def inverse_transpose(U):
@@ -992,14 +997,14 @@ def symmetric_bodies_and_maps(draw):
 def test_polar_matches_hull_of_dual_points(body_and_map):
     K, U = body_and_map
     d = K.ambient_dim
-    dual = polar(K).body
+    dual = polar(K)
     ref = polar_by_hull(K)
     assert dual.vertices == ref.vertices
     assert dual.facets == ref.facets
     assert volume(dual) == volume(ref)
-    double = polar(polar(K)).body
-    assert double == K.body and double.facets == K.body.facets
-    moved = polar(SymmetricBody(convex_hull(apply(U, K.body.vertices), d))).body
+    double = polar(polar(K))
+    assert double == K and double.facets == K.facets
+    moved = polar(SymmetricBody(convex_hull(apply(U, K.vertices), d)))
     expect = convex_hull(apply(inverse_transpose(U), dual.vertices), d)
     assert moved == expect and moved.facets == expect.facets
 
@@ -1020,7 +1025,7 @@ def test_polar_builds_no_hull(monkeypatch):
     for K, vol in bodies:
         dual = polar(K)
         assert calls == []
-        assert volume(dual.body) == vol
+        assert volume(dual) == vol
         calls.clear()
 
 
@@ -1181,7 +1186,7 @@ def reference_difference_body(P):
 
 
 def assert_matches_reference(P):
-    body = difference_body(P).body
+    body = difference_body(P)
     ref = reference_difference_body(P)
     assert body.vertices == ref.vertices
     assert body.facets == ref.facets
@@ -1194,7 +1199,7 @@ def test_weak_meet_rule_in_the_difference_body_is_caught(monkeypatch):
     P = box(2, 2, 2)
     ref = reference_difference_body(P)
     plant_meet_rule(monkeypatch, at_most_three_bits)
-    assert difference_body(P).body.vertices != ref.vertices
+    assert difference_body(P).vertices != ref.vertices
 
 
 @pytest.mark.parametrize("pts", [
@@ -1209,7 +1214,7 @@ def test_difference_body_subtracts_integers(monkeypatch, pts):
     # vertex and facet; the mirror test runs on ints
     P = convex_hull(pts, 3)
     with counted_fractions() as made:
-        body = difference_body(P).body
+        body = difference_body(P)
     assert 0 < made.count <= 4 * (len(body.vertices) + len(body.facets))
     monkeypatch.setattr(polytope, "_hull_full_dim", reference_hull_full_dim)
     assert_matches_reference(P)
@@ -1227,9 +1232,8 @@ def test_difference_body_builds_no_hull(monkeypatch):
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
     K = difference_body(P)
     assert difference_body(P) is K
-    assert difference_body(P).body is K.body
     assert calls == ["_minkowski_difference"]
-    assert volume(K.body) == expect
+    assert volume(K) == expect
     assert calls == ["_minkowski_difference", "_integer_hull", "_hull_full_dim"]
 
 
@@ -1291,12 +1295,12 @@ def test_difference_body_commutes_with_translations_and_shears(P, data):
     # (P + t) - (P + t) = P - P, and U(P) - U(P) = U(P - P) for U in GL_d(Z),
     # whose facets a.x <= b become (U^-T a).y <= b with U^-T a primitive
     d = P.ambient_dim
-    K = difference_body(P).body
+    K = difference_body(P)
     t = data.draw(st.tuples(*[st.integers(-5, 5)] * d))
-    moved = difference_body(convex_hull([core.vsub(v, t) for v in P.vertices], d)).body
+    moved = difference_body(convex_hull([core.vsub(v, t) for v in P.vertices], d))
     assert moved.vertices == K.vertices and moved.facets == K.facets
     U = data.draw(unimodular_matrices(d))
-    sheared = difference_body(convex_hull(apply(U, P.vertices), d)).body
+    sheared = difference_body(convex_hull(apply(U, P.vertices), d))
     assert sheared.vertices == tuple(sorted(apply(U, K.vertices)))
     dual = inverse_transpose(U)
     assert sheared.facets == tuple(sorted((apply(dual, [a])[0], b) for a, b in K.facets))
@@ -1308,10 +1312,10 @@ def test_difference_body_of_simplices_and_cube_is_fast():
     # unit 5-cube gives [-1, 1]^5
     with time_limit(4):
         for d in (5, 6, 7):
-            K = difference_body(simplex(d)).body
+            K = difference_body(simplex(d))
             assert len(K.facets) == 2 ** (d + 1) - 2
             assert len(K.vertices) == d * (d + 1)
-        K = difference_body(box(1, 1, 1, 1, 1)).body
+        K = difference_body(box(1, 1, 1, 1, 1))
     assert K.vertices == tuple(sorted(product((-1, 1), repeat=5)))
     assert K.facets == tuple(sorted((tuple(s * int(i == j) for j in range(5)), 1)
                                     for i in range(5) for s in (1, -1)))
@@ -1323,14 +1327,14 @@ def test_difference_body_volume_of_simplices(d):
     rational = [(0,) * d] + [tuple(F(i + 1, 2) if j == i else F(j - i, 3) for j in range(d))
                              for i in range(d)]
     for P in (simplex(d), simplex(d, 3), convex_hull(rational, d)):
-        assert volume(difference_body(P).body) == math.comb(2 * d, d) * volume(P)
+        assert volume(difference_body(P)) == math.comb(2 * d, d) * volume(P)
 
 
 @given(rational_bodies())
 @settings(max_examples=30, deadline=None)
 def test_difference_body_volume_within_rogers_shephard(P):
     d = P.ambient_dim
-    vol = volume(difference_body(P).body)
+    vol = volume(difference_body(P))
     assert 2 ** d * volume(P) <= vol <= math.comb(2 * d, d) * volume(P)
 
 
@@ -1368,7 +1372,7 @@ class TestIntegerVertices:
         self.assert_scaled(P)
         if P.is_full_dimensional:
             K = difference_body(P)
-            for body in (K.body, polar(K).body, polar(polar(K)).body):
+            for body in (K, polar(K), polar(polar(K))):
                 self.assert_scaled(body)
         else:
             self.assert_scaled(P._chart[3])

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from latmin.polytope import Polytope, SymmetricBody
+from latmin.toric import MomentPolytope
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "latmin"
 
 
@@ -162,10 +165,39 @@ def test_vertices_cleared_is_found():
     source = ("from .core import clear_denominators\nfrom . import core\n\n"
               "def f(P, K, v):\n"
               "    a = clear_denominators(P.vertices)\n"
-              "    b = core.clear_denominators([w for w in K.body.vertices])\n"
+              "    b = core.clear_denominators([w for w in K.vertices])\n"
               "    c = clear_denominators([v])\n"
               "    return a, b, c, P.integer_vertices\n")
     assert vertices_cleared(ast.parse(source)) == [5, 6]
+
+
+def wrapper_reads(tree):
+    """Lines that read an attribute named ``body`` or ``polytope``, the
+    wrappers in which a symmetric body or a moment polytope once kept its
+    Polytope."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("body", "polytope")]
+
+
+def test_body_types_are_polytopes():
+    # a SymmetricBody or MomentPolytope is the Polytope itself, so every
+    # function of a Polytope takes it and no wrapper comes back
+    assert issubclass(SymmetricBody, Polytope) and issubclass(MomentPolytope, Polytope)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_wrapped_bodies_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = wrapper_reads(tree)
+    assert not lines, f"{path.name} reads a wrapped body at lines {lines}"
+
+
+def test_wrapped_body_read_is_found():
+    source = ("from . import polytope\n\n"
+              "def f(K, MP, P):\n"
+              "    L, xs = K.body.integer_vertices\n"
+              "    return polytope.volume(MP.polytope), P.vertices\n")
+    assert wrapper_reads(ast.parse(source)) == [4, 5]
 
 
 def minima_sites(tree):

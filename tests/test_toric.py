@@ -194,14 +194,14 @@ class TestEpsAtInvariantPoint:
 def vertex_cone_by_pairs(MP, u):
     """Reference: v is an edge neighbour of u iff the facets through both cut
     a line (rank d - 1); u is simple iff it has exactly d neighbours."""
-    d = MP.d
+    d = MP.ambient_dim
     uvec = tuple(F(c) for c in u)
-    if uvec not in MP.polytope.vertices:
+    if uvec not in MP.vertices:
         raise NotAVertex(f"{u} is not a vertex")
-    offsets = dict(MP.polytope.facets)
+    offsets = dict(MP.facets)
     active_u = [a for a, b in offsets.items() if vdot(a, uvec) == b]
     gens = []
-    for v in MP.polytope.vertices:
+    for v in MP.vertices:
         if v == uvec:
             continue
         common = [a for a in active_u if vdot(a, v) == offsets[a]]
@@ -222,9 +222,9 @@ def eps_by_cone_solve(MP, u):
         raise NotAVertex(f"{u} is not a vertex")
     if not cones[u].smooth:
         raise SingularVertex(f"vertex cone at {u} is not smooth")
-    d = MP.d
+    d = MP.ambient_dim
     cols = list(zip(*cones[u].edge_generators))
-    coords = [solve_linear(cols, vsub(v, u)) for v in MP.polytope.vertices]
+    coords = [solve_linear(cols, vsub(v, u)) for v in MP.vertices]
     assert all(c is not None and min(c) >= 0 for c in coords)
     values = []
     for i in range(1, d + 1):
@@ -315,9 +315,9 @@ class TestEpsBracketGeneral:
         for idx in range(8):
             mp = random_mp(57, idx, 2, 4)
             prof = eps_bracket_general(mp)
-            w = lattice_width(mp.polytope).width
+            w = lattice_width(mp).width
             last = prof.entries[-1]
-            assert F(w, mp.d) <= last.lo <= last.hi <= w
+            assert F(w, mp.ambient_dim) <= last.lo <= last.hi <= w
 
     def test_bracket_scaling(self):
         mp = box_mp(3, 2)
@@ -406,6 +406,21 @@ class TestVerifyM2m:
             rep = verify_m2m(mp, eps_bracket_general(mp))
             assert rep.holds
 
+    def test_profile_of_the_wrong_length_is_refused(self):
+        # a 2-D body has two minima: one exact value of 2 read as a ratio
+        # vol / 2 = 2 would "hold" without saying anything
+        mp = box_mp(2, 1)
+        with pytest.raises(DimensionMismatch, match="profile of length 1 in dimension 2"):
+            verify_m2m(mp, EpsProfile([EpsExact(F(2), "family_formula")]))
+        with pytest.raises(DimensionMismatch):
+            verify_m2m(mp, EpsProfile([EpsBracket(F(1), F(2))] * 3))
+
+    def test_eps_that_is_no_profile_is_refused(self):
+        mp = box_mp(2, 1)
+        for eps in ([EpsExact(F(2), "family_formula")] * 2, None, {"eps": []}):
+            with pytest.raises(InvalidInput, match="eps must be an EpsProfile"):
+                verify_m2m(mp, eps)
+
 
 class TestEpsProfileValidation:
     def test_rejects_increasing_exact(self):
@@ -415,6 +430,16 @@ class TestEpsProfileValidation:
     def test_rejects_empty_bracket(self):
         with pytest.raises(ValueError):
             EpsProfile([EpsBracket(F(2), F(1))])
+
+    def test_rejects_entries_that_are_no_list(self):
+        for entries in (None, 3, "ab", iter([EpsExact(F(1), "family_formula")])):
+            with pytest.raises(InvalidInput, match="entries must be a list"):
+                EpsProfile(entries)
+
+    def test_rejects_an_entry_of_another_type(self):
+        for entry in (1, F(1), None, (F(1), F(2))):
+            with pytest.raises(InvalidInput, match="neither EpsExact nor EpsBracket"):
+                EpsProfile([EpsExact(F(2), "family_formula"), entry])
 
     def test_json(self):
         prof = EpsProfile([EpsExact(F(5), "invariant_point"), EpsBracket(F(1), F(2))])
@@ -427,6 +452,12 @@ class TestEpsProfileValidation:
 def test_moment_polytope_rejects_fractional_vertices():
     with pytest.raises(ValueError):
         MomentPolytope(convex_hull([(0, 0), (1, 0), (0, F(1, 2))], 2))
+
+
+def test_moment_polytope_of_anything_but_a_polytope_is_invalid_input():
+    for x in ([(0, 0), (1, 0), (0, 1)], None, "P"):
+        with pytest.raises(InvalidInput, match="built from a Polytope"):
+            MomentPolytope(x)
 
 
 def test_splitmix_reference_stream():
