@@ -72,11 +72,16 @@ def _load_json(args) -> object:
         return parse_rat(token).numerator
 
     if args.inline is not None:
-        return json.loads(args.inline, parse_int=parse_int)
-    if args.infile is not None:
+        text = args.inline
+    elif args.infile is not None:
         with open(args.infile, "rb") as fh:
-            return json.loads(fh.read().decode("utf-8"), parse_int=parse_int)
-    raise UsageError("an input is required (--in FILE or --inline JSON)")
+            text = fh.read().decode("utf-8")
+    else:
+        raise UsageError("an input is required (--in FILE or --inline JSON)")
+    try:
+        return json.loads(text, parse_int=parse_int)
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
 
 
 def _parse_polytope(obj) -> Polytope:

@@ -75,22 +75,28 @@ def strict_int(value, name: str) -> int:
     return value
 
 
-def as_ratvec(v: Sequence) -> tuple:
+def as_ratvec(v: Sequence, d: int | None = None) -> tuple:
     """The entries of a list or tuple, read by parse_rat; any other value, a
     str, bytes, a dict, a set, a range or a generator, is refused with
-    InvalidInput."""
+    InvalidInput, and given d, a vector read whole of another length with
+    DimensionMismatch."""
     if not isinstance(v, (list, tuple)):
         raise InvalidInput(f"expected a list of rationals, not a {type(v).__name__}")
-    return tuple(parse_rat(c) for c in v)
+    vec = tuple(parse_rat(c) for c in v)
+    if d is not None and len(vec) != d:
+        raise DimensionMismatch(f"vector of length {len(vec)} in dimension {d}")
+    return vec
 
 
-def as_intvec(v: Sequence) -> tuple:
+def as_intvec(v: Sequence, d: int | None = None) -> tuple:
     """The entries of a list or tuple, read by as_ratvec, each of which must
-    be an integer."""
+    be an integer, and given d, then of length d (else DimensionMismatch)."""
     vec = as_ratvec(v)
     for c in vec:
         if c.denominator != 1:
             raise InvalidInput(f"not an integer entry: {rat_str(c)}")
+    if d is not None and len(vec) != d:
+        raise DimensionMismatch(f"vector of length {len(vec)} in dimension {d}")
     return tuple(c.numerator for c in vec)
 
 

@@ -65,10 +65,7 @@ def gauge(K: SymmetricBody, x) -> Fraction:
     """
     if not isinstance(K, SymmetricBody):
         raise InvalidInput(f"the gauge needs a SymmetricBody, not a {type(K).__name__}")
-    v = as_ratvec(x)
-    if len(v) != K.ambient_dim:
-        raise DimensionMismatch(f"point of length {len(v)} in dimension {K.ambient_dim}")
-    m, (xs,) = clear_denominators([v])
+    m, (xs,) = clear_denominators([as_ratvec(x, K.ambient_dim)])
     M, W = K.dual_vertices
     return Fraction(max([vdot(w, xs) for w in W]), M * m)
 

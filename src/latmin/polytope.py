@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, product, repeat
 from operator import add, floordiv, mul, sub
@@ -172,16 +173,15 @@ def convex_hull(points, d: int) -> Polytope:
     full-dimensional input the facet halfspaces and a boundary triangulation.
     The points are multiplied once by the lcm L of their denominators, which
     keeps their lexicographic order and affine rank, and ``_integer_hull``
-    works on the ints.
+    works on the ints.  ``points`` is any iterable, a set or a generator
+    included, and each point is read by ``as_ratvec`` in dimension d; a
+    value that is not iterable raises InvalidInput.
     """
     if strict_int(d, "dimension") < 1:
         raise DimensionMismatch("ambient dimension must be positive")
-    pts = []
-    for p in points:
-        q = as_ratvec(p)
-        if len(q) != d:
-            raise DimensionMismatch(f"point of length {len(q)} in dimension {d}")
-        pts.append(q)
+    if not isinstance(points, Iterable):
+        raise InvalidInput(f"expected an iterable of points, not a {type(points).__name__}")
+    pts = [as_ratvec(p, d) for p in points]
     if not pts:
         raise DimensionMismatch("need at least one point")
     L, ipts = clear_denominators(pts)
@@ -352,13 +352,11 @@ def _hull_full_dim(ipts, d, simplex):
 def locate(P: Polytope, x) -> PointLocation:
     """Classify a point as Interior, Boundary, or Outside of a full-dimensional P.
 
-    The point is scaled once to the integer vector xs = m x, m the lcm of its
-    denominators, and a facet a.y <= p / q is compared as q a.xs against
-    p m, on ints.
+    x is read by ``as_ratvec`` in P's ambient dimension.  It is scaled once
+    to the integer vector xs = m x, m the lcm of its denominators, and a
+    facet a.y <= p / q is compared as q a.xs against p m, on ints.
     """
-    pt = as_ratvec(x)
-    if len(pt) != P.ambient_dim:
-        raise DimensionMismatch(f"point of length {len(pt)} in dimension {P.ambient_dim}")
+    pt = as_ratvec(x, P.ambient_dim)
     if not P.is_full_dimensional:
         raise DimensionDeficient("locate requires a full-dimensional polytope")
     m, (xs,) = clear_denominators([pt])
@@ -375,28 +373,21 @@ def locate(P: Polytope, x) -> PointLocation:
 def contains(P: Polytope, x) -> bool:
     """Membership test valid in any affine dimension, on ints.
 
-    With m the lcm of the denominators of x, a full-dimensional P holds x
-    iff q a.(m x) <= p m for each facet a.y <= p / q.  A lower-dimensional P
-    is read through the U of its chart: with m the lcm of the denominators
-    of x and the origin, c = m U (x - origin) is integral, x lies on aff(P)
-    iff c's last d - k entries are 0, and then the same test runs on c[:k]
-    against the facets of the inner body.
+    A full-dimensional P holds x iff ``locate`` does not place it OUTSIDE.
+    A lower-dimensional P is read through the U of its chart: x is read by
+    ``as_ratvec`` in P's ambient dimension, and with m the lcm of the
+    denominators of x and the origin, c = m U (x - origin) is integral, x
+    lies on aff(P) iff c's last d - k entries are 0, and then q a.c[:k] <=
+    p m must hold for each facet a.y <= p / q of the inner body.
     """
-    pt = as_ratvec(x)
-    if len(pt) != P.ambient_dim:
-        raise DimensionMismatch(f"point of length {len(pt)} in dimension {P.ambient_dim}")
     if P.is_full_dimensional:
-        m, (xs,) = clear_denominators([pt])
-        facets = P.facets
-    else:
-        origin, U, _, inner = P._chart
-        m, (xs, shift) = clear_denominators([pt, origin])
-        k = P.affine_dim
-        c = matvec(U, vsub(xs, shift))
-        if any(c[k:]):
-            return False
-        xs, facets = c[:k], inner.facets
-    return all(vdot(a, xs) * b.denominator <= b.numerator * m for a, b in facets)
+        return locate(P, x) is not PointLocation.OUTSIDE
+    origin, U, _, inner = P._chart
+    m, (xs, shift) = clear_denominators([as_ratvec(x, P.ambient_dim), origin])
+    k = P.affine_dim
+    c = matvec(U, vsub(xs, shift))
+    return not any(c[k:]) and all(vdot(a, c[:k]) * b.denominator <= b.numerator * m
+                                  for a, b in inner.facets)
 
 
 def enumerate_points(normals, rhs, los, his) -> list:

@@ -17,6 +17,7 @@ from .core import (
     as_intvec,
     cofactor_normal,
     determinant,
+    parse_rat,
     primitive,
     rat_str,
     strict_int,
@@ -80,8 +81,18 @@ class VertexCone:
 
 @dataclass(frozen=True)
 class EpsExact:
+    """An exact minimum, a positive rational read by ``parse_rat``; a value
+    <= 0 or one that is no exact rational (a float, None) raises
+    InvalidInput."""
+
     value: Fraction
     provenance: str  # "invariant_point" | "family_formula"
+
+    def __post_init__(self):
+        value = parse_rat(self.value)
+        if value <= 0:
+            raise InvalidInput(f"exact minimum {rat_str(value)} is not positive")
+        object.__setattr__(self, "value", value)
 
     def to_json(self) -> dict:
         return {"exact": rat_str(self.value), "provenance": self.provenance}
@@ -89,35 +100,48 @@ class EpsExact:
 
 @dataclass(frozen=True)
 class EpsBracket:
+    """A rigorous bracket lo <= eps <= hi, both ends read by ``parse_rat``;
+    an end that is no exact rational, a lo < 0 or a lo > hi raises
+    InvalidInput."""
+
     lo: Fraction
     hi: Fraction
+
+    def __post_init__(self):
+        lo, hi = parse_rat(self.lo), parse_rat(self.hi)
+        if not 0 <= lo <= hi:
+            raise InvalidInput(f"bracket [{rat_str(lo)}, {rat_str(hi)}] needs 0 <= lo <= hi")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def to_json(self) -> dict:
         return {"lo": rat_str(self.lo), "hi": rat_str(self.hi)}
 
 
+@dataclass(frozen=True)
 class EpsProfile:
-    """Per-index Seshadri minima, each either exact or a rigorous bracket."""
+    """Per-index Seshadri minima, each either exact or a rigorous bracket.
 
-    __slots__ = ("entries",)
+    ``entries`` is a nonempty list or tuple of EpsExact and EpsBracket,
+    kept as a tuple; anything else, or exact values that increase, raises
+    InvalidInput.
+    """
 
-    def __init__(self, entries):
+    entries: tuple
+
+    def __post_init__(self):
+        entries = self.entries
         if not isinstance(entries, (list, tuple)):
             raise InvalidInput(f"entries must be a list, not {type(entries).__name__}")
-        entries = tuple(entries)
         if not entries:
             raise InvalidInput("empty profile")
         for e in entries:
             if not isinstance(e, (EpsExact, EpsBracket)):
                 raise InvalidInput(f"entry {e!r} is neither EpsExact nor EpsBracket")
-            if isinstance(e, EpsBracket) and e.lo > e.hi:
-                raise InvalidInput(f"empty bracket [{e.lo}, {e.hi}]")
         exact = [e.value for e in entries if isinstance(e, EpsExact)]
-        if len(exact) == len(entries):
-            for prev, nxt in zip(exact, exact[1:]):
-                if nxt > prev:
-                    raise InvalidInput("exact profile must be nonincreasing")
-        self.entries = entries
+        if len(exact) == len(entries) and any(b > a for a, b in zip(exact, exact[1:])):
+            raise InvalidInput("exact profile must be nonincreasing")
+        object.__setattr__(self, "entries", tuple(entries))
 
     @property
     def all_exact(self) -> bool:
@@ -126,12 +150,6 @@ class EpsProfile:
     @property
     def all_bracket(self) -> bool:
         return all(isinstance(e, EpsBracket) for e in self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, EpsProfile) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"EpsProfile({list(self.entries)!r})"
 
     def to_json(self) -> dict:
         return {"eps": [e.to_json() for e in self.entries]}
@@ -160,9 +178,7 @@ def vertex_cone(MP: MomentPolytope, u) -> VertexCone:
     leave facet i.  A u whose length is not d raises DimensionMismatch.
     """
     d = _moment_dim(MP)
-    u = as_intvec(u)
-    if len(u) != d:
-        raise DimensionMismatch(f"vertex of length {len(u)} in dimension {d}")
+    u = as_intvec(u, d)
     uvec = tuple(Fraction(c) for c in u)
     if uvec not in MP.vertices:
         raise NotAVertex(f"{u} is not a vertex")
@@ -191,9 +207,7 @@ def eps_at_invariant_point(MP: MomentPolytope, u) -> EpsProfile:
     length is not d raises DimensionMismatch before any cone is built.
     """
     d = _moment_dim(MP)
-    u = as_intvec(u)
-    if len(u) != d:
-        raise DimensionMismatch(f"vertex of length {len(u)} in dimension {d}")
+    u = as_intvec(u, d)
     # every vertex must be simple, so every cone is built once, u's among them
     cones = {v: vertex_cone(MP, v) for v in MP.vertices_int}
     if u not in cones:

@@ -277,6 +277,18 @@ def test_vertex_as_fraction_token():
         invoke("toric-eps", "--inline", BOX32, "--vertex", "0,0")
 
 
+def test_json_nested_past_the_recursion_limit(tmp_path):
+    # the decoder's RecursionError is an input error with exit 2, not a traceback
+    depth = 100 * sys.getrecursionlimit()
+    f = tmp_path / "deep.json"
+    f.write_text('{"a":' * depth + "1" + "}" * depth)
+    for source in (["--inline", "[" * depth + "]" * depth], ["--in", str(f)]):
+        code, out = invoke("width", *source)
+        assert code == 2
+        assert out["error"] == {"code": "input", "message": "JSON nested too deeply: "
+                                                            "line 1 column 1 (char 0)"}
+
+
 class TestRoundTrip:
     def test_polar_output_reparses_canonically(self):
         code, out = invoke("polar", "--inline", CROSS)

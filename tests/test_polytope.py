@@ -1394,7 +1394,7 @@ class TestIntegerVertices:
             pts.append(tuple(o + s * a + t * b for o, a, b in zip(origin, u, w)))
         parsed = []
         real = polytope.as_ratvec
-        monkeypatch.setattr(polytope, "as_ratvec", lambda p: parsed.append(p) or real(p))
+        monkeypatch.setattr(polytope, "as_ratvec", lambda p, *d: parsed.append(p) or real(p, *d))
         calls = counting_wrapper(monkeypatch, polytope)
         P = convex_hull(pts, 4)
         inner = P._chart[3]

@@ -200,6 +200,71 @@ def test_wrapped_body_read_is_found():
     assert wrapper_reads(ast.parse(source)) == [4, 5]
 
 
+READERS = ("as_ratvec", "as_intvec")
+
+
+def _called(node):
+    """The name a call calls, bare or read off a module, or that of a bare
+    or module-read name; None for anything else."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _reads(node):
+    """Whether ``node`` is a call of ``as_ratvec`` or ``as_intvec``."""
+    return isinstance(node, ast.Call) and _called(node) in READERS
+
+
+def reread_lengths(tree):
+    """Lines of ``if`` statements that raise DimensionMismatch on the len of
+    a vector read by ``as_ratvec`` or ``as_intvec``, the call itself or a
+    name bound to it in the same function: given d, the reader checks the
+    length, so no caller does it again."""
+    lines = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                and _reads(node.value) for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.If):
+                continue
+            raises = any(isinstance(n, ast.Raise) and n.exc is not None
+                         and _called(n.exc) == "DimensionMismatch" for n in ast.walk(node))
+            lens = [call.args[0] for call in calls_of(node.test, "len") if call.args]
+            if raises and any(getattr(v, "id", None) in read or _reads(v) for v in lens):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "core.py"),
+                         ids=lambda p: p.name)
+def test_no_length_check_after_a_reader(path):
+    # the readers take the dimension and check the length themselves
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = reread_lengths(tree)
+    assert not lines, f"{path.name} checks the length of a vector it read at lines {lines}"
+
+
+def test_length_check_after_a_reader_is_found():
+    source = ("from .core import as_intvec, as_ratvec\nfrom . import core, errors\n"
+              "from .errors import DimensionMismatch\n\n"
+              "def f(P, points, x, u, d):\n"
+              "    for p in points:\n"
+              "        q = as_ratvec(p)\n"
+              "        if len(q) != d:\n"
+              "            raise DimensionMismatch(f'point of length {len(q)}')\n"
+              "    if len(core.as_intvec(u)) != d:\n"
+              "        raise errors.DimensionMismatch\n"
+              "    w = as_ratvec(x, d)\n"
+              "    if len(w) > 2:\n"
+              "        raise errors.InvalidInput('too long')\n"
+              "    if len(P.facets) != d:\n"
+              "        raise DimensionMismatch('unread')\n"
+              "    return w\n")
+    assert reread_lengths(ast.parse(source)) == [8, 10]
+
+
 def minima_sites(tree):
     """Lines of the calls of ``lll_reduce`` and of ``enumerate_points``."""
     return {name: sorted(node.lineno for node in calls_of(tree, name))
