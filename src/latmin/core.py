@@ -315,16 +315,18 @@ def inverse_transpose(B: Sequence[Sequence[int]]) -> list:
     return [tuple(det * c for c in row) for row in C]
 
 
-def independent(vectors: Sequence[Sequence]) -> list:
+def independent(vectors: Sequence[Sequence], k: int | None = None) -> list:
     """Indices of the vectors independent of all vectors before them, the
-    greedy basis, whose size is the rank over Q; no vector past the one that
-    brings the rank to full is read."""
+    greedy basis, whose size is the rank over Q; with k, only its first k.
+    No vector past the one that brings the count to k, or the rank to full,
+    is read."""
     ncols, picked, basis, pivots = len(vectors[0]) if vectors else 0, [], [], []
+    k = ncols if k is None else min(k, ncols)
     for i, (_, row) in enumerate(_rows_of(vectors, ncols)):
         _insert(basis, pivots, row)
         if len(pivots) > len(picked):
             picked.append(i)
-            if len(picked) == ncols:
+            if len(picked) == k:
                 break
     return picked
 

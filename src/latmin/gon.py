@@ -164,10 +164,10 @@ def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
     the half y_1 >= 0 of the box is enumerated.  Candidates are ranked by
     (g, min(x, -x)) in the original coordinates, so the result does not
     depend on B, and x is built only for the nonzero y that are kept: the
-    ones of least g for k = 1, else all, of which the ``independent`` ones
-    are taken.  A witness is -min(x, -x), whose first nonzero entry is
-    positive, and a Fraction g / scale is made only for each minimum
-    returned.
+    ones of least g for k = 1, else all, of which the first k
+    ``independent`` ones are taken, with no candidate past the k-th read.
+    A witness is -min(x, -x), whose first nonzero entry is positive, and a
+    Fraction g / scale is made only for each minimum returned.
     """
     zero = (0,) * d
     rows = [r for r in rows if r > zero]
@@ -188,7 +188,7 @@ def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
             candidates.append((g, min(x, tuple(-c for c in x))))
     candidates.sort()
     picked = candidates[:1] if k == 1 else [
-        candidates[i] for i in independent([x for _, x in candidates])[:k]]
+        candidates[i] for i in independent([x for _, x in candidates], k)]
     return SuccessiveMinima(d, tuple(Fraction(g, scale) for g, _ in picked),
                             tuple(tuple(-c for c in v) for _, v in picked))
 

@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, product, repeat
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, lt, mul, sub
 
 from .core import (
     as_ratvec,
@@ -396,8 +396,9 @@ def enumerate_points(normals, rhs, los, his) -> list:
 
     The integer box los[j] <= x_j <= his[j] must hold every solution.  The
     points are read straight off the runs of ``_runs`` in one comprehension,
-    so the work per innermost row is O(len(normals)) and one tuple per
-    point.  In dimension 0 the empty point solves every r >= 0.
+    one tuple per point; the walk's work per run is O(len(normals)) and its
+    memory O(d len(normals)), however wide the box.  In dimension 0 the
+    empty point solves every r >= 0.
     """
     if not los:
         return [()] if all(r >= 0 for r in rhs) else []
@@ -410,45 +411,64 @@ def _runs(normals, rhs, los, his):
     hi), the points prefix + (t,) for lo <= t <= hi, in lexicographic order.
 
     The plan is made once per call: at each level j the normals split into
-    those with a positive, a negative and a zero coefficient a_j.  A prefix
-    of length j carries one list of slacks, r - a.prefix less the least
-    value sum_{k>j} min(a_k los[k], a_k his[k]) that the later coordinates
-    can add over the box.  So a_j x_j <= slack bounds x_j from above for
-    a_j > 0 and from below for a_j < 0, and a negative slack at a_j = 0 has
-    no solution.  Descending to level j + 1 builds a child's slacks by one
-    ``map``; at the last level the interval is the run, with no descent and
-    no per-point update.  The walk is depth first and keeps one lazy
-    iterator of children per level, so it holds O(d len(normals)) values
-    however wide the box.  It is exhaustive and never scans the whole box
-    (Fincke-Pohst 1985).
+    those with a positive and a negative coefficient a_j.  A prefix of
+    length j carries one list of slacks, r - a.prefix less the least value
+    sum_{k>j} min(a_k los[k], a_k his[k]) that the later coordinates can add
+    over the box.  So a_j x_j <= slack bounds x_j from above for a_j > 0 and
+    from below for a_j < 0; a child's slacks are built by one ``map``.
+
+    The last level is folded into its parent, level d - 2: for each x of the
+    parent's interval the run is t <= (b - a x) // c over the rows with a
+    last coefficient c > 0 and t >= -((b - a x) // -c) over those with
+    c < 0, b the parent's slack plus the row's least last value and a its
+    parent coefficient.  So a last-level prefix gets no slack list and no
+    node.  For d = 1 the parent is a virtual level 0 with the box [0, 0] and
+    a zero column, whose x the prefix leaves out.
+
+    A zero coefficient a_j needs no test below the root: the row's slack is
+    its parent's less a_{j-1} x, which the parent's bound on x keeps >= 0
+    (or its parent's own, if a_{j-1} = 0).  So a row with a zero last
+    coefficient cuts x once, through the parent's bound.  At the root, one
+    test per row, that its least value over the box is at most r, stands
+    for them all.
+
+    The walk is depth first and keeps, per level above the parent, the
+    node's slacks and an iterator over its interval: O(d len(normals))
+    values however wide the box.  It is exhaustive and never scans the
+    whole box (Fincke-Pohst 1985; Schnorr-Euchner 1994).
     """
     if any(lo > hi for lo, hi in zip(los, his)):
         return
+    head = len(los) - 1  # the length of a run's prefix
+    if not head:
+        normals, los, his = [(0, *a) for a in normals], [0, *los], [0, *his]
     d = len(los)
     cols = [[a[j] for a in normals] for j in range(d)]
     # least value of a_j x_j over the box, per level j and normal a
     mins = [[c * (lo if c > 0 else hi) for c in col] for col, lo, hi in zip(cols, los, his)]
-    # per level: box, positive normals and coefficients, negative normals and
-    # |coefficients|, zero normals, the column and the next level's minima
-    plan = []
-    for j, col in enumerate(cols):
-        pos = [i for i, c in enumerate(col) if c > 0]
-        neg = [i for i, c in enumerate(col) if c < 0]
-        plan.append((los[j], his[j], pos, [col[i] for i in pos], neg, [-col[i] for i in neg],
-                     [i for i, c in enumerate(col) if c == 0],
-                     col, mins[j + 1] if j + 1 < d else None))
     slack = list(rhs)
     for m in mins[1:]:
         slack = list(map(sub, slack, m))
-    # the children (prefix, slacks) still to visit, one iterator per level of the path
-    stack = [iter([((), slack)])]
-    while stack:
-        for prefix, slack in stack[-1]:
-            break
-        else:
-            stack.pop()
-            continue
-        lo, hi, pos, pc, neg, nc, zero, col, nxt = plan[len(prefix)]
+    if any(map(lt, slack, mins[0])):
+        return
+    # per level above the last: box, positive normals and coefficients,
+    # negative normals and |coefficients|, the column and the next level's minima
+    plan = []
+    for j, col in enumerate(cols[:-1]):
+        pos = [i for i, c in enumerate(col) if c > 0]
+        neg = [i for i, c in enumerate(col) if c < 0]
+        plan.append((los[j], his[j], pos, [col[i] for i in pos], neg, [-col[i] for i in neg],
+                     col, mins[j + 1]))
+    # the last level's rows with c > 0 and with c < 0: (normal, its least
+    # value there, its parent coefficient a, |c|)
+    parent, last, least = cols[-2], cols[-1], mins[-1]
+    cap_rows = [(i, least[i], parent[i], c) for i, c in enumerate(last) if c > 0]
+    floor_rows = [(i, least[i], parent[i], -c) for i, c in enumerate(last) if c < 0]
+    tlo, thi = los[-1], his[-1]
+    prefix, path = (), []  # path: (prefix, slacks + next minima, column, x iterator) per level
+    while True:
+        j = len(path)
+        lo, hi, pos, pc, neg, nc, col, nxt = plan[j]
         get = slack.__getitem__
         if pos:
             top = min(map(floordiv, map(get, pos), pc))
@@ -458,19 +478,33 @@ def _runs(normals, rhs, los, his):
             bottom = -min(map(floordiv, map(get, neg), nc))
             if bottom > lo:
                 lo = bottom
-        if lo > hi or (zero and min(map(get, zero)) < 0):
-            continue
-        if len(prefix) == d - 1:
-            yield prefix, lo, hi
-            continue
-        stack.append(_children(prefix, list(map(add, slack, nxt)), col, lo, hi))
-
-
-def _children(prefix, base, col, lo, hi):
-    """The prefixes prefix + (x,), lo <= x <= hi, each with its slacks
-    base - col * x."""
-    for x in range(lo, hi + 1):
-        yield (*prefix, x), list(map(sub, base, map(mul, col, repeat(x))))
+        if lo <= hi:
+            if j < d - 2:
+                path.append((prefix, list(map(add, slack, nxt)), col, iter(range(lo, hi + 1))))
+            else:
+                caps = [(slack[i] + m, a, c) for i, m, a, c in cap_rows]
+                floors = [(slack[i] + m, a, c) for i, m, a, c in floor_rows]
+                for x in range(lo, hi + 1):
+                    top, low = thi, -tlo  # low is minus the run's lower bound
+                    for b, a, c in caps:
+                        t = (b - a * x) // c
+                        if t < top:
+                            top = t
+                    for b, a, c in floors:
+                        t = (b - a * x) // c
+                        if t < low:
+                            low = t
+                    if -low <= top:
+                        yield (*prefix, x)[:head], -low, top
+        while path:
+            prefix, base, col, xs = path[-1]
+            x = next(xs, None)
+            if x is not None:
+                prefix, slack = (*prefix, x), list(map(sub, base, map(mul, col, repeat(x))))
+                break
+            path.pop()
+        else:
+            return
 
 
 def _integer_system(P: Polytope, mode: str):

@@ -825,7 +825,7 @@ def test_first_minimum_needs_no_elimination(monkeypatch):
     # k = 1 takes the least candidate; only k > 1 picks independent ones
     calls = []
     real = gon.independent
-    monkeypatch.setattr(gon, "independent", lambda xs: calls.append(len(xs)) or real(xs))
+    monkeypatch.setattr(gon, "independent", lambda xs, *k: calls.append(len(xs)) or real(xs, *k))
     K = hexagon(3)
     P = convex_hull([(0, 0), (4, 1), (1, 3), (-1, -2)], 2)
     assert successive_minima(K, 1).lambdas == minima_by_standard_basis(K)[0][:1]
@@ -834,3 +834,26 @@ def test_first_minimum_needs_no_elimination(monkeypatch):
     assert calls == []
     successive_minima(K)
     assert len(calls) == 1
+
+
+def test_minima_stop_inserting_at_the_kth_pick(monkeypatch):
+    # for 1 < k < d the greedy basis stops at rank k: at k = 2 on the 4-cube
+    # no candidate past the second pick goes into the echelon rows, and the
+    # minima are the prefix of the full ones
+    K = cube(4)
+    full = successive_minima(K)
+    inserted, seen = [], []
+    real_insert, real_independent = core._insert, gon.independent
+    monkeypatch.setattr(core, "_insert", lambda basis, pivots, row: inserted.append(row)
+                        or real_insert(basis, pivots, row))
+
+    def spying(vectors, *k):
+        picked = real_independent(vectors, *k)
+        seen.append((len(vectors), picked))
+        return picked
+
+    monkeypatch.setattr(gon, "independent", spying)
+    sm = successive_minima(SymmetricBody(K), 2)
+    (candidates, picked), = seen
+    assert len(picked) == 2 and len(inserted) == picked[-1] + 1 < candidates
+    assert sm == SuccessiveMinima(4, full.lambdas[:2], full.witnesses[:2])

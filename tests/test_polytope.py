@@ -726,6 +726,35 @@ def test_enumerate_points_edge_boxes():
     assert polytope.enumerate_points([()], [-1], [], []) == []
 
 
+# (normals, rhs, los, his) and the number of solutions, for each way the
+# walk folds the last level into its parent: rows with a zero last
+# coefficient cut the parent's coordinate, the second, from [-2, 2] to
+# [-1, 0], or to nothing; a zero row refuses every point; d = 1 folds into
+# the virtual level, with a run bounded from both sides; at d = 4 the last
+# level has only lower bounds
+FOLDED_SYSTEMS = {
+    "zero_last_rows_narrow_parent": (
+        [(0, 1, 0), (0, -1, 0), (1, 0, 1), (0, 0, -1)], [0, 1, 2, 1], [-2] * 3, [2] * 3, 34),
+    "zero_last_rows_empty_parent": (
+        [(0, 1, 0), (0, -1, 0), (1, 1, 1)], [-1, 0, 3], [-2] * 3, [2] * 3, 0),
+    "zero_row_negative_rhs_d1": ([(1,), (0,)], [2, -1], [-3], [3], 0),
+    "zero_row_negative_rhs_d2": ([(1, 1), (0, 0)], [2, -1], [-3, -3], [3, 3], 0),
+    "d1_both_signs": ([(2,), (-3,)], [5, 4], [-5], [5], 4),
+    "d4_last_level_only_negative": (
+        [(1, 1, 1, -1), (1, -1, 0, -2), (-1, 0, 2, 0)], [1, 0, 2], [-1] * 4, [2] * 4, 90),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED_SYSTEMS))
+def test_enumerate_points_folded_last_level(name):
+    normals, rhs, los, his, count = FOLDED_SYSTEMS[name]
+    pts = polytope.enumerate_points(normals, rhs, los, his)
+    assert pts == enumerate_points_reference(normals, rhs, los, his)
+    assert pts == [x for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+                   if all(core.vdot(a, x) <= r for a, r in zip(normals, rhs))]
+    assert len(pts) == count
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("rhs", [(1, 0), (0, 0), (2, -1)])
 def test_enumerate_points_runs_against_box_scan(d, rhs):
