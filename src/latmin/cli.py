@@ -90,8 +90,7 @@ def _parse_polytope(obj) -> Polytope:
     d = strict_int(obj["dim"], "dim")
     if not isinstance(obj["vertices"], list):
         raise InvalidInput(f'"vertices" must be a list, not {type(obj["vertices"]).__name__}')
-    pts = [as_ratvec(v) for v in obj["vertices"]]
-    return convex_hull(pts, d)
+    return convex_hull(obj["vertices"], d)
 
 
 def _dump(obj) -> bytes:
@@ -138,7 +137,11 @@ def _flatness(cfg: SuiteConfig, i: int, track) -> bool:
 
 def _m2m(cfg: SuiteConfig, i: int, track) -> bool:
     """Exact family profiles, or brackets on a random lattice polytope whose
-    last entry must also lie in [w/d, w] for the lattice width w."""
+    last entry must also lie in [w/d, w] for the lattice width w.  Only
+    lo <= hi is tested there: ``eps_bracket_general`` sets lo to at least
+    w/d and hi to lambda_1(polar(P - P)), the kept dual minimum that
+    ``lattice_width`` also returns, so the other two clauses hold by
+    construction."""
     rng = instance_stream(cfg.seed, i)
     kind = rng.int_in(0, 2)
     if kind == 0:

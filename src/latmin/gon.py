@@ -125,19 +125,33 @@ def _kept(K: SymmetricBody, slot: str, k, minima) -> SuccessiveMinima:
 def lattice_width(P: Polytope) -> WidthResult:
     """Lattice width of P: the least max a.v - min a.v over the vertices v of
     P and the nonzero integer functionals a, which is the first minimum of
-    polar(P - P), with a witness a.  Built once per polytope.
+    polar(P - P), with a witness a.  Built once per polytope, and never
+    builds P - P or its polar itself.
 
     The support function of P - P is h_P(a) + h_P(-a), so the width along a
-    is max |a.x| / L over the differences x = u - v, u > v, of P's integer
-    vertices over their L: ``_least`` reads it off those rows with k = 1,
-    and builds neither P - P nor its polar.
+    is max |a.x| / L over the differences x = u - v of P's integer vertices
+    over their L, the gauge ``dual_minima`` reads off the vertices of a kept
+    P - P, which has P's L.  Candidates are ranked alike for any rows and
+    any k, so the first dual minimum is the same number and witness:
+
+    * a kept P - P that keeps dual minima gives their first entry;
+    * a kept P - P that keeps all d of its minima gets all d of its dual
+      minima, kept on it, at a cost like that of the minima (transference);
+    * else ``_least`` reads the differences u - v, u > v, with k = 1.
     """
     if not P.is_full_dimensional:
         raise DimensionDeficient("width requires a full-dimensional polytope")
     if P._width is None:
-        L, verts = P.integer_vertices
-        diffs = list({vsub(u, v) for u in verts for v in verts if u > v})
-        sm = _least(P.ambient_dim, diffs, L, 1)
+        K = P._difference
+        if K is not None and K._dual_minima is not None:
+            sm = K._dual_minima
+        elif (K is not None and K._minima is not None
+              and len(K._minima.lambdas) == P.ambient_dim):
+            sm = dual_minima(K)
+        else:
+            L, verts = P.integer_vertices
+            diffs = list({vsub(u, v) for u in verts for v in verts if u > v})
+            sm = _least(P.ambient_dim, diffs, L, 1)
         P._width = WidthResult(sm.lambdas[0], sm.witnesses[0])
     return P._width
 

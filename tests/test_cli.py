@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latmin import postulation
+from latmin import core, postulation
 from latmin.cli import run
 
 
@@ -234,6 +234,26 @@ def test_negative_postulation_parameters(doc, message):
     code, out = invoke("postulation", "--inline", json.dumps(doc))
     assert code == 2
     assert out["error"] == {"code": "NegativeParameter", "message": message}
+
+
+def test_each_vertex_coordinate_read_once(monkeypatch):
+    # the CLI hands the raw vertices to convex_hull, whose as_ratvec reads
+    # each of the square's 8 coordinates once
+    calls = []
+    real = core.parse_rat
+    monkeypatch.setattr(core, "parse_rat", lambda x: calls.append(x) or real(x))
+    code, out = invoke("width", "--inline", SQUARE5)
+    assert (code, out["width"]) == (0, "5")
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("vertices", [[["1/0"], ["0"]], [[0.5], [0]], ["12", "30"]])
+def test_dimension_refused_before_a_malformed_vertex(vertices):
+    # the library's order: convex_hull refuses dim 0 before it reads a vertex
+    code, out = invoke("volume", "--inline", json.dumps({"dim": 0, "vertices": vertices}))
+    assert code == 2
+    assert out["error"] == {"code": "DimensionMismatch",
+                            "message": "ambient dimension must be positive"}
 
 
 @pytest.mark.parametrize("command, vertices, message", [

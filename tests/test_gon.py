@@ -21,7 +21,7 @@ from latmin.gon import (
     verify_sharp_2d,
     verify_transference,
 )
-from latmin.generate import SuiteConfig, generate_instance
+from latmin.generate import SuiteConfig, generate_instance, instance_stream, random_polytope
 from latmin.polytope import (
     PointLocation,
     SymmetricBody,
@@ -337,17 +337,28 @@ def test_dual_minima_k_is_a_strict_int_in_range(k):
             dual_minima(K, k)
 
 
+def thin_triangle(s, t=0):
+    """(0,0), (s,0), (0,1/s) under the shear y += t x: width 1/s."""
+    return convex_hull([(0, 0), (s, t * s), (0, F(1, s))], 2)
+
+
 @pytest.mark.parametrize("t", [0, 5])
 @pytest.mark.parametrize("s", [10 ** e for e in range(3, 10)])
 def test_thin_triangle_width(monkeypatch, s, t):
-    # The triangle (0,0), (s,0), (0,1/s) under the shear y += t x.  Its
-    # width 1/s is attained by (-t, 1); a start at the largest gauge of a
-    # unit vector enumerates about s^2 points here.
+    # The width 1/s of the thin triangle is attained by (-t, 1); a start at
+    # the largest gauge of a unit vector enumerates about s^2 points here,
+    # and so do the full dual minima of P - P.  Neither a bare P - P nor one
+    # that keeps only its first minimum turns the k = 1 width into them.
     counts = counting_enumerator(monkeypatch, max_box=10 ** 4)
-    res = lattice_width(convex_hull([(0, 0), (s, t * s), (0, F(1, s))], 2))
-    assert res.width == F(1, s)
-    assert res.witness == ((t, -1) if t else (0, 1))
-    assert counts and max(counts) <= 100
+    for setup in (lambda P: None, difference_body,
+                  lambda P: successive_minima(difference_body(P), 1)):
+        thin = thin_triangle(s, t)
+        setup(thin)
+        del counts[:]
+        res = lattice_width(thin)
+        assert res.width == F(1, s)
+        assert res.witness == ((t, -1) if t else (0, 1))
+        assert counts and max(counts) <= 100
 
 
 # --- lattice width -------------------------------------------------------------
@@ -408,6 +419,66 @@ def test_width_builds_no_derived_body(monkeypatch):
     assert calls == []
     successive_minima(polytope.polar(gon.difference_body(P)))  # the wrappers do see other callers
     assert calls == ["difference_body", "polar"]
+
+
+def counting_least(monkeypatch):
+    """Record the k of each call of ``gon._least``, the one minima routine."""
+    calls = []
+    real = gon._least
+    monkeypatch.setattr(gon, "_least", lambda d, rows, scale, k: calls.append(k)
+                        or real(d, rows, scale, k))
+    return calls
+
+
+WIDTH_BODIES = {f"d{d}-seed{seed}": lambda d=d, seed=seed: random_polytope(
+    instance_stream(seed, 0), d, 3) for d in (2, 3, 4) for seed in (1, 2, 3)}
+WIDTH_BODIES["thin-30"] = lambda: thin_triangle(30)
+
+
+@pytest.mark.parametrize("fresh", WIDTH_BODIES.values(), ids=WIDTH_BODIES.keys())
+def test_width_equal_in_every_call_order(monkeypatch, fresh):
+    # the width of a fresh P (vertex differences), of one whose P - P keeps
+    # its minima (all d dual minima of P - P, kept on it) and of one whose
+    # P - P keeps a dual minimum (read, no pass) is one number and witness,
+    # that of the polar reference and of the brute-force scan
+    calls = counting_least(monkeypatch)
+    P = fresh()
+    res = lattice_width(P)
+    assert calls == [1]
+    after_minima = fresh()
+    successive_minima(difference_body(after_minima))
+    del calls[:]
+    assert lattice_width(after_minima) == res
+    dim = after_minima.ambient_dim
+    assert calls == [dim]
+    assert dual_minima(difference_body(after_minima)).lambdas[0] == res.width
+    assert calls == [dim]
+    after_dual = fresh()
+    dual_minima(difference_body(after_dual), 1)
+    del calls[:]
+    assert lattice_width(after_dual) == res
+    assert calls == []
+    assert (res.width, res.witness) == width_by_polar_minima(P)
+    assert res.width == width_by_brute_force(P)
+
+
+def test_verify_d3_body_makes_two_minima_passes(monkeypatch):
+    # the minima of P - P and its dual minima, the width read off the latter;
+    # the dual minima reach transference and the bracket as kept results
+    calls = counting_least(monkeypatch)
+    for i in range(6):
+        P = random_polytope(instance_stream(1, i), 3, 4)
+        del calls[:]
+        verify_minkowski_second(P)
+        flatness_report(P)
+        verify_transference(difference_body(P))
+        mp = toric.MomentPolytope(P)
+        toric.verify_m2m(mp, toric.eps_bracket_general(mp))
+        lattice_width(P)
+        assert calls == [3, 3]
+    del calls[:]
+    flatness_report(random_polytope(instance_stream(1, 0), 3, 4))
+    assert calls == [1]
 
 
 def wrap_derived_bodies(monkeypatch):
