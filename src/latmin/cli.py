@@ -4,7 +4,10 @@ Every command is a pure function of its arguments, input bytes, and seed;
 identical invocations produce identical output bytes.  Reports are
 newline-terminated canonical JSON on stdout.  Exit codes: 0 success, 1 a
 verify suite recorded a violated verdict (an implementation bug, since the
-checked theorems are proved), 2 usage or input errors.
+checked theorems are proved), 2 usage or input errors.  An exit 2 names its
+cause: a ``LatminError`` class, ``usage``, ``generation``, or ``input`` for
+JSON that does not decode and files that cannot be read or written; any
+other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import gon, postulation, toric
-from .core import as_intvec, as_ratvec, parse_rat, rat_str, strict_int
+from .core import as_intvec, as_ratvec, parse_rat, rat_str, strict_int, vdot
 from .errors import InvalidInput, LatminError
 from .generate import (GenerationError, SuiteConfig, generate_instance, instance_stream,
                        random_polytope)
@@ -75,7 +78,11 @@ def _load_json(args) -> object:
         text = args.inline
     elif args.infile is not None:
         with open(args.infile, "rb") as fh:
-            text = fh.read().decode("utf-8")
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # undecodable JSON too
+            raise json.JSONDecodeError(f"not UTF-8 ({exc.reason})", "", exc.start) from None
     else:
         raise UsageError("an input is required (--in FILE or --inline JSON)")
     try:
@@ -136,12 +143,14 @@ def _flatness(cfg: SuiteConfig, i: int, track) -> bool:
 
 
 def _m2m(cfg: SuiteConfig, i: int, track) -> bool:
-    """Exact family profiles, or brackets on a random lattice polytope whose
-    last entry must also lie in [w/d, w] for the lattice width w.  Only
-    lo <= hi is tested there: ``eps_bracket_general`` sets lo to at least
-    w/d and hi to lambda_1(polar(P - P)), the kept dual minimum that
-    ``lattice_width`` also returns, so the other two clauses hold by
-    construction."""
+    """Exact family profiles, or brackets on a random lattice polytope.  A
+    bracket profile's last entry must lie in [w/d, w] for the lattice width
+    w, and the width witness a must attain w over the polytope's vertices,
+    max a.v - min a.v = w, read off its integer vertices with no minima.
+    The witness clause is what checks the width: ``eps_bracket_general``
+    sets lo to at least w/d and hi to lambda_1(polar(P - P)), the kept dual
+    minimum that ``lattice_width`` also returns, so of [w/d, w] only
+    lo <= hi can fail."""
     rng = instance_stream(cfg.seed, i)
     kind = rng.int_in(0, 2)
     if kind == 0:
@@ -155,9 +164,12 @@ def _m2m(cfg: SuiteConfig, i: int, track) -> bool:
         profile = toric.eps_bracket_general(mp)
     rep = toric.verify_m2m(mp, profile)
     if profile.all_bracket:
-        w = gon.lattice_width(mp).width
-        last = profile.entries[-1]
-        return rep.holds and Fraction(w, mp.ambient_dim) <= last.lo <= last.hi <= w
+        width = gon.lattice_width(mp)
+        w, last = width.width, profile.entries[-1]
+        L, xs = mp.integer_vertices
+        levels = [vdot(width.witness, x) for x in xs]
+        return (rep.holds and (max(levels) - min(levels)) * w.denominator == w.numerator * L
+                and Fraction(w, mp.ambient_dim) <= last.lo <= last.hi <= w)
     track("max_ratio", parse_rat(rep.quantities["ratio"]), max)
     return rep.holds
 
@@ -257,7 +269,7 @@ def run(argv: list) -> tuple[int, bytes]:
         return 2, _dump({"error": {"code": "usage", "message": str(exc)}})
     except LatminError as exc:
         return 2, _dump({"error": {"code": type(exc).__name__, "message": str(exc)}})
-    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, OSError) as exc:  # undecodable JSON, unreadable files
         return 2, _dump({"error": {"code": "input", "message": str(exc)}})
     except GenerationError as exc:
         return 2, _dump({"error": {"code": "generation", "message": str(exc)}})

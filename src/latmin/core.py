@@ -33,11 +33,15 @@ from .errors import DimensionMismatch, InternalError, InvalidInput, ZeroVector
 def rat_str(x: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1.
 
-    The digits come from ``Decimal``, so an exact answer of any length is
-    written out; Python's limit on the digits of ``str(int)`` guards parsing
-    (see ``parse_rat``), not output.
+    An int or a Fraction is read as it is; any other value goes through
+    ``Fraction(x)`` first.  The digits come from ``Decimal``, so an exact
+    answer of any length is written out; Python's limit on the digits of
+    ``str(int)`` guards parsing (see ``parse_rat``), not output.
     """
-    x = Fraction(x)
+    if isinstance(x, int):
+        return str(Decimal(x))
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(Decimal(x.numerator))
     return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"

@@ -26,9 +26,9 @@ from .core import (
     vsub,
 )
 from .errors import DimensionDeficient, DimensionMismatch, InvalidInput
-from .polytope import (Polytope, SymmetricBody, difference_body, enumerate_points,
-                       lattice_points, volume)
+from .polytope import Polytope, SymmetricBody, difference_body, lattice_points, volume
 from .report import HOLDS, TheoremReport, verdict
+from .walk import runs
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,9 @@ def _form(d: int, rows) -> list:
 
 def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
     """First k minima and witnesses of the body {x : |r.x| <= scale for every
-    row r}, for integer rows r and an int scale > 0.  Only the rows r > 0
-    are read: the rows are closed under negation, or one per +- pair.
+    row r}, for integer rows r and an int scale > 0.  The rows come closed
+    under negation, or one per +- pair, and only the rows r > 0 are read, so
+    each pair once.
 
     All on ints: scale times the gauge of an integer x is the int g(x) =
     max |r.x|.  With m rows the form G = ``_form(d, rows)`` sandwiches it:
@@ -172,11 +173,14 @@ def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
     x = B^T y, r.x = n.y for the reduced normals n = B r, so g(x) is max
     |n.y| and g of row j of B is max |n_j|.  R is the k-th smallest of
     those, so k independent rows of B lie among the points y with |n.y| <=
-    R, and one pass finds k witnesses.  Their box is that of the ellipsoid
-    y^T G_B y <= m R^2, G_B = B G B^T = ``_form(d, normals)``, |y_j| <=
-    sqrt(m R^2 (G_B^-1)_jj) (Fincke-Pohst).  y -> -y maps x to -x, so only
-    the half y_1 >= 0 of the box is enumerated.  Candidates are ranked by
-    (g, min(x, -x)) in the original coordinates, so the result does not
+    R, and one pass finds k witnesses: the walk gets the m rows (n, -R, R),
+    each with both sides.  Their box is that of the ellipsoid y^T G_B y <=
+    m R^2, G_B = B G B^T = ``_form(d, normals)``, |y_j| <= sqrt(m R^2
+    (G_B^-1)_jj) (Fincke-Pohst).  y -> -y maps x to -x, so only the half
+    y_1 >= 0 of the box is enumerated.  Each run carries the values n.prefix
+    of the rows, so g at the run's point prefix + (t,) is max |n.prefix +
+    n_d t|, one product per row and no dot product.  Candidates are ranked
+    by (g, min(x, -x)) in the original coordinates, so the result does not
     depend on B, and x is built only for the nonzero y that are kept: the
     ones of least g for k = 1, else all, of which the first k
     ``independent`` ones are taken, with no candidate past the k-th read.
@@ -190,9 +194,13 @@ def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
     R = sorted([max(map(abs, col)) for col in zip(*normals)])[k - 1]
     C, det = cofactors(_form(d, normals))  # of G_B
     his = [math.isqrt(len(rows) * R * R * C[j][j] // det) for j in range(d)]
-    bounds = normals + [tuple(-c for c in n) for n in normals]
-    ys = enumerate_points(bounds, [R] * len(bounds), [0] + [-h for h in his[1:]], his)
-    gs = [max([abs(vdot(n, y)) for n in normals]) for y in ys]
+    last = [n[-1] for n in normals]
+    ys, gs = [], []
+    for prefix, lo, hi, values in runs([(n, -R, R) for n in normals],
+                                       [0] + [-h for h in his[1:]], his):
+        for t in range(lo, hi + 1):
+            ys.append((*prefix, t))
+            gs.append(max([abs(u + c * t) for u, c in zip(values, last)]))
     top = min([g for g in gs if g]) if k == 1 else R  # the rows span: g = 0 at y = 0 only
     to_x = list(zip(*B))
     candidates = []

@@ -21,7 +21,6 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, product, repeat
-from operator import add, floordiv, lt, mul, sub
 
 from .core import (
     as_ratvec,
@@ -40,6 +39,7 @@ from .core import (
 )
 from .errors import (DimensionDeficient, DimensionMismatch, InternalError, InvalidInput,
                      NotSymmetric, ZeroVector)
+from .walk import enumerate_points, integer_system, runs
 
 
 class PointLocation(enum.Enum):
@@ -390,148 +390,13 @@ def contains(P: Polytope, x) -> bool:
                                   for a, b in inner.facets)
 
 
-def enumerate_points(normals, rhs, los, his) -> list:
-    """Integer points x with a.x <= r for each integer normal a in ``normals``
-    and its integer right-hand side r in ``rhs``, sorted lexicographically.
-
-    The integer box los[j] <= x_j <= his[j] must hold every solution.  The
-    points are read straight off the runs of ``_runs`` in one comprehension,
-    one tuple per point; the walk's work per run is O(len(normals)) and its
-    memory O(d len(normals)), however wide the box.  In dimension 0 the
-    empty point solves every r >= 0.
-    """
-    if not los:
-        return [()] if all(r >= 0 for r in rhs) else []
-    return [(*prefix, t) for prefix, lo, hi in _runs(normals, rhs, los, his)
-            for t in range(lo, hi + 1)]
-
-
-def _runs(normals, rhs, los, his):
-    """The solutions of ``enumerate_points`` for d >= 1 as runs (prefix, lo,
-    hi), the points prefix + (t,) for lo <= t <= hi, in lexicographic order.
-
-    The plan is made once per call: at each level j the normals split into
-    those with a positive and a negative coefficient a_j.  A prefix of
-    length j carries one list of slacks, r - a.prefix less the least value
-    sum_{k>j} min(a_k los[k], a_k his[k]) that the later coordinates can add
-    over the box.  So a_j x_j <= slack bounds x_j from above for a_j > 0 and
-    from below for a_j < 0; a child's slacks are built by one ``map``.
-
-    The last level is folded into its parent, level d - 2: for each x of the
-    parent's interval the run is t <= (b - a x) // c over the rows with a
-    last coefficient c > 0 and t >= -((b - a x) // -c) over those with
-    c < 0, b the parent's slack plus the row's least last value and a its
-    parent coefficient.  So a last-level prefix gets no slack list and no
-    node.  For d = 1 the parent is a virtual level 0 with the box [0, 0] and
-    a zero column, whose x the prefix leaves out.
-
-    A zero coefficient a_j needs no test below the root: the row's slack is
-    its parent's less a_{j-1} x, which the parent's bound on x keeps >= 0
-    (or its parent's own, if a_{j-1} = 0).  So a row with a zero last
-    coefficient cuts x once, through the parent's bound.  At the root, one
-    test per row, that its least value over the box is at most r, stands
-    for them all.
-
-    The walk is depth first and keeps, per level above the parent, the
-    node's slacks and an iterator over its interval: O(d len(normals))
-    values however wide the box.  It is exhaustive and never scans the
-    whole box (Fincke-Pohst 1985; Schnorr-Euchner 1994).
-    """
-    if any(lo > hi for lo, hi in zip(los, his)):
-        return
-    head = len(los) - 1  # the length of a run's prefix
-    if not head:
-        normals, los, his = [(0, *a) for a in normals], [0, *los], [0, *his]
-    d = len(los)
-    cols = [[a[j] for a in normals] for j in range(d)]
-    # least value of a_j x_j over the box, per level j and normal a
-    mins = [[c * (lo if c > 0 else hi) for c in col] for col, lo, hi in zip(cols, los, his)]
-    slack = list(rhs)
-    for m in mins[1:]:
-        slack = list(map(sub, slack, m))
-    if any(map(lt, slack, mins[0])):
-        return
-    # per level above the last: box, positive normals and coefficients,
-    # negative normals and |coefficients|, the column and the next level's minima
-    plan = []
-    for j, col in enumerate(cols[:-1]):
-        pos = [i for i, c in enumerate(col) if c > 0]
-        neg = [i for i, c in enumerate(col) if c < 0]
-        plan.append((los[j], his[j], pos, [col[i] for i in pos], neg, [-col[i] for i in neg],
-                     col, mins[j + 1]))
-    # the last level's rows with c > 0 and with c < 0: (normal, its least
-    # value there, its parent coefficient a, |c|)
-    parent, last, least = cols[-2], cols[-1], mins[-1]
-    cap_rows = [(i, least[i], parent[i], c) for i, c in enumerate(last) if c > 0]
-    floor_rows = [(i, least[i], parent[i], -c) for i, c in enumerate(last) if c < 0]
-    tlo, thi = los[-1], his[-1]
-    prefix, path = (), []  # path: (prefix, slacks + next minima, column, x iterator) per level
-    while True:
-        j = len(path)
-        lo, hi, pos, pc, neg, nc, col, nxt = plan[j]
-        get = slack.__getitem__
-        if pos:
-            top = min(map(floordiv, map(get, pos), pc))
-            if top < hi:
-                hi = top
-        if neg:
-            bottom = -min(map(floordiv, map(get, neg), nc))
-            if bottom > lo:
-                lo = bottom
-        if lo <= hi:
-            if j < d - 2:
-                path.append((prefix, list(map(add, slack, nxt)), col, iter(range(lo, hi + 1))))
-            else:
-                caps = [(slack[i] + m, a, c) for i, m, a, c in cap_rows]
-                floors = [(slack[i] + m, a, c) for i, m, a, c in floor_rows]
-                for x in range(lo, hi + 1):
-                    top, low = thi, -tlo  # low is minus the run's lower bound
-                    for b, a, c in caps:
-                        t = (b - a * x) // c
-                        if t < top:
-                            top = t
-                    for b, a, c in floors:
-                        t = (b - a * x) // c
-                        if t < low:
-                            low = t
-                    if -low <= top:
-                        yield (*prefix, x)[:head], -low, top
-        while path:
-            prefix, base, col, xs = path[-1]
-            x = next(xs, None)
-            if x is not None:
-                prefix, slack = (*prefix, x), list(map(sub, base, map(mul, col, repeat(x))))
-                break
-            path.pop()
-        else:
-            return
-
-
-def _integer_system(P: Polytope, mode: str):
-    """The arguments (normals, rhs, los, his) of ``enumerate_points`` for the
-    integer points of a full-dimensional P, read off numerators and
-    denominators: a facet a.x <= b holds on integer points iff a.x <=
-    floor(b), and a.x < b iff a.x <= ceil(b) - 1; the box is that of P's
-    integer vertices over their L, from the least ceiling to the greatest
-    floor of each coordinate."""
-    facets = P.facets
-    if mode == "interior":
-        rhs = [-(-b.numerator // b.denominator) - 1 for _, b in facets]
-    else:
-        rhs = [b.numerator // b.denominator for _, b in facets]
-    L, xs = P.integer_vertices
-    cols = list(zip(*xs))
-    return ([a for a, _ in facets], rhs, [-(-min(col) // L) for col in cols],
-            [max(col) // L for col in cols])
-
-
 def lattice_points(P: Polytope, mode: str = "all") -> list:
     """Integer points of P, sorted lexicographically.
 
     ``mode`` is "all" or "interior"; the interior mode requires a
-    full-dimensional polytope, whose points ``enumerate_points`` finds from
-    ``_integer_system``.  A lower-dimensional P goes through its lattice
-    chart: with no lattice point on its affine span it has none, and
+    full-dimensional polytope, whose points ``walk.enumerate_points`` finds
+    from ``walk.integer_system``.  A lower-dimensional P goes through its
+    lattice chart: with no lattice point on its affine span it has none, and
     otherwise its points are origin + basis . c for the integer points c of
     the full-dimensional inner polytope.  Each run of c's, which differ only
     in the last coordinate, maps to one arithmetic progression per
@@ -541,7 +406,7 @@ def lattice_points(P: Polytope, mode: str = "all") -> list:
     if mode not in ("all", "interior"):
         raise InvalidInput(f"unknown mode {mode!r}")
     if P.is_full_dimensional:
-        return enumerate_points(*_integer_system(P, mode))
+        return enumerate_points(*integer_system(P, mode))
     if mode == "interior":
         raise DimensionDeficient("interior enumeration requires full dimension")
     origin, _, basis, inner = P._chart
@@ -551,7 +416,7 @@ def lattice_points(P: Polytope, mode: str = "all") -> list:
         return [origin]
     steps = [row[-1] for row in basis]
     pts = []
-    for prefix, lo, hi in _runs(*_integer_system(inner, "all")):
+    for prefix, lo, hi, _ in runs(*integer_system(inner, "all")):
         starts = [o + vdot(row, prefix) for o, row in zip(origin, basis)]
         pts.extend(zip(*[range(b + s * lo, b + s * (hi + 1), s) if s else repeat(b)
                          for b, s in zip(starts, steps)]))

@@ -1,0 +1,229 @@
+"""The lattice-point walk.
+
+A system is a list of rows (a, lo, hi) and an integer box.  A row is the
+condition lo <= a.x <= hi on the integer points x, for an integer normal a
+and int bounds, either of which may be None for an open side; the box
+los[j] <= x_j <= his[j] must hold every solution.  ``runs`` walks the
+solutions depth first as runs of points that differ only in their last
+coordinate, ``enumerate_points`` lists them, and ``integer_system`` writes
+the integer points of a full-dimensional polytope as a system.
+"""
+
+from __future__ import annotations
+
+from itertools import repeat
+from operator import add, gt, mul, sub
+
+
+def integer_system(P, mode: str) -> tuple:
+    """The system (rows, los, his) of the integer points of a
+    full-dimensional polytope P, read off numerators and denominators.
+
+    A facet a.x <= b holds on integer points iff a.x <= floor(b), and
+    a.x < b, the "interior" ``mode``, iff a.x <= ceil(b) - 1; each facet
+    makes the row (a, None, r) for that bound r.  A facet is not paired
+    with its opposite: the walk reads a row with both sides no faster than
+    two rows with one side each, and it builds the run's ``values`` for it.
+    The box is that of P's integer vertices over their L, from the least
+    ceiling to the greatest floor of each coordinate.
+    """
+    if mode == "interior":
+        rhs = [-(-b.numerator // b.denominator) - 1 for _, b in P.facets]
+    else:
+        rhs = [b.numerator // b.denominator for _, b in P.facets]
+    L, xs = P.integer_vertices
+    cols = list(zip(*xs))
+    return (list(zip([a for a, _ in P.facets], repeat(None), rhs)),
+            [-(-min(col) // L) for col in cols], [max(col) // L for col in cols])
+
+
+def enumerate_points(rows, los, his) -> list:
+    """The integer points of the system (``rows``, ``los``, ``his``), sorted
+    lexicographically.
+
+    They are read straight off the runs of ``runs`` in one comprehension,
+    one tuple per point; the walk's work per run is O(len(rows)) and its
+    memory O(d len(rows)), however wide the box.  In dimension 0 the empty
+    point solves every row with lo <= 0 <= hi.
+    """
+    if not los:
+        return [()] if all((lo is None or lo <= 0) and (hi is None or hi >= 0)
+                           for _, lo, hi in rows) else []
+    return [(*prefix, t) for prefix, lo, hi, _ in runs(rows, los, his)
+            for t in range(lo, hi + 1)]
+
+
+def runs(rows, los, his):
+    """The solutions of the system (``rows``, ``los``, ``his``) for d >= 1 as
+    runs (prefix, lo, hi, values), the points prefix + (t,) for lo <= t <=
+    hi, in lexicographic order.  ``values`` holds a.prefix for each row with
+    both sides, in row order, so a.x = values[i] + c t at each point of the
+    run, c the row's last coefficient; it is the empty tuple if no row has
+    both sides.
+
+    The rows with both sides, the pairs, come first; a row with an open side
+    is read as a.x <= r, as -a.x <= -lo if its upper side is open, and a row
+    with no side cuts nothing.  A prefix of length j carries one value per
+    row, its slack s = r - a.prefix less the least value
+    sum_{k>j} min(a_k los[k], a_k his[k]) that the later coordinates can add
+    over the box, r a pair's hi.  So a_j x_j <= s bounds x_j from above for
+    a_j > 0 and from below for a_j < 0.  A pair reads its lower side off the
+    same value: its lower slack, a.prefix - lo less the least value of -a
+    over the later coordinates, is w - s for its width w at level j, hi - lo
+    plus sum_{k>j} |a_k| (his[k] - los[k]), and -a_j x_j <= w - s bounds
+    x_j the other way.  ``_interval`` reads a node's interval off its slacks
+    in one pass over the rows, and a child's slacks are built by one
+    ``map``.
+
+    The last level is folded into its parent, level d - 2: for each x of the
+    parent's interval the run is t <= (b - a x) // c over the one-sided rows
+    with a last coefficient c > 0 and t >= -((b - a x) // -c) over those with
+    c < 0, b the parent's slack plus the row's least last value and a its
+    parent coefficient.  A pair instead gets its value u = a.prefix, the
+    parent's plus a x, and reads both sides off it: lo - u <= c t <= hi - u.
+    Those u are the run's ``values``.  So a last-level prefix gets no slack
+    list and no node.  For d = 1 the parent is a virtual level 0 with the
+    box [0, 0] and a zero column, whose x the prefix leaves out.
+
+    A zero coefficient a_j needs no test below the root: the row's slack is
+    its parent's less a_{j-1} x, which the parent's bound on x keeps >= 0
+    (or its parent's own, if a_{j-1} = 0), and so for each side of a pair.
+    So a row with a zero last coefficient cuts x once, through the parent's
+    bound, and at the root one test per side, that its least value over the
+    box is within its bound, stands for them all.
+
+    The walk is depth first and keeps, per level above the parent, the
+    node's slacks and an iterator over its interval: O(d len(rows)) values
+    however wide the box.  It is exhaustive and never scans the whole box
+    (Fincke-Pohst 1985; Schnorr-Euchner 1994).
+    """
+    if any(map(gt, los, his)):
+        return
+    normals, lows, highs = zip(*rows) if rows else ((), (), ())
+    npairs = len(rows) - lows.count(None)
+    if None in highs or None in lows[:npairs]:
+        # the pairs first, then the other rows as a.x <= r
+        pairs = [row for row in rows if row[1] is not None and row[2] is not None]
+        uppers = [row for row in rows if row[1] is None and row[2] is not None]
+        lowers = [(tuple(-c for c in a), None, -lo) for a, lo, hi in rows
+                  if lo is not None and hi is None]
+        yield from runs(pairs + uppers + lowers, los, his)
+        return
+    head = len(los) - 1  # the length of a run's prefix
+    if not head:
+        normals, los, his = [(0, *a) for a in normals], [0, *los], [0, *his]
+    d = len(los)
+    cols = list(zip(*normals)) if normals else [()] * d
+    # least value of a_j x_j over the box, per level j > 0 and normal a
+    mins = [None] + [[c * (lo if c > 0 else hi) for c in col]
+                     for col, lo, hi in zip(cols[1:], los[1:], his[1:])]
+    slack = list(highs)
+    for least in mins[1:]:
+        slack = list(map(sub, slack, least))
+    # each pair's width per level j < d - 1
+    widths = [()] * (d - 1)
+    if npairs:
+        width = list(map(sub, highs, lows[:npairs]))
+        for j in range(d - 2, -1, -1):
+            span = his[j + 1] - los[j + 1]
+            width = widths[j] = [w + abs(c) * span for w, c in zip(width, cols[j + 1])]
+    lo, hi = _interval(slack, cols[0], widths[0], npairs, los[0], his[0])
+    # the last level's one-sided rows with c > 0 and with c < 0: (row, its
+    # least value there, its parent coefficient a, |c|)
+    parent, last, least = cols[-2], cols[-1], mins[-1]
+    cap_rows = [(i, least[i], parent[i], c) for i, c in enumerate(last[npairs:], npairs) if c > 0]
+    floor_rows = [(i, least[i], parent[i], -c) for i, c in enumerate(last[npairs:], npairs)
+                  if c < 0]
+    # per pair, hi less its least last value, which less the parent's slack
+    # is a.prefix there, and (a, c, then the bounds of c t from above and
+    # from below: hi and lo for c >= 0, lo and hi for c < 0, so that
+    # (bound - u) // c and (u - other) // c are t's upper and minus lower)
+    pair_base = list(map(sub, highs[:npairs], least))
+    pair_rows = [(a, c, hi, lo) if c >= 0 else (a, c, lo, hi)
+                 for a, c, lo, hi in zip(parent, last, lows[:npairs], highs)]
+    tlo, thi = los[-1], his[-1]
+    values = ()
+    prefix, path = (), []  # path: (prefix, slacks + next minima, column, x iterator) per level
+    while True:
+        # the node (prefix, slack) at level len(path) has the interval lo..hi
+        if lo <= hi:
+            if len(path) < d - 2:
+                path.append((prefix, list(map(add, slack, mins[len(path) + 1])),
+                             cols[len(path)], iter(range(lo, hi + 1))))
+            else:
+                caps = [(slack[i] + m, a, c) for i, m, a, c in cap_rows]
+                floors = [(slack[i] + m, a, c) for i, m, a, c in floor_rows]
+                if npairs:
+                    pairs = [(b - s, a, c, up, down)
+                             for b, s, (a, c, up, down) in zip(pair_base, slack, pair_rows)]
+                for x in range(lo, hi + 1):
+                    top, low = thi, -tlo  # low is minus the run's lower bound
+                    for b, a, c in caps:
+                        t = (b - a * x) // c
+                        if t < top:
+                            top = t
+                    for b, a, c in floors:
+                        t = (b - a * x) // c
+                        if t < low:
+                            low = t
+                    if npairs:
+                        values = []
+                        for u, a, c, up, down in pairs:
+                            u += a * x
+                            values.append(u)
+                            if c:
+                                t = (up - u) // c
+                                if t < top:
+                                    top = t
+                                t = (u - down) // c
+                                if t < low:
+                                    low = t
+                    if -low <= top:
+                        yield (*prefix, x)[:head], -low, top, values
+        while path:
+            prefix, base, col, xs = path[-1]
+            x = next(xs, None)
+            if x is not None:
+                prefix, slack = (*prefix, x), list(map(sub, base, map(mul, col, repeat(x))))
+                break
+            path.pop()
+        else:
+            return
+        j = len(path)
+        lo, hi = _interval(slack, cols[j], widths[j], npairs, los[j], his[j])
+
+
+def _interval(slack, col, width, npairs, lo, hi) -> tuple:
+    """The interval of x_j within [lo, hi] that the slacks of a node at level
+    j leave, for the column a_j and the pairs' widths there; empty if a row
+    with a_j = 0 has a negative slack on a side, which happens at the root
+    only."""
+    for s, c, w in zip(slack, col, width):
+        if c > 0:
+            t = s // c
+            if t < hi:
+                hi = t
+            t = -((w - s) // c)
+            if t > lo:
+                lo = t
+        elif c:
+            t = -(s // -c)
+            if t > lo:
+                lo = t
+            t = (w - s) // -c
+            if t < hi:
+                hi = t
+        elif s < 0 or s > w:
+            return 0, -1
+    for s, c in zip(slack[npairs:], col[npairs:]):
+        if c > 0:
+            t = s // c
+            if t < hi:
+                hi = t
+        elif c:
+            t = -(s // -c)
+            if t > lo:
+                lo = t
+        elif s < 0:
+            return 0, -1
+    return lo, hi

@@ -3,8 +3,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latmin import core, postulation
+from counting import time_limit
+from latmin import core, errors, gon, postulation
 from latmin.cli import run
 
 
@@ -104,6 +107,23 @@ class TestVerify:
                                "--count", "8", "--dim", "2", "--bound", "4")
             assert code == 0, out
             assert out["violated"] == 0
+
+    def test_m2m_width_witness_is_checked(self, monkeypatch):
+        # a planted width witness that does not attain the width, here twice
+        # the true one, fails the bracket instances of the m2m suite
+        real = gon.lattice_width
+
+        def planted(P):
+            res = real(P)
+            return gon.WidthResult(res.width, tuple(2 * c for c in res.witness))
+
+        argv = ("verify", "--suite", "m2m", "--seed", "3", "--count", "12", "--dim", "3",
+                "--bound", "3")
+        assert invoke(*argv)[1]["violated"] == 0
+        monkeypatch.setattr(gon, "lattice_width", planted)
+        code, out = invoke(*argv)
+        assert code == 1
+        assert 0 < out["violated"] < 12
 
     def test_byte_determinism(self):
         argv = ["verify", "--suite", "minkowski", "--seed", "99", "--count", "10",
@@ -317,3 +337,108 @@ class TestRoundTrip:
         assert code2 == 0
         assert out2 == {"dim": 2, "vertices": [["-1", "0"], ["0", "-1"],
                                                ["0", "1"], ["1", "0"]]}
+
+
+# ---------------------------------------------------------------------------
+# every JSON input ends in an answer or in a typed refusal
+
+# exit 2 names a LatminError class, "usage" or "generation"; "input" is kept
+# for JSON that does not decode and files that cannot be read or written,
+# and every document below is valid JSON
+TYPED_CODES = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.LatminError)} | {
+    "usage", "generation"}
+
+junk = st.one_of(st.none(), st.booleans(), st.floats(-4, 4, allow_nan=False), st.text(max_size=3),
+                 st.sampled_from(["1/0", "0.5", "1e9", "", "x"]), st.just([]), st.just({"1": 0}),
+                 st.just([[1]]))
+number = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3/2", "0", "2", "-1"]))
+
+
+@st.composite
+def one_defect(draw, doc):
+    """``doc`` as it is, half the time, or with one defect: a key dropped or
+    set to junk, an entry of one of its lists set to junk or cut short, or
+    junk for the whole document."""
+    if draw(st.booleans()):
+        return doc
+    kind = draw(st.sampled_from(["drop", "key", "entry", "short", "whole"]))
+    if kind == "whole" or not doc:
+        return draw(junk)
+    key = draw(st.sampled_from(sorted(doc)))
+    doc = dict(doc)
+    if kind == "drop":
+        del doc[key]
+    elif kind == "key" or not isinstance(doc[key], list) or not doc[key]:
+        doc[key] = draw(junk)
+    else:
+        items = list(doc[key])
+        i = draw(st.integers(0, len(items) - 1))
+        if kind == "short" and isinstance(items[i], list):
+            items[i] = items[i][:-1]
+        elif isinstance(items[i], list) and items[i]:
+            items[i] = [*items[i][:-1], draw(junk)]
+        else:
+            items[i] = draw(junk)
+        doc[key] = items
+    return doc
+
+
+@st.composite
+def polytope_docs(draw):
+    """{"dim": d, "vertices": [...]} with small integer or rational
+    coordinates, mirrored now and then so that symmetric bodies occur, and
+    with one defect half the time."""
+    d = draw(st.integers(1, 4))
+    vertices = draw(st.lists(st.lists(number, min_size=d, max_size=d), max_size=7))
+    if draw(st.booleans()):
+        vertices += [[-c if isinstance(c, int) else str(-Fraction(c)) for c in v]
+                     for v in vertices]
+    return draw(one_defect({"dim": d, "vertices": vertices}))
+
+
+@st.composite
+def postulation_docs(draw):
+    """{"t": [...]} or {"d": d, "p": [...], "q": q}, with one defect half the
+    time."""
+    if draw(st.booleans()):
+        doc = {"t": draw(st.lists(number, max_size=4))}
+    else:
+        d = draw(st.integers(0, 4))
+        doc = {"d": d, "p": draw(st.lists(st.integers(-1, 4), min_size=d, max_size=d)),
+               "q": draw(st.integers(-1, 8))}
+    return draw(one_defect(doc))
+
+
+VERTEX_ARGS = st.one_of(st.sampled_from(["0,0", "0,0,0", "1,0", "0,1", "1,1", "0", "", "a,b"]),
+                        st.text(alphabet="0123456789,-/ ", max_size=6))
+
+
+@pytest.mark.parametrize("command", ["width", "minima", "polar", "volume", "points",
+                                     "points --mode interior", "toric-eps", "toric-bracket",
+                                     "postulation"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_json_inputs_end_in_an_answer_or_a_typed_error(command, data):
+    doc = data.draw(postulation_docs() if command == "postulation" else polytope_docs())
+    argv = [*command.split(), "--inline", json.dumps(doc)]
+    if command == "toric-eps":
+        # one of the input's integer vertices now and then, else any tokens
+        vertices = doc.get("vertices") if isinstance(doc, dict) else None
+        tokens = [",".join(map(str, v)) for v in vertices if isinstance(v, list)
+                  and all(type(c) is int for c in v)] if isinstance(vertices, list) else []
+        argv += ["--vertex", data.draw(st.one_of(st.sampled_from(tokens or ["0,0"]), VERTEX_ARGS))]
+    with time_limit(10):
+        code, raw = run(argv)
+    out = json.loads(raw)
+    assert code in (0, 2), out
+    if code == 2:
+        assert out["error"]["code"] in TYPED_CODES, (argv, out)
+
+
+def test_undecodable_input_file_is_an_input_error(tmp_path):
+    f = tmp_path / "latin1.json"
+    f.write_bytes(b'{"dim": 1, "vertices": [["\xe9"]]}')
+    code, out = invoke("width", "--in", str(f))
+    assert code == 2
+    assert out["error"]["code"] == "input"

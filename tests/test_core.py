@@ -40,6 +40,19 @@ def test_rat_str_canonical():
     assert rat_str(Fraction(0)) == "0"
 
 
+@given(st.one_of(st.integers(), st.booleans(),
+                 st.fractions(max_denominator=10 ** 30).filter(lambda q: abs(q) < 10 ** 40)))
+def test_rat_str_builds_no_fraction_for_ints_and_fractions(x):
+    # an int or a Fraction is written as it is, with the bytes of the
+    # Fraction(x) path that any other value still takes
+    q = Fraction(x)
+    expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    with counted_fractions() as made:
+        text = rat_str(x)
+    assert made.count == 0
+    assert text == expected == rat_str(str(q))
+
+
 def test_parse_rat_roundtrip():
     for s in ["5", "-7/3", "0", "22/7"]:
         assert rat_str(parse_rat(s)) == s

@@ -30,6 +30,7 @@ from latmin.polytope import (
     locate,
     polar,
 )
+from latmin.walk import enumerate_points
 
 F = Fraction
 
@@ -270,20 +271,20 @@ def test_minima_match_standard_basis_reference(body_and_map):
 
 
 def counting_enumerator(monkeypatch, max_box=None):
-    """Replace the enumerator seen by gon with one recording how many points
-    each call returns.  With ``max_box`` a call whose integer box holds more
+    """Replace the walk seen by gon with one recording how many points each
+    call's runs hold.  With ``max_box`` a call whose integer box holds more
     points fails before it starts, so a blow-up cannot hang."""
     counts = []
-    real = gon.enumerate_points
+    real = gon.runs
 
-    def counting(normals, rhs, los, his):
+    def counting(rows, los, his):
         if max_box is not None:
             assert math.prod(max(0, hi - lo + 1) for lo, hi in zip(los, his)) <= max_box
-        pts = real(normals, rhs, los, his)
-        counts.append(len(pts))
-        return pts
+        found = list(real(rows, los, his))
+        counts.append(sum(hi - lo + 1 for _, lo, hi, _ in found))
+        return iter(found)
 
-    monkeypatch.setattr(gon, "enumerate_points", counting)
+    monkeypatch.setattr(gon, "runs", counting)
     return counts
 
 
@@ -870,16 +871,16 @@ def test_minima_enumerate_half_of_each_symmetric_box(monkeypatch):
     # holds the half's points twice less those with y_1 = 0, and the results
     # are those of the standard-basis reference
     seen = []
-    real = gon.enumerate_points
+    real = gon.runs
 
-    def counting(normals, rhs, los, his):
+    def counting(rows, los, his):
         assert los == [0] + [-h for h in his[1:]]
-        pts = real(normals, rhs, los, his)
-        full = real(normals, rhs, [-h for h in his], his)
+        pts = enumerate_points(rows, los, his)
+        full = enumerate_points(rows, [-h for h in his], his)
         seen.append((len(pts), len(full), sum(1 for y in full if y[0] == 0)))
-        return pts
+        return real(rows, los, his)
 
-    monkeypatch.setattr(gon, "enumerate_points", counting)
+    monkeypatch.setattr(gon, "runs", counting)
     thin = convex_hull([(0, 0), (10, 0), (0, F(1, 10))], 2)
     bodies = [polar(difference_body(thin)), difference_body(simplex(3, 2)), hexagon(3),
               difference_body(convex_hull([(0, 0, 0), (3, 1, 0), (1, 4, 1), (0, 1, 5)], 3))]
@@ -890,6 +891,29 @@ def test_minima_enumerate_half_of_each_symmetric_box(monkeypatch):
     assert lattice_width(thin).width == F(1, 10)
     assert all(2 * half == full + axis for half, full, axis in seen)
     assert sum(h for h, _, _ in seen) < 0.55 * sum(f for _, f, _ in seen)
+
+
+def test_minima_hand_the_walk_one_row_per_pair(monkeypatch):
+    # the rows of a body's gauge come in +- pairs; _least hands the walk one
+    # row (n, -R, R) per pair, m rows and not 2m
+    seen = []
+    real = gon.runs
+
+    def counting(rows, los, his):
+        seen.append(rows)
+        return real(rows, los, his)
+
+    monkeypatch.setattr(gon, "runs", counting)
+    P = convex_hull([(0, 0, 0), (3, 1, 0), (1, 4, 1), (0, 1, 5)], 3)
+    K = difference_body(P)
+    successive_minima(K)
+    dual_minima(K)
+    lattice_width(convex_hull(P.vertices, 3))
+    _, W = K.dual_vertices
+    L, xs = P.integer_vertices
+    differences = {core.vsub(u, v) for u in xs for v in xs if u > v}
+    assert [len(rows) for rows in seen] == [len(W) // 2, len(K.vertices) // 2, len(differences)]
+    assert all(-lo == hi > 0 for rows in seen for _, lo, hi in rows)
 
 
 def test_first_minimum_needs_no_elimination(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from counting import counted_fractions, counting_wrapper, time_limit
-from latmin import core, polytope
+from latmin import core, polytope, walk
 from latmin.errors import (DimensionDeficient, DimensionMismatch, InternalError, InvalidInput,
                            NotSymmetric)
 from latmin.generate import SuiteConfig, generate_instance
@@ -640,8 +640,13 @@ def test_lattice_points_commute_with_unimodular_maps(case):
     assert lattice_points(Q) == sorted(move(lattice_points(P)))
 
 
+def enumerate_points(normals, rhs, los, his) -> list:
+    """``walk.enumerate_points`` on the one-sided rows a.x <= r."""
+    return walk.enumerate_points([(a, None, r) for a, r in zip(normals, rhs)], los, his)
+
+
 def enumerate_points_reference(normals, rhs, los, his) -> list:
-    """The recursive enumerator that ``polytope._runs`` replaced: a prefix
+    """The recursive enumerator that the walk's runs replaced: a prefix
     carries the partial sums a.prefix, updated point by point, and each
     coordinate is cut to the interval its inequalities leave over the box."""
     d = len(los)
@@ -704,7 +709,7 @@ def inequality_systems(draw):
 @given(inequality_systems())
 def test_enumerate_points_matches_reference(system):
     normals, rhs, los, his = system
-    pts = polytope.enumerate_points(normals, rhs, los, his)
+    pts = enumerate_points(normals, rhs, los, his)
     assert pts == enumerate_points_reference(normals, rhs, los, his)
     assert all(p < q for p, q in zip(pts, pts[1:]))
     box_scan = [x for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
@@ -714,16 +719,16 @@ def test_enumerate_points_matches_reference(system):
 
 def test_enumerate_points_edge_boxes():
     # a single-point box, in and out of the halfspaces
-    assert polytope.enumerate_points([(1, -2)], [0], [2, 1], [2, 1]) == [(2, 1)]
-    assert polytope.enumerate_points([(1, -2)], [-1], [2, 1], [2, 1]) == []
+    assert enumerate_points([(1, -2)], [0], [2, 1], [2, 1]) == [(2, 1)]
+    assert enumerate_points([(1, -2)], [-1], [2, 1], [2, 1]) == []
     # an empty box, and an infeasible row with a zero normal
-    assert polytope.enumerate_points([(1, 1)], [5], [0, 3], [4, 2]) == []
-    assert polytope.enumerate_points([(1, 0), (0, 0)], [3, -1], [0, 0], [4, 4]) == []
+    assert enumerate_points([(1, 1)], [5], [0, 3], [4, 2]) == []
+    assert enumerate_points([(1, 0), (0, 0)], [3, -1], [0, 0], [4, 4]) == []
     # no inequalities: the whole box, in lexicographic order
-    assert polytope.enumerate_points([], [], [0, 1], [1, 2]) == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    assert enumerate_points([], [], [0, 1], [1, 2]) == [(0, 1), (0, 2), (1, 1), (1, 2)]
     # dimension 0: the empty point, unless a right-hand side is negative
-    assert polytope.enumerate_points([()], [0], [], []) == [()]
-    assert polytope.enumerate_points([()], [-1], [], []) == []
+    assert enumerate_points([()], [0], [], []) == [()]
+    assert enumerate_points([()], [-1], [], []) == []
 
 
 # (normals, rhs, los, his) and the number of solutions, for each way the
@@ -748,7 +753,7 @@ FOLDED_SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(FOLDED_SYSTEMS))
 def test_enumerate_points_folded_last_level(name):
     normals, rhs, los, his, count = FOLDED_SYSTEMS[name]
-    pts = polytope.enumerate_points(normals, rhs, los, his)
+    pts = enumerate_points(normals, rhs, los, his)
     assert pts == enumerate_points_reference(normals, rhs, los, his)
     assert pts == [x for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
                    if all(core.vdot(a, x) <= r for a, r in zip(normals, rhs))]
@@ -764,7 +769,7 @@ def test_enumerate_points_runs_against_box_scan(d, rhs):
     # longer, and the swapped box holds no point at all
     normals = [(1,) * d, (1,) * (d - 1) + (-1,)]
     los, his = [-1] * d, [2] * d
-    pts = polytope.enumerate_points(normals, list(rhs), los, his)
+    pts = enumerate_points(normals, list(rhs), los, his)
     scan = [x for x in product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
             if all(core.vdot(a, x) <= r for a, r in zip(normals, rhs))]
     assert type(pts) is list and all(type(p) is tuple for p in pts)
@@ -773,7 +778,43 @@ def test_enumerate_points_runs_against_box_scan(d, rhs):
     if d > 1:
         assert len(runs) < 4 ** (d - 1)  # some prefixes of the box have an empty run
     assert (1 in runs.values()) == (rhs == (0, 0))
-    assert polytope.enumerate_points(normals, list(rhs), his, los) == []
+    assert enumerate_points(normals, list(rhs), his, los) == []
+
+
+@st.composite
+def two_sided_systems(draw):
+    """(rows, los, his) in d = 1..4: rows (a, lo, hi) with coefficients in
+    [-3, 3] and each side open now and then, so rows with one side, with no
+    side and with lo > hi occur, a zero row now and then, and boxes as in
+    ``inequality_systems``."""
+    d = draw(st.integers(1, 4))
+    side = st.one_of(st.none(), st.integers(-8, 10))
+    rows = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * d), side, side),
+                         max_size=6))
+    if draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), ((0,) * d, draw(side), draw(side)))
+    los = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    widths = st.integers(-1, 4) if d <= 3 else st.integers(-1, 3)
+    return rows, los, [lo + draw(widths) for lo in los]
+
+
+@settings(max_examples=400, deadline=None)
+@given(two_sided_systems())
+def test_two_sided_rows_walk_the_runs_of_their_one_sided_system(system):
+    # a row lo <= a.x <= hi walks the runs of a.x <= hi and -a.x <= -lo,
+    # and each run carries a.prefix for the rows with both sides
+    rows, los, his = system
+    one_sided = [(a, hi) for a, _, hi in rows if hi is not None] + [
+        (tuple(-c for c in a), -lo) for a, lo, _ in rows if lo is not None]
+    normals, rhs = [a for a, _ in one_sided], [r for _, r in one_sided]
+    runs = list(walk.runs(rows, los, his))
+    assert [run[:3] for run in runs] == [
+        run[:3] for run in walk.runs([(a, None, r) for a, r in one_sided], los, his)]
+    pairs = [a for a, lo, hi in rows if lo is not None and hi is not None]
+    for prefix, _, _, values in runs:
+        assert list(values) == [core.vdot(a[:-1], prefix) for a in pairs]
+    assert walk.enumerate_points(rows, los, his) == enumerate_points_reference(
+        normals, rhs, los, his)
 
 
 # ---------------------------------------------------------------------------
@@ -814,14 +855,15 @@ def test_skew_triangle_lattice_points():
 
 def test_plane_without_lattice_points_enumerates_nothing(monkeypatch):
     calls = []
-    real = polytope._runs
+    real = walk.runs
 
     def counting_runs(*args):
         calls.append(args)
         return real(*args)
 
-    # every enumeration, full-dimensional or through a chart, walks _runs
-    monkeypatch.setattr(polytope, "_runs", counting_runs)
+    # every enumeration, full-dimensional or through a chart, walks the runs
+    monkeypatch.setattr(walk, "runs", counting_runs)
+    monkeypatch.setattr(polytope, "runs", counting_runs)
     # side 10^6 first: a bounding-box scan, which materialises each coordinate
     # range, then fails on time before side 10^9 asks it for tens of GB
     for n in (10 ** 6, 10 ** 9):

@@ -266,9 +266,9 @@ def test_length_check_after_a_reader_is_found():
 
 
 def minima_sites(tree):
-    """Lines of the calls of ``lll_reduce`` and of ``enumerate_points``."""
+    """Lines of the calls of ``lll_reduce`` and of the walk's ``runs``."""
     return {name: sorted(node.lineno for node in calls_of(tree, name))
-            for name in ("lll_reduce", "enumerate_points")}
+            for name in ("lll_reduce", "runs")}
 
 
 def test_one_minima_routine():
@@ -280,13 +280,13 @@ def test_one_minima_routine():
 
 
 def test_second_minima_copy_is_found():
-    source = ("from . import core\nfrom .polytope import enumerate_points\n\n"
+    source = ("from . import core\nfrom .walk import runs\n\n"
               "def minima(G, box):\n"
-              "    return core.lll_reduce(G), enumerate_points(*box)\n\n"
+              "    return core.lll_reduce(G), list(runs(*box))\n\n"
               "def width(G, box):\n"
               "    B = core.lll_reduce(G)\n"
-              "    return B, enumerate_points(*box)\n")
-    assert minima_sites(ast.parse(source)) == {"lll_reduce": [5, 8], "enumerate_points": [5, 9]}
+              "    return B, list(runs(*box))\n")
+    assert minima_sites(ast.parse(source)) == {"lll_reduce": [5, 8], "runs": [5, 9]}
 
 
 def call_sites(sources, name):

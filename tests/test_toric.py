@@ -108,6 +108,18 @@ class TestEpsAtInvariantPoint:
         prof = eps_at_invariant_point(box_mp(3, 2, 1), (0, 0, 0))
         assert [e.value for e in prof.entries] == [6, 3, 1]
 
+    def test_smooth_quadrilateral_exceeds_the_sandwich(self):
+        # the cone at u = (0, 4) is smooth, with edges (-1, -1) and (0, -1)
+        # of lattice lengths 1 and 10: eps_1 = max(4 - y) = 10, eps_2 is the
+        # shorter edge, and the area is 23/2, so vol / prod(eps) = 23/10 > 2!
+        # and the sandwich's upper half is no property of fixed points
+        mp = MomentPolytope.from_points([(-2, -1), (-1, 3), (0, -6), (0, 4)], 2)
+        prof = eps_at_invariant_point(mp, (0, 4))
+        assert [e.value for e in prof.entries] == [10, 1]
+        assert toric_volume(mp) == 23
+        rep = verify_m2m(mp, prof)
+        assert rep.quantities["ratio"] == "23/10" and not rep.holds
+
     def test_singular_vertex_raises(self):
         mp = MomentPolytope.from_points([(0, 0), (1, 0), (1, 2)], 2)
         with pytest.raises(SingularVertex):
