@@ -173,13 +173,14 @@ def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
     x = B^T y, r.x = n.y for the reduced normals n = B r, so g(x) is max
     |n.y| and g of row j of B is max |n_j|.  R is the k-th smallest of
     those, so k independent rows of B lie among the points y with |n.y| <=
-    R, and one pass finds k witnesses: the walk gets the m rows (n, -R, R),
-    each with both sides.  Their box is that of the ellipsoid y^T G_B y <=
+    R, and one pass finds k witnesses: the walk gets the m pairs (n, R),
+    each the row |n.y| <= R.  Their box is that of the ellipsoid y^T G_B y <=
     m R^2, G_B = B G B^T = ``_form(d, normals)``, |y_j| <= sqrt(m R^2
     (G_B^-1)_jj) (Fincke-Pohst).  y -> -y maps x to -x, so only the half
     y_1 >= 0 of the box is enumerated.  Each run carries the values n.prefix
-    of the rows, so g at the run's point prefix + (t,) is max |n.prefix +
-    n_d t|, one product per row and no dot product.  Candidates are ranked
+    of the pairs, so g at the run's point prefix + (t,) is max |n.prefix +
+    n_d t|, one product per row and no dot product; that is why the rows go
+    to the walk as pairs and not as 2m one-sided rows.  Candidates are ranked
     by (g, min(x, -x)) in the original coordinates, so the result does not
     depend on B, and x is built only for the nonzero y that are kept: the
     ones of least g for k = 1, else all, of which the first k
@@ -196,8 +197,8 @@ def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
     his = [math.isqrt(len(rows) * R * R * C[j][j] // det) for j in range(d)]
     last = [n[-1] for n in normals]
     ys, gs = [], []
-    for prefix, lo, hi, values in runs([(n, -R, R) for n in normals],
-                                       [0] + [-h for h in his[1:]], his):
+    for prefix, lo, hi, values in runs([], [0] + [-h for h in his[1:]], his,
+                                       [(n, R) for n in normals]):
         for t in range(lo, hi + 1):
             ys.append((*prefix, t))
             gs.append(max([abs(u + c * t) for u, c in zip(values, last)]))

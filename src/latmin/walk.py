@@ -1,12 +1,12 @@
 """The lattice-point walk.
 
-A system is a list of rows (a, lo, hi) and an integer box.  A row is the
-condition lo <= a.x <= hi on the integer points x, for an integer normal a
-and int bounds, either of which may be None for an open side; the box
-los[j] <= x_j <= his[j] must hold every solution.  ``runs`` walks the
-solutions depth first as runs of points that differ only in their last
-coordinate, ``enumerate_points`` lists them, and ``integer_system`` writes
-the integer points of a full-dimensional polytope as a system.
+A system is a list of one-sided rows (a, r), each the condition a.x <= r on
+the integer points x, a list of pairs (a, r), each |a.x| <= r, and an
+integer box: a an integer normal, r an int, and the box los[j] <= x_j <=
+his[j] must hold every solution.  ``runs`` walks the solutions depth first
+as runs of points that differ only in their last coordinate,
+``enumerate_points`` lists those of one-sided rows, and ``integer_system``
+writes the integer points of a full-dimensional polytope as one-sided rows.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ def integer_system(P, mode: str) -> tuple:
 
     A facet a.x <= b holds on integer points iff a.x <= floor(b), and
     a.x < b, the "interior" ``mode``, iff a.x <= ceil(b) - 1; each facet
-    makes the row (a, None, r) for that bound r.  A facet is not paired
-    with its opposite: the walk reads a row with both sides no faster than
-    two rows with one side each, and it builds the run's ``values`` for it.
-    The box is that of P's integer vertices over their L, from the least
-    ceiling to the greatest floor of each coordinate.
+    makes the one-sided row (a, r) for that bound r.  A facet is not paired
+    with its opposite: the walk reads a pair no faster than two one-sided
+    rows, and it builds the run's ``values`` for it.  The box is that of
+    P's integer vertices over their L, from the least ceiling to the
+    greatest floor of each coordinate.
     """
     if mode == "interior":
         rhs = [-(-b.numerator // b.denominator) - 1 for _, b in P.facets]
@@ -33,54 +33,47 @@ def integer_system(P, mode: str) -> tuple:
         rhs = [b.numerator // b.denominator for _, b in P.facets]
     L, xs = P.integer_vertices
     cols = list(zip(*xs))
-    return (list(zip([a for a, _ in P.facets], repeat(None), rhs)),
+    return (list(zip([a for a, _ in P.facets], rhs)),
             [-(-min(col) // L) for col in cols], [max(col) // L for col in cols])
 
 
 def enumerate_points(rows, los, his) -> list:
-    """The integer points of the system (``rows``, ``los``, ``his``), sorted
-    lexicographically.
+    """The integer points of the system of one-sided ``rows`` in the box
+    (``los``, ``his``), d >= 1, sorted lexicographically.
 
     They are read straight off the runs of ``runs`` in one comprehension,
     one tuple per point; the walk's work per run is O(len(rows)) and its
-    memory O(d len(rows)), however wide the box.  In dimension 0 the empty
-    point solves every row with lo <= 0 <= hi.
+    memory O(d len(rows)), however wide the box.
     """
-    if not los:
-        return [()] if all((lo is None or lo <= 0) and (hi is None or hi >= 0)
-                           for _, lo, hi in rows) else []
     return [(*prefix, t) for prefix, lo, hi, _ in runs(rows, los, his)
             for t in range(lo, hi + 1)]
 
 
-def runs(rows, los, his):
-    """The solutions of the system (``rows``, ``los``, ``his``) for d >= 1 as
-    runs (prefix, lo, hi, values), the points prefix + (t,) for lo <= t <=
-    hi, in lexicographic order.  ``values`` holds a.prefix for each row with
-    both sides, in row order, so a.x = values[i] + c t at each point of the
-    run, c the row's last coefficient; it is the empty tuple if no row has
-    both sides.
+def runs(rows, los, his, pairs=()):
+    """The solutions of the system of one-sided ``rows`` a.x <= r and
+    ``pairs`` |a.x| <= r in the box (``los``, ``his``), d >= 1, as runs
+    (prefix, lo, hi, values), the points prefix + (t,) for lo <= t <= hi,
+    in lexicographic order.  ``values`` holds a.prefix for each pair, in
+    order, so a.x = values[i] + c t at each point of the run, c the pair's
+    last coefficient; it is the empty tuple if there are no pairs.
 
-    The rows with both sides, the pairs, come first; a row with an open side
-    is read as a.x <= r, as -a.x <= -lo if its upper side is open, and a row
-    with no side cuts nothing.  A prefix of length j carries one value per
-    row, its slack s = r - a.prefix less the least value
-    sum_{k>j} min(a_k los[k], a_k his[k]) that the later coordinates can add
-    over the box, r a pair's hi.  So a_j x_j <= s bounds x_j from above for
-    a_j > 0 and from below for a_j < 0.  A pair reads its lower side off the
-    same value: its lower slack, a.prefix - lo less the least value of -a
-    over the later coordinates, is w - s for its width w at level j, hi - lo
-    plus sum_{k>j} |a_k| (his[k] - los[k]), and -a_j x_j <= w - s bounds
-    x_j the other way.  ``_interval`` reads a node's interval off its slacks
-    in one pass over the rows, and a child's slacks are built by one
-    ``map``.
+    The pairs come first, then the one-sided rows.  A prefix of length j
+    carries one value per row, its slack s = r - a.prefix less the least
+    value sum_{k>j} min(a_k los[k], a_k his[k]) that the later coordinates
+    can add over the box.  So a_j x_j <= s bounds x_j from above for a_j > 0
+    and from below for a_j < 0.  A pair reads its lower side off the same
+    value: its lower slack, a.prefix + r less the least value of -a over the
+    later coordinates, is w - s for its width w at level j, 2r plus
+    sum_{k>j} |a_k| (his[k] - los[k]), and -a_j x_j <= w - s bounds x_j the
+    other way.  ``_interval`` reads a node's interval off its slacks in one
+    pass over the rows, and a child's slacks are built by one ``map``.
 
     The last level is folded into its parent, level d - 2: for each x of the
     parent's interval the run is t <= (b - a x) // c over the one-sided rows
     with a last coefficient c > 0 and t >= -((b - a x) // -c) over those with
     c < 0, b the parent's slack plus the row's least last value and a its
     parent coefficient.  A pair instead gets its value u = a.prefix, the
-    parent's plus a x, and reads both sides off it: lo - u <= c t <= hi - u.
+    parent's plus a x, and reads both sides off it: -r - u <= c t <= r - u.
     Those u are the run's ``values``.  So a last-level prefix gets no slack
     list and no node.  For d = 1 the parent is a virtual level 0 with the
     box [0, 0] and a zero column, whose x the prefix leaves out.
@@ -99,16 +92,9 @@ def runs(rows, los, his):
     """
     if any(map(gt, los, his)):
         return
-    normals, lows, highs = zip(*rows) if rows else ((), (), ())
-    npairs = len(rows) - lows.count(None)
-    if None in highs or None in lows[:npairs]:
-        # the pairs first, then the other rows as a.x <= r
-        pairs = [row for row in rows if row[1] is not None and row[2] is not None]
-        uppers = [row for row in rows if row[1] is None and row[2] is not None]
-        lowers = [(tuple(-c for c in a), None, -lo) for a, lo, hi in rows
-                  if lo is not None and hi is None]
-        yield from runs(pairs + uppers + lowers, los, his)
-        return
+    npairs = len(pairs)
+    normals = [a for a, _ in pairs] + [a for a, _ in rows]
+    bounds = [r for _, r in pairs] + [r for _, r in rows]
     head = len(los) - 1  # the length of a run's prefix
     if not head:
         normals, los, his = [(0, *a) for a in normals], [0, *los], [0, *his]
@@ -117,13 +103,13 @@ def runs(rows, los, his):
     # least value of a_j x_j over the box, per level j > 0 and normal a
     mins = [None] + [[c * (lo if c > 0 else hi) for c in col]
                      for col, lo, hi in zip(cols[1:], los[1:], his[1:])]
-    slack = list(highs)
+    slack = bounds
     for least in mins[1:]:
         slack = list(map(sub, slack, least))
     # each pair's width per level j < d - 1
     widths = [()] * (d - 1)
     if npairs:
-        width = list(map(sub, highs, lows[:npairs]))
+        width = [2 * r for r in bounds[:npairs]]
         for j in range(d - 2, -1, -1):
             span = his[j + 1] - los[j + 1]
             width = widths[j] = [w + abs(c) * span for w, c in zip(width, cols[j + 1])]
@@ -134,13 +120,13 @@ def runs(rows, los, his):
     cap_rows = [(i, least[i], parent[i], c) for i, c in enumerate(last[npairs:], npairs) if c > 0]
     floor_rows = [(i, least[i], parent[i], -c) for i, c in enumerate(last[npairs:], npairs)
                   if c < 0]
-    # per pair, hi less its least last value, which less the parent's slack
+    # per pair, r less its least last value, which less the parent's slack
     # is a.prefix there, and (a, c, then the bounds of c t from above and
-    # from below: hi and lo for c >= 0, lo and hi for c < 0, so that
+    # from below: r and -r for c >= 0, -r and r for c < 0, so that
     # (bound - u) // c and (u - other) // c are t's upper and minus lower)
-    pair_base = list(map(sub, highs[:npairs], least))
-    pair_rows = [(a, c, hi, lo) if c >= 0 else (a, c, lo, hi)
-                 for a, c, lo, hi in zip(parent, last, lows[:npairs], highs)]
+    pair_base = list(map(sub, bounds[:npairs], least))
+    pair_rows = [(a, c, r, -r) if c >= 0 else (a, c, -r, r)
+                 for a, c, r in zip(parent, last, bounds[:npairs])]
     tlo, thi = los[-1], his[-1]
     values = ()
     prefix, path = (), []  # path: (prefix, slacks + next minima, column, x iterator) per level
@@ -154,7 +140,7 @@ def runs(rows, los, his):
                 caps = [(slack[i] + m, a, c) for i, m, a, c in cap_rows]
                 floors = [(slack[i] + m, a, c) for i, m, a, c in floor_rows]
                 if npairs:
-                    pairs = [(b - s, a, c, up, down)
+                    folds = [(b - s, a, c, up, down)
                              for b, s, (a, c, up, down) in zip(pair_base, slack, pair_rows)]
                 for x in range(lo, hi + 1):
                     top, low = thi, -tlo  # low is minus the run's lower bound
@@ -168,7 +154,7 @@ def runs(rows, los, his):
                             low = t
                     if npairs:
                         values = []
-                        for u, a, c, up, down in pairs:
+                        for u, a, c, up, down in folds:
                             u += a * x
                             values.append(u)
                             if c:

@@ -277,10 +277,10 @@ def counting_enumerator(monkeypatch, max_box=None):
     counts = []
     real = gon.runs
 
-    def counting(rows, los, his):
+    def counting(rows, los, his, pairs=()):
         if max_box is not None:
             assert math.prod(max(0, hi - lo + 1) for lo, hi in zip(los, his)) <= max_box
-        found = list(real(rows, los, his))
+        found = list(real(rows, los, his, pairs))
         counts.append(sum(hi - lo + 1 for _, lo, hi, _ in found))
         return iter(found)
 
@@ -873,12 +873,14 @@ def test_minima_enumerate_half_of_each_symmetric_box(monkeypatch):
     seen = []
     real = gon.runs
 
-    def counting(rows, los, his):
+    def counting(rows, los, his, pairs=()):
         assert los == [0] + [-h for h in his[1:]]
-        pts = enumerate_points(rows, los, his)
-        full = enumerate_points(rows, [-h for h in his], his)
+        # each pair |n.y| <= R as the one-sided rows n.y <= R and -n.y <= R
+        sides = rows + [(s, R) for n, R in pairs for s in (n, tuple(-c for c in n))]
+        pts = enumerate_points(sides, los, his)
+        full = enumerate_points(sides, [-h for h in his], his)
         seen.append((len(pts), len(full), sum(1 for y in full if y[0] == 0)))
-        return real(rows, los, his)
+        return real(rows, los, his, pairs)
 
     monkeypatch.setattr(gon, "runs", counting)
     thin = convex_hull([(0, 0), (10, 0), (0, F(1, 10))], 2)
@@ -895,13 +897,14 @@ def test_minima_enumerate_half_of_each_symmetric_box(monkeypatch):
 
 def test_minima_hand_the_walk_one_row_per_pair(monkeypatch):
     # the rows of a body's gauge come in +- pairs; _least hands the walk one
-    # row (n, -R, R) per pair, m rows and not 2m
+    # pair (n, R) per +- pair, m pairs and not 2m one-sided rows
     seen = []
     real = gon.runs
 
-    def counting(rows, los, his):
-        seen.append(rows)
-        return real(rows, los, his)
+    def counting(rows, los, his, pairs=()):
+        assert rows == []
+        seen.append(pairs)
+        return real(rows, los, his, pairs)
 
     monkeypatch.setattr(gon, "runs", counting)
     P = convex_hull([(0, 0, 0), (3, 1, 0), (1, 4, 1), (0, 1, 5)], 3)
@@ -912,8 +915,8 @@ def test_minima_hand_the_walk_one_row_per_pair(monkeypatch):
     _, W = K.dual_vertices
     L, xs = P.integer_vertices
     differences = {core.vsub(u, v) for u in xs for v in xs if u > v}
-    assert [len(rows) for rows in seen] == [len(W) // 2, len(K.vertices) // 2, len(differences)]
-    assert all(-lo == hi > 0 for rows in seen for _, lo, hi in rows)
+    assert [len(pairs) for pairs in seen] == [len(W) // 2, len(K.vertices) // 2, len(differences)]
+    assert all(R > 0 for pairs in seen for _, R in pairs)
 
 
 def test_first_minimum_needs_no_elimination(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from counting import counted_fractions, counting_wrapper, time_limit
@@ -642,7 +642,7 @@ def test_lattice_points_commute_with_unimodular_maps(case):
 
 def enumerate_points(normals, rhs, los, his) -> list:
     """``walk.enumerate_points`` on the one-sided rows a.x <= r."""
-    return walk.enumerate_points([(a, None, r) for a, r in zip(normals, rhs)], los, his)
+    return walk.enumerate_points(list(zip(normals, rhs)), los, his)
 
 
 def enumerate_points_reference(normals, rhs, los, his) -> list:
@@ -726,9 +726,6 @@ def test_enumerate_points_edge_boxes():
     assert enumerate_points([(1, 0), (0, 0)], [3, -1], [0, 0], [4, 4]) == []
     # no inequalities: the whole box, in lexicographic order
     assert enumerate_points([], [], [0, 1], [1, 2]) == [(0, 1), (0, 2), (1, 1), (1, 2)]
-    # dimension 0: the empty point, unless a right-hand side is negative
-    assert enumerate_points([()], [0], [], []) == [()]
-    assert enumerate_points([()], [-1], [], []) == []
 
 
 # (normals, rhs, los, his) and the number of solutions, for each way the
@@ -783,38 +780,50 @@ def test_enumerate_points_runs_against_box_scan(d, rhs):
 
 @st.composite
 def two_sided_systems(draw):
-    """(rows, los, his) in d = 1..4: rows (a, lo, hi) with coefficients in
-    [-3, 3] and each side open now and then, so rows with one side, with no
-    side and with lo > hi occur, a zero row now and then, and boxes as in
-    ``inequality_systems``."""
+    """(rows, pairs, los, his) in d = 1..4: one-sided rows (a, r) and pairs
+    (a, r) with coefficients in [-3, 3], r >= 0 for a pair, a zero row and a
+    zero pair now and then, and boxes as in ``inequality_systems``."""
     d = draw(st.integers(1, 4))
-    side = st.one_of(st.none(), st.integers(-8, 10))
-    rows = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * d), side, side),
-                         max_size=6))
-    if draw(st.integers(0, 4)) == 0:
-        rows.insert(draw(st.integers(0, len(rows))), ((0,) * d, draw(side), draw(side)))
+    normal = st.tuples(*[st.integers(-3, 3)] * d)
+    rows = draw(st.lists(st.tuples(normal, st.integers(-8, 10)), max_size=4))
+    pairs = draw(st.lists(st.tuples(normal, st.integers(0, 10)), max_size=4))
+    for kind, r in ((rows, st.integers(-8, 10)), (pairs, st.integers(0, 10))):
+        if draw(st.integers(0, 4)) == 0:
+            kind.insert(draw(st.integers(0, len(kind))), ((0,) * d, draw(r)))
     los = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
     widths = st.integers(-1, 4) if d <= 3 else st.integers(-1, 3)
-    return rows, los, [lo + draw(widths) for lo in los]
+    return rows, pairs, los, [lo + draw(widths) for lo in los]
 
 
 @settings(max_examples=400, deadline=None)
 @given(two_sided_systems())
+# a pair with a zero last coefficient is cut by its parent's interval alone,
+# which reads the pair's lower side off its width: x_1 >= -1 here
+@example(([], [((1, 0), 1)], [-3, 0], [3, 0]))
 def test_two_sided_rows_walk_the_runs_of_their_one_sided_system(system):
-    # a row lo <= a.x <= hi walks the runs of a.x <= hi and -a.x <= -lo,
-    # and each run carries a.prefix for the rows with both sides
-    rows, los, his = system
-    one_sided = [(a, hi) for a, _, hi in rows if hi is not None] + [
-        (tuple(-c for c in a), -lo) for a, lo, _ in rows if lo is not None]
-    normals, rhs = [a for a, _ in one_sided], [r for _, r in one_sided]
-    runs = list(walk.runs(rows, los, his))
-    assert [run[:3] for run in runs] == [
-        run[:3] for run in walk.runs([(a, None, r) for a, r in one_sided], los, his)]
-    pairs = [a for a, lo, hi in rows if lo is not None and hi is not None]
+    # a pair |a.x| <= r walks the runs of a.x <= r and -a.x <= r, and each
+    # run carries a.prefix for the pairs
+    rows, pairs, los, his = system
+    one_sided = rows + [(s, r) for a, r in pairs for s in (a, tuple(-c for c in a))]
+    runs = list(walk.runs(rows, los, his, pairs))
+    assert [run[:3] for run in runs] == [run[:3] for run in walk.runs(one_sided, los, his)]
     for prefix, _, _, values in runs:
-        assert list(values) == [core.vdot(a[:-1], prefix) for a in pairs]
-    assert walk.enumerate_points(rows, los, his) == enumerate_points_reference(
-        normals, rhs, los, his)
+        assert list(values) == [core.vdot(a[:-1], prefix) for a, _ in pairs]
+    assert [(*prefix, t) for prefix, lo, hi, _ in runs for t in range(lo, hi + 1)] == (
+        enumerate_points_reference([a for a, _ in one_sided], [r for _, r in one_sided],
+                                   los, his))
+
+
+def test_pair_outside_the_box_is_cut_at_the_root(monkeypatch):
+    # the box leaves x_3 above or below |x_3| <= 1, which the root reads off
+    # the pair's zero first coefficient on each side: the walk enters no
+    # node below the root, however long the first coordinate's range
+    calls = []
+    real = walk._interval
+    monkeypatch.setattr(walk, "_interval", lambda *args: calls.append(args) or real(*args))
+    for los, his in (([0, 0, 5], [1000, 0, 6]), ([0, 0, -6], [1000, 0, -5])):
+        assert list(walk.runs([], los, his, [((0, 0, 1), 1)])) == []
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,31 @@ def test_private_reach_is_found():
     assert private_reaches([("core.py", core), ("user.py", "from .core import shared\n")]) == []
 
 
+def package_imports(tree):
+    """Lines of the imports that read a module of the package: ``from .
+    import m``, ``from .m import x``, ``import latmin`` or ``import
+    latmin.m``, at top level or inside a function."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and _package_path(node) is not None
+                  or isinstance(node, ast.Import) and any(
+                      a.name == "latmin" or a.name.startswith("latmin.") for a in node.names))
+
+
+def test_walk_is_a_leaf_module():
+    # the walk imports nothing of the package, so every module that needs
+    # lattice points takes it without an import cycle
+    tree = ast.parse((SRC / "walk.py").read_text(encoding="utf-8"))
+    lines = package_imports(tree)
+    assert not lines, f"walk.py imports package modules at lines {lines}"
+
+
+def test_package_import_is_found():
+    source = ("from __future__ import annotations\n\nimport math\nfrom operator import add\n"
+              "from . import core\nfrom .errors import InternalError\nimport latmin.polytope\n\n"
+              "def f():\n    from latmin.gon import runs\n    return runs, math, add\n")
+    assert package_imports(ast.parse(source)) == [5, 6, 7, 10]
+
+
 def calls_of(tree, name):
     """The calls of ``name``, bare or read off a module."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)

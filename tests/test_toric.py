@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latmin import toric
 from latmin.core import determinant, primitive, vdot, vsub
@@ -14,9 +16,9 @@ from latmin.errors import (
     NotAVertex,
     SingularVertex,
 )
-from latmin.gon import lattice_width
+from latmin.gon import lattice_width, successive_minima
 from latmin.generate import SplitMix64, instance_stream
-from latmin.polytope import convex_hull
+from latmin.polytope import convex_hull, difference_body
 from latmin.toric import (
     EpsBracket,
     EpsExact,
@@ -201,6 +203,48 @@ class TestEpsAtInvariantPoint:
                 continue
             vals = [e.value for e in prof.entries]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+@st.composite
+def simple_lattice_bodies(draw):
+    """A lattice polygon Q, the hull of 3..7 distinct points of [-6, 6]^2, or
+    a prism Q x [0, h] with h in 1..5; every vertex of either is simple, so
+    ``eps_at_invariant_point`` takes each smooth one."""
+    coord = st.integers(-6, 6)
+    Q = convex_hull(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=7,
+                                  unique=True)), 2)
+    assume(Q.is_full_dimensional)
+    if draw(st.booleans()):
+        return MomentPolytope(Q)
+    h = draw(st.integers(1, 5))
+    return MomentPolytope.from_points([(*v, z) for v in Q.vertices for z in (0, h)], 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simple_lattice_bodies())
+def test_what_holds_at_every_smooth_vertex(MP):
+    # at a smooth vertex u: the minima do not increase, eps_d^d <= vol <=
+    # eps_1^d, 1/lambda_1(P - P) <= eps_1 and eps_d <= the lattice width (the
+    # general-point bracket's lo_1 and hi_d), and eps_d is the shortest
+    # lattice length of an edge at u, read off the cone's generators and the
+    # facets.  vol <= d! prod eps_i is no fixed-point fact (see the smooth
+    # quadrilateral above)
+    d = MP.ambient_dim
+    vol = toric_volume(MP)
+    lam1 = successive_minima(difference_body(MP), 1).lambdas[0]
+    width = lattice_width(MP).width
+    for u in MP.vertices_int:
+        cone = vertex_cone(MP, u)
+        if not cone.smooth:
+            continue
+        eps = [e.value for e in eps_at_invariant_point(MP, u).entries]
+        assert all(a >= b for a, b in zip(eps, eps[1:]))
+        assert eps[-1] ** d <= vol <= eps[0] ** d
+        assert 1 / lam1 <= eps[0]
+        assert eps[-1] <= width
+        edges = [min(F(b - vdot(a, u)) / vdot(a, g) for a, b in MP.facets if vdot(a, g) > 0)
+                 for g in cone.edge_generators]
+        assert eps[-1] == min(edges)
 
 
 def vertex_cone_by_pairs(MP, u):
