@@ -4,9 +4,11 @@ A system is a list of one-sided rows (a, r), each the condition a.x <= r on
 the integer points x, a list of pairs (a, r), each |a.x| <= r, and an
 integer box: a an integer normal, r an int, and the box los[j] <= x_j <=
 his[j] must hold every solution.  ``runs`` walks the solutions depth first
-as runs of points that differ only in their last coordinate,
-``enumerate_points`` lists those of one-sided rows, and ``integer_system``
-writes the integer points of a full-dimensional polytope as one-sided rows.
+as runs of points that differ only in their last coordinate; it reads each
+pair as its two one-sided rows, so it walks one kind of row, and keeps of a
+pair only its values a.prefix along each run.  ``enumerate_points`` lists
+the points of one-sided rows, and ``integer_system`` writes the integer
+points of a full-dimensional polytope as one-sided rows.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ def integer_system(P, mode: str) -> tuple:
     A facet a.x <= b holds on integer points iff a.x <= floor(b), and
     a.x < b, the "interior" ``mode``, iff a.x <= ceil(b) - 1; each facet
     makes the one-sided row (a, r) for that bound r.  A facet is not paired
-    with its opposite: the walk reads a pair no faster than two one-sided
-    rows, and it builds the run's ``values`` for it.  The box is that of
+    with its opposite: the walk reads a pair as its two one-sided rows,
+    and it builds the run's ``values`` for it.  The box is that of
     P's integer vertices over their L, from the least ceiling to the
     greatest floor of each coordinate.
     """
@@ -57,33 +59,33 @@ def runs(rows, los, his, pairs=()):
     order, so a.x = values[i] + c t at each point of the run, c the pair's
     last coefficient; it is the empty tuple if there are no pairs.
 
-    The pairs come first, then the one-sided rows.  A prefix of length j
-    carries one value per row, its slack s = r - a.prefix less the least
-    value sum_{k>j} min(a_k los[k], a_k his[k]) that the later coordinates
-    can add over the box.  So a_j x_j <= s bounds x_j from above for a_j > 0
-    and from below for a_j < 0.  A pair reads its lower side off the same
-    value: its lower slack, a.prefix + r less the least value of -a over the
-    later coordinates, is w - s for its width w at level j, 2r plus
-    sum_{k>j} |a_k| (his[k] - los[k]), and -a_j x_j <= w - s bounds x_j the
-    other way.  ``_interval`` reads a node's interval off its slacks in one
-    pass over the rows, and a child's slacks are built by one ``map``.
+    A pair (a, r) is read as its two one-sided rows (a, r) and (-a, r), so
+    the walk reads one kind of row at every level: first the pairs' + rows,
+    then their - rows, then ``rows``.  A prefix of length j carries one
+    value per row, its slack s = r - a.prefix less the least value
+    sum_{k>j} min(a_k los[k], a_k his[k]) that the later coordinates can add
+    over the box.  So a_j x_j <= s bounds x_j from above for a_j > 0 and
+    from below for a_j < 0.  ``_interval`` reads a node's interval off its
+    slacks in one pass over the rows, and a child's slacks are built by one
+    ``map``.
 
     The last level is folded into its parent, level d - 2: for each x of the
-    parent's interval the run is t <= (b - a x) // c over the one-sided rows
-    with a last coefficient c > 0 and t >= -((b - a x) // -c) over those with
+    parent's interval the run is t <= (b - a x) // c over the rows with a
+    last coefficient c > 0 and t >= -((b - a x) // -c) over those with
     c < 0, b the parent's slack plus the row's least last value and a its
-    parent coefficient.  A pair instead gets its value u = a.prefix, the
-    parent's plus a x, and reads both sides off it: -r - u <= c t <= r - u.
-    Those u are the run's ``values``.  So a last-level prefix gets no slack
-    list and no node.  For d = 1 the parent is a virtual level 0 with the
-    box [0, 0] and a zero column, whose x the prefix leaves out.
+    parent coefficient.  So a last-level prefix gets no slack list and no
+    node.  A pair keeps one job, its value a.prefix, built only for a run
+    that is yielded: r less the least last value of the + row, less the
+    parent's slack of that row, is a.prefix at the parent, and the run's
+    value adds a x.  For d = 1 the parent is a virtual level 0 with the box
+    [0, 0] and a zero column, whose x the prefix leaves out.
 
     A zero coefficient a_j needs no test below the root: the row's slack is
     its parent's less a_{j-1} x, which the parent's bound on x keeps >= 0
-    (or its parent's own, if a_{j-1} = 0), and so for each side of a pair.
-    So a row with a zero last coefficient cuts x once, through the parent's
-    bound, and at the root one test per side, that its least value over the
-    box is within its bound, stands for them all.
+    (or its parent's own, if a_{j-1} = 0).  So a row with a zero last
+    coefficient cuts x once, through the parent's bound, and at the root one
+    test per row, that its least value over the box is within its bound,
+    stands for them all.
 
     The walk is depth first and keeps, per level above the parent, the
     node's slacks and an iterator over its interval: O(d len(rows)) values
@@ -93,8 +95,9 @@ def runs(rows, los, his, pairs=()):
     if any(map(gt, los, his)):
         return
     npairs = len(pairs)
-    normals = [a for a, _ in pairs] + [a for a, _ in rows]
-    bounds = [r for _, r in pairs] + [r for _, r in rows]
+    normals = ([a for a, _ in pairs] + [[-c for c in a] for a, _ in pairs]
+               + [a for a, _ in rows])
+    bounds = [r for _, r in pairs] * 2 + [r for _, r in rows]
     head = len(los) - 1  # the length of a run's prefix
     if not head:
         normals, los, his = [(0, *a) for a in normals], [0, *los], [0, *his]
@@ -106,27 +109,15 @@ def runs(rows, los, his, pairs=()):
     slack = bounds
     for least in mins[1:]:
         slack = list(map(sub, slack, least))
-    # each pair's width per level j < d - 1
-    widths = [()] * (d - 1)
-    if npairs:
-        width = [2 * r for r in bounds[:npairs]]
-        for j in range(d - 2, -1, -1):
-            span = his[j + 1] - los[j + 1]
-            width = widths[j] = [w + abs(c) * span for w, c in zip(width, cols[j + 1])]
-    lo, hi = _interval(slack, cols[0], widths[0], npairs, los[0], his[0])
-    # the last level's one-sided rows with c > 0 and with c < 0: (row, its
-    # least value there, its parent coefficient a, |c|)
+    lo, hi = _interval(slack, cols[0], los[0], his[0])
+    # the last level's rows with c > 0 and with c < 0: (row, its least value
+    # there, its parent coefficient a, |c|)
     parent, last, least = cols[-2], cols[-1], mins[-1]
-    cap_rows = [(i, least[i], parent[i], c) for i, c in enumerate(last[npairs:], npairs) if c > 0]
-    floor_rows = [(i, least[i], parent[i], -c) for i, c in enumerate(last[npairs:], npairs)
-                  if c < 0]
-    # per pair, r less its least last value, which less the parent's slack
-    # is a.prefix there, and (a, c, then the bounds of c t from above and
-    # from below: r and -r for c >= 0, -r and r for c < 0, so that
-    # (bound - u) // c and (u - other) // c are t's upper and minus lower)
+    cap_rows = [(i, least[i], parent[i], c) for i, c in enumerate(last) if c > 0]
+    floor_rows = [(i, least[i], parent[i], -c) for i, c in enumerate(last) if c < 0]
+    # per pair, r less its + row's least last value, which less the parent's
+    # slack of that row is a.prefix there
     pair_base = list(map(sub, bounds[:npairs], least))
-    pair_rows = [(a, c, r, -r) if c >= 0 else (a, c, -r, r)
-                 for a, c, r in zip(parent, last, bounds[:npairs])]
     tlo, thi = los[-1], his[-1]
     values = ()
     prefix, path = (), []  # path: (prefix, slacks + next minima, column, x iterator) per level
@@ -140,8 +131,7 @@ def runs(rows, los, his, pairs=()):
                 caps = [(slack[i] + m, a, c) for i, m, a, c in cap_rows]
                 floors = [(slack[i] + m, a, c) for i, m, a, c in floor_rows]
                 if npairs:
-                    folds = [(b - s, a, c, up, down)
-                             for b, s, (a, c, up, down) in zip(pair_base, slack, pair_rows)]
+                    folds = list(zip(map(sub, pair_base, slack), parent))
                 for x in range(lo, hi + 1):
                     top, low = thi, -tlo  # low is minus the run's lower bound
                     for b, a, c in caps:
@@ -152,19 +142,9 @@ def runs(rows, los, his, pairs=()):
                         t = (b - a * x) // c
                         if t < low:
                             low = t
-                    if npairs:
-                        values = []
-                        for u, a, c, up, down in folds:
-                            u += a * x
-                            values.append(u)
-                            if c:
-                                t = (up - u) // c
-                                if t < top:
-                                    top = t
-                                t = (u - down) // c
-                                if t < low:
-                                    low = t
                     if -low <= top:
+                        if npairs:
+                            values = [u + a * x for u, a in folds]
                         yield (*prefix, x)[:head], -low, top, values
         while path:
             prefix, base, col, xs = path[-1]
@@ -176,32 +156,14 @@ def runs(rows, los, his, pairs=()):
         else:
             return
         j = len(path)
-        lo, hi = _interval(slack, cols[j], widths[j], npairs, los[j], his[j])
+        lo, hi = _interval(slack, cols[j], los[j], his[j])
 
 
-def _interval(slack, col, width, npairs, lo, hi) -> tuple:
+def _interval(slack, col, lo, hi) -> tuple:
     """The interval of x_j within [lo, hi] that the slacks of a node at level
-    j leave, for the column a_j and the pairs' widths there; empty if a row
-    with a_j = 0 has a negative slack on a side, which happens at the root
-    only."""
-    for s, c, w in zip(slack, col, width):
-        if c > 0:
-            t = s // c
-            if t < hi:
-                hi = t
-            t = -((w - s) // c)
-            if t > lo:
-                lo = t
-        elif c:
-            t = -(s // -c)
-            if t > lo:
-                lo = t
-            t = (w - s) // -c
-            if t < hi:
-                hi = t
-        elif s < 0 or s > w:
-            return 0, -1
-    for s, c in zip(slack[npairs:], col[npairs:]):
+    j leave for the column a_j, one row at a time; empty if a row with
+    a_j = 0 has a negative slack, which happens at the root only."""
+    for s, c in zip(slack, col):
         if c > 0:
             t = s // c
             if t < hi:

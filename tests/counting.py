@@ -42,7 +42,11 @@ def counting_wrapper(monkeypatch, module):
 
 @contextmanager
 def time_limit(seconds):
-    """Raise TimeoutError in the block after ``seconds`` of wall time."""
+    """Raise TimeoutError in the block after ``seconds`` of wall time.
+
+    The handler's error is raised again from here, with no context, so the
+    report never formats the frame the signal interrupted: a generator's
+    frame there has no line number, and pytest cannot format it."""
     def expire(signum, frame):
         raise TimeoutError(f"over {seconds} s")
 
@@ -50,6 +54,8 @@ def time_limit(seconds):
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except TimeoutError:
+        raise TimeoutError(f"over {seconds} s") from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

@@ -3,8 +3,8 @@ unique solution of a linear system, by back-substitution up the rows of
 ``core.echelon``, the rational LLL that recomputes its Gram-Schmidt data
 from the form at each step, and Gaussian elimination in Fractions with the
 rank, determinant, greedy basis and lattice-generation test read off it,
-and the suffix-sum box count by Newton difference tables and its volume by
-Fraction polynomials.  The library reads its lattice charts off a unimodular
+the suffix-sum box count by Newton difference tables and its volume by
+Fraction polynomials, and the lattice width by a scan of a dual box.  The library reads its lattice charts off a unimodular
 matrix and needs neither of the first two, its LLL is the integral one, its
 elimination inserts integer rows with unimodular steps, and its box count
 and volume are O(d^2) integer recurrences; the tests keep these as
@@ -12,12 +12,13 @@ references."""
 
 import math
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from math import gcd
 from typing import Sequence
 
-from latmin.core import echelon
+from latmin.core import echelon, vdot
 from latmin.errors import InternalError
+from latmin.polytope import difference_body, polar
 from latmin.postulation import _as_params, box_volume_closed_form
 
 
@@ -204,3 +205,27 @@ def polynomial_box_volume(t) -> Fraction:
         if closed != vol:
             raise InternalError(f"closed form {closed} != chain integral {vol}")
     return vol
+
+
+def width_by_brute_force(P):
+    """Minimum functional interval length over an exhaustive dual box.
+
+    The search radius is a verified a-priori bound: the width witness lies in
+    w*K_star, so its sup-norm is at most (width along e_1) times the largest
+    coordinate magnitude over K_star.
+    """
+    d = P.ambient_dim
+    dual = polar(difference_body(P))
+    w1 = min(max(v[j] for v in P.vertices) - min(v[j] for v in P.vertices)
+             for j in range(d))
+    maxcoord = max(abs(c) for v in dual.vertices for c in v)
+    B = -int(-(w1 * maxcoord) // 1)  # ceil
+    best = None
+    for phi in product(range(-B, B + 1), repeat=d):
+        if all(c == 0 for c in phi):
+            continue
+        vals = [vdot(phi, v) for v in P.vertices]
+        length = max(vals) - min(vals)
+        if best is None or length < best:
+            best = length
+    return best

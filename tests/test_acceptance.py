@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 from latmin.cli import run
-from latmin.core import lattice_span, vdot
+from latmin.core import lattice_span
 from latmin.gon import (
     flatness_report,
     gauge,
@@ -40,6 +40,7 @@ from latmin.toric import (
     toric_volume,
     verify_m2m,
 )
+from reference import width_by_brute_force
 
 F = Fraction
 
@@ -226,24 +227,6 @@ def test_criterion_9_postulation():
             d = rng.int_in(1, 4)
             t = [F(rng.int_in(0, 20), rng.int_in(1, 4)) for _ in range(d)]
             assert check_vol_bound(t).holds
-
-
-def width_by_brute_force(P):
-    d = P.ambient_dim
-    dual = polar(difference_body(P))
-    w1 = min(max(v[j] for v in P.vertices) - min(v[j] for v in P.vertices)
-             for j in range(d))
-    maxcoord = max(abs(c) for v in dual.vertices for c in v)
-    B = -int(-(w1 * maxcoord) // 1)
-    best = None
-    for phi in product(range(-B, B + 1), repeat=d):
-        if all(c == 0 for c in phi):
-            continue
-        vals = [vdot(phi, v) for v in P.vertices]
-        length = max(vals) - min(vals)
-        if best is None or length < best:
-            best = length
-    return best
 
 
 def gauge_matches_bisection(K, x):

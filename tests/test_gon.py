@@ -31,6 +31,7 @@ from latmin.polytope import (
     polar,
 )
 from latmin.walk import enumerate_points
+from reference import width_by_brute_force
 
 F = Fraction
 
@@ -88,30 +89,6 @@ def gauge_by_bisection(K, x):
             lo = mid
     assert lo < g <= hi
     return g
-
-
-def width_by_brute_force(P):
-    """Minimum functional interval length over an exhaustive dual box.
-
-    The search radius is a verified a-priori bound: the width witness lies in
-    w*K_star, so its sup-norm is at most (width along e_1) times the largest
-    coordinate magnitude over K_star.
-    """
-    d = P.ambient_dim
-    dual = polar(difference_body(P))
-    w1 = min(max(v[j] for v in P.vertices) - min(v[j] for v in P.vertices)
-             for j in range(d))
-    maxcoord = max(abs(c) for v in dual.vertices for c in v)
-    B = -int(-(w1 * maxcoord) // 1)  # ceil
-    best = None
-    for phi in product(range(-B, B + 1), repeat=d):
-        if all(c == 0 for c in phi):
-            continue
-        vals = [vdot(phi, v) for v in P.vertices]
-        length = max(vals) - min(vals)
-        if best is None or length < best:
-            best = length
-    return best
 
 
 # --- gauge -------------------------------------------------------------------

@@ -798,7 +798,7 @@ def two_sided_systems(draw):
 @settings(max_examples=400, deadline=None)
 @given(two_sided_systems())
 # a pair with a zero last coefficient is cut by its parent's interval alone,
-# which reads the pair's lower side off its width: x_1 >= -1 here
+# which reads the pair's lower side off its - row: x_1 >= -1 here
 @example(([], [((1, 0), 1)], [-3, 0], [3, 0]))
 def test_two_sided_rows_walk_the_runs_of_their_one_sided_system(system):
     # a pair |a.x| <= r walks the runs of a.x <= r and -a.x <= r, and each
@@ -860,6 +860,16 @@ def test_skew_triangle_lattice_points():
     assert len(pts) == (n + 1) * (n + 2) // 2 == 45451
     assert pts == sorted(tuple(a * x + b * y for x, y in zip(u, v))
                          for a in range(n + 1) for b in range(n + 1 - a))
+
+
+def test_a_blow_up_in_the_walk_reports_a_timeout():
+    # 10^9 parents whose runs are all empty: the limit fires inside the
+    # walk's generator frame, and the error it raises formats as a failed
+    # test, not as a crash of the test run
+    with pytest.raises(TimeoutError) as info:
+        with time_limit(0.2):
+            list(walk.runs([((0, 1), -1), ((0, -1), -1)], [0, -5], [10 ** 9, 5]))
+    info.getrepr()
 
 
 def test_plane_without_lattice_points_enumerates_nothing(monkeypatch):
