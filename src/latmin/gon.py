@@ -26,9 +26,9 @@ from .core import (
     vsub,
 )
 from .errors import DimensionDeficient, DimensionMismatch, InvalidInput
-from .polytope import Polytope, SymmetricBody, difference_body, lattice_points, volume
+from .polytope import Polytope, SymmetricBody, difference_body, volume
 from .report import HOLDS, TheoremReport, verdict
-from .walk import runs
+from .walk import integer_system, runs
 
 
 @dataclass(frozen=True)
@@ -305,25 +305,25 @@ def flatness_report(P: Polytope) -> TheoremReport:
     power bound d!|A| >= (w/d - d)^d when the right side is nonnegative; (e)
     d! vol >= (w/d)^d.  Conclusions are evaluated even when a hypothesis
     fails, in which case the item is recorded as vacuously holding.
+
+    The interior is read off the walk's runs, with no list: the count sums
+    hi - lo + 1, and a run keeps only its points at lo and lo + 1, which
+    generate its differences, p_t - p_lo = (t - lo) e_d; so the greedy
+    spanning points, the rank and the generation test are those of all.
     """
     if not P.is_full_dimensional:
         raise DimensionDeficient("requires a full-dimensional polytope")
     d = P.ambient_dim
     wr = lattice_width(P)
     w = wr.width
-    interior = lattice_points(P, "interior")
-    count = len(interior)
+    count, points = 0, []
+    for prefix, lo, hi, _ in runs(*integer_system(P, "interior")):
+        count += hi - lo + 1
+        points += [(*prefix, t) for t in range(lo, min(hi, lo + 1) + 1)]
     vol = volume(P)
-
-    if interior:
-        a0 = interior[0]
-        diffs = [vsub(a, a0) for a in interior]
-        span_points = [a0] + [interior[i] for i in independent(diffs)]
-        rank, spans = lattice_span(diffs, d)
-    else:
-        rank = 0
-        spans = False
-        span_points = []
+    diffs = [vsub(a, points[0]) for a in points]
+    span_points = points[:1] + [points[i] for i in independent(diffs)]
+    rank, spans = lattice_span(diffs, d)
 
     def item(hypothesis: bool, conclusion: bool) -> str:
         if not hypothesis:
@@ -343,8 +343,8 @@ def flatness_report(P: Polytope) -> TheoremReport:
     ok = all(s != "violated" for s in items.values())
 
     witnesses = {"width_functional": list(wr.witness)}
-    if interior:
-        witnesses["interior_point"] = list(interior[0])
+    if points:
+        witnesses["interior_point"] = list(points[0])
         witnesses["spanning_points"] = [list(p) for p in span_points]
     return TheoremReport(
         theorem="flatness",

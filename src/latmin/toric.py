@@ -179,10 +179,9 @@ def vertex_cone(MP: MomentPolytope, u) -> VertexCone:
     """
     d = _moment_dim(MP)
     u = as_intvec(u, d)
-    uvec = tuple(Fraction(c) for c in u)
-    if uvec not in MP.vertices:
+    if u not in MP.vertices:
         raise NotAVertex(f"{u} is not a vertex")
-    active = [a for a, b in MP.facets if vdot(a, uvec) == b]
+    active = [a for a, b in MP.facets if vdot(a, u) == b]
     if len(active) != d:
         raise NotAmplePolytope(
             f"vertex {u} lies on {len(active)} facets; expected exactly {d}")

@@ -4,11 +4,14 @@ unique solution of a linear system, by back-substitution up the rows of
 from the form at each step, and Gaussian elimination in Fractions with the
 rank, determinant, greedy basis and lattice-generation test read off it,
 the suffix-sum box count by Newton difference tables and its volume by
-Fraction polynomials, and the lattice width by a scan of a dual box.  The library reads its lattice charts off a unimodular
-matrix and needs neither of the first two, its LLL is the integral one, its
-elimination inserts integer rows with unimodular steps, and its box count
-and volume are O(d^2) integer recurrences; the tests keep these as
-references."""
+Fraction polynomials, the lattice width by a scan of a dual box, and the
+flatness data off the list of all interior points.  The library reads its
+lattice charts off a unimodular matrix and needs neither of the first two,
+its LLL is the integral one, its elimination inserts integer rows with
+unimodular steps, its box count and volume are O(d^2) integer recurrences,
+and its flatness report reads two points per run of the walk; the tests
+keep these as references.  The test bodies ``box`` and ``simplex`` live here
+too."""
 
 import math
 from fractions import Fraction
@@ -16,10 +19,25 @@ from itertools import accumulate, combinations, product
 from math import gcd
 from typing import Sequence
 
-from latmin.core import echelon, vdot
+from latmin.core import echelon, independent, lattice_span, vdot, vsub
 from latmin.errors import InternalError
-from latmin.polytope import difference_body, polar
+from latmin.polytope import convex_hull, difference_body, lattice_points, polar
 from latmin.postulation import _as_params, box_volume_closed_form
+
+
+def box(*sides):
+    """Hull of prod [0, s_i]."""
+    d = len(sides)
+    corners = [tuple(s if bit else 0 for s, bit in zip(sides, bits))
+               for bits in product((0, 1), repeat=d)]
+    return convex_hull(corners, d)
+
+
+def simplex(d, w=1):
+    pts = [tuple(0 for _ in range(d))]
+    for i in range(d):
+        pts.append(tuple(w if j == i else 0 for j in range(d)))
+    return convex_hull(pts, d)
 
 
 def kernel_vector(rows: Sequence[Sequence], ncols: int):
@@ -229,3 +247,16 @@ def width_by_brute_force(P):
         if best is None or length < best:
             best = length
     return best
+
+
+def flatness_by_point_list(P):
+    """(count, rank, spans, first point, spanning points) of the interior
+    lattice points of a full-dimensional P, off the list of all of them:
+    the greedy ``independent`` differences from the first point, and
+    ``lattice_span`` of all the differences.  Points are lists; the first
+    point is None for an empty interior."""
+    interior = lattice_points(P, "interior")
+    diffs = [vsub(a, interior[0]) for a in interior]
+    rank, spans = lattice_span(diffs, P.ambient_dim)
+    span_points = [list(p) for p in interior[:1] + [interior[i] for i in independent(diffs)]]
+    return (len(interior), rank, spans, list(interior[0]) if interior else None, span_points)

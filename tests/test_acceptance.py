@@ -40,7 +40,7 @@ from latmin.toric import (
     toric_volume,
     verify_m2m,
 )
-from reference import width_by_brute_force
+from reference import box, simplex, width_by_brute_force
 
 F = Fraction
 
@@ -53,20 +53,6 @@ def criterion(number, label):
         print(f"ACCEPTANCE {number:02d} {label}: FAIL")
         raise
     print(f"ACCEPTANCE {number:02d} {label}: PASS")
-
-
-def box(*sides):
-    d = len(sides)
-    corners = [tuple(s if bit else 0 for s, bit in zip(sides, bits))
-               for bits in product((0, 1), repeat=d)]
-    return convex_hull(corners, d)
-
-
-def simplex(d, w=1):
-    pts = [tuple(0 for _ in range(d))]
-    for i in range(d):
-        pts.append(tuple(w if j == i else 0 for j in range(d)))
-    return convex_hull(pts, d)
 
 
 def corpus(dim, bound, count, seed):

@@ -3,10 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from counting import counted_fractions, counting_wrapper
+from counting import counted_fractions, counting_wrapper, time_limit
 from latmin import core, gon, polytope, toric
 from latmin.core import lattice_span, rat_str, vdot
 from latmin.errors import DimensionDeficient, DimensionMismatch, InvalidInput
@@ -31,23 +31,9 @@ from latmin.polytope import (
     polar,
 )
 from latmin.walk import enumerate_points
-from reference import width_by_brute_force
+from reference import box, flatness_by_point_list, simplex, width_by_brute_force
 
 F = Fraction
-
-
-def box(*sides):
-    d = len(sides)
-    corners = [tuple(s if bit else 0 for s, bit in zip(sides, bits))
-               for bits in product((0, 1), repeat=d)]
-    return convex_hull(corners, d)
-
-
-def simplex(d, w=1):
-    pts = [tuple(0 for _ in range(d))]
-    for i in range(d):
-        pts.append(tuple(w if j == i else 0 for j in range(d)))
-    return convex_hull(pts, d)
 
 
 def sym(points, d):
@@ -642,6 +628,50 @@ class TestFlatness:
             for i in range(20):
                 rep = flatness_report(generate_instance(cfg, i))
                 assert rep.holds, rep.quantities
+
+
+@st.composite
+def stretched_bodies(draw):
+    """Full-dimensional hulls of rational points in d = 1..4, the last
+    coordinate stretched by 1, 9 or 40, so some interiors are empty and
+    some are a few long runs."""
+    d = draw(st.integers(1, 4))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    stretch = draw(st.sampled_from((1, 9, 40)))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))
+    P = convex_hull([(*p[:-1], p[-1] * stretch) for p in pts], d)
+    assume(P.is_full_dimensional)
+    return P
+
+
+@settings(max_examples=150, deadline=None)
+@given(stretched_bodies())
+@example(simplex(3))
+def test_flatness_matches_the_point_list(P):
+    # two points per run give the count, rank, generation test and spanning
+    # points of the list of all interior points
+    rep = flatness_report(P)
+    q, wit = rep.quantities, rep.witnesses
+    assert (int(q["interior_count"]), int(q["interior_rank"]), q["interior_spans"] == "1",
+            wit.get("interior_point"), wit.get("spanning_points", [])) == flatness_by_point_list(P)
+
+
+@pytest.mark.parametrize("sides, count, rank, vectors", [
+    ((2, 2, 10**6), 999_999, 1, 2),
+    ((3, 2, 2, 10**5), 199_998, 2, 4),
+])
+def test_flatness_of_a_few_long_runs(monkeypatch, sides, count, rank, vectors):
+    # the interior is hi - lo + 1 points per run, and lattice_span reads two
+    seen = []
+    real = gon.lattice_span
+    monkeypatch.setattr(gon, "lattice_span", lambda vs, d: (seen.append(len(vs)), real(vs, d))[1])
+    with time_limit(5):
+        rep = flatness_report(box(*sides))
+    q = rep.quantities
+    assert (q["interior_count"], q["interior_rank"], q["interior_spans"]) == (
+        str(count), str(rank), "0")
+    assert rep.verdict == "holds"
+    assert seen == [vectors]
 
 
 def test_report_json_key_order():

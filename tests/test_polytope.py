@@ -24,24 +24,9 @@ from latmin.polytope import (
     volume,
 )
 from latmin.toric import MomentPolytope
-from reference import gauss, kernel_vector, solve_linear
+from reference import box, gauss, kernel_vector, simplex, solve_linear
 
 F = Fraction
-
-
-def box(*sides):
-    """Hull of prod [0, s_i]."""
-    d = len(sides)
-    corners = [tuple(s if bit else 0 for s, bit in zip(sides, bits))
-               for bits in product((0, 1), repeat=d)]
-    return convex_hull(corners, d)
-
-
-def simplex(d, w=1):
-    pts = [tuple(0 for _ in range(d))]
-    for i in range(d):
-        pts.append(tuple(w if j == i else 0 for j in range(d)))
-    return convex_hull(pts, d)
 
 
 small_pts_2d = st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),

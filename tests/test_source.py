@@ -290,15 +290,26 @@ def test_length_check_after_a_reader_is_found():
     assert reread_lengths(ast.parse(source)) == [8, 10]
 
 
+def walks_own_points(call):
+    """Whether a call's only argument is ``*integer_system(...)``: a walk of
+    a polytope's own lattice points, which builds no gauge."""
+    return (not call.keywords and len(call.args) == 1 and isinstance(call.args[0], ast.Starred)
+            and isinstance(call.args[0].value, ast.Call)
+            and _called(call.args[0].value) == "integer_system")
+
+
 def minima_sites(tree):
-    """Lines of the calls of ``lll_reduce`` and of the walk's ``runs``."""
-    return {name: sorted(node.lineno for node in calls_of(tree, name))
+    """Lines of the calls of ``lll_reduce`` and of the walk's ``runs``, but
+    for the walks of a polytope's own lattice points."""
+    return {name: sorted(node.lineno for node in calls_of(tree, name)
+                         if not walks_own_points(node))
             for name in ("lll_reduce", "runs")}
 
 
 def test_one_minima_routine():
     # the successive minima and the lattice width share one routine, so gon
-    # reduces and enumerates at one site each: no second copy comes back
+    # reduces and enumerates at one site each: no second copy comes back;
+    # flatness's walk of P's own interior points builds no gauge
     tree = ast.parse((SRC / "gon.py").read_text(encoding="utf-8"))
     sites = minima_sites(tree)
     assert all(len(lines) == 1 for lines in sites.values()), f"gon.py call sites: {sites}"
@@ -310,7 +321,9 @@ def test_second_minima_copy_is_found():
               "    return core.lll_reduce(G), list(runs(*box))\n\n"
               "def width(G, box):\n"
               "    B = core.lll_reduce(G)\n"
-              "    return B, list(runs(*box))\n")
+              "    return B, list(runs(*box))\n\n"
+              "def interior(P):\n"
+              "    return list(runs(*integer_system(P, 'interior')))\n")
     assert minima_sites(ast.parse(source)) == {"lll_reduce": [5, 8], "runs": [5, 9]}
 
 
