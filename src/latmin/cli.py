@@ -149,8 +149,8 @@ def _m2m(cfg: SuiteConfig, i: int, track) -> bool:
     max a.v - min a.v = w, read off its integer vertices with no minima.
     The witness clause is what checks the width: ``eps_bracket_general``
     sets lo to at least w/d and hi to lambda_1(polar(P - P)), the kept dual
-    minimum that ``lattice_width`` also returns, so of [w/d, w] only
-    lo <= hi can fail."""
+    minimum that ``lattice_width`` also returns, and raises InternalError on
+    an inverted bracket, so no part of w/d <= lo <= hi <= w can fail."""
     rng = instance_stream(cfg.seed, i)
     kind = rng.int_in(0, 2)
     if kind == 0:

@@ -182,9 +182,10 @@ def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
     n_d t|, one product per row and no dot product; that is why the rows go
     to the walk as pairs and not as 2m one-sided rows.  Candidates are ranked
     by (g, min(x, -x)) in the original coordinates, so the result does not
-    depend on B, and x is built only for the nonzero y that are kept: the
-    ones of least g for k = 1, else all, of which the first k
-    ``independent`` ones are taken, with no candidate past the k-th read.
+    depend on B.  One pass over the runs builds x for each walked y != 0,
+    the only point of g = 0 since the rows span; every walked point has g
+    <= R.  k = 1 takes the least candidate, else the first k ``independent``
+    ones are taken, with no candidate past the k-th read.
     A witness is -min(x, -x), whose first nonzero entry is positive, and a
     Fraction g / scale is made only for each minimum returned.
     """
@@ -196,19 +197,15 @@ def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
     C, det = cofactors(_form(d, normals))  # of G_B
     his = [math.isqrt(len(rows) * R * R * C[j][j] // det) for j in range(d)]
     last = [n[-1] for n in normals]
-    ys, gs = [], []
+    to_x = list(zip(*B))
+    candidates = []
     for prefix, lo, hi, values in runs([], [0] + [-h for h in his[1:]], his,
                                        [(n, R) for n in normals]):
         for t in range(lo, hi + 1):
-            ys.append((*prefix, t))
-            gs.append(max([abs(u + c * t) for u, c in zip(values, last)]))
-    top = min([g for g in gs if g]) if k == 1 else R  # the rows span: g = 0 at y = 0 only
-    to_x = list(zip(*B))
-    candidates = []
-    for g, y in zip(gs, ys):
-        if 0 < g <= top:
-            x = matvec(to_x, y)
-            candidates.append((g, min(x, tuple(-c for c in x))))
+            g = max([abs(u + c * t) for u, c in zip(values, last)])
+            if g:  # the rows span: g = 0 at y = 0 only
+                x = matvec(to_x, (*prefix, t))
+                candidates.append((g, min(x, tuple(-c for c in x))))
     candidates.sort()
     picked = candidates[:1] if k == 1 else [
         candidates[i] for i in independent([x for _, x in candidates], k)]

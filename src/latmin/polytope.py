@@ -315,34 +315,27 @@ def _hull_full_dim(ipts, d, simplex):
     order = sorted((p for p in range(len(ipts)) if p not in in_simplex),
                    key=lambda p: -sum(((d + 1) * c - r) ** 2 for c, r in zip(ipts[p], ref)))
 
-    facets = {}
-    next_id = 0
+    facets = {}  # sorted corner indices -> (normal, offset)
     for subset in combinations(simplex, d):
-        normal, offset = _facet_hyperplane([ipts[i] for i in subset], ref, d)
-        facets[next_id] = (tuple(sorted(subset)), normal, offset)
-        next_id += 1
+        verts = tuple(sorted(subset))
+        facets[verts] = _facet_hyperplane([ipts[i] for i in verts], ref, d)
 
     for p in order:
         x = ipts[p]
-        visible = [fid for fid, (_, a, b) in facets.items() if vdot(a, x) > b]
+        visible = [verts for verts, (a, b) in facets.items() if vdot(a, x) > b]
         if not visible:
             continue
         ridge_count = {}
-        for fid in visible:
-            verts = facets[fid][0]
+        for verts in visible:
             for drop in verts:
                 ridge = tuple(v for v in verts if v != drop)
                 ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        for fid in visible:
-            del facets[fid]
+            del facets[verts]
         for ridge, cnt in ridge_count.items():
-            if cnt != 1:
-                continue
-            new_verts = tuple(sorted(ridge + (p,)))
-            normal, offset = _facet_hyperplane([ipts[i] for i in new_verts], ref, d)
-            facets[next_id] = (new_verts, normal, offset)
-            next_id += 1
-    return list(facets.values())
+            if cnt == 1:  # a new facet holds p, so its key is new
+                verts = tuple(sorted(ridge + (p,)))
+                facets[verts] = _facet_hyperplane([ipts[i] for i in verts], ref, d)
+    return [(verts, a, b) for verts, (a, b) in facets.items()]
 
 
 # ---------------------------------------------------------------------------

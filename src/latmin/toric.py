@@ -25,6 +25,7 @@ from .core import (
 )
 from .errors import (
     DimensionMismatch,
+    InternalError,
     InvalidInput,
     InvalidWeights,
     MixedProfile,
@@ -233,7 +234,8 @@ def eps_bracket_general(MP: MomentPolytope) -> EpsProfile:
 
     Lower bounds come from the reciprocals of the minima of the difference
     body (for the last index also width/d); upper bounds from the dual
-    minima scaled by the codimension count.
+    minima scaled by the codimension count.  Transference puts lo <= hi, so
+    an inverted bracket is a bug and raises InternalError.
     """
     d = _moment_dim(MP)
     K = difference_body(MP)
@@ -246,6 +248,8 @@ def eps_bracket_general(MP: MomentPolytope) -> EpsProfile:
         if i == d:
             lo = max(lo, Fraction(w, d))
         hi = (d - i + 1) * sm_dual.lambdas[d - i]
+        if lo > hi:
+            raise InternalError(f"bracket {i} inverted: lo {rat_str(lo)} > hi {rat_str(hi)}")
         entries.append(EpsBracket(lo, hi))
     return EpsProfile(entries)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counting import time_limit
-from latmin import core, errors, gon, postulation
+from latmin import core, errors, gon, postulation, toric
 from latmin.cli import run
 
 
@@ -124,6 +124,25 @@ class TestVerify:
         code, out = invoke(*argv)
         assert code == 1
         assert 0 < out["violated"] < 12
+
+    def test_inverted_bracket_is_an_internal_error(self, monkeypatch):
+        # a planted fault, minima a hundred times too small, inverts the
+        # brackets: that breaks transference, so it is a bug, not bad input
+        real = toric.successive_minima
+
+        def planted(K, k=None):
+            sm = real(K, k)
+            return gon.SuccessiveMinima(sm.d, tuple(x / 100 for x in sm.lambdas),
+                                        sm.witnesses)
+
+        monkeypatch.setattr(toric, "successive_minima", planted)
+        square = toric.MomentPolytope.from_points([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
+        with pytest.raises(errors.InternalError, match="bracket 1 inverted"):
+            toric.eps_bracket_general(square)
+        code, out = invoke("verify", "--suite", "m2m", "--seed", "3", "--count", "12",
+                           "--dim", "3")
+        assert code == 2
+        assert out["error"]["code"] == "InternalError"
 
     def test_byte_determinism(self):
         argv = ["verify", "--suite", "minkowski", "--seed", "99", "--count", "10",
