@@ -24,7 +24,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from .errors import DimensionMismatch, InternalError, InvalidInput, ZeroVector
@@ -110,7 +110,7 @@ def vdot(a: Sequence, b: Sequence):
 
 
 def vsub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def clear_denominators(vectors: Sequence[Sequence]) -> tuple[int, list]:

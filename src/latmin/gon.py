@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .core import (
     as_ratvec,
@@ -19,7 +20,6 @@ from .core import (
     independent,
     lattice_span,
     lll_reduce,
-    matvec,
     rat_str,
     strict_int,
     vdot,
@@ -158,7 +158,12 @@ def lattice_width(P: Polytope) -> WidthResult:
 
 def _form(d: int, rows) -> list:
     """The integer form sum of r r^T over the rows r."""
-    return [[sum([r[i] * r[j] for r in rows]) for j in range(d)] for i in range(d)]
+    return _gram([[r[i] for r in rows] for i in range(d)])
+
+
+def _gram(cols) -> list:
+    """The integer form of the columns c_i, whose entry (i, j) is c_i.c_j."""
+    return [[sum(map(mul, a, b)) for b in cols] for a in cols]
 
 
 def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
@@ -175,37 +180,40 @@ def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
     those, so k independent rows of B lie among the points y with |n.y| <=
     R, and one pass finds k witnesses: the walk gets the m pairs (n, R),
     each the row |n.y| <= R.  Their box is that of the ellipsoid y^T G_B y <=
-    m R^2, G_B = B G B^T = ``_form(d, normals)``, |y_j| <= sqrt(m R^2
-    (G_B^-1)_jj) (Fincke-Pohst).  y -> -y maps x to -x, so only the half
+    m R^2, G_B = B G B^T = ``_gram`` of the normals' d columns, the lists
+    of the B_j.r over the rows r, |y_j| <= sqrt(m R^2 (G_B^-1)_jj)
+    (Fincke-Pohst).  y -> -y maps x to -x, so only the half
     y_1 >= 0 of the box is enumerated.  Each run carries the values n.prefix
     of the pairs, so g at the run's point prefix + (t,) is max |n.prefix +
     n_d t|, one product per row and no dot product; that is why the rows go
     to the walk as pairs and not as 2m one-sided rows.  Candidates are ranked
     by (g, min(x, -x)) in the original coordinates, so the result does not
     depend on B.  One pass over the runs builds x for each walked y != 0,
-    the only point of g = 0 since the rows span; every walked point has g
-    <= R.  k = 1 takes the least candidate, else the first k ``independent``
-    ones are taken, with no candidate past the k-th read.
+    the only point of g = 0 since the rows span, as B^T (prefix, 0), once
+    per run, plus t times B's last row; every walked point has g <= R.
+    k = 1 takes the least candidate, else the first k ``independent`` ones
+    are taken, with no candidate past the k-th read.
     A witness is -min(x, -x), whose first nonzero entry is positive, and a
     Fraction g / scale is made only for each minimum returned.
     """
     zero = (0,) * d
     rows = [r for r in rows if r > zero]
     B = lll_reduce(_form(d, rows))
-    normals = [matvec(B, r) for r in rows]
-    R = sorted([max(map(abs, col)) for col in zip(*normals)])[k - 1]
-    C, det = cofactors(_form(d, normals))  # of G_B
+    reduced = [[sum(map(mul, b, r)) for r in rows] for b in B]  # the normals' columns
+    R = sorted([max(map(abs, col)) for col in reduced])[k - 1]
+    C, det = cofactors(_gram(reduced))  # of G_B
     his = [math.isqrt(len(rows) * R * R * C[j][j] // det) for j in range(d)]
-    last = [n[-1] for n in normals]
-    to_x = list(zip(*B))
+    last, step = reduced[-1], B[-1]
+    to_x = [col[:-1] for col in zip(*B)]
     candidates = []
     for prefix, lo, hi, values in runs([], [0] + [-h for h in his[1:]], his,
-                                       [(n, R) for n in normals]):
+                                       [(n, R) for n in zip(*reduced)]):
+        base = [sum(map(mul, col, prefix)) for col in to_x]  # B^T (prefix, 0)
         for t in range(lo, hi + 1):
             g = max([abs(u + c * t) for u, c in zip(values, last)])
             if g:  # the rows span: g = 0 at y = 0 only
-                x = matvec(to_x, (*prefix, t))
-                candidates.append((g, min(x, tuple(-c for c in x))))
+                x = tuple([u + c * t for u, c in zip(base, step)])
+                candidates.append((g, min(x, tuple([-c for c in x]))))
     candidates.sort()
     picked = candidates[:1] if k == 1 else [
         candidates[i] for i in independent([x for _, x in candidates], k)]

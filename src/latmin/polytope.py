@@ -1,8 +1,8 @@
 """Exact convex polytope kernel.
 
-Polytopes are stored canonically by their extreme points (sorted rational
-vertex tuples), and every one carries those vertices scaled to integers by a
-common denominator L, so no later step clears their denominators again.
+Polytopes are stored canonically by their extreme points, sorted and scaled
+to integers by a common denominator L, so no later step clears their
+denominators again; the rational vertex tuples are made on first read.
 Full-dimensional polytopes also carry an exact facet description with
 primitive integer outward normals, plus the boundary triangulation produced
 by the incremental hull, on the ints, from which the vertices are read off
@@ -21,6 +21,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, product, repeat
+from operator import mul
 
 from .core import (
     as_ratvec,
@@ -57,15 +58,15 @@ class Polytope:
     the fields of the Polytope they are built from, and equal and hash as it.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "affine_dim", "_integer_vertices", "_facets",
+    __slots__ = ("ambient_dim", "affine_dim", "_integer_vertices", "_vertices", "_facets",
                  "_boundary_simplices", "_chart", "_difference", "_width", "_volume")
 
-    def __init__(self, ambient_dim, vertices, affine_dim, integer_vertices, facets=None,
+    def __init__(self, ambient_dim, affine_dim, integer_vertices, facets=None,
                  boundary_simplices=None, chart=None):
         self.ambient_dim = ambient_dim
-        self.vertices = vertices
         self.affine_dim = affine_dim
         self._integer_vertices = integer_vertices
+        self._vertices = None  # set by vertices
         self._facets = facets
         # the hull's boundary simplices, their corners as ints over the L of
         # integer_vertices; None for a difference or polar body
@@ -84,9 +85,18 @@ class Polytope:
     @property
     def integer_vertices(self) -> tuple:
         """(L, xs): a positive int L, a common denominator of the vertices,
-        and the vertices times L as integer tuples, in the order of
-        ``vertices``.  Every constructor holds them already."""
+        and the vertices times L as integer tuples, sorted.  Every
+        constructor holds them already."""
         return self._integer_vertices
+
+    @property
+    def vertices(self) -> tuple:
+        """The vertices, sorted, as tuples of Fractions x / L for the
+        integer vertices (L, xs), built on first read."""
+        if self._vertices is None:
+            L, xs = self._integer_vertices
+            self._vertices = tuple(tuple(Fraction(c, L) for c in x) for x in xs)
+        return self._vertices
 
     @property
     def facets(self):
@@ -136,11 +146,12 @@ class SymmetricBody(Polytope):
 
     def __init__(self, body: Polytope):
         self._take_over(body, "symmetric bodies")
-        _, scaled = self.integer_vertices
+        L, scaled = self.integer_vertices
         vset = set(scaled)
-        for v, x in zip(self.vertices, scaled):
+        for x in scaled:
             if tuple(-c for c in x) not in vset:
-                raise NotSymmetric(f"vertex ({', '.join(map(rat_str, v))}) has no mirror image")
+                raise NotSymmetric(f"vertex ({', '.join(rat_str(Fraction(c, L)) for c in x)}) "
+                                   "has no mirror image")
         self._dual = None  # set by dual_vertices
         self._polar = None  # set by polar
         self._minima = None  # the longest result of gon.successive_minima so far
@@ -185,22 +196,21 @@ def convex_hull(points, d: int) -> Polytope:
     if not pts:
         raise DimensionMismatch("need at least one point")
     L, ipts = clear_denominators(pts)
-    parsed = dict(zip(ipts, pts))  # keeps the parsed points for the output
-    return _integer_hull(d, L, sorted(parsed), parsed)
+    return _integer_hull(d, L, sorted(set(ipts)))
 
 
-def _integer_hull(d, L, ipts, parsed=None) -> Polytope:
+def _integer_hull(d, L, ipts) -> Polytope:
     """The hull of the points x / L in R^d for the sorted distinct integer
     points x of ``ipts``.
 
-    ``parsed`` maps each x to the rational point x / L when the caller holds
-    it; otherwise a Fraction is made only for each coordinate of a vertex
-    kept, and the only other Fractions are the facet offsets.  A
-    lower-dimensional input is read through its lattice chart, and its
-    chart coordinates, still ints over L, go to the inner hull as they are.
+    The only Fractions made are the facet offsets, and for a
+    lower-dimensional input the base point of its lattice chart; the
+    vertices are made on first read.  A lower-dimensional input is read
+    through its lattice chart, and its chart coordinates, still ints over
+    L, go to the inner hull as they are.
     """
     def point(x):
-        return parsed[x] if parsed is not None else tuple(Fraction(c, L) for c in x)
+        return tuple(Fraction(c, L) for c in x)
 
     diffs = [vsub(p, ipts[0]) for p in ipts]
     basis_idx = independent(diffs)  # diffs[0] = 0 is never picked
@@ -217,10 +227,9 @@ def _integer_hull(d, L, ipts, parsed=None) -> Polytope:
             outer[c[:k]] = x
         # the inner body of a point is the one point of R^0
         inner = (_integer_hull(k, L, sorted(outer)) if k
-                 else Polytope(0, ((),), 0, (1, ((),)), facets=()))
+                 else Polytope(0, 0, (1, ((),)), facets=()))
         ints = tuple(sorted(outer[c] for c in inner.integer_vertices[1]))
-        return Polytope(d, tuple(map(point, ints)), k, (L, ints),
-                        chart=(origin, U, basis, inner))
+        return Polytope(d, k, (L, ints), chart=(origin, U, basis, inner))
 
     # offsets of the scaled points are ints; the points' are over L
     facet_simplices = _hull_full_dim(ipts, d, [0] + basis_idx)
@@ -239,7 +248,7 @@ def _integer_hull(d, L, ipts, parsed=None) -> Polytope:
 
     triangulation = tuple(tuple(ipts[i] for i in verts_idx)
                           for verts_idx, _, _ in facet_simplices)
-    return Polytope(d, tuple(map(point, ints)), d, (L, ints), facets=tuple(facet_list),
+    return Polytope(d, d, (L, ints), facets=tuple(facet_list),
                     boundary_simplices=triangulation)
 
 
@@ -479,7 +488,9 @@ def _minkowski_difference(P: Polytope) -> Polytope:
       one face lies at max n.v and the other at min n.v: first the normal
       cones must allow it (no direction of one face is positive, or
       negative, on every facet normal at the other; the signs are bit
-      masks over the facets), then one scan of all vertices decides;
+      masks over the facets, and a face keeps those of its directions in
+      one list, each of which must meet the other face's facet mask), then
+      one scan of all vertices decides;
     * u - w is a vertex iff the AND of the max masks of the facets S with u
       at their max and w at their min is the bit of u, as in ``convex_hull``:
       then F(c) = {u} for c the sum of S's normals, and P's vertex w lies in
@@ -487,88 +498,118 @@ def _minkowski_difference(P: Polytope) -> Polytope:
       difference in one way only, so S holds every facet through it, and
       their max faces meet in u alone.  The min side need not be read.
 
-    Fractions are made only for the offsets and the vertex coordinates.  The
-    body carries no boundary triangulation; ``volume`` builds one on use.
+    The loops run per entry with no helper call: dot products are sums of
+    ``map(mul, ...)`` and the masks are built bit by bit.  Fractions are
+    made only for the facet offsets; the body's vertices, the integer
+    differences over P's L, become Fractions on first read.  The body
+    carries no boundary triangulation; ``volume`` builds one on use.
     """
     d = P.ambient_dim
     L, verts = P.integer_vertices
+    bits = {}  # mask -> its set bits, ascending
 
-    def members(mask):  # the set bits, ascending
-        idx = []
-        while mask:
-            idx.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
+    def members(mask):
+        idx = bits.get(mask)
+        if idx is None:
+            idx, rest = [], mask
+            while rest:
+                low = rest & -rest
+                idx.append(low.bit_length() - 1)
+                rest ^= low
+            bits[mask] = idx
         return idx
 
     def extent(vals):  # L times the width along n, masks at max and min, from the n.v
         top, bottom = max(vals), min(vals)
-        return (top - bottom, sum(1 << i for i, x in enumerate(vals) if x == top),
-                sum(1 << i for i, x in enumerate(vals) if x == bottom))
+        up = down = 0
+        bit = 1
+        for x in vals:
+            if x == top:
+                up |= bit
+            elif x == bottom:  # top > bottom, as P is full-dimensional
+                down |= bit
+            bit <<= 1
+        return top - bottom, up, down
 
     def keep(n, width, top, bottom):
         body[n] = width, top, bottom
-        body[tuple(-c for c in n)] = width, bottom, top
-
-    def signs(i, j):  # masks of the facets a with a.(v_j - v_i) >= 0 and <= 0
-        up = down = 0
-        for f, row in enumerate(levels):
-            x = row[j] - row[i]
-            if x >= 0:
-                up |= 1 << f
-            if x <= 0:
-                down |= 1 << f
-        return up, down
+        body[tuple([-c for c in n])] = width, bottom, top
 
     body = {}  # facet normal of P - P -> (L times its offset, masks of P at max and at min)
     normals = [a for a, _ in P.facets]
-    levels = [[vdot(a, v) for v in verts] for a in normals]  # a.v per facet and vertex
+    levels = [[sum(map(mul, a, v)) for v in verts] for a in normals]  # a.v per facet and vertex
     facet_masks = []
     for a, row in zip(normals, levels):
         width, top, bottom = extent(row)
         facet_masks.append(top)
         if a not in body:
             keep(a, width, top, bottom)
+    at = list(zip(*levels))  # per vertex, its a.v over the facets a
 
     faces, new = set(), set(facet_masks)
     while new:
         faces |= new
         new = {f & g for f in new for g in facet_masks} - faces - {0}
-    # per dimension, each lower face's mask of facets, the sign masks and the
-    # vectors of a direction basis, and one vertex
+    # per dimension, each lower face's mask of facets, the sign masks of the
+    # vectors of a direction basis in one list, the basis, and one vertex
     by_dim = [[] for _ in range(d - 1)]
     for f in faces - set(facet_masks):
         idx = members(f)
         if len(idx) == 1:
             continue
-        diffs = [vsub(verts[i], verts[idx[0]]) for i in idx[1:]]
+        r = idx[0]
+        diffs = [vsub(verts[i], verts[r]) for i in idx[1:]]
         picked = independent(diffs) if len(diffs) > 1 else [0]
-        through = sum(1 << j for j, g in enumerate(facet_masks) if f & g == f)
-        by_dim[len(picked)].append((through, [signs(idx[0], idx[j + 1]) for j in picked],
-                                    [diffs[j] for j in picked], idx[0]))
+        through, bit = 0, 1
+        for g in facet_masks:
+            if f & g == f:
+                through |= bit
+            bit <<= 1
+        cone = []  # per direction, the facets a with a.(v_j - v_r) >= 0 and <= 0
+        for j in picked:
+            up = down = 0
+            bit = 1
+            for x, y in zip(at[idx[j + 1]], at[r]):
+                if x > y:
+                    up |= bit
+                elif x < y:
+                    down |= bit
+                else:
+                    up |= bit
+                    down |= bit
+                bit <<= 1
+            cone += up, down
+        by_dim[len(picked)].append((through, cone, [diffs[j] for j in picked], r))
 
     for k in range(1, (d - 1) // 2 + 1):
         firsts, seconds = by_dim[k], by_dim[d - 1 - k]
-        for i, (mask1, signs1, basis1, r1) in enumerate(firsts):
-            for mask2, signs2, basis2, r2 in seconds[i + 1:] if 2 * k == d - 1 else seconds:
-                if (mask1 & mask2
-                        or not all(mask2 & up and mask2 & down for up, down in signs1)
-                        or not all(mask1 & up and mask1 & down for up, down in signs2)):
+        for i, (mask1, cone1, basis1, r1) in enumerate(firsts):
+            for mask2, cone2, basis2, r2 in seconds[i + 1:] if 2 * k == d - 1 else seconds:
+                if mask1 & mask2:
                     continue
-                n = cofactor_normal(basis1 + basis2)
-                if not any(n):  # dependent directions
-                    continue
-                n = primitive(n)
-                if n not in body:
-                    width, top, bottom = extent([vdot(n, v) for v in verts])
-                    if (top >> r1 & bottom >> r2 | top >> r2 & bottom >> r1) & 1:
-                        keep(n, width, top, bottom)
+                # the normal cones: each sign mask of one face meets the other's facets
+                for c in cone1:
+                    if not mask2 & c:
+                        break
+                else:
+                    for c in cone2:
+                        if not mask1 & c:
+                            break
+                    else:
+                        n = cofactor_normal(basis1 + basis2)
+                        if not any(n):  # dependent directions
+                            continue
+                        n = primitive(n)
+                        if n not in body:
+                            width, top, bottom = extent([sum(map(mul, n, v)) for v in verts])
+                            if (top >> r1 & bottom >> r2 | top >> r2 & bottom >> r1) & 1:
+                                keep(n, width, top, bottom)
 
     meet = _meets((product(members(top), members(bottom)), top)
                   for _, top, bottom in body.values())
-    points = sorted(vsub(verts[u], verts[w]) for (u, w), m in meet.items() if m == 1 << u)
-    vertices = tuple(tuple(Fraction(c, L) for c in x) for x in points)
+    points = tuple(sorted([vsub(verts[u], verts[w]) for (u, w), m in meet.items() if m == 1 << u]))
     facets = tuple(sorted((n, Fraction(width, L)) for n, (width, _, _) in body.items()))
-    return Polytope(d, vertices, d, (L, tuple(points)), facets=facets)
+    return Polytope(d, d, (L, points), facets=facets)
 
 
 def polar(K: SymmetricBody) -> SymmetricBody:
@@ -585,13 +626,11 @@ def polar(K: SymmetricBody) -> SymmetricBody:
         raise InvalidInput(f"the polar needs a SymmetricBody, not a {type(K).__name__}")
     if K._polar is None:
         M, W = K.dual_vertices
-        ints = tuple(sorted(W))
-        vertices = tuple(tuple(Fraction(c, M) for c in w) for w in ints)
         L, xs = K.integer_vertices
         facets = []
         for x in xs:
             g = math.gcd(*x)
             facets.append((tuple(c // g for c in x), Fraction(L, g)))
-        K._polar = SymmetricBody(Polytope(K.ambient_dim, vertices, K.ambient_dim, (M, ints),
+        K._polar = SymmetricBody(Polytope(K.ambient_dim, K.ambient_dim, (M, tuple(sorted(W))),
                                           facets=tuple(sorted(facets))))
     return K._polar

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from counting import counted_fractions, counting_wrapper, time_limit
-from latmin import core, polytope, walk
+from latmin import core, gon, polytope, walk
 from latmin.errors import (DimensionDeficient, DimensionMismatch, InternalError, InvalidInput,
                            NotSymmetric)
 from latmin.generate import SuiteConfig, generate_instance
@@ -1312,6 +1312,21 @@ def test_difference_body_builds_no_hull(monkeypatch):
     assert calls == ["_minkowski_difference", "_integer_hull", "_hull_full_dim"]
 
 
+def test_verify_path_makes_no_vertex_of_the_difference_body():
+    # the minima, transference and flatness read P - P's integer vertices
+    # alone, and its Fraction vertices are made when first read, d per vertex
+    P = convex_hull([(0, 0, 0), (3, 1, 0), (1, 4, 1), (0, 1, 5), (2, 2, 2), (-2, 1, 1)], 3)
+    K = difference_body(P)
+    for report in (gon.verify_minkowski_second(P), gon.verify_transference(K),
+                   gon.flatness_report(P)):
+        assert report.holds
+    assert K._vertices is None
+    with counted_fractions() as made:
+        vertices = K.vertices
+    assert made.count == 3 * len(vertices) > 0
+    assert K.vertices is vertices
+
+
 DIFFERENCE_FAMILIES = {
     "segment": ([(F(-2, 3),), (3,)], 1),
     "hexagonal prism": ([(x, y, z) for x, y in [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2),
@@ -1362,6 +1377,21 @@ def rational_bodies(draw):
 @settings(max_examples=80, deadline=None)
 def test_difference_body_matches_reference(P):
     assert_matches_reference(P)
+
+
+@given(rational_bodies())
+@settings(max_examples=40, deadline=None)
+def test_vertices_made_on_first_read_are_the_integer_vertices_over_l(P):
+    # P and P - P make their vertices x / L when first read, sorted, and
+    # equal and hash as the hull of those points, which makes its own
+    for B in (P, difference_body(P)):
+        assert B._vertices is None
+        L, xs = B.integer_vertices
+        vertices = B.vertices
+        assert vertices == tuple(tuple(F(c, L) for c in x) for x in xs)
+        assert list(vertices) == sorted(vertices)
+        H = convex_hull([[F(c, L) for c in x] for x in xs], B.ambient_dim)
+        assert B == H and H == B and hash(B) == hash(H)
 
 
 @given(rational_bodies(), st.data())
@@ -1460,8 +1490,9 @@ class TestIntegerVertices:
 
     def test_chart_hull_parses_each_point_once(self, monkeypatch):
         # 3,000 rational points on a 2-plane in R^4: the chart coordinates go
-        # to the inner hull as ints, so only the points given are parsed, and
-        # the inner hull makes a Fraction only for its offsets and vertices
+        # to the inner hull as ints, so only the points given are parsed; the
+        # build makes a Fraction only for the inner offsets and the chart's
+        # base point, and the vertices are made when read
         origin, u, w = (F(1, 2), 0, F(1, 3), 1), (1, 2, 0, -1), (0, 1, 3, 1)
         pts = []
         for i in range(3000):
@@ -1474,8 +1505,9 @@ class TestIntegerVertices:
         P = convex_hull(pts, 4)
         inner = P._chart[3]
         assert P.affine_dim == 2 and len(parsed) == len(pts)
-        assert len(calls) == len(inner.facets) + 2 * len(inner.vertices)
+        assert len(calls) == len(inner.facets) + 4
         assert P.vertices == tuple(sorted(set(pts) & set(P.vertices)))
+        assert len(calls) == len(inner.facets) + 4 + 4 * len(P.vertices)
         assert len(P.vertices) == len(inner.vertices)
 
     def test_volume_sums_integer_determinants(self):
