@@ -4,9 +4,10 @@ Polytopes are stored canonically by their extreme points, sorted and scaled
 to integers by a common denominator L, so no later step clears their
 denominators again; the rational vertex tuples are made on first read.
 Full-dimensional polytopes also carry an exact facet description with
-primitive integer outward normals, plus the boundary triangulation produced
-by the incremental hull, on the ints, from which the vertices are read off
-and which drives volume.  Two derived bodies build no hull: the difference
+primitive integer outward normals, read off the incremental hull on the
+ints with the vertices, and the sum of the cone weights of the hull's
+facet simplices, which is their volume up to a known factor; no
+triangulation is kept.  Two derived bodies build no hull: the difference
 body P - P is read off P's faces as the Minkowski sum P + (-P), and a polar
 body off its dual by bipolarity; the volume of each is that of a hull of its
 vertices, built when asked.  A lower-dimensional polytope carries an integer
@@ -27,7 +28,6 @@ from .core import (
     as_ratvec,
     clear_denominators,
     cofactor_normal,
-    determinant,
     echelon,
     independent,
     inverse_transpose,
@@ -39,7 +39,7 @@ from .core import (
     vsub,
 )
 from .errors import (DimensionDeficient, DimensionMismatch, InternalError, InvalidInput,
-                     NotSymmetric, ZeroVector)
+                     NotSymmetric)
 from .walk import enumerate_points, integer_system, runs
 
 
@@ -59,18 +59,18 @@ class Polytope:
     """
 
     __slots__ = ("ambient_dim", "affine_dim", "_integer_vertices", "_vertices", "_facets",
-                 "_boundary_simplices", "_chart", "_difference", "_width", "_volume")
+                 "_cone_weight", "_chart", "_difference", "_width", "_volume")
 
     def __init__(self, ambient_dim, affine_dim, integer_vertices, facets=None,
-                 boundary_simplices=None, chart=None):
+                 cone_weight=None, chart=None):
         self.ambient_dim = ambient_dim
         self.affine_dim = affine_dim
         self._integer_vertices = integer_vertices
         self._vertices = None  # set by vertices
         self._facets = facets
-        # the hull's boundary simplices, their corners as ints over the L of
-        # integer_vertices; None for a difference or polar body
-        self._boundary_simplices = boundary_simplices
+        # the sum of the hull's cone weights, (d + 1) L^d d! times the volume,
+        # see _facet_hyperplane; None for a difference or polar body
+        self._cone_weight = cone_weight
         # (origin, unimodular U, d x k basis, inner body in R^k) of a
         # lower-dimensional body, see _lattice_chart
         self._chart = chart
@@ -181,7 +181,8 @@ def convex_hull(points, d: int) -> Polytope:
     """Canonical hull of rational points in R^d.
 
     Keeps exactly the extreme points; computes the affine dimension, and for
-    full-dimensional input the facet halfspaces and a boundary triangulation.
+    full-dimensional input the facet halfspaces and the cone weight that
+    ``volume`` reads.
     The points are multiplied once by the lcm L of their denominators, which
     keeps their lexicographic order and affine rank, and ``_integer_hull``
     works on the ints.  ``points`` is any iterable, a set or a generator
@@ -236,20 +237,18 @@ def _integer_hull(d, L, ipts) -> Polytope:
 
     # merge triangulated pieces into geometric facets
     facet_list = [(normal, Fraction(offset, L)) for normal, offset in
-                  sorted({(normal, offset) for _, normal, offset in facet_simplices})]
+                  sorted({(normal, offset) for _, normal, offset, _ in facet_simplices})]
 
     # an extreme point is a corner in every facet through it, and they meet in
     # it alone; a corner on a face F of positive dimension keeps F's vertices
     corners = {}  # per facet normal, the mask of its simplices' corners
-    for verts_idx, normal, _ in facet_simplices:
+    weight = 0
+    for verts_idx, normal, _, w in facet_simplices:
         corners[normal] = corners.get(normal, 0) | sum(1 << i for i in verts_idx)
-    meet = _meets((verts_idx, corners[normal]) for verts_idx, normal, _ in facet_simplices)
+        weight += w
+    meet = _meets((verts_idx, corners[normal]) for verts_idx, normal, _, _ in facet_simplices)
     ints = tuple(ipts[i] for i in sorted(meet) if meet[i] == 1 << i)
-
-    triangulation = tuple(tuple(ipts[i] for i in verts_idx)
-                          for verts_idx, _, _ in facet_simplices)
-    return Polytope(d, d, (L, ints), facets=tuple(facet_list),
-                    boundary_simplices=triangulation)
+    return Polytope(d, d, (L, ints), facets=tuple(facet_list), cone_weight=weight)
 
 
 def _meets(faces) -> dict:
@@ -288,29 +287,38 @@ def _lattice_chart(base, span, d):
 
 
 def _facet_hyperplane(points, ref, d):
-    """Primitive integer outward normal and integer offset through d affinely
-    independent integer points, oriented away from the interior point
-    ref / (d + 1).  The normal is the cofactor normal of the d - 1 edges
-    from the first point, divided by the gcd of its entries."""
+    """(a, b, w) for d affinely independent integer points: the primitive
+    integer outward normal a and integer offset b of their hyperplane,
+    oriented away from the interior point ref / (d + 1), and the cone weight
+    w of their simplex.
+
+    The cofactor normal n of the d - 1 edges from the first point p is g a,
+    g the gcd of its entries, and n.x = det(edges; x) for every x.  So with
+    the gap (d + 1) b - a.ref > 0, w = g gap is |det(edges; ref - (d + 1) p)|,
+    (d + 1) d! times the volume of the cone over the simplex from
+    ref / (d + 1).  These cones tile the hull.
+    """
     base = points[0]
-    try:
-        normal = primitive(cofactor_normal([vsub(p, base) for p in points[1:]]))
-    except ZeroVector:
-        raise InternalError("affinely dependent facet simplex") from None
+    n = cofactor_normal([vsub(p, base) for p in points[1:]])
+    g = math.gcd(*n)
+    if not g:
+        raise InternalError("affinely dependent facet simplex")
+    normal = tuple(c // g for c in n)
     offset = vdot(normal, base)
-    side = vdot(normal, ref)
-    if side > (d + 1) * offset:
+    gap = (d + 1) * offset - vdot(normal, ref)
+    if gap < 0:
         normal = tuple(-c for c in normal)
-        offset = -offset
-    elif side == (d + 1) * offset:
+        offset, gap = -offset, -gap
+    elif not gap:
         raise InternalError("reference point on facet hyperplane")
-    return normal, offset
+    return normal, offset, g * gap
 
 
 def _hull_full_dim(ipts, d, simplex):
     """Beneath-beyond hull of integer points from the affinely independent
     start ``simplex`` (d + 1 point indices); returns triangulated boundary
-    facets as (vertex index tuple, primitive outward normal, int offset).
+    facets as (vertex index tuple, primitive outward normal, int offset,
+    cone weight), see ``_facet_hyperplane``.
 
     The work is on ints and builds no Fraction: ``convex_hull`` clears the
     denominators before and divides the offsets after.  The reference point
@@ -324,14 +332,14 @@ def _hull_full_dim(ipts, d, simplex):
     order = sorted((p for p in range(len(ipts)) if p not in in_simplex),
                    key=lambda p: -sum(((d + 1) * c - r) ** 2 for c, r in zip(ipts[p], ref)))
 
-    facets = {}  # sorted corner indices -> (normal, offset)
+    facets = {}  # sorted corner indices -> (normal, offset, cone weight)
     for subset in combinations(simplex, d):
         verts = tuple(sorted(subset))
         facets[verts] = _facet_hyperplane([ipts[i] for i in verts], ref, d)
 
     for p in order:
         x = ipts[p]
-        visible = [verts for verts, (a, b) in facets.items() if vdot(a, x) > b]
+        visible = [verts for verts, (a, b, _) in facets.items() if vdot(a, x) > b]
         if not visible:
             continue
         ridge_count = {}
@@ -344,7 +352,7 @@ def _hull_full_dim(ipts, d, simplex):
             if cnt == 1:  # a new facet holds p, so its key is new
                 verts = tuple(sorted(ridge + (p,)))
                 facets[verts] = _facet_hyperplane([ipts[i] for i in verts], ref, d)
-    return [(verts, a, b) for verts, (a, b) in facets.items()]
+    return [(verts, a, b, w) for verts, (a, b, w) in facets.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -429,26 +437,22 @@ def lattice_points(P: Polytope, mode: str = "all") -> list:
 def volume(P: Polytope) -> Fraction:
     """Lebesgue volume normalized to the lattice (unit cube has volume 1).
 
-    Lower-dimensional polytopes have volume 0.  Computed once per polytope
-    as a fan of simplices from the first canonical vertex over the boundary
-    triangulation, whose corners are ints over the L of the integer
-    vertices: the integer |det| are summed and divided once by L^d d!.  A
-    difference or polar body takes the volume of the hull of its sorted
-    integer vertices over their L on first use.
+    Lower-dimensional polytopes have volume 0.  Computed once per polytope,
+    on first read, from the hull's cone weight, the int sum over its facet
+    simplices of (d + 1) d! times the volume of the cone over each from an
+    interior point, on the ints over the L of the integer vertices: it is
+    divided once by (d + 1) L^d d!.  A difference or polar body takes the
+    volume of the hull of its sorted integer vertices over their L.
     """
     d = P.ambient_dim
     if P.affine_dim < d:
         return Fraction(0)
     if P._volume is None:
-        if P._boundary_simplices is None:
+        if P._cone_weight is None:
             P._volume = volume(_integer_hull(d, *P.integer_vertices))
         else:
-            L, xs = P.integer_vertices
-            v0, total = xs[0], 0
-            for simplex in P._boundary_simplices:
-                if v0 not in simplex:
-                    total += abs(determinant([vsub(s, v0) for s in simplex]))
-            P._volume = Fraction(total, L ** d * math.factorial(d))
+            L = P.integer_vertices[0]
+            P._volume = Fraction(P._cone_weight, (d + 1) * L ** d * math.factorial(d))
     return P._volume
 
 
@@ -502,7 +506,7 @@ def _minkowski_difference(P: Polytope) -> Polytope:
     ``map(mul, ...)`` and the masks are built bit by bit.  Fractions are
     made only for the facet offsets; the body's vertices, the integer
     differences over P's L, become Fractions on first read.  The body
-    carries no boundary triangulation; ``volume`` builds one on use.
+    carries no cone weight; ``volume`` builds a hull for one on use.
     """
     d = P.ambient_dim
     L, verts = P.integer_vertices

@@ -42,17 +42,19 @@ class MomentPolytope(Polytope):
     """A full-dimensional lattice polytope (all vertices integral).
 
     It is the polytope P it is built from, checked by ``_take_over`` and for
-    lattice vertices, and equals and hashes as P; a P - P, width or volume
-    already kept on P is not built again.
+    lattice vertices on its integer vertices (L, xs), each x a multiple of
+    L, and equals and hashes as P; a P - P, width or volume already kept on
+    P is not built again, and no Fraction vertex is made.
     """
 
     __slots__ = ()
 
     def __init__(self, polytope: Polytope):
         self._take_over(polytope, "moment polytopes")
-        for v in self.vertices:
-            if any(c.denominator != 1 for c in v):
-                raise InvalidInput(f"vertex ({', '.join(rat_str(c) for c in v)}) "
+        L, xs = self.integer_vertices
+        for x in xs:
+            if any(c % L for c in x):
+                raise InvalidInput(f"vertex ({', '.join(rat_str(Fraction(c, L)) for c in x)}) "
                                    "is not a lattice point")
 
     @classmethod
@@ -61,7 +63,8 @@ class MomentPolytope(Polytope):
 
     @property
     def vertices_int(self) -> tuple:
-        return tuple(tuple(int(c) for c in v) for v in self.vertices)
+        L, xs = self.integer_vertices
+        return tuple(tuple(c // L for c in x) for x in xs)
 
 
 def _moment_dim(MP) -> int:

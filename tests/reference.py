@@ -10,8 +10,9 @@ lattice charts off a unimodular matrix and needs neither of the first two,
 its LLL is the integral one, its elimination inserts integer rows with
 unimodular steps, its box count and volume are O(d^2) integer recurrences,
 and its flatness report reads two points per run of the walk; the tests
-keep these as references.  The test bodies ``box`` and ``simplex`` live here
-too."""
+keep these as references, and the volume by a determinant fan over a
+triangulated boundary as well.  The test bodies ``box`` and ``simplex``
+live here too."""
 
 import math
 from fractions import Fraction
@@ -223,6 +224,17 @@ def polynomial_box_volume(t) -> Fraction:
         if closed != vol:
             raise InternalError(f"closed form {closed} != chain integral {vol}")
     return vol
+
+
+def volume_by_determinant_fan(L, simplices):
+    """Volume of a polytope from a triangulation of its boundary: the cones
+    from the least corner, one of its vertices, over the simplices, each d
+    integer corners over L, as the sum of their |det| in Fractions over
+    L^d d!.  The cones over the simplices through that corner are flat."""
+    apex = min(c for s in simplices for c in s)
+    d = len(apex)
+    total = sum(abs(gauss([vsub(c, apex) for c in s], d)[1]) for s in simplices)
+    return total / (L ** d * math.factorial(d))
 
 
 def width_by_brute_force(P):

@@ -24,7 +24,8 @@ from latmin.polytope import (
     volume,
 )
 from latmin.toric import MomentPolytope
-from reference import box, gauss, kernel_vector, simplex, solve_linear
+from reference import (box, gauss, greedy_basis, kernel_vector, simplex, solve_linear,
+                       volume_by_determinant_fan)
 
 F = Fraction
 
@@ -895,20 +896,20 @@ def test_lattice_points_never_test_membership(monkeypatch):
 
 class TestVolume:
     def test_built_once(self, monkeypatch):
+        # the hull's cone weight is divided once on first read, with no
+        # determinant and no other minor
         calls = []
-        real = polytope.determinant
-
-        def counting_determinant(rows):
-            calls.append(rows)
-            return real(rows)
-
-        monkeypatch.setattr(polytope, "determinant", counting_determinant)
+        real = polytope.cofactor_normal
+        monkeypatch.setattr(polytope, "cofactor_normal",
+                            lambda rows: calls.append(rows) or real(rows))
         P = convex_hull([(0, 0, 0), (3, 0, 1), (0, 2, 0), (1, 1, 4), (2, 3, 3)], 3)
+        assert calls and P._volume is None
+        calls.clear()
         first = volume(P)
-        built = len(calls)
-        assert built > 0
-        assert volume(P) == first
-        assert len(calls) == built
+        assert first == F(25, 3)
+        assert volume(P) is first
+        assert calls == []
+        assert not hasattr(polytope, "determinant")
 
     def test_examples(self):
         assert volume(convex_hull(list(product((0, 1), repeat=3)), 3)) == 1
@@ -1122,8 +1123,10 @@ def reference_hull_full_dim(pts, d, simplex):
     the start simplex as its interior point, inserting the other points in
     the hull's farthest-first order."""
     def hyperplane(points, ref):
+        # the cone weight is (d + 1) |det| of the edges and ref - base
         base = points[0]
-        normal = core.primitive(kernel_vector([core.vsub(p, base) for p in points[1:]], d))
+        edges = [core.vsub(p, base) for p in points[1:]]
+        normal = core.primitive(kernel_vector(edges, d))
         offset = sum((a * c for a, c in zip(normal, base)), F(0))
         side = sum((a * c for a, c in zip(normal, ref)), F(0))
         if side > offset:
@@ -1131,7 +1134,8 @@ def reference_hull_full_dim(pts, d, simplex):
             offset = -offset
         elif side == offset:
             raise AssertionError("reference point on facet hyperplane")
-        return normal, offset
+        weight = (d + 1) * abs(gauss(edges + [core.vsub(ref, base)], d)[1])
+        return normal, offset, weight
 
     ref = tuple(sum(coords, F(0)) / (d + 1) for coords in zip(*(pts[i] for i in simplex)))
     facets = {}
@@ -1144,7 +1148,7 @@ def reference_hull_full_dim(pts, d, simplex):
                    key=lambda p: -sum((c - r) ** 2 for c, r in zip(pts[p], ref)))
     for p in order:
         x = pts[p]
-        visible = [fid for fid, (_, a, b) in facets.items()
+        visible = [fid for fid, (_, a, b, _) in facets.items()
                    if sum((u * c for u, c in zip(a, x)), F(0)) > b]
         ridge_count = {}
         for fid in visible:
@@ -1182,7 +1186,14 @@ def test_integer_hull_matches_fraction_reference(case):
     d, pts = case
     P = convex_hull(pts, d)
     real = polytope._hull_full_dim
-    polytope._hull_full_dim = reference_hull_full_dim
+    triangulations = []  # the reference's boundary simplices, by their corners
+
+    def recording(ipts, d, simplex):
+        out = reference_hull_full_dim(ipts, d, simplex)
+        triangulations.append([[ipts[i] for i in verts] for verts, *_ in out])
+        return out
+
+    polytope._hull_full_dim = recording
     try:
         ref = convex_hull(pts, d)
     finally:
@@ -1191,8 +1202,56 @@ def test_integer_hull_matches_fraction_reference(case):
     assert P.affine_dim == ref.affine_dim
     if P.is_full_dimensional:
         assert P.facets == ref.facets
-        assert P._boundary_simplices == ref._boundary_simplices
+        assert volume(P) == volume_by_determinant_fan(P.integer_vertices[0], triangulations[0])
     assert volume(P) == volume(ref)
+
+
+@st.composite
+def hull_volume_cases(draw):
+    """Rational points in d = 1..4: d + 1 to d + 4 distinct drawn ones, a
+    third of the time all moved onto the hyperplane x_d = c_0 + c.x, so that
+    their hull is flat, then duplicates of them, means of some of them,
+    inside their hull, and affine combinations of d of them, on their
+    hyperplane."""
+    d = draw(st.integers(1, 4))
+    coord = st.one_of(st.integers(-4, 4), st.builds(F, st.integers(-8, 8), st.integers(1, 3)))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4, unique=True))
+    if not draw(st.integers(0, 2)):
+        c = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        pts = [p[:-1] + (c[0] + core.vdot(c[1:], p[:-1]),) for p in pts]
+    some = st.lists(st.sampled_from(pts), min_size=1, max_size=d)
+    for kind in draw(st.lists(st.sampled_from(("duplicate", "mean", "affine")), max_size=4)):
+        chosen = draw(some)
+        if kind == "duplicate":
+            pts.append(chosen[0])
+        elif kind == "mean":
+            pts.append(tuple(sum(col, F(0)) / len(chosen) for col in zip(*chosen)))
+        else:
+            ts = draw(st.lists(st.integers(-2, 2), min_size=len(chosen) - 1,
+                               max_size=len(chosen) - 1))
+            ts.append(1 - sum(ts))
+            pts.append(tuple(sum(t * x for t, x in zip(ts, col)) for col in zip(*chosen)))
+    return d, pts
+
+
+def volume_by_reference_hull(pts, d):
+    """0 for points of affine rank below d, else the determinant fan over
+    the boundary simplices of ``reference_hull_full_dim``, on the points as
+    Fractions."""
+    pts = sorted(set(tuple(F(c) for c in p) for p in pts))
+    picked = greedy_basis([core.vsub(p, pts[0]) for p in pts])
+    if len(picked) < d:
+        return 0
+    simplices = reference_hull_full_dim(pts, d, [0] + picked)
+    return volume_by_determinant_fan(1, [[pts[i] for i in verts] for verts, *_ in simplices])
+
+
+@given(hull_volume_cases())
+@settings(max_examples=200, deadline=None)
+def test_hull_volume_is_the_determinant_fan(case):
+    # the summed cone weights against a fan of Fraction determinants
+    d, pts = case
+    assert volume(convex_hull(pts, d)) == volume_by_reference_hull(pts, d)
 
 
 @st.composite
@@ -1234,18 +1293,22 @@ def test_hull_commutes_with_integer_affine_maps(case):
 
 
 def test_hull_builds_one_fraction_per_facet_simplex(monkeypatch):
+    # the hull proper takes ints, returns int offsets and cone weights and
+    # builds no Fraction; the polytope keeps no triangulation
     pts = list(product(range(3), repeat=3)) + [(1, 1, 5), (-2, 1, 1), (4, 3, -1)]
-    calls = counting_wrapper(monkeypatch, polytope)
-    P = convex_hull(pts, 3)
-    assert 0 < len(calls) <= len(P._boundary_simplices)
-    assert len(calls) == len(P.facets)
-    # the hull proper takes ints, returns int offsets and builds no Fraction
     ipts = sorted(set(pts))
     start = [0] + core.independent([core.vsub(p, ipts[0]) for p in ipts])
     with counted_fractions() as made:
         simplices = polytope._hull_full_dim(ipts, 3, start)
     assert made.count == 0
-    assert simplices and all(type(b) is int for _, _, b in simplices)
+    assert simplices and all(type(b) is int and type(w) is int and w > 0
+                             for _, _, b, w in simplices)
+    calls = counting_wrapper(monkeypatch, polytope)
+    P = convex_hull(pts, 3)
+    assert 0 < len(calls) <= len(simplices)
+    assert len(calls) == len(P.facets)
+    assert P._cone_weight == sum(w for *_, w in simplices)
+    assert not any("simplices" in slot for slot in polytope.Polytope.__slots__)
 
 
 # P - P read off P's faces against the hull of the n^2 differences it replaced
@@ -1511,7 +1574,8 @@ class TestIntegerVertices:
         assert len(P.vertices) == len(inner.vertices)
 
     def test_volume_sums_integer_determinants(self):
-        # one Fraction for the result; rational scaling by 1/s scales the volume by 1/s^d
+        # one Fraction for the result, the hull's int cone weight over
+        # (d + 1) L^d d!; rational scaling by 1/s scales the volume by 1/s^d
         for pts, d in ((list(product((0, 1), repeat=3)), 3),
                        ([(0, 0, 0, 0), (3, 1, 0, 2), (0, 2, 5, 1), (1, 1, 4, 0), (2, 3, 3, 3),
                          (4, 0, 1, 1)], 4)):

@@ -164,6 +164,40 @@ def test_package_import_is_found():
     assert package_imports(ast.parse(source)) == [5, 6, 7, 10]
 
 
+def unused_imports(tree):
+    """Names, as "line name", that a module imports, at top level or inside
+    a function, and never reads; a ``__future__`` import binds no name."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                         for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{line} {name}" for line, name in sorted(imported) if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__.py imports to re-export, and is left out
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = unused_imports(tree)
+    assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+def test_unused_import_is_found():
+    source = ("from __future__ import annotations\n\nimport math\nimport os.path\n"
+              "from fractions import Fraction\nfrom .core import determinant, vdot as dot\n"
+              "from .errors import InternalError, ZeroVector\n\n"
+              "def f(x) -> Fraction:\n    import latmin.gon\n"
+              "    if not x:\n        raise InternalError(os.path.sep)\n    return dot(x, x)\n")
+    assert unused_imports(ast.parse(source)) == [
+        "3 math", "6 determinant", "7 ZeroVector", "10 latmin"]
+
+
 def calls_of(tree, name):
     """The calls of ``name``, bare or read off a module."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)

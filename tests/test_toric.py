@@ -33,6 +33,7 @@ from latmin.toric import (
     verify_m2m,
     vertex_cone,
 )
+from counting import counted_fractions
 from reference import gauss, solve_linear
 
 F = Fraction
@@ -508,6 +509,20 @@ class TestEpsProfileValidation:
 def test_moment_polytope_rejects_fractional_vertices():
     with pytest.raises(ValueError):
         MomentPolytope(convex_hull([(0, 0), (1, 0), (0, F(1, 2))], 2))
+
+
+def test_moment_polytope_makes_no_fraction_vertex():
+    # the lattice test and vertices_int read the integer vertices; the input
+    # point (1/2, 1/2, 1/2), inside the hull, puts them over L = 2
+    for pts in ([(0, 0, 0), (3, 0, 1), (0, 2, 0), (1, 1, 4), (2, 3, 3)],
+                [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (F(1, 2), F(1, 2), F(1, 2))]):
+        P = convex_hull(pts, 3)
+        with counted_fractions() as made:
+            mp = MomentPolytope(P)
+            ints = mp.vertices_int
+        assert made.count == 0 and mp._vertices is None
+        assert ints == tuple(tuple(int(c) for c in v) for v in P.vertices)
+    assert P.integer_vertices[0] == 2
 
 
 def test_moment_polytope_of_anything_but_a_polytope_is_invalid_input():
