@@ -10,8 +10,8 @@ by 2 x 2 extended-gcd steps of determinant 1 (HNF by row insertion, Cohen
 1993, §2.4), so ``independent`` reads and ``lattice_span`` eliminates no row
 past the one that decides its answer, and ``echelon`` returns the whole form
 for the charts.  Determinant-type questions go to ``cofactor_normal``, the
-signed minors of d - 1 integer vectors in Z^d, written out for d <= 3 and
-from one fraction-free Gauss-Jordan elimination for d >= 4: hull facet
+signed minors of d - 1 integer vectors in Z^d, written out for d = 2 and 3
+and otherwise from one fraction-free Gauss-Jordan elimination: hull facet
 normals, vertex-cone edges,
 ``determinant`` by expansion along the last row, and through ``cofactors``
 the adjugate and the inverse transpose of a unimodular matrix.
@@ -239,8 +239,8 @@ def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple:
 
     n is orthogonal to every row, and it is the zero vector exactly when the
     rows are dependent; for independent rows it spans their orthogonal line.
-    For d <= 3 n is written out: (1,), (-a1, a0) for one row a, and the
-    cross product of two rows.  For d >= 4 one fraction-free Gauss-Jordan
+    For d = 2 and 3 n is written out: (-a1, a0) for one row a, and the
+    cross product of two rows.  Otherwise one fraction-free Gauss-Jordan
     elimination (each step divides exactly by the previous pivot, as in
     Bareiss's algorithm, and clears the pivot column above the pivot as well
     as below) turns the rows into D * I on their d - 1 pivot columns, D the
@@ -257,8 +257,6 @@ def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple:
     if d == 2:
         a0, a1 = rows[0]
         return (-a1, a0)
-    if d == 1:
-        return (1,)
     work = list(rows)
     sign, prev, placed, free = 1, 1, 0, d - 1
     for col in range(d):

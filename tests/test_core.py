@@ -397,6 +397,21 @@ def test_cofactor_normal_examples():
             cofactor_normal(rows)
 
 
+def test_cofactor_normal_elimination_examples():
+    # d = 4 takes the elimination; the values are det(rows; e_i) by Leibniz
+    assert cofactor_normal([(0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0)]) == (-1, 0, 0, 0)
+    assert cofactor_normal([(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0)]) == (0, 0, 0, -1)
+    # a zero leading column puts the one column without a pivot first
+    assert cofactor_normal([(0, 2, 1, 0), (0, 1, 3, 0), (0, 0, 0, 1)]) == (-5, 0, 0, 0)
+    assert cofactor_normal([(0, 0, 2, 1), (0, 0, 1, 3), (1, 1, 0, 0)]) == (-5, 5, 0, 0)
+    # a free column in the middle
+    assert cofactor_normal([(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]) == (0, 1, 0, 0)
+    # dependent rows leave a second column without a pivot, at once or once a
+    # row is cleared to zero
+    assert cofactor_normal([(0, 1, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0)]) == (0, 0, 0, 0)
+    assert cofactor_normal([(1, 2, 3, 4), (2, 4, 6, 8), (0, 0, 1, 1)]) == (0, 0, 0, 0)
+
+
 def test_strict_int():
     assert strict_int(7, "n") == 7
     for bad in (7.0, True, "7", Fraction(7)):

@@ -1184,25 +1184,32 @@ def mixed_denominator_point_sets(draw):
 @settings(max_examples=80, deadline=None)
 def test_integer_hull_matches_fraction_reference(case):
     d, pts = case
-    P = convex_hull(pts, d)
     real = polytope._hull_full_dim
-    triangulations = []  # the reference's boundary simplices, by their corners
+    runs = {real: [], reference_hull_full_dim: []}  # (points, facet simplices) per call
 
-    def recording(ipts, d, simplex):
-        out = reference_hull_full_dim(ipts, d, simplex)
-        triangulations.append([[ipts[i] for i in verts] for verts, *_ in out])
-        return out
+    def recording(hull):
+        def run(ipts, d, simplex):
+            out = hull(ipts, d, simplex)
+            runs[hull].append((ipts, out))
+            return out
+        return run
 
-    polytope._hull_full_dim = recording
     try:
+        polytope._hull_full_dim = recording(real)
+        P = convex_hull(pts, d)
+        polytope._hull_full_dim = recording(reference_hull_full_dim)
         ref = convex_hull(pts, d)
     finally:
         polytope._hull_full_dim = real
     assert P.vertices == ref.vertices
     assert P.affine_dim == ref.affine_dim
+    # the same (corners, normal, offset, cone weight) per facet simplex, in order
+    assert runs[real] == runs[reference_hull_full_dim]
     if P.is_full_dimensional:
         assert P.facets == ref.facets
-        assert volume(P) == volume_by_determinant_fan(P.integer_vertices[0], triangulations[0])
+        ipts, simplices = runs[reference_hull_full_dim][0]
+        triangulation = [[ipts[i] for i in verts] for verts, *_ in simplices]
+        assert volume(P) == volume_by_determinant_fan(P.integer_vertices[0], triangulation)
     assert volume(P) == volume(ref)
 
 
