@@ -34,18 +34,22 @@ from .errors import DimensionMismatch, InternalError, InvalidInput, ZeroVector
 def rat_str(x: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1.
 
-    An int or a Fraction is read as it is; any other value goes through
-    ``Fraction(x)`` first.  The digits come from ``Decimal``, so an exact
-    answer of any length is written out; Python's limit on the digits of
-    ``str(int)`` guards parsing (see ``parse_rat``), not output.
+    An int (a bool as 0 or 1) or a Fraction is read as it is; any other
+    value goes through ``Fraction(x)`` first.  It is written by ``str``, and
+    by ``Decimal`` only past Python's limit on the digits of ``str(int)``,
+    which guards parsing (see ``parse_rat``), not output, so an exact answer
+    of any length is written out.
     """
     if isinstance(x, int):
-        return str(Decimal(x))
-    if not isinstance(x, Fraction):
+        x = int(x)
+    elif not isinstance(x, Fraction):
         x = Fraction(x)
-    if x.denominator == 1:
-        return str(Decimal(x.numerator))
-    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    try:
+        return str(x)
+    except ValueError:  # past the digit limit of str(int)
+        if x.denominator == 1:
+            return str(Decimal(x.numerator))
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 _RAT_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -95,14 +99,20 @@ def as_ratvec(v: Sequence, d: int | None = None) -> tuple:
 
 def as_intvec(v: Sequence, d: int | None = None) -> tuple:
     """The entries of a list or tuple, read by as_ratvec, each of which must
-    be an integer, and given d, then of length d (else DimensionMismatch)."""
-    vec = as_ratvec(v)
-    for c in vec:
-        if c.denominator != 1:
-            raise InvalidInput(f"not an integer entry: {rat_str(c)}")
+    be an integer, and given d, then of length d (else DimensionMismatch).
+    A list or tuple of ints (no bool) is taken as it is, with no Fraction
+    made."""
+    if isinstance(v, (list, tuple)) and all(type(c) is int for c in v):
+        vec = tuple(v)
+    else:
+        vec = as_ratvec(v)
+        for c in vec:
+            if c.denominator != 1:
+                raise InvalidInput(f"not an integer entry: {rat_str(c)}")
+        vec = tuple(c.numerator for c in vec)
     if d is not None and len(vec) != d:
         raise DimensionMismatch(f"vector of length {len(vec)} in dimension {d}")
-    return tuple(c.numerator for c in vec)
+    return vec
 
 
 def vdot(a: Sequence, b: Sequence):
@@ -154,7 +164,8 @@ def _insert(basis: list, pivots: list, row: list) -> None:
     of leading entry a, and the row become s b + t r and (a r - e b) / g,
     for s a + t e = g = gcd(a, e) (Cohen 1993, §2.4): a step of determinant
     1 that leaves g at p and clears the row there.  A row left nonzero is
-    made positive and put in place; a row cleared to zero is dropped.
+    made positive and put in place, as a list of its own; a row cleared to
+    zero is dropped.
     """
     n, c, ncols = len(basis), 0, len(row)
     for i in range(n):
@@ -181,22 +192,26 @@ def _insert(basis: list, pivots: list, row: list) -> None:
             c += 1
         if c == ncols:
             return
-    if row[c] < 0:
-        row = [-x for x in row]
-    basis.insert(i, row)
+    basis.insert(i, [-x for x in row] if row[c] < 0 else list(row))
     pivots.insert(i, c)
 
 
 def _rows_of(rows: Sequence[Sequence], ncols: int):
     """Each row as (m, the ints m * row), m the lcm of its denominators, once
     the lengths of all rows are checked: a row of the wrong length raises
-    DimensionMismatch however early the reader stops."""
+    DimensionMismatch however early the reader stops.  A row of ints is
+    yielded as it is, with m = 1."""
     for r in rows:
         if len(r) != ncols:
             raise DimensionMismatch(f"row of length {len(r)} with {ncols} columns")
     for r in rows:
-        m = lcm(*(c.denominator for c in r))
-        yield m, [c.numerator * (m // c.denominator) for c in r]
+        for c in r:
+            if type(c) is not int:
+                m = lcm(*(c.denominator for c in r))
+                yield m, [c.numerator * (m // c.denominator) for c in r]
+                break
+        else:
+            yield 1, r
 
 
 def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list, list]:
@@ -218,19 +233,33 @@ def lattice_span(vectors: Sequence[Sequence], d: int) -> tuple[int, bool]:
     Returns ``(rank_over_Q, generates_full_lattice)`` where the second entry
     is True iff the integer span of the vectors is all of Z^d: the vectors
     are integers and their echelon rows have d pivots, each equal to 1.
+    It is the rank and the test of ``greedy_span``.
+    """
+    picked, generates = greedy_span(vectors, d)
+    return len(picked), generates
+
+
+def greedy_span(vectors: Sequence[Sequence], d: int) -> tuple[list, bool]:
+    """(picked, generates) for vectors in Q^d from one insertion pass: the
+    indices of the greedy basis, as ``independent`` picks them, whose length
+    is the rank over Q, and the lattice-generation test of ``lattice_span``.
+
     Insertion stops at rank d after a non-integral row, or at d unit
     pivots, after which the rows left are only checked to be integral.
     """
-    basis, pivots, integral = [], [], True
+    basis, pivots, picked, integral = [], [], [], True
     for i, (m, row) in enumerate(_rows_of(vectors, strict_int(d, "dimension"))):
         integral = integral and m == 1
         _insert(basis, pivots, row)
+        if len(pivots) > len(picked):
+            picked.append(i)
         if len(pivots) == d:
             if not integral:
-                return d, False
+                return picked, False
             if all(r[p] == 1 for r, p in zip(basis, pivots)):
-                return d, all(c.denominator == 1 for v in vectors[i + 1:] for c in v)
-    return len(pivots), False
+                return picked, all(type(c) is int or c.denominator == 1
+                                   for v in vectors[i + 1:] for c in v)
+    return picked, False
 
 
 def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple:
@@ -249,8 +278,9 @@ def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple:
     elsewhere), at a cost of O(d^3).
     """
     d = len(rows) + 1
-    if any(len(r) != d for r in rows):
-        raise DimensionMismatch(f"{d - 1} rows not all of length {d}")
+    for r in rows:
+        if len(r) != d:
+            raise DimensionMismatch(f"{d - 1} rows not all of length {d}")
     if d == 3:
         (a0, a1, a2), (b0, b1, b2) = rows
         return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
@@ -347,7 +377,7 @@ def independent(vectors: Sequence[Sequence], k: int | None = None) -> list:
 def lll_reduce(gram: Sequence[Sequence]) -> list:
     """LLL-reduced basis of Z^d, with delta = 3/4, for the positive definite
     rational form ``gram``; a positive multiple of the form gives the same
-    basis, so the form is first cleared to ints.
+    basis, so a form with a Fraction entry is first cleared to ints.
 
     Integral LLL, Cohen, *A Course in Computational Algebraic Number
     Theory*, Alg. 2.6.7: it carries the Gram determinant d_j of the first j
@@ -360,7 +390,9 @@ def lll_reduce(gram: Sequence[Sequence]) -> list:
     bstar_k >= (delta - mu_{k,k-1}^2) bstar_{k-1}.
     """
     d = len(gram)
-    _, G = clear_denominators(gram)
+    G = gram
+    if not all(type(c) is int for r in gram for c in r):
+        _, G = clear_denominators(gram)
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
     dets = [1] * (d + 1)  # dets[j] = d_j, the Gram determinant of the first j rows
     lam = [[0] * d for _ in range(d)]  # lam[k][j] = dets[j + 1] mu_kj for rows k > j

@@ -17,8 +17,8 @@ from .core import (
     as_ratvec,
     clear_denominators,
     cofactors,
+    greedy_span,
     independent,
-    lattice_span,
     lll_reduce,
     rat_str,
     strict_int,
@@ -315,6 +315,7 @@ def flatness_report(P: Polytope) -> TheoremReport:
     hi - lo + 1, and a run keeps only its points at lo and lo + 1, which
     generate its differences, p_t - p_lo = (t - lo) e_d; so the greedy
     spanning points, the rank and the generation test are those of all.
+    One ``greedy_span`` pass over the differences gives all three.
     """
     if not P.is_full_dimensional:
         raise DimensionDeficient("requires a full-dimensional polytope")
@@ -326,9 +327,9 @@ def flatness_report(P: Polytope) -> TheoremReport:
         count += hi - lo + 1
         points += [(*prefix, t) for t in range(lo, min(hi, lo + 1) + 1)]
     vol = volume(P)
-    diffs = [vsub(a, points[0]) for a in points]
-    span_points = points[:1] + [points[i] for i in independent(diffs)]
-    rank, spans = lattice_span(diffs, d)
+    picked, spans = greedy_span([vsub(a, points[0]) for a in points], d)
+    span_points = points[:1] + [points[i] for i in picked]
+    rank = len(picked)
 
     def item(hypothesis: bool, conclusion: bool) -> str:
         if not hypothesis:

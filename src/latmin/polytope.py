@@ -3,11 +3,13 @@
 Polytopes are stored canonically by their extreme points, sorted and scaled
 to integers by a common denominator L, so no later step clears their
 denominators again; the rational vertex tuples are made on first read.
-Full-dimensional polytopes also carry an exact facet description with
-primitive integer outward normals, read off the incremental hull on the
-ints with the vertices, and the sum of the cone weights of the hull's
-facet simplices, which is their volume up to a known factor; no
-triangulation is kept.  Two derived bodies build no hull: the difference
+Full-dimensional polytopes also carry an exact facet description on the
+same ints, each facet a primitive integer outward normal a and an int
+offset c with a.x <= c over the integer vertices x, read off the
+incremental hull with the vertices; the rational offsets c / L are made on
+first read.  A hull also keeps the sum of the cone weights of its facet
+simplices, which is its volume up to a known factor; no triangulation is
+kept.  Two derived bodies build no hull: the difference
 body P - P is read off P's faces as the Minkowski sum P + (-P), and a polar
 body off its dual by bipolarity; the volume of each is that of a hull of its
 vertices, built when asked.  A lower-dimensional polytope carries an integer
@@ -58,16 +60,18 @@ class Polytope:
     the fields of the Polytope they are built from, and equal and hash as it.
     """
 
-    __slots__ = ("ambient_dim", "affine_dim", "_integer_vertices", "_vertices", "_facets",
-                 "_cone_weight", "_chart", "_difference", "_width", "_volume")
+    __slots__ = ("ambient_dim", "affine_dim", "_integer_vertices", "_vertices",
+                 "_integer_facets", "_facets", "_cone_weight", "_chart", "_difference",
+                 "_width", "_volume")
 
-    def __init__(self, ambient_dim, affine_dim, integer_vertices, facets=None,
+    def __init__(self, ambient_dim, affine_dim, integer_vertices, integer_facets=None,
                  cone_weight=None, chart=None):
         self.ambient_dim = ambient_dim
         self.affine_dim = affine_dim
         self._integer_vertices = integer_vertices
         self._vertices = None  # set by vertices
-        self._facets = facets
+        self._integer_facets = integer_facets
+        self._facets = None  # set by facets
         # the sum of the hull's cone weights, (d + 1) L^d d! times the volume,
         # see _facet_hyperplane; None for a difference or polar body
         self._cone_weight = cone_weight
@@ -99,10 +103,24 @@ class Polytope:
         return self._vertices
 
     @property
-    def facets(self):
+    def integer_facets(self) -> tuple:
+        """The facets of a full-dimensional body as (a, c), sorted: a the
+        primitive integer outward normal and c the int with a.x <= c over
+        the integer vertices (L, xs), on their L.  Every constructor of a
+        full-dimensional body holds them already; a lower-dimensional one
+        raises DimensionDeficient."""
         if not self.is_full_dimensional:
             raise DimensionDeficient(
                 f"affine dimension {self.affine_dim} < ambient {self.ambient_dim}")
+        return self._integer_facets
+
+    @property
+    def facets(self) -> tuple:
+        """The facets as (a, Fraction(c, L)) for the integer facets (a, c),
+        the halfspaces a.v <= c / L of the vertices, built on first read."""
+        if self._facets is None:
+            L = self._integer_vertices[0]
+            self._facets = tuple((a, Fraction(c, L)) for a, c in self.integer_facets)
         return self._facets
 
     def _take_over(self, P, kind: str) -> None:
@@ -162,14 +180,18 @@ class SymmetricBody(Polytope):
         """(M, W), kept once per body: M the lcm of the numerators p of the
         facet offsets, and W_f = a q (M / p) per facet a.x <= p / q.  The
         W_f / M are the vertices of the polar, and M g(x) = max W_f.x for
-        the gauge g of the body."""
+        the gauge g of the body.
+
+        Read off the integer facets (a, c) over L: p / q = c / L, so p is
+        c / gcd(c, L), and q (M / p) is the int L M / c."""
         if self._dual is None:
-            facets = self.facets
-            if any(b.numerator <= 0 for _, b in facets):
+            L = self.integer_vertices[0]
+            facets = self.integer_facets
+            if any(c <= 0 for _, c in facets):
                 raise InternalError("origin not interior: a facet offset is not positive")
-            M = math.lcm(*(b.numerator for _, b in facets))
-            self._dual = M, [tuple(c * (b.denominator * (M // b.numerator)) for c in a)
-                             for a, b in facets]
+            M = math.lcm(*(c // math.gcd(c, L) for _, c in facets))
+            LM = L * M
+            self._dual = M, [tuple(x * (LM // c) for x in a) for a, c in facets]
         return self._dual
 
 
@@ -204,11 +226,11 @@ def _integer_hull(d, L, ipts) -> Polytope:
     """The hull of the points x / L in R^d for the sorted distinct integer
     points x of ``ipts``.
 
-    The only Fractions made are the facet offsets, and for a
-    lower-dimensional input the base point of its lattice chart; the
-    vertices are made on first read.  A lower-dimensional input is read
-    through its lattice chart, and its chart coordinates, still ints over
-    L, go to the inner hull as they are.
+    The only Fractions made are, for a lower-dimensional input, the base
+    point of its lattice chart; the facets are ints over L, and the
+    vertices and rational offsets are made on first read.  A
+    lower-dimensional input is read through its lattice chart, and its
+    chart coordinates, still ints over L, go to the inner hull as they are.
     """
     def point(x):
         return tuple(Fraction(c, L) for c in x)
@@ -228,16 +250,15 @@ def _integer_hull(d, L, ipts) -> Polytope:
             outer[c[:k]] = x
         # the inner body of a point is the one point of R^0
         inner = (_integer_hull(k, L, sorted(outer)) if k
-                 else Polytope(0, 0, (1, ((),)), facets=()))
+                 else Polytope(0, 0, (1, ((),)), integer_facets=()))
         ints = tuple(sorted(outer[c] for c in inner.integer_vertices[1]))
         return Polytope(d, k, (L, ints), chart=(origin, U, basis, inner))
 
-    # offsets of the scaled points are ints; the points' are over L
+    # offsets of the scaled points are ints, as the facets keep them
     facet_simplices = _hull_full_dim(ipts, d, [0] + basis_idx)
 
     # merge triangulated pieces into geometric facets
-    facet_list = [(normal, Fraction(offset, L)) for normal, offset in
-                  sorted({(normal, offset) for _, normal, offset, _ in facet_simplices})]
+    facets = tuple(sorted({(normal, offset) for _, normal, offset, _ in facet_simplices}))
 
     # an extreme point is a corner in every facet through it, and they meet in
     # it alone; a corner on a face F of positive dimension keeps F's vertices
@@ -248,7 +269,7 @@ def _integer_hull(d, L, ipts) -> Polytope:
         weight += w
     meet = _meets((verts_idx, corners[normal]) for verts_idx, normal, _, _ in facet_simplices)
     ints = tuple(ipts[i] for i in sorted(meet) if meet[i] == 1 << i)
-    return Polytope(d, d, (L, ints), facets=tuple(facet_list), cone_weight=weight)
+    return Polytope(d, d, (L, ints), integer_facets=facets, cone_weight=weight)
 
 
 def _meets(faces) -> dict:
@@ -321,11 +342,12 @@ def _hull_full_dim(ipts, d, simplex):
     cone weight), see ``_facet_hyperplane``.
 
     The work is on ints and builds no Fraction: ``convex_hull`` clears the
-    denominators before and divides the offsets after.  The reference point
-    is the sum of the start points, (d + 1) times their centroid.  The other
-    points are inserted farthest from the centroid first, by decreasing
-    |(d + 1) x - ref|^2 with ties in index order, so that the later ones
-    mostly fall inside and make no short-lived facets (Clarkson-Shor).
+    denominators before, and the offsets stay ints over the same L.  The
+    reference point is the sum of the start points, (d + 1) times their
+    centroid.  The other points are inserted farthest from the centroid
+    first, by decreasing |(d + 1) x - ref|^2 with ties in index order, so
+    that the later ones mostly fall inside and make no short-lived facets
+    (Clarkson-Shor).
     """
     ref = tuple(map(sum, zip(*(ipts[i] for i in simplex))))
     in_simplex = set(simplex)
@@ -363,16 +385,18 @@ def locate(P: Polytope, x) -> PointLocation:
     """Classify a point as Interior, Boundary, or Outside of a full-dimensional P.
 
     x is read by ``as_ratvec`` in P's ambient dimension.  It is scaled once
-    to the integer vector xs = m x, m the lcm of its denominators, and a
-    facet a.y <= p / q is compared as q a.xs against p m, on ints.
+    to the integer vector xs = m x, m the lcm of its denominators, and an
+    integer facet a.y <= c over P's L is compared as L a.xs against c m, on
+    ints.
     """
     pt = as_ratvec(x, P.ambient_dim)
     if not P.is_full_dimensional:
         raise DimensionDeficient("locate requires a full-dimensional polytope")
     m, (xs,) = clear_denominators([pt])
+    L = P.integer_vertices[0]
     on_boundary = False
-    for a, b in P.facets:
-        s, r = vdot(a, xs) * b.denominator, b.numerator * m
+    for a, c in P.integer_facets:
+        s, r = vdot(a, xs) * L, c * m
         if s > r:
             return PointLocation.OUTSIDE
         if s == r:
@@ -387,8 +411,9 @@ def contains(P: Polytope, x) -> bool:
     A lower-dimensional P is read through the U of its chart: x is read by
     ``as_ratvec`` in P's ambient dimension, and with m the lcm of the
     denominators of x and the origin, c = m U (x - origin) is integral, x
-    lies on aff(P) iff c's last d - k entries are 0, and then q a.c[:k] <=
-    p m must hold for each facet a.y <= p / q of the inner body.
+    lies on aff(P) iff c's last d - k entries are 0, and then L a.c[:k] <=
+    b m must hold for each integer facet a.y <= b over the L of the inner
+    body.
     """
     if P.is_full_dimensional:
         return locate(P, x) is not PointLocation.OUTSIDE
@@ -396,8 +421,8 @@ def contains(P: Polytope, x) -> bool:
     m, (xs, shift) = clear_denominators([as_ratvec(x, P.ambient_dim), origin])
     k = P.affine_dim
     c = matvec(U, vsub(xs, shift))
-    return not any(c[k:]) and all(vdot(a, c[:k]) * b.denominator <= b.numerator * m
-                                  for a, b in inner.facets)
+    L = inner.integer_vertices[0]
+    return not any(c[k:]) and all(vdot(a, c[:k]) * L <= b * m for a, b in inner.integer_facets)
 
 
 def lattice_points(P: Polytope, mode: str = "all") -> list:
@@ -479,8 +504,8 @@ def _minkowski_difference(P: Polytope) -> Polytope:
     d - 1 (Fukuda 2004).  The work is on P's vertices scaled to integers by
     the lcm L of their denominators, with each face a bit mask of them:
 
-    * each facet normal a of P gives the facets +-a, with offset the width
-      max a.v - min a.v over L;
+    * each facet normal a of P gives the facets +-a, with int offset the
+      width max a.x - min a.x over P's integer vertices x;
     * any other facet normal n has F(n) and F(-n) of dimension at most
       d - 2, and they contain faces G1 and G2 of dimensions summing to
       d - 1 whose directions are independent (G1 = F(n) and a face of F(-n)
@@ -503,10 +528,11 @@ def _minkowski_difference(P: Polytope) -> Polytope:
       their max faces meet in u alone.  The min side need not be read.
 
     The loops run per entry with no helper call: dot products are sums of
-    ``map(mul, ...)`` and the masks are built bit by bit.  Fractions are
-    made only for the facet offsets; the body's vertices, the integer
-    differences over P's L, become Fractions on first read.  The body
-    carries no cone weight; ``volume`` builds a hull for one on use.
+    ``map(mul, ...)`` and the masks are built bit by bit.  No Fraction is
+    made: the body's vertices are the integer differences and its offsets
+    the integer widths, both over P's L, which become Fractions on first
+    read.  The body carries no cone weight; ``volume`` builds a hull for
+    one on use.
     """
     d = P.ambient_dim
     L, verts = P.integer_vertices
@@ -540,7 +566,7 @@ def _minkowski_difference(P: Polytope) -> Polytope:
         body[tuple([-c for c in n])] = width, bottom, top
 
     body = {}  # facet normal of P - P -> (L times its offset, masks of P at max and at min)
-    normals = [a for a, _ in P.facets]
+    normals = [a for a, _ in P.integer_facets]
     levels = [[sum(map(mul, a, v)) for v in verts] for a in normals]  # a.v per facet and vertex
     facet_masks = []
     for a, row in zip(normals, levels):
@@ -612,8 +638,8 @@ def _minkowski_difference(P: Polytope) -> Polytope:
     meet = _meets((product(members(top), members(bottom)), top)
                   for _, top, bottom in body.values())
     points = tuple(sorted([vsub(verts[u], verts[w]) for (u, w), m in meet.items() if m == 1 << u]))
-    facets = tuple(sorted((n, Fraction(width, L)) for n, (width, _, _) in body.items()))
-    return Polytope(d, d, (L, points), facets=facets)
+    facets = tuple(sorted((n, width) for n, (width, _, _) in body.items()))
+    return Polytope(d, d, (L, points), integer_facets=facets)
 
 
 def polar(K: SymmetricBody) -> SymmetricBody:
@@ -623,18 +649,21 @@ def polar(K: SymmetricBody) -> SymmetricBody:
     facet normals a / b of K, the ints W_f over M of ``K.dual_vertices``,
     and its facets are the vertices v of K, each, for K's integer vertex
     x = L v, as the primitive normal x / g with offset L / g, g the gcd of
-    x.  Built once per body.  A K that is not a SymmetricBody is refused with
-    InvalidInput.
+    x.  Over the polar's vertex scale M that offset is the int M L / g: x
+    lies on a facet a.y <= p / q of K, so g divides a.x = L p / q and so
+    L p, and p divides M.  Built once per body.  A K that is not a
+    SymmetricBody is refused with InvalidInput.
     """
     if not isinstance(K, SymmetricBody):
         raise InvalidInput(f"the polar needs a SymmetricBody, not a {type(K).__name__}")
     if K._polar is None:
         M, W = K.dual_vertices
         L, xs = K.integer_vertices
+        LM = L * M
         facets = []
         for x in xs:
             g = math.gcd(*x)
-            facets.append((tuple(c // g for c in x), Fraction(L, g)))
+            facets.append((tuple(c // g for c in x), LM // g))
         K._polar = SymmetricBody(Polytope(K.ambient_dim, K.ambient_dim, (M, tuple(sorted(W))),
-                                          facets=tuple(sorted(facets))))
+                                          integer_facets=tuple(sorted(facets))))
     return K._polar

@@ -180,12 +180,14 @@ def vertex_cone(MP: MomentPolytope, u) -> VertexCone:
     The vertex must be simple, on exactly d facets.  Edge i then lies on the
     other d - 1 facets: it is their primitive cofactor normal, oriented to
     leave facet i.  A u whose length is not d raises DimensionMismatch.
+    Vertices and facets are read as the ints over L that the body keeps.
     """
     d = _moment_dim(MP)
     u = as_intvec(u, d)
-    if u not in MP.vertices:
+    L, xs = MP.integer_vertices
+    if tuple([c * L for c in u]) not in xs:
         raise NotAVertex(f"{u} is not a vertex")
-    active = [a for a, b in MP.facets if vdot(a, u) == b]
+    active = [a for a, c in MP.integer_facets if vdot(a, u) * L == c]
     if len(active) != d:
         raise NotAmplePolytope(
             f"vertex {u} lies on {len(active)} facets; expected exactly {d}")
@@ -206,8 +208,11 @@ def eps_at_invariant_point(MP: MomentPolytope, u) -> EpsProfile:
     the maximal remaining coordinate sum on the face where J vanishes; the
     maximum of a linear form over a face is attained at a vertex, so only
     vertices are scanned.  At a smooth vertex the cone coordinates of a point
-    are its lattice distances b - a.x to the d facets through u.  A u whose
-    length is not d raises DimensionMismatch before any cone is built.
+    are its lattice distances b - a.x to the d facets through u, read as
+    (c - a.x) // L off the integer facets (a, c) and vertices x over L, which
+    L divides on a lattice polytope.  So the one Fraction made per value is
+    its answer's.  A u whose length is not d raises DimensionMismatch
+    before any cone is built.
     """
     d = _moment_dim(MP)
     u = as_intvec(u, d)
@@ -217,8 +222,9 @@ def eps_at_invariant_point(MP: MomentPolytope, u) -> EpsProfile:
         raise NotAVertex(f"{u} is not a vertex")
     if not cones[u].smooth:
         raise SingularVertex(f"vertex cone at {u} is not smooth")
-    active = [(a, b) for a, b in MP.facets if vdot(a, u) == b]
-    coords = [[b - vdot(a, v) for a, b in active] for v in MP.vertices]
+    L, xs = MP.integer_vertices
+    active = [(a, c) for a, c in MP.integer_facets if vdot(a, u) * L == c]
+    coords = [[(c - vdot(a, x)) // L for a, c in active] for x in xs]
 
     values = []
     for i in range(1, d + 1):
@@ -228,7 +234,7 @@ def eps_at_invariant_point(MP: MomentPolytope, u) -> EpsProfile:
             m = max(sum(c[k] for k in range(d) if k not in J) for c in face)
             if best is None or m < best:
                 best = m
-        values.append(Fraction(best))
+        values.append(best)
     return EpsProfile([EpsExact(v, "invariant_point") for v in values])
 
 

@@ -19,24 +19,24 @@ from operator import add, gt, mul, sub
 
 def integer_system(P, mode: str) -> tuple:
     """The system (rows, los, his) of the integer points of a
-    full-dimensional polytope P, read off numerators and denominators.
+    full-dimensional polytope P, read off its integer facets and vertices
+    over their common L.
 
-    A facet a.x <= b holds on integer points iff a.x <= floor(b), and
-    a.x < b, the "interior" ``mode``, iff a.x <= ceil(b) - 1; each facet
-    makes the one-sided row (a, r) for that bound r.  A facet is not paired
-    with its opposite: the walk reads a pair as its two one-sided rows,
-    and it builds the run's ``values`` for it.  The box is that of
+    A facet a.x <= c / L holds on integer points iff a.x <= c // L, and
+    a.x < c / L, the "interior" ``mode``, iff a.x <= -(-c // L) - 1; each
+    facet makes the one-sided row (a, r) for that bound r.  A facet is not
+    paired with its opposite: the walk reads a pair as its two one-sided
+    rows, and it builds the run's ``values`` for it.  The box is that of
     P's integer vertices over their L, from the least ceiling to the
     greatest floor of each coordinate.
     """
-    if mode == "interior":
-        rhs = [-(-b.numerator // b.denominator) - 1 for _, b in P.facets]
-    else:
-        rhs = [b.numerator // b.denominator for _, b in P.facets]
     L, xs = P.integer_vertices
+    if mode == "interior":
+        rows = [(a, -(-c // L) - 1) for a, c in P.integer_facets]
+    else:
+        rows = [(a, c // L) for a, c in P.integer_facets]
     cols = list(zip(*xs))
-    return (list(zip([a for a, _ in P.facets], rhs)),
-            [-(-min(col) // L) for col in cols], [max(col) // L for col in cols])
+    return rows, [-(-min(col) // L) for col in cols], [max(col) // L for col in cols]
 
 
 def enumerate_points(rows, los, his) -> list:

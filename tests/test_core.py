@@ -73,7 +73,8 @@ def test_parse_rat_refuses_inexact_tokens(token):
 
 def test_as_intvec():
     assert as_intvec(["-3", 4, "6/2", Fraction(5)]) == (-3, 4, 3, 5)
-    for bad in (["1/2"], [Fraction(1, 2)], ["0_0"], ["\u0660"], [" 0"], ["+0"], [0.0]):
+    assert as_intvec((1, -2, 0), 3) == (1, -2, 0)  # ints go in as they are
+    for bad in (["1/2"], [Fraction(1, 2)], ["0_0"], ["\u0660"], [" 0"], ["+0"], [0.0], [1, True]):
         with pytest.raises(InvalidInput):
             as_intvec(bad)
 
@@ -263,6 +264,7 @@ def test_kernel_against_fraction_elimination(case):
     assert len(independent(rows)) == r
     assert lattice_span(rows, n) == (r, generates_lattice(rows, n))
     assert independent(rows) == greedy_basis(rows)
+    assert core.greedy_span(rows, n) == (greedy_basis(rows), generates_lattice(rows, n))
     if len(rows) == n:
         assert determinant(rows) == det
 
@@ -293,6 +295,21 @@ def test_rank_and_independent_read_no_row_past_full_rank():
     rows, read = counting_rows([(1, 2), (2, 4), (0, 5)] + [(1, 1)] * 20)
     assert independent(rows) == [0, 2]
     assert sorted(set(read)) == [0, 1, 2]
+
+
+def test_int_rows_go_in_as_they_are(monkeypatch):
+    # an all-int row reaches the echelon kernel with no lcm and no rebuild,
+    # and an int form reaches LLL uncleared; the echelon rows are lists of
+    # the kernel's own, not the rows given
+    rows = [(2, 4, 1), [1, 3, 5], (0, 0, 7)]
+    monkeypatch.setattr(core, "lcm", lambda *a: pytest.fail("lcm of an int row"))
+    monkeypatch.setattr(core, "clear_denominators", lambda v: pytest.fail("int form cleared"))
+    basis, pivots = core.echelon(rows, 3)
+    assert all(type(r) is list for r in basis) and not any(r is row for r in basis for row in rows)
+    assert pivots == [0, 1, 2] and determinant(rows) == 14
+    assert lattice_span(rows, 3) == (3, False) and independent(rows) == [0, 1, 2]
+    assert core.greedy_span(rows + [(0, 1, 0), (1, 0, 0)], 3) == ([0, 1, 2], True)
+    assert lll_reduce([[2, 1], [1, 2]]) == [(1, 0), (0, 1)]
 
 
 def test_lattice_span_eliminates_no_row_past_unit_pivots(monkeypatch):

@@ -661,10 +661,11 @@ def test_flatness_matches_the_point_list(P):
     ((3, 2, 2, 10**5), 199_998, 2, 4),
 ])
 def test_flatness_of_a_few_long_runs(monkeypatch, sides, count, rank, vectors):
-    # the interior is hi - lo + 1 points per run, and lattice_span reads two
+    # the interior is hi - lo + 1 points per run, and the one greedy_span
+    # pass, for the spanning points, the rank and the generation test, reads two
     seen = []
-    real = gon.lattice_span
-    monkeypatch.setattr(gon, "lattice_span", lambda vs, d: (seen.append(len(vs)), real(vs, d))[1])
+    real = gon.greedy_span
+    monkeypatch.setattr(gon, "greedy_span", lambda vs, d: (seen.append(len(vs)), real(vs, d))[1])
     with time_limit(5):
         rep = flatness_report(box(*sides))
     q = rep.quantities

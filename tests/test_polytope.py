@@ -1299,9 +1299,11 @@ def test_hull_commutes_with_integer_affine_maps(case):
     assert volume(Q) == abs(laplace_det(M)) * volume(P)
 
 
-def test_hull_builds_one_fraction_per_facet_simplex(monkeypatch):
+def test_hull_keeps_integer_facets(monkeypatch):
     # the hull proper takes ints, returns int offsets and cone weights and
-    # builds no Fraction; the polytope keeps no triangulation
+    # builds no Fraction; the polytope keeps its simplices' distinct (normal,
+    # offset) pairs as its integer facets, and no triangulation.  Reading
+    # the facets makes one Fraction per facet, once
     pts = list(product(range(3), repeat=3)) + [(1, 1, 5), (-2, 1, 1), (4, 3, -1)]
     ipts = sorted(set(pts))
     start = [0] + core.independent([core.vsub(p, ipts[0]) for p in ipts])
@@ -1312,13 +1314,48 @@ def test_hull_builds_one_fraction_per_facet_simplex(monkeypatch):
                              for _, _, b, w in simplices)
     calls = counting_wrapper(monkeypatch, polytope)
     P = convex_hull(pts, 3)
-    assert 0 < len(calls) <= len(simplices)
-    assert len(calls) == len(P.facets)
+    assert calls == []
+    assert P.integer_facets == tuple(sorted({(a, b) for _, a, b, _ in simplices}))
+    assert len(P.integer_facets) < len(simplices)
+    facets = P.facets
+    assert len(calls) == len(facets) and P.facets is facets
     assert P._cone_weight == sum(w for *_, w in simplices)
     assert not any("simplices" in slot for slot in polytope.Polytope.__slots__)
 
 
+@pytest.mark.parametrize("pts", [
+    [(0, 0, 0), (3, 0, 0), (0, 5, 0), (0, 0, 2), (1, 1, 1), (-1, 2, 1), (1, -2, 1)],
+    [(0, 0, 0), (F(3, 2), 0, 0), (0, F(5, 3), 0), (0, 0, 2), (1, 1, F(1, 2)),
+     (F(-1, 2), 1, 1), (1, F(-2, 3), 1)],
+], ids=["integer", "rational"])
+def test_hull_and_difference_body_make_no_facet_fraction(pts):
+    # the hull parses its points, d Fractions each, and makes no other;
+    # P - P and its polar make none: the facets are ints over the L of the
+    # vertices, and a Fraction offset is made when ``facets`` is first read
+    with counted_fractions() as made:
+        P = convex_hull(pts, 3)
+    assert made.count == 3 * len(pts)
+    with counted_fractions() as made:
+        K = difference_body(P)
+        dual = polar(K)
+    assert made.count == 0
+    for body in (P, K, dual):
+        L = body.integer_vertices[0]
+        with counted_fractions() as made:
+            facets = body.facets
+        assert made.count == len(facets) == len(body.integer_facets)
+        assert facets == tuple((a, F(c, L)) for a, c in body.integer_facets)
+
+
 # P - P read off P's faces against the hull of the n^2 differences it replaced
+
+
+def fraction_dual_vertices(K):
+    """Reference: (M, W) off K's Fraction facets a.x <= p / q, M the lcm of
+    the p and W_f = a q (M / p), as they were read before the facets were
+    kept as ints."""
+    M = math.lcm(*(b.numerator for _, b in K.facets))
+    return M, [tuple(c * (b.denominator * (M // b.numerator)) for c in a) for a, b in K.facets]
 
 
 def reference_difference_body(P):
@@ -1354,13 +1391,14 @@ def test_weak_meet_rule_in_the_difference_body_is_caught(monkeypatch):
 ], ids=["integer", "rational"])
 def test_difference_body_subtracts_integers(monkeypatch, pts):
     # P - P is read off P's vertices and facets scaled to integers by the
-    # lcm of their denominators, so the only Fractions made are the output's:
-    # d coordinates per vertex and one offset per facet, within d + 1 per
-    # vertex and facet; the mirror test runs on ints
+    # lcm of their denominators, and keeps its vertices and facets as ints
+    # over that L, so it makes no Fraction; the mirror test runs on ints
     P = convex_hull(pts, 3)
     with counted_fractions() as made:
         body = difference_body(P)
-    assert 0 < made.count <= 4 * (len(body.vertices) + len(body.facets))
+    assert made.count == 0
+    assert body.integer_vertices[0] == P.integer_vertices[0]
+    assert all(type(c) is int for _, c in body.integer_facets)
     monkeypatch.setattr(polytope, "_hull_full_dim", reference_hull_full_dim)
     assert_matches_reference(P)
 
@@ -1558,11 +1596,35 @@ class TestIntegerVertices:
         self.assert_scaled(P)
         self.assert_scaled(P._chart[3])
 
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_denominator_point_sets())
+    def test_facets_read_off_integer_facets(self, case):
+        # each body keeps (a, c), a primitive and c the int max a.x over its
+        # integer vertices x, reached on d of them at least; its facets are
+        # the (a, c / L) built on first read, and the (M, W) of a symmetric
+        # body are those the Fraction offsets give
+        d, pts = case
+        P = convex_hull(pts, d)
+        assume(P.is_full_dimensional)
+        K = difference_body(P)
+        dual = polar(K)
+        for body in (P, K, dual, polar(dual)):
+            L, xs = body.integer_vertices
+            for a, c in body.integer_facets:
+                levels = [core.vdot(a, x) for x in xs]
+                assert type(c) is int and math.gcd(*a) == 1
+                assert max(levels) == c and levels.count(c) >= d
+            assert body._facets is None
+            assert body.facets == tuple((a, F(c, L)) for a, c in body.integer_facets)
+            assert body.facets is body.facets
+        for body in (K, dual):
+            assert body.dual_vertices == fraction_dual_vertices(body)
+
     def test_chart_hull_parses_each_point_once(self, monkeypatch):
         # 3,000 rational points on a 2-plane in R^4: the chart coordinates go
         # to the inner hull as ints, so only the points given are parsed; the
-        # build makes a Fraction only for the inner offsets and the chart's
-        # base point, and the vertices are made when read
+        # build makes a Fraction only for the chart's base point, and the
+        # vertices and the inner offsets are made when read
         origin, u, w = (F(1, 2), 0, F(1, 3), 1), (1, 2, 0, -1), (0, 1, 3, 1)
         pts = []
         for i in range(3000):
@@ -1575,9 +1637,11 @@ class TestIntegerVertices:
         P = convex_hull(pts, 4)
         inner = P._chart[3]
         assert P.affine_dim == 2 and len(parsed) == len(pts)
-        assert len(calls) == len(inner.facets) + 4
+        assert len(calls) == 4
         assert P.vertices == tuple(sorted(set(pts) & set(P.vertices)))
-        assert len(calls) == len(inner.facets) + 4 + 4 * len(P.vertices)
+        assert len(calls) == 4 + 4 * len(P.vertices)
+        assert len(inner.facets) == len(inner.integer_facets) > 0
+        assert len(calls) == 4 + 4 * len(P.vertices) + len(inner.facets)
         assert len(P.vertices) == len(inner.vertices)
 
     def test_volume_sums_integer_determinants(self):

@@ -164,6 +164,27 @@ def test_package_import_is_found():
     assert package_imports(ast.parse(source)) == [5, 6, 7, 10]
 
 
+def rational_reads(tree):
+    """Lines that read ``.numerator``, ``.denominator`` or ``.facets``: a
+    body's facets as Fractions, or a rational's parts."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and node.attr in ("numerator", "denominator", "facets"))
+
+
+def test_walk_reads_no_rationals():
+    # the walk writes a body's system off its integer facets and vertices
+    tree = ast.parse((SRC / "walk.py").read_text(encoding="utf-8"))
+    lines = rational_reads(tree)
+    assert not lines, f"walk.py reads rationals at lines {lines}"
+
+
+def test_rational_read_is_found():
+    source = ("def integer_system(P, mode):\n"
+              "    rows = [(a, b.numerator // b.denominator) for a, b in P.facets]\n"
+              "    return rows, P.integer_facets, P.integer_vertices[0]\n")
+    assert rational_reads(ast.parse(source)) == [2, 2, 2]
+
+
 def unused_imports(tree):
     """Names, as "line name", that a module imports, at top level or inside
     a function, and never reads; a ``__future__`` import binds no name."""

@@ -525,6 +525,24 @@ def test_moment_polytope_makes_no_fraction_vertex():
     assert P.integer_vertices[0] == 2
 
 
+def test_eps_at_invariant_point_makes_only_its_answers():
+    # the cones and the cone coordinates are read off the integer vertices
+    # and facets, so the d values are the only Fractions made, also at L = 2
+    for pts, u, eps in (
+            ([(0, 0, 0), (2, 0, 0), (0, 3, 0), (2, 3, 0), (0, 0, 1), (2, 0, 1), (0, 3, 1),
+              (2, 3, 1)], (0, 0, 0), (6, 3, 1)),
+            ([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (F(1, 2), F(1, 2), F(1, 2))],
+             (0, 0, 0), (2, 2, 2))):
+        mp = MomentPolytope(convex_hull(pts, 3))
+        with counted_fractions() as made:
+            profile = eps_at_invariant_point(mp, u)
+            cone = vertex_cone(mp, u)
+        assert made.count == 3
+        assert [e.value for e in profile.entries] == list(eps) and cone.smooth
+        assert mp._vertices is None and mp._facets is None
+    assert mp.integer_vertices[0] == 2
+
+
 def test_moment_polytope_of_anything_but_a_polytope_is_invalid_input():
     for x in ([(0, 0), (1, 0), (0, 1)], None, "P"):
         with pytest.raises(InvalidInput, match="built from a Polytope"):
