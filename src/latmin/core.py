@@ -56,15 +56,16 @@ _RAT_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rat(s) -> Fraction:
-    """An int (not a bool) or Fraction as is, or a string "p" or "p/q" of
-    ASCII digits with an optional leading minus and q != 0.
+    """A Fraction as it is, an int (not a bool) as a Fraction, for callers
+    divide, or a string "p" or "p/q" of ASCII digits with an optional
+    leading minus and q != 0.
 
     Anything else, floats, exponents, spaces and zero denominators included,
     raises InvalidInput rather than being rounded or expanded; so does a
     token past Python's limit on the digits of an int parsed from a string.
     """
     if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
-        return Fraction(s)
+        return s if type(s) is Fraction else Fraction(s)
     if isinstance(s, str) and _RAT_TOKEN.fullmatch(s):
         num, _, den = s.partition("/")
         try:

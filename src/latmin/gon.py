@@ -19,6 +19,7 @@ from .core import (
     cofactors,
     greedy_span,
     independent,
+    inverse_transpose,
     lll_reduce,
     rat_str,
     strict_int,
@@ -80,11 +81,21 @@ def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinim
     d.  Witness signs are normalized so the first nonzero entry is positive.
     The longest result is kept on K and later calls take their prefix of it.
     K's gauge is max |w.x| / M over the rows w of ``K.dual_vertices`` (M,
-    W), the rows ``_least`` reads.
+    W), the rows ``_least`` reads.  It walks them in the dual basis of K's
+    kept reduction (B, diag) of ``_reduction``, the rows of B^-T reversed,
+    and in the polar box that ``_least`` proves, with the weights diag,
+    reversed alike, over (M L)^2.  So this pass forms no sum W W^T, runs no
+    reduction of its own and takes no cofactor box: B^-T, the inverse of
+    the unimodular B, is all it adds.  The range of y_j grows with the
+    G-length of B's row j, and B's first rows are its shortest, so the
+    rows of B^-T are read reversed: the walk's half-box cut y_1 >= 0 then
+    falls on the widest range and halves the walk.
     """
     def minima(k):
         M, W = K.dual_vertices
-        return _least(K.ambient_dim, W, M, k)
+        B, diag = _reduction(K)
+        L = K.integer_vertices[0]
+        return _least(W, M, k, inverse_transpose(B)[::-1], (diag[::-1], (M * L) ** 2))
     return _kept(K, "_minima", k, minima)
 
 
@@ -92,14 +103,33 @@ def dual_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinima:
     """``successive_minima(polar(K), k)``, read off K with no polar body.
 
     The gauge of polar(K) at a is max |a.x| / L over K's integer vertices x
-    over their L, so ``_least`` takes those as its rows, with the scale L;
-    the ranking and the sign rule give the same minima and witnesses.  k is
-    checked, and the result kept on K, as by ``successive_minima``.
+    over their L, so ``_least`` takes those as its rows, with the scale L,
+    in the basis B of K's kept reduction (``_reduction``) and the
+    ellipsoid box of those rows; the ranking and the sign rule give the
+    same minima and witnesses.  k is checked, and the result kept on K, as
+    by ``successive_minima``.
     """
     def minima(k):
         L, xs = K.integer_vertices
-        return _least(K.ambient_dim, xs, L, k)
+        return _least(xs, L, k, _reduction(K)[0])
     return _kept(K, "_dual_minima", k, minima)
+
+
+def _reduction(body: Polytope, points=None) -> tuple:
+    """(B, diag), kept on the body: B = ``lll_reduce`` of the points form G =
+    ``_form`` of the integer points x > 0 of ``points``, by default the
+    body's integer vertices, over the body's L, and diag the diagonal of
+    B G B^T.  One reduction serves both minima passes of a symmetric body,
+    and a polytope P keeps that of its vertex differences, the points of
+    P - P, for ``difference_body`` to hand to P - P.  (The width of a
+    symmetric K read first leaves K that of its differences u - v: the
+    points 2u among them make G at least 4 times the form of K's vertices,
+    so the polar box stays sound.)"""
+    if body._reduction is None:
+        G = _form(body.ambient_dim, _half(body.integer_vertices[1] if points is None else points))
+        B = lll_reduce(G)
+        body._reduction = B, [sum(map(mul, b, [sum(map(mul, row, b)) for row in G])) for b in B]
+    return body._reduction
 
 
 def _kept(K: SymmetricBody, slot: str, k, minima) -> SuccessiveMinima:
@@ -134,24 +164,24 @@ def lattice_width(P: Polytope) -> WidthResult:
     P - P, which has P's L.  Candidates are ranked alike for any rows and
     any k, so the first dual minimum is the same number and witness:
 
-    * a kept P - P that keeps dual minima gives their first entry;
-    * a kept P - P that keeps all d of its minima gets all d of its dual
-      minima, kept on it, at a cost like that of the minima (transference);
-    * else ``_least`` reads the differences u - v, u > v, with k = 1.
+    * a kept P - P gives ``dual_minima`` of it: all d of them when it
+      keeps all d of its minima and no dual minima (transference: a cost
+      like that of the minima), else the first, a kept prefix if any;
+    * else ``_least`` reads the differences u - v, u > v, with k = 1, in
+      the basis of their ``_reduction``, kept on P for its P - P.
     """
     if not P.is_full_dimensional:
         raise DimensionDeficient("width requires a full-dimensional polytope")
     if P._width is None:
         K = P._difference
-        if K is not None and K._dual_minima is not None:
-            sm = K._dual_minima
-        elif (K is not None and K._minima is not None
-              and len(K._minima.lambdas) == P.ambient_dim):
-            sm = dual_minima(K)
-        else:
+        if K is None:
             L, verts = P.integer_vertices
             diffs = list({vsub(u, v) for u in verts for v in verts if u > v})
-            sm = _least(P.ambient_dim, diffs, L, 1)
+            sm = _least(diffs, L, 1, _reduction(P, diffs)[0])
+        else:
+            full = (K._dual_minima is None and K._minima is not None
+                    and len(K._minima.lambdas) == P.ambient_dim)
+            sm = dual_minima(K, None if full else 1)
         P._width = WidthResult(sm.lambdas[0], sm.witnesses[0])
     return P._width
 
@@ -166,45 +196,74 @@ def _gram(cols) -> list:
     return [[sum(map(mul, a, b)) for b in cols] for a in cols]
 
 
-def _least(d: int, rows, scale: int, k: int) -> SuccessiveMinima:
+def _half(rows) -> list:
+    """The integer rows r > 0, one of each +- pair of a list closed under
+    negation."""
+    zero = (0,) * len(rows[0])
+    return [r for r in rows if r > zero]
+
+
+def _least(rows, scale: int, k: int, basis, box=None) -> SuccessiveMinima:
     """First k minima and witnesses of the body {x : |r.x| <= scale for every
-    row r}, for integer rows r and an int scale > 0.  The rows come closed
-    under negation, or one per +- pair, and only the rows r > 0 are read, so
-    each pair once.
+    row r}, for integer rows r and an int scale > 0, walked in the
+    unimodular integer ``basis`` of Z^d.  The rows come closed under
+    negation, or one per +- pair, and only the rows r > 0 are read, so each
+    pair once.  ``box`` is (w, q), the box |y_j| <= sqrt(R^2 w_j / q) of the
+    walk at radius R; by default it is the rows' own ellipsoid box.  Either
+    box holds every point of g <= R:
+
+    * the ellipsoid box.  With m rows the form G = ``_form(d, rows)``
+      sandwiches g: g(x)^2 <= x^T G x <= m g(x)^2, so the walked points lie
+      in the ellipsoid y^T G_B y <= m R^2, G_B = B G B^T = ``_gram`` of the
+      normals' d columns, the lists of the B_j.r over the rows r, whose box
+      is |y_j| <= sqrt(m R^2 (G_B^-1)_jj) (Fincke-Pohst): w_j = m C_jj and
+      q = det G_B for the cofactors C of G_B.  It is tight when B is
+      reduced for G.  The points passes take it.
+    * the polar box, which the facets pass of a symmetric body K takes
+      with the rows W over M of ``K.dual_vertices``.  Let G be the form of
+      a reduction (B', diag) of ``_reduction``, on integer points x with
+      x / L in K.  The ellipsoid E = {a : a^T G a <= L^2} lies in the
+      polar of K, for (a.x)^2 <= a^T G a for each point x, and K is their
+      hull.  So the gauge of K at x, the support function of its polar, is
+      at least that of E, L sqrt(x^T G^-1 x).  In the basis B = B'^-T,
+      x = B^T y gives x^T G^-1 x = y^T G_B'^-1 y, G_B' = B' G B'^T, so a
+      point with M times its gauge at most R lies in the ellipsoid y^T
+      G_B'^-1 y <= (R / (M L))^2, whose box is |y_j| <= sqrt(R^2
+      (G_B')_jj) / (M L): w = diag and q = (M L)^2, with no cofactors.
+      B's rows may come in any order, the weights permuted alike.
 
     All on ints: scale times the gauge of an integer x is the int g(x) =
-    max |r.x|.  With m rows the form G = ``_form(d, rows)`` sandwiches it:
-    g(x)^2 <= x^T G x <= m g(x)^2.  B is an LLL-reduced basis of G, and at
-    x = B^T y, r.x = n.y for the reduced normals n = B r, so g(x) is max
-    |n.y| and g of row j of B is max |n_j|.  R is the k-th smallest of
-    those, so k independent rows of B lie among the points y with |n.y| <=
-    R, and one pass finds k witnesses: the walk gets the m pairs (n, R),
-    each the row |n.y| <= R.  Their box is that of the ellipsoid y^T G_B y <=
-    m R^2, G_B = B G B^T = ``_gram`` of the normals' d columns, the lists
-    of the B_j.r over the rows r, |y_j| <= sqrt(m R^2 (G_B^-1)_jj)
-    (Fincke-Pohst).  y -> -y maps x to -x, so only the half
-    y_1 >= 0 of the box is enumerated.  Each run carries the values n.prefix
-    of the pairs, so g at the run's point prefix + (t,) is max |n.prefix +
-    n_d t|, one product per row and no dot product; that is why the rows go
-    to the walk as pairs and not as 2m one-sided rows.  Candidates are ranked
-    by (g, min(x, -x)) in the original coordinates, so the result does not
-    depend on B.  One pass over the runs builds x for each walked y != 0,
-    the only point of g = 0 since the rows span, as B^T (prefix, 0), once
-    per run, plus t times B's last row; every walked point has g <= R.
-    k = 1 takes the least candidate, else the first k ``independent`` ones
-    are taken, with no candidate past the k-th read.
-    A witness is -min(x, -x), whose first nonzero entry is positive, and a
-    Fraction g / scale is made only for each minimum returned.
+    max |r.x|.  At x = B^T y for the basis B, r.x = n.y for the reduced
+    normals n = B r, so g(x) is max |n.y| and g of row j of B is max |n_j|.
+    R is the k-th smallest of those, so k independent rows of B lie among
+    the points y with |n.y| <= R, and one pass finds k witnesses: the walk
+    gets the m pairs (n, R), each the row |n.y| <= R, in the box above.
+    y -> -y maps x to -x, so only the half y_1 >= 0 of the box is
+    enumerated.  Each run carries the values n.prefix of the pairs, so g at
+    the run's point prefix + (t,) is max |n.prefix + n_d t|, one product
+    per row and no dot product; that is why the rows go to the walk as
+    pairs and not as 2m one-sided rows.
+    Candidates are ranked by (g, min(x, -x)) in the original coordinates,
+    so the result does not depend on B or on the box.  One pass over the
+    runs builds x for each walked y != 0, the only point of g = 0 since the
+    rows span, as B^T (prefix, 0), once per run, plus t times B's last row;
+    every walked point has g <= R.  k = 1 takes the least candidate, else
+    the first k ``independent`` ones are taken, with no candidate past the
+    k-th read.  A witness is -min(x, -x), whose first nonzero entry is
+    positive, and a Fraction g / scale is made only for each minimum
+    returned.
     """
-    zero = (0,) * d
-    rows = [r for r in rows if r > zero]
-    B = lll_reduce(_form(d, rows))
-    reduced = [[sum(map(mul, b, r)) for r in rows] for b in B]  # the normals' columns
+    rows = _half(rows)
+    d = len(basis)
+    reduced = [[sum(map(mul, b, r)) for r in rows] for b in basis]  # the normals' columns
     R = sorted([max(map(abs, col)) for col in reduced])[k - 1]
-    C, det = cofactors(_gram(reduced))  # of G_B
-    his = [math.isqrt(len(rows) * R * R * C[j][j] // det) for j in range(d)]
-    last, step = reduced[-1], B[-1]
-    to_x = [col[:-1] for col in zip(*B)]
+    if box is None:
+        C, det = cofactors(_gram(reduced))  # of G_B
+        box = [len(rows) * C[j][j] for j in range(d)], det
+    weights, q = box
+    his = [math.isqrt(R * R * w // q) for w in weights]
+    last, step = reduced[-1], basis[-1]
+    to_x = [col[:-1] for col in zip(*basis)]
     candidates = []
     for prefix, lo, hi, values in runs([], [0] + [-h for h in his[1:]], his,
                                        [(n, R) for n in zip(*reduced)]):

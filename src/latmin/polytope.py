@@ -62,7 +62,7 @@ class Polytope:
 
     __slots__ = ("ambient_dim", "affine_dim", "_integer_vertices", "_vertices",
                  "_integer_facets", "_facets", "_cone_weight", "_chart", "_difference",
-                 "_width", "_volume")
+                 "_reduction", "_width", "_volume")
 
     def __init__(self, ambient_dim, affine_dim, integer_vertices, integer_facets=None,
                  cone_weight=None, chart=None):
@@ -79,6 +79,9 @@ class Polytope:
         # lower-dimensional body, see _lattice_chart
         self._chart = chart
         self._difference = None  # P - P read off P's faces, set by difference_body
+        # the kept lattice reduction of the points of P - P, set by gon.lattice_width
+        # and handed to P - P; on a SymmetricBody, that of the body itself
+        self._reduction = None
         self._width = None  # set by gon.lattice_width
         self._volume = None  # set by volume
 
@@ -170,6 +173,7 @@ class SymmetricBody(Polytope):
             if tuple(-c for c in x) not in vset:
                 raise NotSymmetric(f"vertex ({', '.join(rat_str(Fraction(c, L)) for c in x)}) "
                                    "has no mirror image")
+        self._reduction = None  # that of the body, not of body - body: set by gon
         self._dual = None  # set by dual_vertices
         self._polar = None  # set by polar
         self._minima = None  # the longest result of gon.successive_minima so far
@@ -208,17 +212,25 @@ def convex_hull(points, d: int) -> Polytope:
     The points are multiplied once by the lcm L of their denominators, which
     keeps their lexicographic order and affine rank, and ``_integer_hull``
     works on the ints.  ``points`` is any iterable, a set or a generator
-    included, and each point is read by ``as_ratvec`` in dimension d; a
+    included.  A list or tuple of d ints (no bool) is taken as it is, as
+    ``as_intvec`` does, and any other point is read by ``as_ratvec`` in
+    dimension d; with no such point L is 1 and no Fraction is made.  A
     value that is not iterable raises InvalidInput.
     """
     if strict_int(d, "dimension") < 1:
         raise DimensionMismatch("ambient dimension must be positive")
     if not isinstance(points, Iterable):
         raise InvalidInput(f"expected an iterable of points, not a {type(points).__name__}")
-    pts = [as_ratvec(p, d) for p in points]
+    pts, rational = [], False
+    for p in points:
+        if isinstance(p, (list, tuple)) and len(p) == d and all(type(c) is int for c in p):
+            pts.append(tuple(p))
+        else:
+            pts.append(as_ratvec(p, d))
+            rational = True
     if not pts:
         raise DimensionMismatch("need at least one point")
-    L, ipts = clear_denominators(pts)
+    L, ipts = clear_denominators(pts) if rational else (1, pts)
     return _integer_hull(d, L, sorted(set(ipts)))
 
 
@@ -488,11 +500,14 @@ def volume(P: Polytope) -> Fraction:
 def difference_body(P: Polytope) -> SymmetricBody:
     """The 0-symmetric body P - P of pairwise vertex differences of P, built
     once per polytope and read off P's faces by ``_minkowski_difference``
-    with no hull."""
+    with no hull.  It takes the lattice reduction of P's vertex differences
+    that ``gon.lattice_width`` may have kept on P, so that P - P makes none
+    of its own."""
     if not P.is_full_dimensional:
         raise DimensionDeficient("difference body requires a full-dimensional polytope")
     if P._difference is None:
         P._difference = SymmetricBody(_minkowski_difference(P))
+        P._difference._reduction = P._reduction
     return P._difference
 
 

@@ -389,8 +389,8 @@ def counting_least(monkeypatch):
     """Record the k of each call of ``gon._least``, the one minima routine."""
     calls = []
     real = gon._least
-    monkeypatch.setattr(gon, "_least", lambda d, rows, scale, k: calls.append(k)
-                        or real(d, rows, scale, k))
+    monkeypatch.setattr(gon, "_least", lambda rows, scale, k, basis, box=None: calls.append(k)
+                        or real(rows, scale, k, basis, box))
     return calls
 
 
@@ -443,6 +443,177 @@ def test_verify_d3_body_makes_two_minima_passes(monkeypatch):
     del calls[:]
     flatness_report(random_polytope(instance_stream(1, 0), 3, 4))
     assert calls == [1]
+
+
+@st.composite
+def rational_polytopes(draw):
+    """Rational points in d = 1..4 with a full-dimensional hull."""
+    d = draw(st.integers(1, 4))
+    coord = st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 1, 2, 3)))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 3))
+    assume(convex_hull(pts, d).is_full_dimensional)
+    return d, pts
+
+
+def spy_polar_boxes(mp, check):
+    """Call ``check`` on each facets pass of ``gon._least``, the one given a
+    box, before its walk: a dict of its basis and scale, and the box and
+    radius R the walk gets.  ``mp`` is a pytest MonkeyPatch."""
+    polar = []
+    real_least, real_runs = gon._least, gon.runs
+
+    def least(rows, scale, k, basis, box=None):
+        polar.append(box is not None and {"basis": basis, "scale": scale})
+        return real_least(rows, scale, k, basis, box)
+
+    def runs(rows, los, his, pairs=()):
+        if polar[-1]:
+            check(dict(polar[-1], his=his, R=pairs[0][1]))
+        return real_runs(rows, los, his, pairs)
+
+    mp.setattr(gon, "_least", least)
+    mp.setattr(gon, "runs", runs)
+
+
+def assert_polar_box(walk, K, points):
+    """The box of a facets walk of K at radius R holds the dilate R K / M and
+    lies in the box of the ellipsoid of the proof, z^T G_B^-1 z <= (R / (M
+    L))^2, G = sum x x^T over the integer ``points`` of K's reduction."""
+    L, xs = K.integer_vertices
+    ML, R = walk["scale"] * L, walk["R"]
+    # z = C x for the coordinate functionals C = basis^-T of x = basis^T z
+    for c, h in zip(core.inverse_transpose(walk["basis"]), walk["his"]):
+        assert R * max(abs(vdot(c, x)) for x in xs) // ML <= h
+        assert (h * ML) ** 2 <= R * R * sum(vdot(c, x) ** 2 for x in points)
+
+
+def half(points):
+    return [x for x in points if x > (0,) * len(x)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polytopes())
+def test_difference_body_minima_equal_in_every_call_order(case):
+    # both minima of P - P are those of the standard-basis reference when
+    # the facets pass runs first, the points pass first, or the width of P
+    # before P - P is built, whose reduction P - P then takes; so are those
+    # of dual = SymmetricBody(polar(K)), width 2 lambda_1(K) read first, so
+    # that its reduction is that of its vertex differences.  Each facets
+    # walk's box is the polar box of the body's reduction, checked before
+    # the walk
+    d, pts = case
+    K = difference_body(convex_hull(pts, d))
+    dual = SymmetricBody(polar(K))
+    for body in (K, dual):
+        assume(math.prod(len(r) for r in standard_box(body)[1]) <= 3000)
+    expect, expect_dual = minima_by_standard_basis(K), minima_by_standard_basis(dual)
+    _, verts = convex_hull(pts, d).integer_vertices
+    differences = [core.vsub(u, v) for u in verts for v in verts if u > v]
+    walks = []
+    with pytest.MonkeyPatch.context() as mp:
+        spy_polar_boxes(mp, lambda walk: walks.append(walk) or assert_polar_box(walk, *body))
+        _, ws = dual.integer_vertices
+        body = dual, [core.vsub(u, v) for u in ws for v in ws if u > v]
+        assert lattice_width(dual).width == 2 * expect[0][0]
+        sm = successive_minima(dual)
+        assert (sm.lambdas, sm.witnesses) == expect_dual
+        sm = dual_minima(dual)
+        assert (sm.lambdas, sm.witnesses) == expect
+        for order in ("facets", "points", "width"):
+            P = convex_hull(pts, d)
+            if order == "width":
+                assert lattice_width(P).width == expect_dual[0][0]
+            K = difference_body(P)
+            body = K, differences if order == "width" else half(K.integer_vertices[1])
+            if order == "points":
+                sm_dual = dual_minima(K)
+            sm = successive_minima(K)
+            if order != "points":
+                sm_dual = dual_minima(K)
+            assert (sm.lambdas, sm.witnesses) == expect, order
+            assert (sm_dual.lambdas, sm_dual.witnesses) == expect_dual, order
+    assert len(walks) == 4
+
+
+def counting_kernels(monkeypatch):
+    """Record the calls of ``lll_reduce``, ``_form`` and the cofactors, as
+    (name, last argument): gon's own names, its cofactors those of the
+    ellipsoid box, and "core.cofactors", which ``inverse_transpose`` calls."""
+    calls = []
+    for module, name in ((gon, "lll_reduce"), (gon, "_form"), (gon, "cofactors"),
+                         (core, "cofactors")):
+        real = getattr(module, name)
+        label = "core.cofactors" if module is core else name
+
+        def counting(*args, real=real, label=label):
+            calls.append((label, args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_one_reduction_per_difference_body(monkeypatch):
+    # a difference body runs lll_reduce once for both of its minima passes:
+    # in the verify-d3 op order, minima of P - P first, its reduction reads
+    # P - P's vertices; in the width-skew order, width then minima, P keeps
+    # the reduction of its vertex differences and hands it to P - P.  The
+    # facets pass forms no sum W W^T and takes no cofactors but those of the
+    # unimodular B, for B^-T
+    calls = counting_kernels(monkeypatch)
+    for i in range(4):
+        P = random_polytope(instance_stream(1, i), 3, 4)
+        K = difference_body(P)
+        del calls[:]
+        verify_minkowski_second(P)
+        facets = calls[:]
+        flatness_report(P)
+        verify_transference(K)
+        mp = toric.MomentPolytope(P)
+        toric.verify_m2m(mp, toric.eps_bracket_general(mp))
+        lattice_width(P)
+        assert [name for name, _ in calls].count("lll_reduce") == 1
+        assert [name for name, _ in facets] == ["_form", "lll_reduce", "core.cofactors"]
+        assert facets[0][1] == half(K.integer_vertices[1])  # the rows of _form
+        assert facets[2][1] == K._reduction[0]  # B itself, for B^-T
+        assert [name for name, _ in calls[len(facets):]] == ["cofactors"]  # the dual box
+    for pts in ([(14, 2), (7, 1), (9, 1), (6, 1)], [(0, 0), (31, 7), (9, 2), (22, 5), (4, 1)]):
+        Q = convex_hull(pts, 2)
+        del calls[:]
+        lattice_width(Q)
+        assert [name for name, _ in calls] == ["_form", "lll_reduce", "cofactors"]
+        del calls[:]
+        K = difference_body(Q)
+        assert K._reduction is Q._reduction
+        successive_minima(K)
+        assert calls == [("core.cofactors", K._reduction[0])]
+
+
+def test_verify_and_width_ops_make_pinned_fraction_counts():
+    # the verify-d3 op on 7 integer points in 3-D (hull, minkowski,
+    # flatness, transference, bracket and m2m, width) and the width-skew op
+    # (hull of 4 integer points, width, minima of P - P) make only the
+    # Fractions of their answers: the hull takes int points as they are, and
+    # parse_rat returns a Fraction as it is (63 and 11 before)
+    bodies = [[(2, -1, -4), (3, -3, 0), (0, 3, 0), (-2, 3, 3), (-2, 3, 2), (1, 2, 2), (0, -1, -4)]]
+    bodies += [list(random_polytope(instance_stream(1, i), 3, 4).integer_vertices[1])
+               for i in range(3)]
+    for pts in bodies:
+        with counted_fractions() as made:
+            P = convex_hull(pts, 3)
+            verify_minkowski_second(P)
+            flatness_report(P)
+            verify_transference(difference_body(P))
+            mp = toric.MomentPolytope(P)
+            toric.verify_m2m(mp, toric.eps_bracket_general(mp))
+            lattice_width(P)
+        assert made.count == 36, pts
+    for pts in ([(14, 2), (7, 1), (9, 1), (6, 1)], [(-2, 2), (-1, 1), (1, 1), (-2, 1)]):
+        with counted_fractions() as made:
+            Q = convex_hull(pts, 2)
+            lattice_width(Q)
+            successive_minima(difference_body(Q))
+        assert made.count == 3, pts
 
 
 def wrap_derived_bodies(monkeypatch):

@@ -395,7 +395,8 @@ def test_locate_builds_only_the_parsed_point():
     points = [(F(1, 5), F(1, 7), F(1, 9)), (0, 0, 0), (F(1, 2), 0, 0), (3, 3, 3)]
     with counted_fractions() as made:
         found = [locate(P, x) for x in points] + [contains(P, x) for x in points]
-    assert made.count == 2 * 3 * len(points)  # d per parse, none for the facet tests
+    # one per int entry parsed (a Fraction is taken as it is), none for the facet tests
+    assert made.count == 2 * sum(type(c) is int for x in points for c in x) == 16
     assert found == [locate_by_fractions(P, x) for x in points] + [True, True, True, False]
 
 
@@ -1323,18 +1324,19 @@ def test_hull_keeps_integer_facets(monkeypatch):
     assert not any("simplices" in slot for slot in polytope.Polytope.__slots__)
 
 
-@pytest.mark.parametrize("pts", [
-    [(0, 0, 0), (3, 0, 0), (0, 5, 0), (0, 0, 2), (1, 1, 1), (-1, 2, 1), (1, -2, 1)],
-    [(0, 0, 0), (F(3, 2), 0, 0), (0, F(5, 3), 0), (0, 0, 2), (1, 1, F(1, 2)),
-     (F(-1, 2), 1, 1), (1, F(-2, 3), 1)],
+@pytest.mark.parametrize("pts, parsed", [
+    ([(0, 0, 0), (3, 0, 0), (0, 5, 0), (0, 0, 2), (1, 1, 1), (-1, 2, 1), (1, -2, 1)], 0),
+    ([(0, 0, 0), (F(3, 2), 0, 0), (0, F(5, 3), 0), (0, 0, 2), (1, 1, F(1, 2)),
+      (F(-1, 2), 1, 1), (1, F(-2, 3), 1)], 10),
 ], ids=["integer", "rational"])
-def test_hull_and_difference_body_make_no_facet_fraction(pts):
-    # the hull parses its points, d Fractions each, and makes no other;
-    # P - P and its polar make none: the facets are ints over the L of the
-    # vertices, and a Fraction offset is made when ``facets`` is first read
+def test_hull_and_difference_body_make_no_facet_fraction(pts, parsed):
+    # the hull takes a point of ints as it is and parses any other, one
+    # Fraction per int entry, and makes no other; P - P and its polar make
+    # none: the facets are ints over the L of the vertices, and a Fraction
+    # offset is made when ``facets`` is first read
     with counted_fractions() as made:
         P = convex_hull(pts, 3)
-    assert made.count == 3 * len(pts)
+    assert made.count == parsed
     with counted_fractions() as made:
         K = difference_body(P)
         dual = polar(K)
