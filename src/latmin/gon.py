@@ -80,20 +80,12 @@ def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinim
     increases the rank, so the first k minima are the length-k prefix of all
     d.  Witness signs are normalized so the first nonzero entry is positive.
     The longest result is kept on K and later calls take their prefix of it.
-    K's gauge is max |w.x| / M over the rows w of ``K.dual_vertices`` (M,
-    W), the rows ``_least`` reads.  It walks them in the dual basis of K's
-    kept reduction (B, diag) of ``_reduction``, the rows of B^-T reversed,
-    and in the polar box that ``_least`` proves, with the weights diag,
-    reversed alike, over (M L)^2.  So this pass forms no sum W W^T, runs no
-    reduction of its own and takes no cofactor box: B^-T, the inverse of
-    the unimodular B, is all it adds.  The range of y_j grows with the
-    G-length of B's row j, and B's first rows are its shortest, so the
-    rows of B^-T are read reversed: the walk's half-box cut y_1 >= 0 then
-    falls on the widest range and halves the walk.
+    ``_least`` reads the rows W over M of ``K.dual_vertices``, in the dual
+    basis of K's reduction ``_basis``, in the polar box it proves.
     """
     def minima(k):
         M, W = K.dual_vertices
-        B, diag = _reduction(K)
+        B, diag = _basis(K)
         L = K.integer_vertices[0]
         return _least(W, M, k, inverse_transpose(B)[::-1], (diag[::-1], (M * L) ** 2))
     return _kept(K, "_minima", k, minima)
@@ -104,32 +96,33 @@ def dual_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinima:
 
     The gauge of polar(K) at a is max |a.x| / L over K's integer vertices x
     over their L, so ``_least`` takes those as its rows, with the scale L,
-    in the basis B of K's kept reduction (``_reduction``) and the
-    ellipsoid box of those rows; the ranking and the sign rule give the
-    same minima and witnesses.  k is checked, and the result kept on K, as
-    by ``successive_minima``.
+    in the basis B of K's reduction ``_basis`` and the ellipsoid box of
+    those rows; the ranking and the sign rule give the same minima and
+    witnesses.  k is checked, and the result kept on K, as by
+    ``successive_minima``.
     """
     def minima(k):
         L, xs = K.integer_vertices
-        return _least(xs, L, k, _reduction(K)[0])
+        return _least(xs, L, k, _basis(K)[0])
     return _kept(K, "_dual_minima", k, minima)
 
 
-def _reduction(body: Polytope, points=None) -> tuple:
-    """(B, diag), kept on the body: B = ``lll_reduce`` of the points form G =
-    ``_form`` of the integer points x > 0 of ``points``, by default the
-    body's integer vertices, over the body's L, and diag the diagonal of
-    B G B^T.  One reduction serves both minima passes of a symmetric body,
-    and a polytope P keeps that of its vertex differences, the points of
-    P - P, for ``difference_body`` to hand to P - P.  (The width of a
-    symmetric K read first leaves K that of its differences u - v: the
-    points 2u among them make G at least 4 times the form of K's vertices,
-    so the polar box stays sound.)"""
-    if body._reduction is None:
-        G = _form(body.ambient_dim, _half(body.integer_vertices[1] if points is None else points))
-        B = lll_reduce(G)
-        body._reduction = B, [sum(map(mul, b, [sum(map(mul, row, b)) for row in G])) for b in B]
-    return body._reduction
+def _basis(K: SymmetricBody) -> tuple:
+    """The reduction (B, diag) both minima passes of K walk in, kept on K:
+    the one ``difference_body`` handed to K, else ``_reduce`` of K's
+    integer vertices."""
+    if K._basis is None:
+        K._basis = _reduce(K.ambient_dim, K.integer_vertices[1])
+    return K._basis
+
+
+def _reduce(d: int, points) -> tuple:
+    """(B, diag): B = ``lll_reduce`` of the points form G = ``_form`` of
+    the integer points x > 0 of ``points``, and diag the diagonal of
+    B G B^T."""
+    G = _form(d, _half(points))
+    B = lll_reduce(G)
+    return B, [sum(map(mul, b, [sum(map(mul, row, b)) for row in G])) for b in B]
 
 
 def _kept(K: SymmetricBody, slot: str, k, minima) -> SuccessiveMinima:
@@ -168,7 +161,7 @@ def lattice_width(P: Polytope) -> WidthResult:
       keeps all d of its minima and no dual minima (transference: a cost
       like that of the minima), else the first, a kept prefix if any;
     * else ``_least`` reads the differences u - v, u > v, with k = 1, in
-      the basis of their ``_reduction``, kept on P for its P - P.
+      the basis of their ``_reduce``, kept on P for its P - P.
     """
     if not P.is_full_dimensional:
         raise DimensionDeficient("width requires a full-dimensional polytope")
@@ -177,7 +170,8 @@ def lattice_width(P: Polytope) -> WidthResult:
         if K is None:
             L, verts = P.integer_vertices
             diffs = list({vsub(u, v) for u in verts for v in verts if u > v})
-            sm = _least(diffs, L, 1, _reduction(P, diffs)[0])
+            P._reduction = _reduce(P.ambient_dim, diffs)
+            sm = _least(diffs, L, 1, P._reduction[0])
         else:
             full = (K._dual_minima is None and K._minima is not None
                     and len(K._minima.lambdas) == P.ambient_dim)
@@ -221,7 +215,7 @@ def _least(rows, scale: int, k: int, basis, box=None) -> SuccessiveMinima:
       reduced for G.  The points passes take it.
     * the polar box, which the facets pass of a symmetric body K takes
       with the rows W over M of ``K.dual_vertices``.  Let G be the form of
-      a reduction (B', diag) of ``_reduction``, on integer points x with
+      a reduction (B', diag) of ``_basis``, on integer points x with
       x / L in K.  The ellipsoid E = {a : a^T G a <= L^2} lies in the
       polar of K, for (a.x)^2 <= a^T G a for each point x, and K is their
       hull.  So the gauge of K at x, the support function of its polar, is
@@ -230,7 +224,10 @@ def _least(rows, scale: int, k: int, basis, box=None) -> SuccessiveMinima:
       point with M times its gauge at most R lies in the ellipsoid y^T
       G_B'^-1 y <= (R / (M L))^2, whose box is |y_j| <= sqrt(R^2
       (G_B')_jj) / (M L): w = diag and q = (M L)^2, with no cofactors.
-      B's rows may come in any order, the weights permuted alike.
+      B's rows may come in any order, the weights permuted alike, and
+      ``successive_minima`` reverses them: the range of y_j grows with
+      (G_B')_jj, B' puts its shortest rows first, so the cut y_1 >= 0
+      below then falls on the widest range and halves the walk.
 
     All on ints: scale times the gauge of an integer x is the int g(x) =
     max |r.x|.  At x = B^T y for the basis B, r.x = n.y for the reduced

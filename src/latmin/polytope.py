@@ -79,8 +79,8 @@ class Polytope:
         # lower-dimensional body, see _lattice_chart
         self._chart = chart
         self._difference = None  # P - P read off P's faces, set by difference_body
-        # the kept lattice reduction of the points of P - P, set by gon.lattice_width
-        # and handed to P - P; on a SymmetricBody, that of the body itself
+        # the lattice reduction of the points of P - P, set by gon.lattice_width
+        # and handed to P - P by difference_body
         self._reduction = None
         self._width = None  # set by gon.lattice_width
         self._volume = None  # set by volume
@@ -163,7 +163,7 @@ class SymmetricBody(Polytope):
     test on P's integer vertices, with caches of its polar and minima added.
     """
 
-    __slots__ = ("_dual", "_polar", "_minima", "_dual_minima")
+    __slots__ = ("_dual", "_polar", "_basis", "_minima", "_dual_minima")
 
     def __init__(self, body: Polytope):
         self._take_over(body, "symmetric bodies")
@@ -173,9 +173,11 @@ class SymmetricBody(Polytope):
             if tuple(-c for c in x) not in vset:
                 raise NotSymmetric(f"vertex ({', '.join(rat_str(Fraction(c, L)) for c in x)}) "
                                    "has no mirror image")
-        self._reduction = None  # that of the body, not of body - body: set by gon
         self._dual = None  # set by dual_vertices
         self._polar = None  # set by polar
+        # the reduction both minima passes walk in: handed over by difference_body,
+        # else set by gon._basis
+        self._basis = None
         self._minima = None  # the longest result of gon.successive_minima so far
         self._dual_minima = None  # the longest result of gon.dual_minima so far
 
@@ -507,7 +509,7 @@ def difference_body(P: Polytope) -> SymmetricBody:
         raise DimensionDeficient("difference body requires a full-dimensional polytope")
     if P._difference is None:
         P._difference = SymmetricBody(_minkowski_difference(P))
-        P._difference._reduction = P._reduction
+        P._difference._basis = P._reduction
     return P._difference
 
 

@@ -487,44 +487,45 @@ def assert_polar_box(walk, K, points):
         assert (h * ML) ** 2 <= R * R * sum(vdot(c, x) ** 2 for x in points)
 
 
-def half(points):
-    return [x for x in points if x > (0,) * len(x)]
+def differences(body):
+    """The differences u - v, u > v, of the body's integer vertices."""
+    _, verts = body.integer_vertices
+    return [core.vsub(u, v) for u in verts for v in verts if u > v]
+
+
+def scaled(minima, c):
+    """Reference minima (lambdas, witnesses) times c, those of K / c."""
+    return tuple(c * lam for lam in minima[0]), minima[1]
 
 
 @settings(max_examples=100, deadline=None)
 @given(rational_polytopes())
+@example((2, [(-1, -1), (-1, 1), (1, -1), (1, 1)]))
 def test_difference_body_minima_equal_in_every_call_order(case):
     # both minima of P - P are those of the standard-basis reference when
     # the facets pass runs first, the points pass first, or the width of P
-    # before P - P is built, whose reduction P - P then takes; so are those
-    # of dual = SymmetricBody(polar(K)), width 2 lambda_1(K) read first, so
-    # that its reduction is that of its vertex differences.  Each facets
-    # walk's box is the polar box of the body's reduction, checked before
-    # the walk
+    # before P - P is built, whose reduction P - P then takes.  For a
+    # symmetric S, K or its polar, S - S = 2S: its width read first hands
+    # the reduction of S's differences to 2S while S's minima walk in that
+    # of its own vertices, and S's minima read first leave 2S to make its
+    # own, also when 2S is built from MomentPolytope(S) by the bracket.
+    # Each facets walk's box is the polar box of the reduction that body
+    # should walk in, checked before the walk
     d, pts = case
     K = difference_body(convex_hull(pts, d))
     dual = SymmetricBody(polar(K))
     for body in (K, dual):
         assume(math.prod(len(r) for r in standard_box(body)[1]) <= 3000)
     expect, expect_dual = minima_by_standard_basis(K), minima_by_standard_basis(dual)
-    _, verts = convex_hull(pts, d).integer_vertices
-    differences = [core.vsub(u, v) for u in verts for v in verts if u > v]
     walks = []
     with pytest.MonkeyPatch.context() as mp:
         spy_polar_boxes(mp, lambda walk: walks.append(walk) or assert_polar_box(walk, *body))
-        _, ws = dual.integer_vertices
-        body = dual, [core.vsub(u, v) for u in ws for v in ws if u > v]
-        assert lattice_width(dual).width == 2 * expect[0][0]
-        sm = successive_minima(dual)
-        assert (sm.lambdas, sm.witnesses) == expect_dual
-        sm = dual_minima(dual)
-        assert (sm.lambdas, sm.witnesses) == expect
         for order in ("facets", "points", "width"):
             P = convex_hull(pts, d)
             if order == "width":
                 assert lattice_width(P).width == expect_dual[0][0]
             K = difference_body(P)
-            body = K, differences if order == "width" else half(K.integer_vertices[1])
+            body = K, differences(P) if order == "width" else gon._half(K.integer_vertices[1])
             if order == "points":
                 sm_dual = dual_minima(K)
             sm = successive_minima(K)
@@ -532,7 +533,27 @@ def test_difference_body_minima_equal_in_every_call_order(case):
                 sm_dual = dual_minima(K)
             assert (sm.lambdas, sm.witnesses) == expect, order
             assert (sm_dual.lambdas, sm_dual.witnesses) == expect_dual, order
-    assert len(walks) == 4
+        for name, lam, lam_dual in (("K", expect, expect_dual), ("dual", expect_dual, expect)):
+            for order in ("width", "minima", "moment"):
+                S = difference_body(convex_hull(pts, d))
+                if name == "dual":
+                    S = SymmetricBody(polar(S))
+                if order == "moment" and S.integer_vertices[0] != 1:
+                    continue  # a moment polytope has lattice vertices
+                if order == "width":
+                    assert lattice_width(S).width == 2 * lam_dual[0][0], name
+                body = S, gon._half(S.integer_vertices[1])
+                sm = successive_minima(S)
+                assert (sm.lambdas, sm.witnesses) == lam, (name, order)
+                moment = toric.MomentPolytope(S) if order == "moment" else S
+                T = difference_body(moment)
+                body = T, differences(S) if order == "width" else gon._half(T.integer_vertices[1])
+                if order == "moment":
+                    toric.eps_bracket_general(moment)
+                sm, sm_dual = successive_minima(T), dual_minima(T)
+                assert (sm.lambdas, sm.witnesses) == scaled(lam, Fraction(1, 2)), (name, order)
+                assert (sm_dual.lambdas, sm_dual.witnesses) == scaled(lam_dual, 2), (name, order)
+    assert len(walks) == 3 + 2 * sum(2 + (S.integer_vertices[0] == 1) for S in (K, dual))
 
 
 def counting_kernels(monkeypatch):
@@ -574,8 +595,8 @@ def test_one_reduction_per_difference_body(monkeypatch):
         lattice_width(P)
         assert [name for name, _ in calls].count("lll_reduce") == 1
         assert [name for name, _ in facets] == ["_form", "lll_reduce", "core.cofactors"]
-        assert facets[0][1] == half(K.integer_vertices[1])  # the rows of _form
-        assert facets[2][1] == K._reduction[0]  # B itself, for B^-T
+        assert facets[0][1] == gon._half(K.integer_vertices[1])  # the rows of _form
+        assert facets[2][1] == K._basis[0]  # B itself, for B^-T
         assert [name for name, _ in calls[len(facets):]] == ["cofactors"]  # the dual box
     for pts in ([(14, 2), (7, 1), (9, 1), (6, 1)], [(0, 0), (31, 7), (9, 2), (22, 5), (4, 1)]):
         Q = convex_hull(pts, 2)
@@ -584,9 +605,9 @@ def test_one_reduction_per_difference_body(monkeypatch):
         assert [name for name, _ in calls] == ["_form", "lll_reduce", "cofactors"]
         del calls[:]
         K = difference_body(Q)
-        assert K._reduction is Q._reduction
+        assert K._basis is Q._reduction
         successive_minima(K)
-        assert calls == [("core.cofactors", K._reduction[0])]
+        assert calls == [("core.cofactors", K._basis[0])]
 
 
 def test_verify_and_width_ops_make_pinned_fraction_counts():
