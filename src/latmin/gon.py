@@ -9,9 +9,10 @@ two-dimensional transference bound, and the flatness theorem family.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .core import (
     as_ratvec,
@@ -80,14 +81,13 @@ def successive_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinim
     increases the rank, so the first k minima are the length-k prefix of all
     d.  Witness signs are normalized so the first nonzero entry is positive.
     The longest result is kept on K and later calls take their prefix of it.
-    ``_least`` reads the rows W over M of ``K.dual_vertices``, in the dual
-    basis of K's reduction ``_basis``, in the polar box it proves.
+    ``_least`` reads the facets side of K's reduction ``_basis``, the rows
+    W over M of ``K.dual_vertices`` in B^-T, and takes its box from the
+    points side (``_exact_box``).
     """
     def minima(k):
-        M, W = K.dual_vertices
-        B, diag = _basis(K)
-        L = K.integer_vertices[0]
-        return _least(W, M, k, inverse_transpose(B)[::-1], (diag[::-1], (M * L) ** 2))
+        points, facets = _basis(K)
+        return _least(facets, K.dual_vertices[0], k, _exact_box(K, points))
     return _kept(K, "_minima", k, minima)
 
 
@@ -95,34 +95,84 @@ def dual_minima(K: SymmetricBody, k: int | None = None) -> SuccessiveMinima:
     """``successive_minima(polar(K), k)``, read off K with no polar body.
 
     The gauge of polar(K) at a is max |a.x| / L over K's integer vertices x
-    over their L, so ``_least`` takes those as its rows, with the scale L,
-    in the basis B of K's reduction ``_basis`` and the ellipsoid box of
-    those rows; the ranking and the sign rule give the same minima and
-    witnesses.  k is checked, and the result kept on K, as by
-    ``successive_minima``.
+    over their L, so ``_least`` reads the points side of K's reduction
+    ``_basis``, those x in B, with the scale L, and takes its box from the
+    facets side (``_exact_box``); the ranking and the sign rule give the
+    same minima and witnesses.  k is checked, and the result kept on K, as
+    by ``successive_minima``.
     """
     def minima(k):
-        L, xs = K.integer_vertices
-        return _least(xs, L, k, _basis(K)[0])
+        points, facets = _basis(K)
+        return _least(points, K.integer_vertices[0], k, _exact_box(K, facets))
     return _kept(K, "_dual_minima", k, minima)
 
 
 def _basis(K: SymmetricBody) -> tuple:
-    """The reduction (B, diag) both minima passes of K walk in, kept on K:
-    the one ``difference_body`` handed to K, else ``_reduce`` of K's
-    integer vertices."""
-    if K._basis is None:
-        K._basis = _reduce(K.ambient_dim, K.integer_vertices[1])
-    return K._basis
+    """The two sides (points, facets) of the reduction B that both minima
+    passes of K walk in, kept on K.  B is the one ``difference_body``
+    handed to K, else ``_reduce`` of K's integer vertices.  The points side
+    is ``_side`` of K's integer vertices in B, the facets side that of the
+    rows W of ``K.dual_vertices`` in B^-T, its rows reversed: the range of
+    y_j in the facets walk grows with the reach of B's row j, and B puts
+    its shortest rows first, so the cut y_1 >= 0 of ``_least`` falls on
+    the widest range and halves the walk.
+    """
+    if K._sides is None:
+        B = K._basis or _reduce(K.ambient_dim, K.integer_vertices[1])
+        K._sides = (_side(B, K.integer_vertices[1]),
+                    _side(inverse_transpose(B)[::-1], K.dual_vertices[1]))
+    return K._sides
 
 
-def _reduce(d: int, points) -> tuple:
-    """(B, diag): B = ``lll_reduce`` of the points form G = ``_form`` of
-    the integer points x > 0 of ``points``, and diag the diagonal of
-    B G B^T."""
-    G = _form(d, _half(points))
-    B = lll_reduce(G)
-    return B, [sum(map(mul, b, [sum(map(mul, row, b)) for row in G])) for b in B]
+def _side(basis, rows) -> tuple:
+    """(basis, cols, reach) for integer rows closed under negation, or one
+    per +- pair: cols[j] lists the products b_j.r of row j of ``basis``
+    with the rows r > 0, the j-th entries of the reduced normals n = B r,
+    and reach[j] is max |b_j.r|."""
+    rows = _half(rows)
+    cols = [[sum(map(mul, b, r)) for r in rows] for b in basis]
+    return basis, cols, [max(map(abs, col)) for col in cols]
+
+
+def _exact_box(K: SymmetricBody, other: tuple) -> Callable:
+    """The box R -> his of a minima pass of K that reads one side of
+    ``_basis(K)``, from the ``other`` side: |y_j| <= R reach_j // (M L), M
+    and L the scales of ``K.dual_vertices`` and of K's integer vertices,
+    for the other side's reach, reversed.
+
+    It is the exact bounding box of the body the pass walks, on integers.
+    The facets pass walks {x : max |W.x| <= R} = (R / M) K, whose vertices
+    are R x / (M L) for K's integer vertices x; the points pass walks {a :
+    max |a.x| <= R} = (R / L) polar(K), whose vertices are R w / (M L) for
+    the rows w of W.  A pass walks y with x = C^T y for its basis C, so
+    its coordinate functionals y_j are the rows of C^-T, the other side's
+    basis reversed: B^-T for the points pass, B reversed for the facets
+    pass.  The max of |y_j| over the body is reached at a vertex, so it is
+    R reach_j / (M L) for the other side's reach, reversed.
+    """
+    ML = K.dual_vertices[0] * K.integer_vertices[0]
+    reach = other[2][::-1]
+    return lambda R: [R * r // ML for r in reach]
+
+
+def _ellipsoid_box(cols) -> Callable:
+    """The box R -> his of the ellipsoid that holds every point y of g(y)
+    <= R for the reduced columns ``cols`` of m rows (Fincke-Pohst).
+
+    The form G = ``_form(d, rows)`` sandwiches g: g(x)^2 <= x^T G x <= m
+    g(x)^2, so the points lie in y^T G_B y <= m R^2, G_B = B G B^T =
+    ``_gram(cols)``, whose box is |y_j| <= isqrt(m R^2 C_jj // det G_B) for
+    the cofactors C of G_B.  It is tight when B is reduced for G.
+    """
+    C, det = cofactors(_gram(cols))
+    weights = [len(cols[0]) * C[j][j] for j in range(len(cols))]
+    return lambda R: [math.isqrt(R * R * w // det) for w in weights]
+
+
+def _reduce(d: int, points) -> list:
+    """``lll_reduce`` of the points form G = ``_form`` of the integer points
+    x > 0 of ``points``."""
+    return lll_reduce(_form(d, _half(points)))
 
 
 def _kept(K: SymmetricBody, slot: str, k, minima) -> SuccessiveMinima:
@@ -161,7 +211,9 @@ def lattice_width(P: Polytope) -> WidthResult:
       keeps all d of its minima and no dual minima (transference: a cost
       like that of the minima), else the first, a kept prefix if any;
     * else ``_least`` reads the differences u - v, u > v, with k = 1, in
-      the basis of their ``_reduce``, kept on P for its P - P.
+      the basis of their ``_reduce``, kept on P for its P - P, and in the
+      ``_ellipsoid_box`` of their reduced columns: no P - P is built, so
+      no polar vertices give an exact box.
     """
     if not P.is_full_dimensional:
         raise DimensionDeficient("width requires a full-dimensional polytope")
@@ -171,7 +223,8 @@ def lattice_width(P: Polytope) -> WidthResult:
             L, verts = P.integer_vertices
             diffs = list({vsub(u, v) for u in verts for v in verts if u > v})
             P._reduction = _reduce(P.ambient_dim, diffs)
-            sm = _least(diffs, L, 1, P._reduction[0])
+            side = _side(P._reduction, diffs)
+            sm = _least(side, L, 1, _ellipsoid_box(side[1]))
         else:
             full = (K._dual_minima is None and K._minima is not None
                     and len(K._minima.lambdas) == P.ambient_dim)
@@ -197,84 +250,85 @@ def _half(rows) -> list:
     return [r for r in rows if r > zero]
 
 
-def _least(rows, scale: int, k: int, basis, box=None) -> SuccessiveMinima:
+def _least(side: tuple, scale: int, k: int, box: Callable) -> SuccessiveMinima:
     """First k minima and witnesses of the body {x : |r.x| <= scale for every
-    row r}, for integer rows r and an int scale > 0, walked in the
-    unimodular integer ``basis`` of Z^d.  The rows come closed under
-    negation, or one per +- pair, and only the rows r > 0 are read, so each
-    pair once.  ``box`` is (w, q), the box |y_j| <= sqrt(R^2 w_j / q) of the
-    walk at radius R; by default it is the rows' own ellipsoid box.  Either
-    box holds every point of g <= R:
-
-    * the ellipsoid box.  With m rows the form G = ``_form(d, rows)``
-      sandwiches g: g(x)^2 <= x^T G x <= m g(x)^2, so the walked points lie
-      in the ellipsoid y^T G_B y <= m R^2, G_B = B G B^T = ``_gram`` of the
-      normals' d columns, the lists of the B_j.r over the rows r, whose box
-      is |y_j| <= sqrt(m R^2 (G_B^-1)_jj) (Fincke-Pohst): w_j = m C_jj and
-      q = det G_B for the cofactors C of G_B.  It is tight when B is
-      reduced for G.  The points passes take it.
-    * the polar box, which the facets pass of a symmetric body K takes
-      with the rows W over M of ``K.dual_vertices``.  Let G be the form of
-      a reduction (B', diag) of ``_basis``, on integer points x with
-      x / L in K.  The ellipsoid E = {a : a^T G a <= L^2} lies in the
-      polar of K, for (a.x)^2 <= a^T G a for each point x, and K is their
-      hull.  So the gauge of K at x, the support function of its polar, is
-      at least that of E, L sqrt(x^T G^-1 x).  In the basis B = B'^-T,
-      x = B^T y gives x^T G^-1 x = y^T G_B'^-1 y, G_B' = B' G B'^T, so a
-      point with M times its gauge at most R lies in the ellipsoid y^T
-      G_B'^-1 y <= (R / (M L))^2, whose box is |y_j| <= sqrt(R^2
-      (G_B')_jj) / (M L): w = diag and q = (M L)^2, with no cofactors.
-      B's rows may come in any order, the weights permuted alike, and
-      ``successive_minima`` reverses them: the range of y_j grows with
-      (G_B')_jj, B' puts its shortest rows first, so the cut y_1 >= 0
-      below then falls on the widest range and halves the walk.
+    row r}, for the integer rows r of a ``_side`` (basis, cols, reach) and
+    an int scale > 0, walked in the side's unimodular integer basis B of
+    Z^d.  ``box`` maps a radius R to the box |y_j| <= his[j] that holds
+    every point y of g <= R: ``_exact_box`` or ``_ellipsoid_box``.
 
     All on ints: scale times the gauge of an integer x is the int g(x) =
-    max |r.x|.  At x = B^T y for the basis B, r.x = n.y for the reduced
-    normals n = B r, so g(x) is max |n.y| and g of row j of B is max |n_j|.
-    R is the k-th smallest of those, so k independent rows of B lie among
-    the points y with |n.y| <= R, and one pass finds k witnesses: the walk
-    gets the m pairs (n, R), each the row |n.y| <= R, in the box above.
-    y -> -y maps x to -x, so only the half y_1 >= 0 of the box is
-    enumerated.  Each run carries the values n.prefix of the pairs, so g at
-    the run's point prefix + (t,) is max |n.prefix + n_d t|, one product
-    per row and no dot product; that is why the rows go to the walk as
-    pairs and not as 2m one-sided rows.
-    Candidates are ranked by (g, min(x, -x)) in the original coordinates,
-    so the result does not depend on B or on the box.  One pass over the
-    runs builds x for each walked y != 0, the only point of g = 0 since the
-    rows span, as B^T (prefix, 0), once per run, plus t times B's last row;
-    every walked point has g <= R.  k = 1 takes the least candidate, else
-    the first k ``independent`` ones are taken, with no candidate past the
-    k-th read.  A witness is -min(x, -x), whose first nonzero entry is
-    positive, and a Fraction g / scale is made only for each minimum
-    returned.
+    max |r.x|.  At x = B^T y, r.x = n.y for the reduced normals n = B r,
+    the rows of ``cols``, so g is max |n.y|.  Candidates are ranked by (g,
+    min(x, -x)) in the original coordinates and taken greedily while they
+    raise the rank, so the result depends on neither B nor the box.
+
+    The radius comes from the unit box (Schnorr-Euchner 1994: find a good
+    radius first, then enumerate what it leaves open).  Its points y in
+    {-1, 0, 1}^d, y > 0, are built level by level as sums of the rows
+    (n_j, B_j), n_j the reduced normals' j-th entries, so each point costs
+    one addition of two lists; R is g of the k-th greedy pick among them,
+    for k = 1 simply the least g, with no elimination.  They include B's
+    rows, so R is at most the k-th smallest g of a row of B, and there are
+    k independent points of g <= R.  When ``box(R)`` lies within the unit
+    box, every point of g <= R is a unit point, so the picks are the
+    result and no walk runs.  Otherwise the walk gets the m pairs (n, R),
+    each the row |n.y| <= R, in that box.  y -> -y maps x to -x, so only
+    the half y_1 >= 0 of the box is walked.  Each run carries the values
+    n.prefix of the pairs, so g at the run's point prefix + (t,) is max
+    |n.prefix + n_d t|, one product per row and no dot product; that is
+    why the rows go to the walk as pairs and not as 2m one-sided rows.  One
+    pass over the runs builds x for each walked y != 0, the only point of
+    g = 0 since the rows span, as B^T (prefix, 0), once per run, plus t
+    times B's last row; every walked point has g <= R.
+
+    k = 1 takes the least candidate, else the first k ``independent`` ones
+    are taken, with no candidate past the k-th read.  A witness is
+    -min(x, -x), whose first nonzero entry is positive, and a Fraction g /
+    scale is made only for each minimum returned.
     """
-    rows = _half(rows)
-    d = len(basis)
-    reduced = [[sum(map(mul, b, r)) for r in rows] for b in basis]  # the normals' columns
-    R = sorted([max(map(abs, col)) for col in reduced])[k - 1]
-    if box is None:
-        C, det = cofactors(_gram(reduced))  # of G_B
-        box = [len(rows) * C[j][j] for j in range(d)], det
-    weights, q = box
-    his = [math.isqrt(R * R * w // q) for w in weights]
-    last, step = reduced[-1], basis[-1]
-    to_x = [col[:-1] for col in zip(*basis)]
+    basis, cols, _ = side
+    d, m = len(basis), len(cols[0])
+    # (n.y, x) as one list per y in {-1, 0, 1}^d: full holds those of every y
+    # that is 0 before level j, half those of every y > 0 met so far
+    full, half = [[0] * (m + d)], []
+    for j in reversed(range(d)):
+        unit = [*cols[j], *basis[j]]
+        up = [list(map(add, v, unit)) for v in full]
+        half += up
+        if j:
+            full += up + [[-c for c in v] for v in up]
     candidates = []
-    for prefix, lo, hi, values in runs([], [0] + [-h for h in his[1:]], his,
-                                       [(n, R) for n in zip(*reduced)]):
-        base = [sum(map(mul, col, prefix)) for col in to_x]  # B^T (prefix, 0)
-        for t in range(lo, hi + 1):
-            g = max([abs(u + c * t) for u, c in zip(values, last)])
-            if g:  # the rows span: g = 0 at y = 0 only
-                x = tuple([u + c * t for u, c in zip(base, step)])
-                candidates.append((g, min(x, tuple([-c for c in x]))))
-    candidates.sort()
-    picked = candidates[:1] if k == 1 else [
-        candidates[i] for i in independent([x for _, x in candidates], k)]
+    for v in half:
+        x = tuple(v[m:])
+        candidates.append((max(map(abs, v[:m])), min(x, tuple([-c for c in x]))))
+    picked = _greedy(candidates, k)
+    R = picked[-1][0]
+    his = box(R)
+    if max(his) > 1:
+        last, step = cols[-1], basis[-1]
+        to_x = [col[:-1] for col in zip(*basis)]
+        candidates = []
+        for prefix, lo, hi, values in runs([], [0] + [-h for h in his[1:]], his,
+                                           [(n, R) for n in zip(*cols)]):
+            base = [sum(map(mul, col, prefix)) for col in to_x]  # B^T (prefix, 0)
+            for t in range(lo, hi + 1):
+                g = max([abs(u + c * t) for u, c in zip(values, last)])
+                if g:  # the rows span: g = 0 at y = 0 only
+                    x = tuple([u + c * t for u, c in zip(base, step)])
+                    candidates.append((g, min(x, tuple([-c for c in x]))))
+        picked = _greedy(candidates, k)
     return SuccessiveMinima(d, tuple(Fraction(g, scale) for g, _ in picked),
                             tuple(tuple(-c for c in v) for _, v in picked))
+
+
+def _greedy(candidates, k: int) -> list:
+    """The first k greedy picks of the candidates (g, x) ranked by (g, x):
+    the least for k = 1, else the ``independent`` ones of the sorted x."""
+    if k == 1:
+        return [min(candidates)]
+    candidates.sort()
+    return [candidates[i] for i in independent([x for _, x in candidates], k)]
 
 
 # ---------------------------------------------------------------------------

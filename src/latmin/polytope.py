@@ -163,7 +163,7 @@ class SymmetricBody(Polytope):
     test on P's integer vertices, with caches of its polar and minima added.
     """
 
-    __slots__ = ("_dual", "_polar", "_basis", "_minima", "_dual_minima")
+    __slots__ = ("_dual", "_polar", "_basis", "_sides", "_minima", "_dual_minima")
 
     def __init__(self, body: Polytope):
         self._take_over(body, "symmetric bodies")
@@ -175,9 +175,9 @@ class SymmetricBody(Polytope):
                                    "has no mirror image")
         self._dual = None  # set by dual_vertices
         self._polar = None  # set by polar
-        # the reduction both minima passes walk in: handed over by difference_body,
-        # else set by gon._basis
+        # the reduction both minima passes walk in, when difference_body hands it over
         self._basis = None
+        self._sides = None  # that reduction's two reduced sides, set by gon._basis
         self._minima = None  # the longest result of gon.successive_minima so far
         self._dual_minima = None  # the longest result of gon.dual_minima so far
 

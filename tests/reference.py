@@ -4,12 +4,15 @@ unique solution of a linear system, by back-substitution up the rows of
 from the form at each step, and Gaussian elimination in Fractions with the
 rank, determinant, greedy basis and lattice-generation test read off it,
 the suffix-sum box count by Newton difference tables and its volume by
-Fraction polynomials, the lattice width by a scan of a dual box, and the
-flatness data off the list of all interior points.  The library reads its
-lattice charts off a unimodular matrix and needs neither of the first two,
-its LLL is the integral one, its elimination inserts integer rows with
-unimodular steps, its box count and volume are O(d^2) integer recurrences,
-and its flatness report reads two points per run of the walk; the tests
+Fraction polynomials, the lattice width by a scan of a dual box, the
+flatness data off the list of all interior points, the successive minima
+by a scan of the standard box, the width as the first minimum of the
+polar of P - P, and the polar by the bipolarity formula in Fractions.
+The library reads its lattice charts off a unimodular matrix and needs
+neither of the first two, its LLL is the integral one, its elimination
+inserts integer rows with unimodular steps, its box count and volume are
+O(d^2) integer recurrences, and its flatness report reads two points per
+run of the walk; the tests
 keep these as references, and the volume by a determinant fan over a
 triangulated boundary as well.  The test bodies ``box`` and ``simplex``
 live here too."""
@@ -22,6 +25,7 @@ from typing import Sequence
 
 from latmin.core import echelon, independent, lattice_span, vdot, vsub
 from latmin.errors import InternalError
+from latmin.gon import gauge, successive_minima
 from latmin.polytope import convex_hull, difference_body, lattice_points, polar
 from latmin.postulation import _as_params, box_volume_closed_form
 
@@ -272,3 +276,49 @@ def flatness_by_point_list(P):
     rank, spans = lattice_span(diffs, P.ambient_dim)
     span_points = [list(p) for p in interior[:1] + [interior[i] for i in independent(diffs)]]
     return (len(interior), rank, spans, list(interior[0]) if interior else None, span_points)
+
+
+def standard_box(K):
+    """Integer ranges of the bounding box of R*K, R the largest gauge of a unit vector."""
+    d = K.ambient_dim
+    R = max(gauge(K, tuple(int(i == j) for i in range(d))) for j in range(d))
+    return R, [range(math.ceil(R * min(v[j] for v in K.vertices)),
+                     math.floor(R * max(v[j] for v in K.vertices)) + 1) for j in range(d)]
+
+
+def minima_by_standard_basis(K):
+    """Reference minima in the standard basis: every nonzero integer point of
+    the bounding box of R*K with gauge at most R, ranked by (gauge, x) and
+    taken greedily while the rank grows, signs normalized."""
+    d = K.ambient_dim
+    R, ranges = standard_box(K)
+    ranked = sorted((gauge(K, x), x) for x in product(*ranges) if any(x))
+    lambdas, witnesses = [], []
+    for g, x in ranked:
+        if g <= R and lattice_span(witnesses + [x], d)[0] > len(witnesses):
+            lambdas.append(g)
+            witnesses.append(x)
+    assert len(witnesses) == d
+    canon = tuple(w if next(c for c in w if c) > 0 else tuple(-c for c in w) for w in witnesses)
+    return tuple(lambdas), canon
+
+
+def width_by_polar_minima(P):
+    """Reference: the first minimum of polar(P - P) and its witness."""
+    sm = successive_minima(polar(difference_body(P)), 1)
+    return sm.lambdas[0], sm.witnesses[0]
+
+
+def reference_polar(K):
+    """Reference: the bipolarity formula in Fractions.  The vertices are the
+    a / b of K's facets a.x <= b, and each vertex v of K gives the facet
+    (m v / g) . y <= m / g, m the lcm of v's denominators and g the gcd of
+    m v."""
+    vertices = sorted(tuple(Fraction(c) / b for c in a) for a, b in K.facets)
+    facets = []
+    for v in K.vertices:
+        m = math.lcm(*(Fraction(c).denominator for c in v))
+        w = [int(c * m) for c in v]
+        g = math.gcd(*w)
+        facets.append((tuple(c // g for c in w), Fraction(m, g)))
+    return tuple(vertices), tuple(sorted(facets))

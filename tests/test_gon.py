@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -31,7 +32,16 @@ from latmin.polytope import (
     polar,
 )
 from latmin.walk import enumerate_points
-from reference import box, flatness_by_point_list, simplex, width_by_brute_force
+from reference import (
+    box,
+    flatness_by_point_list,
+    minima_by_standard_basis,
+    reference_polar,
+    simplex,
+    standard_box,
+    width_by_brute_force,
+    width_by_polar_minima,
+)
 
 F = Fraction
 
@@ -193,31 +203,6 @@ def test_minima_unimodular_invariance(body_and_map):
     assert successive_minima(unimodular_image(K, U)).lambdas == successive_minima(K).lambdas
 
 
-def standard_box(K):
-    """Integer ranges of the bounding box of R*K, R the largest gauge of a unit vector."""
-    d = K.ambient_dim
-    R = max(gauge(K, tuple(int(i == j) for i in range(d))) for j in range(d))
-    return R, [range(math.ceil(R * min(v[j] for v in K.vertices)),
-                     math.floor(R * max(v[j] for v in K.vertices)) + 1) for j in range(d)]
-
-
-def minima_by_standard_basis(K):
-    """Reference minima in the standard basis: every nonzero integer point of
-    the bounding box of R*K with gauge at most R, ranked by (gauge, x) and
-    taken greedily while the rank grows, signs normalized."""
-    d = K.ambient_dim
-    R, ranges = standard_box(K)
-    ranked = sorted((gauge(K, x), x) for x in product(*ranges) if any(x))
-    lambdas, witnesses = [], []
-    for g, x in ranked:
-        if g <= R and lattice_span(witnesses + [x], d)[0] > len(witnesses):
-            lambdas.append(g)
-            witnesses.append(x)
-    assert len(witnesses) == d
-    canon = tuple(w if next(c for c in w if c) > 0 else tuple(-c for c in w) for w in witnesses)
-    return tuple(lambdas), canon
-
-
 @settings(max_examples=60, deadline=None)
 @given(bodies_and_unimodular_maps())
 def test_minima_match_standard_basis_reference(body_and_map):
@@ -252,11 +237,11 @@ def counting_enumerator(monkeypatch, max_box=None):
 
 
 def test_minima_cached_on_body(monkeypatch):
-    counts = counting_enumerator(monkeypatch)
+    counts = counting_least(monkeypatch)
     K = difference_body(convex_hull([(0, 0), (4, 1), (1, 3)], 2))
     first = successive_minima(K, 1)
     assert len(counts) == 1
-    full = successive_minima(K)  # longer than the cached result: enumerates again
+    full = successive_minima(K)  # longer than the cached result: a second pass
     assert len(counts) == 2
     assert successive_minima(K) == full
     assert successive_minima(K, 1) == first == SuccessiveMinima(
@@ -281,10 +266,10 @@ def test_k_is_a_strict_int_in_range(k):
 
 
 def test_dual_minima_cached_on_body(monkeypatch):
-    counts = counting_enumerator(monkeypatch)
+    counts = counting_least(monkeypatch)
     K = difference_body(convex_hull([(0, 0), (4, 1), (1, 3)], 2))
     first = dual_minima(K, 1)
-    full = dual_minima(K)  # longer than the cached result: enumerates again
+    full = dual_minima(K)  # longer than the cached result: a second pass
     assert len(counts) == 2
     assert dual_minima(K) == full
     assert dual_minima(K, 1) == first == SuccessiveMinima(2, full.lambdas[:1], full.witnesses[:1])
@@ -312,26 +297,23 @@ def test_thin_triangle_width(monkeypatch, s, t):
     # The width 1/s of the thin triangle is attained by (-t, 1); a start at
     # the largest gauge of a unit vector enumerates about s^2 points here,
     # and so do the full dual minima of P - P.  Neither a bare P - P nor one
-    # that keeps only its first minimum turns the k = 1 width into them.
+    # that keeps only its first minimum turns the k = 1 width into them:
+    # one k = 1 pass, whose witness and box lie in the unit box, so it walks
+    # nothing
     counts = counting_enumerator(monkeypatch, max_box=10 ** 4)
+    passes = counting_least(monkeypatch)
     for setup in (lambda P: None, difference_body,
                   lambda P: successive_minima(difference_body(P), 1)):
         thin = thin_triangle(s, t)
         setup(thin)
-        del counts[:]
+        del counts[:], passes[:]
         res = lattice_width(thin)
         assert res.width == F(1, s)
         assert res.witness == ((t, -1) if t else (0, 1))
-        assert counts and max(counts) <= 100
+        assert passes == [1] and counts == []
 
 
 # --- lattice width -------------------------------------------------------------
-
-def width_by_polar_minima(P):
-    """Reference: the first minimum of polar(P - P) and its witness."""
-    sm = successive_minima(polar(difference_body(P)), 1)
-    return sm.lambdas[0], sm.witnesses[0]
-
 
 @st.composite
 def rational_bodies_and_integer_affine_maps(draw):
@@ -389,8 +371,8 @@ def counting_least(monkeypatch):
     """Record the k of each call of ``gon._least``, the one minima routine."""
     calls = []
     real = gon._least
-    monkeypatch.setattr(gon, "_least", lambda rows, scale, k, basis, box=None: calls.append(k)
-                        or real(rows, scale, k, basis, box))
+    monkeypatch.setattr(gon, "_least", lambda side, scale, k, box: calls.append(k)
+                        or real(side, scale, k, box))
     return calls
 
 
@@ -455,47 +437,80 @@ def rational_polytopes(draw):
     return d, pts
 
 
-def spy_polar_boxes(mp, check):
-    """Call ``check`` on each facets pass of ``gon._least``, the one given a
-    box, before its walk: a dict of its basis and scale, and the box and
-    radius R the walk gets.  ``mp`` is a pytest MonkeyPatch."""
-    polar = []
-    real_least, real_runs = gon._least, gon.runs
+def spy_walk_boxes(mp):
+    """Check each walk of a minima pass of a body K, made by any caller,
+    before it runs: its box is the exact bounding box of the body it walks,
+    |y_j| <= R max |C_j.v| // (M L) for its radius R, the coordinate
+    functionals C = basis^-T of its basis, and the integer vertices v of
+    that body over M L, K's own for the minima and the rows W of
+    ``K.dual_vertices`` for the dual minima.  Returns a Counter of the
+    passes of a body ("pass") and of those that walked ("walk").  ``mp``
+    is a pytest MonkeyPatch."""
+    seen = Counter()
+    bodies, bases = [None], []
+    real_kept, real_least, real_runs = gon._kept, gon._least, gon.runs
 
-    def least(rows, scale, k, basis, box=None):
-        polar.append(box is not None and {"basis": basis, "scale": scale})
-        return real_least(rows, scale, k, basis, box)
+    def kept(K, slot, k, minima):
+        L, xs = K.integer_vertices
+        M, W = K.dual_vertices
+        bodies.append((xs if slot == "_minima" else W, M * L))
+        try:
+            return real_kept(K, slot, k, minima)
+        finally:
+            bodies.pop()
+
+    def least(side, scale, k, box):
+        bases.append(side[0])
+        seen["pass"] += bodies[-1] is not None
+        return real_least(side, scale, k, box)
 
     def runs(rows, los, his, pairs=()):
-        if polar[-1]:
-            check(dict(polar[-1], his=his, R=pairs[0][1]))
+        if bodies[-1] is not None:
+            vertices, ML = bodies[-1]
+            R = pairs[0][1]
+            assert his == [R * max(abs(vdot(c, v)) for v in vertices) // ML
+                           for c in core.inverse_transpose(bases[-1])]
+            seen["walk"] += 1
         return real_runs(rows, los, his, pairs)
 
+    mp.setattr(gon, "_kept", kept)
     mp.setattr(gon, "_least", least)
     mp.setattr(gon, "runs", runs)
-
-
-def assert_polar_box(walk, K, points):
-    """The box of a facets walk of K at radius R holds the dilate R K / M and
-    lies in the box of the ellipsoid of the proof, z^T G_B^-1 z <= (R / (M
-    L))^2, G = sum x x^T over the integer ``points`` of K's reduction."""
-    L, xs = K.integer_vertices
-    ML, R = walk["scale"] * L, walk["R"]
-    # z = C x for the coordinate functionals C = basis^-T of x = basis^T z
-    for c, h in zip(core.inverse_transpose(walk["basis"]), walk["his"]):
-        assert R * max(abs(vdot(c, x)) for x in xs) // ML <= h
-        assert (h * ML) ** 2 <= R * R * sum(vdot(c, x) ** 2 for x in points)
-
-
-def differences(body):
-    """The differences u - v, u > v, of the body's integer vertices."""
-    _, verts = body.integer_vertices
-    return [core.vsub(u, v) for u in verts for v in verts if u > v]
+    return seen
 
 
 def scaled(minima, c):
     """Reference minima (lambdas, witnesses) times c, those of K / c."""
     return tuple(c * lam for lam in minima[0]), minima[1]
+
+
+def test_minima_exact_with_or_without_a_walk():
+    # both minima of K = P - P and of its polar, on rational bodies at
+    # d = 1..4, are those of the standard-basis reference, whether the unit
+    # box holds them or the walk runs in the exact box of the body (checked
+    # by the spy); the polar of the thin triangle's K and the sheared
+    # polygon walk
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_walk_boxes(mp)
+
+        @settings(max_examples=100, deadline=None)
+        @given(rational_polytopes())
+        @example((2, [(0, 0), (10, 0), (0, F(1, 10))]))
+        @example((2, [(0, 0), (5, 1), (7, 2), (2, 1)]))
+        def minima_match(case):
+            d, pts = case
+            K = difference_body(convex_hull(pts, d))
+            dual = SymmetricBody(polar(K))
+            for body in (K, dual):
+                assume(math.prod(len(r) for r in standard_box(body)[1]) <= 3000)
+            expect, expect_dual = minima_by_standard_basis(K), minima_by_standard_basis(dual)
+            for S, lam, lam_dual in ((K, expect, expect_dual), (dual, expect_dual, expect)):
+                sm, sm_dual = successive_minima(S), dual_minima(S)
+                assert (sm.lambdas, sm.witnesses) == lam
+                assert (sm_dual.lambdas, sm_dual.witnesses) == lam_dual
+
+        minima_match()
+    assert 0 < seen["walk"] < seen["pass"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -509,23 +524,21 @@ def test_difference_body_minima_equal_in_every_call_order(case):
     # the reduction of S's differences to 2S while S's minima walk in that
     # of its own vertices, and S's minima read first leave 2S to make its
     # own, also when 2S is built from MomentPolytope(S) by the bracket.
-    # Each facets walk's box is the polar box of the reduction that body
-    # should walk in, checked before the walk
+    # Each walk's box is the exact box of the body it walks, checked before
+    # the walk
     d, pts = case
     K = difference_body(convex_hull(pts, d))
     dual = SymmetricBody(polar(K))
     for body in (K, dual):
         assume(math.prod(len(r) for r in standard_box(body)[1]) <= 3000)
     expect, expect_dual = minima_by_standard_basis(K), minima_by_standard_basis(dual)
-    walks = []
     with pytest.MonkeyPatch.context() as mp:
-        spy_polar_boxes(mp, lambda walk: walks.append(walk) or assert_polar_box(walk, *body))
+        spy_walk_boxes(mp)
         for order in ("facets", "points", "width"):
             P = convex_hull(pts, d)
             if order == "width":
                 assert lattice_width(P).width == expect_dual[0][0]
             K = difference_body(P)
-            body = K, differences(P) if order == "width" else gon._half(K.integer_vertices[1])
             if order == "points":
                 sm_dual = dual_minima(K)
             sm = successive_minima(K)
@@ -542,18 +555,15 @@ def test_difference_body_minima_equal_in_every_call_order(case):
                     continue  # a moment polytope has lattice vertices
                 if order == "width":
                     assert lattice_width(S).width == 2 * lam_dual[0][0], name
-                body = S, gon._half(S.integer_vertices[1])
                 sm = successive_minima(S)
                 assert (sm.lambdas, sm.witnesses) == lam, (name, order)
                 moment = toric.MomentPolytope(S) if order == "moment" else S
                 T = difference_body(moment)
-                body = T, differences(S) if order == "width" else gon._half(T.integer_vertices[1])
                 if order == "moment":
                     toric.eps_bracket_general(moment)
                 sm, sm_dual = successive_minima(T), dual_minima(T)
                 assert (sm.lambdas, sm.witnesses) == scaled(lam, Fraction(1, 2)), (name, order)
                 assert (sm_dual.lambdas, sm_dual.witnesses) == scaled(lam_dual, 2), (name, order)
-    assert len(walks) == 3 + 2 * sum(2 + (S.integer_vertices[0] == 1) for S in (K, dual))
 
 
 def counting_kernels(monkeypatch):
@@ -579,8 +589,8 @@ def test_one_reduction_per_difference_body(monkeypatch):
     # in the verify-d3 op order, minima of P - P first, its reduction reads
     # P - P's vertices; in the width-skew order, width then minima, P keeps
     # the reduction of its vertex differences and hands it to P - P.  The
-    # facets pass forms no sum W W^T and takes no cofactors but those of the
-    # unimodular B, for B^-T
+    # two passes form no sum W W^T and take no cofactors but those of the
+    # unimodular B, for B^-T: each reads its box off the other's side
     calls = counting_kernels(monkeypatch)
     for i in range(4):
         P = random_polytope(instance_stream(1, i), 3, 4)
@@ -596,18 +606,18 @@ def test_one_reduction_per_difference_body(monkeypatch):
         assert [name for name, _ in calls].count("lll_reduce") == 1
         assert [name for name, _ in facets] == ["_form", "lll_reduce", "core.cofactors"]
         assert facets[0][1] == gon._half(K.integer_vertices[1])  # the rows of _form
-        assert facets[2][1] == K._basis[0]  # B itself, for B^-T
-        assert [name for name, _ in calls[len(facets):]] == ["cofactors"]  # the dual box
+        assert facets[2][1] == K._sides[0][0]  # B itself, for B^-T
+        assert calls == facets  # the points pass takes no cofactors
     for pts in ([(14, 2), (7, 1), (9, 1), (6, 1)], [(0, 0), (31, 7), (9, 2), (22, 5), (4, 1)]):
         Q = convex_hull(pts, 2)
         del calls[:]
         lattice_width(Q)
-        assert [name for name, _ in calls] == ["_form", "lll_reduce", "cofactors"]
+        assert [name for name, _ in calls] == ["_form", "lll_reduce", "cofactors"]  # ellipsoid
         del calls[:]
         K = difference_body(Q)
         assert K._basis is Q._reduction
         successive_minima(K)
-        assert calls == [("core.cofactors", K._basis[0])]
+        assert calls == [("core.cofactors", K._basis)]
 
 
 def test_verify_and_width_ops_make_pinned_fraction_counts():
@@ -967,21 +977,6 @@ def test_gauge_builds_one_fraction_per_call(monkeypatch):
     assert values == [reference_gauge(K, x) for x in points]
 
 
-def reference_polar(K):
-    """Reference: the bipolarity formula in Fractions.  The vertices are the
-    a / b of K's facets a.x <= b, and each vertex v of K gives the facet
-    (m v / g) . y <= m / g, m the lcm of v's denominators and g the gcd of
-    m v."""
-    vertices = sorted(tuple(F(c) / b for c in a) for a, b in K.facets)
-    facets = []
-    for v in K.vertices:
-        m = math.lcm(*(F(c).denominator for c in v))
-        w = [int(c * m) for c in v]
-        g = math.gcd(*w)
-        facets.append((tuple(c // g for c in w), F(m, g)))
-    return tuple(vertices), tuple(sorted(facets))
-
-
 @given(bodies_and_points())
 @settings(max_examples=80, deadline=None)
 def test_polar_matches_bipolarity_formula(case):
@@ -1066,10 +1061,17 @@ def test_verifiers_build_no_polar(monkeypatch):
         (4 - i) * expected[0].lambdas[3 - i] for i in range(1, 4)]
 
 
+# bodies whose P - P walks in both passes, and whose bare width walks too
+WALKING_3D = [(-4, -2, 2), (-4, 1, 1), (-1, 0, 2), (-1, 3, 1), (3, 1, 2), (4, 0, -3)]
+WALKING_4D = [(-3, 1, -3, 2), (-2, 0, -3, -2), (-1, -1, -3, -2), (-1, -1, 0, -2), (0, 0, 1, -3),
+              (2, -1, -1, -2), (2, -1, 3, -1), (2, 0, 3, -2)]
+
+
 def test_minima_enumerate_half_of_each_symmetric_box(monkeypatch):
     # y -> -y maps x to -x, so only y_1 >= 0 is enumerated: each full box
     # holds the half's points twice less those with y_1 = 0, and the results
-    # are those of the standard-basis reference
+    # are those of the standard-basis reference.  Both passes of each body
+    # walk, the unit box holding neither result
     seen = []
     real = gon.runs
 
@@ -1084,12 +1086,15 @@ def test_minima_enumerate_half_of_each_symmetric_box(monkeypatch):
 
     monkeypatch.setattr(gon, "runs", counting)
     thin = convex_hull([(0, 0), (10, 0), (0, F(1, 10))], 2)
-    bodies = [polar(difference_body(thin)), difference_body(simplex(3, 2)), hexagon(3),
-              difference_body(convex_hull([(0, 0, 0), (3, 1, 0), (1, 4, 1), (0, 1, 5)], 3))]
+    bodies = [polar(difference_body(thin)), difference_body(convex_hull(WALKING_3D, 3)),
+              difference_body(convex_hull([(0, 0), (5, 1), (7, 2), (2, 1)], 2)),
+              difference_body(convex_hull(WALKING_4D, 4))]
     for K in bodies:
-        sm = successive_minima(K)
+        walks = len(seen)
+        sm, sm_dual = successive_minima(K), dual_minima(K)
+        assert len(seen) == walks + 2
         assert (sm.lambdas, sm.witnesses) == minima_by_standard_basis(K)
-        assert dual_minima(K) == successive_minima(SymmetricBody(polar(K)))
+        assert sm_dual == successive_minima(SymmetricBody(polar(K)))
     assert lattice_width(thin).width == F(1, 10)
     assert all(2 * half == full + axis for half, full, axis in seen)
     assert sum(h for h, _, _ in seen) < 0.55 * sum(f for _, f, _ in seen)
@@ -1107,7 +1112,7 @@ def test_minima_hand_the_walk_one_row_per_pair(monkeypatch):
         return real(rows, los, his, pairs)
 
     monkeypatch.setattr(gon, "runs", counting)
-    P = convex_hull([(0, 0, 0), (3, 1, 0), (1, 4, 1), (0, 1, 5)], 3)
+    P = convex_hull(WALKING_3D, 3)
     K = difference_body(P)
     successive_minima(K)
     dual_minima(K)

@@ -409,6 +409,23 @@ def test_second_echelon_site_is_found():
     assert call_sites([("m.py", source)], "echelon") == ["m.py:_lattice_chart", "m.py:determinant"]
 
 
+def test_one_cofactor_site_in_gon():
+    # a body's minima passes read their boxes off the kept sides of its
+    # reduction; only the bare-difference width, which has no polar vertices
+    # to read, takes the cofactors of an ellipsoid box
+    text = (SRC / "gon.py").read_text(encoding="utf-8")
+    assert call_sites([("gon.py", text)], "cofactors") == ["gon.py:_ellipsoid_box"]
+
+
+def test_second_cofactor_site_is_found():
+    source = ("from .core import cofactors\nfrom . import core\n\n"
+              "def _ellipsoid_box(cols):\n    return cofactors(cols)\n\n"
+              "def dual_minima(K, k=None):\n    C, det = core.cofactors(K.basis)\n"
+              "    return C, det, core.inverse_transpose(K.basis)\n")
+    assert call_sites([("gon.py", source)], "cofactors") == [
+        "gon.py:_ellipsoid_box", "gon.py:dual_minima"]
+
+
 def untyped_raises(tree):
     """Lines that raise ValueError, TypeError or LatminError itself, called or
     not: errors that name no cause a caller can catch."""
