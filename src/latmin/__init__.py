@@ -54,6 +54,7 @@ from .toric import (
     eps_bracket_general,
     exact_eps_family,
     toric_volume,
+    verify_bracket_width,
     verify_m2m,
     vertex_cone,
 )

@@ -8,6 +8,13 @@ checked theorems are proved), 2 usage or input errors.  An exit 2 names its
 cause: a ``LatminError`` class, ``usage``, ``generation``, or ``input`` for
 JSON that does not decode and files that cannot be read or written; any
 other exception is a bug and propagates.
+
+A verify suite maps each instance to its ``TheoremReport``s, and the
+instance holds when all of them hold.  minkowski checks Minkowski's second
+theorem, transference and sharp2d the transference bounds and their planar
+sharp form, flatness its items, postulation the box volume bound, and m2m
+vol / prod eps, with ``bracket_width`` on each bracket instance.  Extremes
+are the min or max of product, of pairings and of ratio (exact m2m only).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import gon, postulation, toric
-from .core import as_intvec, as_ratvec, parse_rat, rat_str, strict_int, vdot
+from .core import as_intvec, as_ratvec, parse_rat, rat_str, strict_int
 from .errors import InvalidInput, LatminError
 from .generate import (GenerationError, SuiteConfig, generate_instance, instance_stream,
                        random_polytope)
@@ -113,44 +120,10 @@ def _dump(obj) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# verify suites: each checks instance i of cfg, reports extremes through
-# track(key, value, min|max) and returns whether the instance holds
+# verify suites: (reports of instance i, extremes as (key, quantity, min|max))
 
 
-def _minkowski(cfg: SuiteConfig, i: int, track) -> bool:
-    rep = gon.verify_minkowski_second(generate_instance(cfg, i))
-    prod = parse_rat(rep.quantities["product"])
-    track("min_product", prod, min)
-    track("max_product", prod, max)
-    return rep.holds
-
-
-def _transference(cfg: SuiteConfig, i: int, track) -> bool:
-    rep = gon.verify_transference(generate_instance(cfg, i))
-    for p in rep.quantities["pairings"]:
-        track("max_pairing", parse_rat(p), max)
-    return rep.holds
-
-
-def _sharp2d(cfg: SuiteConfig, i: int, track) -> bool:
-    rep = gon.verify_sharp_2d(generate_instance(cfg, i))
-    track("max_product", parse_rat(rep.quantities["product"]), max)
-    return rep.holds
-
-
-def _flatness(cfg: SuiteConfig, i: int, track) -> bool:
-    return gon.flatness_report(generate_instance(cfg, i)).holds
-
-
-def _m2m(cfg: SuiteConfig, i: int, track) -> bool:
-    """Exact family profiles, or brackets on a random lattice polytope.  A
-    bracket profile's last entry must lie in [w/d, w] for the lattice width
-    w, and the width witness a must attain w over the polytope's vertices,
-    max a.v - min a.v = w, read off its integer vertices with no minima.
-    The witness clause is what checks the width: ``eps_bracket_general``
-    sets lo to at least w/d and hi to lambda_1(polar(P - P)), the kept dual
-    minimum that ``lattice_width`` also returns, and raises InternalError on
-    an inverted bracket, so no part of w/d <= lo <= hi <= w can fail."""
+def _m2m(cfg: SuiteConfig, i: int) -> list:
     rng = instance_stream(cfg.seed, i)
     kind = rng.int_in(0, 2)
     if kind == 0:
@@ -162,43 +135,43 @@ def _m2m(cfg: SuiteConfig, i: int, track) -> bool:
     else:
         mp = MomentPolytope(random_polytope(rng, cfg.dim, cfg.coord_bound))
         profile = toric.eps_bracket_general(mp)
-    rep = toric.verify_m2m(mp, profile)
-    if profile.all_bracket:
-        width = gon.lattice_width(mp)
-        w, last = width.width, profile.entries[-1]
-        L, xs = mp.integer_vertices
-        levels = [vdot(width.witness, x) for x in xs]
-        return (rep.holds and (max(levels) - min(levels)) * w.denominator == w.numerator * L
-                and Fraction(w, mp.ambient_dim) <= last.lo <= last.hi <= w)
-    track("max_ratio", parse_rat(rep.quantities["ratio"]), max)
-    return rep.holds
+        return [toric.verify_m2m(mp, profile),
+                toric.verify_bracket_width(mp, profile, gon.lattice_width(mp))]
+    return [toric.verify_m2m(mp, profile)]
 
 
-def _postulation(cfg: SuiteConfig, i: int, track) -> bool:
+def _postulation(cfg: SuiteConfig, i: int) -> list:
     rng = instance_stream(cfg.seed, i)
     t = tuple(Fraction(rng.int_in(0, 4 * cfg.coord_bound), rng.int_in(1, 4))
               for _ in range(cfg.dim))
     # for d <= 3 box_volume checks its closed form itself
-    return postulation.check_vol_bound(t).holds
+    return [postulation.check_vol_bound(t)]
 
 
 SUITES = {
-    "minkowski": _minkowski,
-    "transference": _transference,
-    "sharp2d": _sharp2d,
-    "flatness": _flatness,
-    "m2m": _m2m,
-    "postulation": _postulation,
+    "minkowski": (lambda cfg, i: [gon.verify_minkowski_second(generate_instance(cfg, i))],
+                  (("min_product", "product", min), ("max_product", "product", max))),
+    "transference": (lambda cfg, i: [gon.verify_transference(generate_instance(cfg, i))],
+                     (("max_pairing", "pairings", max),)),
+    "sharp2d": (lambda cfg, i: [gon.verify_sharp_2d(generate_instance(cfg, i))],
+                (("max_product", "product", max),)),
+    "flatness": (lambda cfg, i: [gon.flatness_report(generate_instance(cfg, i))], ()),
+    "m2m": (_m2m, (("max_ratio", "ratio", max),)),
+    "postulation": (_postulation, ()),
 }
 
 
 def _run_suite(cfg: SuiteConfig) -> dict:
-    extremes: dict = {}
-
-    def track(key: str, value: Fraction, pick) -> None:
-        extremes[key] = pick(extremes[key], value) if key in extremes else value
-
-    holds = sum(SUITES[cfg.suite](cfg, i, track) for i in range(cfg.count))
+    reports_of, tracked = SUITES[cfg.suite]
+    holds, extremes = 0, {}
+    for i in range(cfg.count):
+        reports = reports_of(cfg, i)
+        holds += all(rep.holds for rep in reports)
+        for key, name, pick in tracked:
+            for rep in reports:
+                value = rep.quantities.get(name, [])
+                for x in map(parse_rat, value if isinstance(value, list) else [value]):
+                    extremes[key] = pick(extremes[key], x) if key in extremes else x
     summary = {"suite": cfg.suite, "seed": cfg.seed, "count": cfg.count, "dim": cfg.dim,
                "bound": cfg.coord_bound, "holds": holds, "violated": cfg.count - holds}
     return summary | {key: rat_str(value) for key, value in extremes.items()}

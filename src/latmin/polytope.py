@@ -160,10 +160,10 @@ class SymmetricBody(Polytope):
 
     Such a body automatically has the origin in its interior.  It is the
     polytope P it is built from, checked by ``_take_over`` and by a mirror
-    test on P's integer vertices, with caches of its polar and minima added.
+    test on P's integer vertices, with caches of its dual vertices and minima added.
     """
 
-    __slots__ = ("_dual", "_polar", "_basis", "_sides", "_minima", "_dual_minima")
+    __slots__ = ("_dual", "_basis", "_sides", "_minima", "_dual_minima")
 
     def __init__(self, body: Polytope):
         self._take_over(body, "symmetric bodies")
@@ -174,7 +174,6 @@ class SymmetricBody(Polytope):
                 raise NotSymmetric(f"vertex ({', '.join(rat_str(Fraction(c, L)) for c in x)}) "
                                    "has no mirror image")
         self._dual = None  # set by dual_vertices
-        self._polar = None  # set by polar
         # the reduction both minima passes walk in, when difference_body hands it over
         self._basis = None
         self._sides = None  # that reduction's two reduced sides, set by gon._basis
@@ -668,19 +667,16 @@ def polar(K: SymmetricBody) -> SymmetricBody:
     x = L v, as the primitive normal x / g with offset L / g, g the gcd of
     x.  Over the polar's vertex scale M that offset is the int M L / g: x
     lies on a facet a.y <= p / q of K, so g divides a.x = L p / q and so
-    L p, and p divides M.  Built once per body.  A K that is not a
+    L p, and p divides M.  Built anew on each call.  A K that is not a
     SymmetricBody is refused with InvalidInput.
     """
     if not isinstance(K, SymmetricBody):
         raise InvalidInput(f"the polar needs a SymmetricBody, not a {type(K).__name__}")
-    if K._polar is None:
-        M, W = K.dual_vertices
-        L, xs = K.integer_vertices
-        LM = L * M
-        facets = []
-        for x in xs:
-            g = math.gcd(*x)
-            facets.append((tuple(c // g for c in x), LM // g))
-        K._polar = SymmetricBody(Polytope(K.ambient_dim, K.ambient_dim, (M, tuple(sorted(W))),
-                                          integer_facets=tuple(sorted(facets))))
-    return K._polar
+    M, W = K.dual_vertices
+    L, xs = K.integer_vertices
+    facets = []
+    for x in xs:
+        g = math.gcd(*x)
+        facets.append((tuple(c // g for c in x), L * M // g))
+    return SymmetricBody(Polytope(K.ambient_dim, K.ambient_dim, (M, tuple(sorted(W))),
+                                  integer_facets=tuple(sorted(facets))))

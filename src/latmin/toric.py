@@ -34,7 +34,7 @@ from .errors import (
     SingularVertex,
 )
 from .polytope import Polytope, convex_hull, difference_body, volume
-from .gon import dual_minima, successive_minima
+from .gon import WidthResult, dual_minima, successive_minima
 from .report import TheoremReport, verdict
 
 
@@ -72,6 +72,18 @@ def _moment_dim(MP) -> int:
     if not isinstance(MP, MomentPolytope):
         raise InvalidInput(f"needs a MomentPolytope, not a {type(MP).__name__}")
     return MP.ambient_dim
+
+
+def _profile_dim(MP, eps) -> int:
+    """The dimension of MP, the length of eps: an EpsProfile, all exact or all brackets."""
+    d = _moment_dim(MP)
+    if not isinstance(eps, EpsProfile):
+        raise InvalidInput(f"eps must be an EpsProfile, not a {type(eps).__name__}")
+    if len(eps.entries) != d:
+        raise DimensionMismatch(f"profile of length {len(eps.entries)} in dimension {d}")
+    if not (eps.all_exact or eps.all_bracket):
+        raise MixedProfile("profile mixes exact values and brackets")
+    return d
 
 
 @dataclass(frozen=True)
@@ -303,21 +315,17 @@ def verify_m2m(MP: MomentPolytope, eps: EpsProfile) -> TheoremReport:
 
     Exact profiles are checked directly; bracket profiles are checked for
     the implied consistency prod(lo) <= vol <= d! * prod(hi).  An eps that
-    is no EpsProfile raises InvalidInput, and one of length other than d
-    DimensionMismatch.
+    is no EpsProfile raises InvalidInput, a mixed one MixedProfile, and one
+    of length other than d DimensionMismatch.
     """
-    d = _moment_dim(MP)
-    if not isinstance(eps, EpsProfile):
-        raise InvalidInput(f"eps must be an EpsProfile, not a {type(eps).__name__}")
-    if len(eps.entries) != d:
-        raise DimensionMismatch(f"profile of length {len(eps.entries)} in dimension {d}")
+    d = _profile_dim(MP, eps)
     vol = toric_volume(MP)
     fact = math.factorial(d)
     if eps.all_exact:
         ratio = vol / math.prod((e.value for e in eps.entries), start=Fraction(1))
         ok = 1 <= ratio <= fact
         found = {"eps": [rat_str(e.value) for e in eps.entries], "ratio": rat_str(ratio)}
-    elif eps.all_bracket:
+    else:
         prod_lo = math.prod((e.lo for e in eps.entries), start=Fraction(1))
         prod_hi = math.prod((e.hi for e in eps.entries), start=Fraction(1))
         ok = prod_lo <= vol <= fact * prod_hi
@@ -327,11 +335,31 @@ def verify_m2m(MP: MomentPolytope, eps: EpsProfile) -> TheoremReport:
             "prod_lo": rat_str(prod_lo),
             "prod_hi": rat_str(prod_hi),
         }
-    else:
-        raise MixedProfile("profile mixes exact values and brackets")
     return TheoremReport(
         theorem="volume_vs_minima",
         quantities={"dim": str(d), "vol": rat_str(vol), **found, "upper": str(fact)},
         verdict=verdict(ok),
         witnesses={},
+    )
+
+
+def verify_bracket_width(MP: MomentPolytope, eps: EpsProfile, width: WidthResult) -> TheoremReport:
+    """Check w/d <= lo_d <= hi_d <= w on eps's last bracket, and that the
+    witness a attains w: max a.v - min a.v = w > 0.  That clause checks w:
+    ``eps_bracket_general`` sets lo_d >= w/d and hi_d to the dual minimum
+    ``lattice_width`` returns, and raises on lo > hi.  eps is refused as by
+    ``verify_m2m`` and a as by ``as_intvec``; an exact profile or a width
+    that is no WidthResult raises InvalidInput."""
+    d = _profile_dim(MP, eps)
+    if eps.all_exact or not isinstance(width, WidthResult):
+        raise InvalidInput("the width check needs a bracket profile and a WidthResult")
+    w, a, last = parse_rat(width.width), as_intvec(width.witness, d), eps.entries[-1]
+    levels = [vdot(a, v) for v in MP.vertices_int]
+    extent = max(levels) - min(levels)
+    return TheoremReport(
+        theorem="bracket_width",
+        quantities={"dim": str(d), "w": rat_str(w), "extent": rat_str(extent),
+                    "lo": rat_str(last.lo), "hi": rat_str(last.hi)},
+        verdict=verdict(0 < extent == w and Fraction(w, d) <= last.lo <= last.hi <= w),
+        witnesses={"width_functional": list(a)},
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from counting import time_limit
 from latmin import core, errors, gon, postulation, toric
-from latmin.cli import run
+from latmin.cli import SUITES, run
+from latmin.generate import SuiteConfig
 
 
 def invoke(*argv):
@@ -125,6 +127,28 @@ class TestVerify:
         assert code == 1
         assert 0 < out["violated"] < 12
 
+    def test_planted_witness_fails_its_bracket_width_report(self, monkeypatch):
+        # each bracket instance carries two reports: the volume sandwich
+        # still holds, and the width clause names the planted witness
+        real = gon.lattice_width
+
+        def planted(P):
+            res = real(P)
+            return gon.WidthResult(res.width, tuple(2 * c for c in res.witness))
+
+        monkeypatch.setattr(gon, "lattice_width", planted)
+        reports_of, _ = SUITES["m2m"]
+        cfg = SuiteConfig("m2m", 3, 12, 3, 3)
+        reports = [reports_of(cfg, i) for i in range(cfg.count)]
+        brackets = [r for r in reports if len(r) == 2]
+        assert 0 < len(brackets) < cfg.count
+        for m2m, width in brackets:
+            assert (m2m.theorem, m2m.holds) == ("volume_vs_minima", True)
+            assert (width.theorem, width.holds) == ("bracket_width", False)
+            assert Fraction(width.quantities["extent"]) == 2 * Fraction(width.quantities["w"])
+            # no tracked quantity counts from a bracket instance
+            assert not {"ratio", "product"} & (m2m.quantities.keys() | width.quantities.keys())
+
     def test_inverted_bracket_is_an_internal_error(self, monkeypatch):
         # a planted fault, minima a hundred times too small, inverts the
         # brackets: that breaks transference, so it is a bug, not bad input
@@ -153,6 +177,44 @@ class TestVerify:
         a = run(["verify", "--suite", "sharp2d", "--seed", "1", "--count", "10"])
         b = run(["verify", "--suite", "sharp2d", "--seed", "2", "--count", "10"])
         assert a != b
+
+
+# sha256 of the stdout of ``verify --suite S --seed 7`` at (dim, bound, count);
+# a rewrite of any kernel under a suite must leave these bytes as they are
+VERIFY_STDOUT_SHA256 = [
+    ("minkowski", 2, 6, 40, "5a3e61a6c9b75538eb0bba0c3919c920d623d771c4a7774a47e77f2882887544"),
+    ("transference", 2, 6, 40, "093a2279e8a7bc696048f289bf3e5fb9e8083377131bb8e93482506b0c36ed52"),
+    ("sharp2d", 2, 6, 40, "8c7d9261a19ff8a66b6a39649a70bf66cc481e972d79548bde57f1299049e66f"),
+    ("flatness", 2, 6, 40, "7021ac69077e7f63e5a302cc9fb09b1ef7977c75acb4f914840c643a7a8df465"),
+    ("m2m", 2, 6, 40, "1210d02e68e68931d53f1e603914dfb9847e1d235aa47feb2825d6f75a3e4937"),
+    ("postulation", 2, 6, 40, "d041de405a9cc67902bc096f3636e83bc88c335cb89efe746e1204a11dccf336"),
+    ("minkowski", 3, 4, 40, "77f2fef09620358288b804a8c3857d194d2e18f07dfca405a0d588a15d8a961f"),
+    ("transference", 3, 4, 40, "24ec5dfb797cffae24dd09961de2445ccb9feaed9923254e65118ae83fe38482"),
+    ("sharp2d", 3, 4, 40, "b4b88ed7113298a00b4f64ec4c34ef84b8e0bd9bdcc30ec45540780ca91a0ab6"),
+    ("flatness", 3, 4, 40, "e7151b4a52ebd89724eda40a22a044524a46ec9dcb0bcaf1b76b6cadbc5ef201"),
+    ("m2m", 3, 4, 40, "77894370b654531236f8a096a98c7313250c09b99266cc423efcd54f4a321c3a"),
+    ("postulation", 3, 4, 40, "f5993c60918c39e27f1e1e902b38a274fab344f110ca6169ebe8e75dadf0935f"),
+    ("minkowski", 4, 3, 10, "6559c54f6543854223062a8afab837c83ade9d091e2c603c9316fc129efed91a"),
+    ("transference", 4, 3, 10, "e0ab0694658376e483a446b14db279b8bc2fe77b8ff16378acac247544b83dc7"),
+    ("sharp2d", 4, 3, 10, "fcbfe95c722810514d5858f311b110339f96d1bbaa7240bf429f6c0fbcbd4784"),
+    ("flatness", 4, 3, 10, "12f167c64371b0335877334b46bae8c348c018e65dd92ae14f11e66906621dcc"),
+    ("m2m", 4, 3, 10, "262d267ffec8d5c5c3206a550adc4b3af309bec5c2a61da25bc710900b875054"),
+    ("postulation", 4, 3, 10, "6d6ba290f0313ab0e714a7c3ac052a0b2d3a06b75b06e0665d2d3676e248623f"),
+    ("minkowski", 4, 8, 10, "a6f5f675f29b0eb888c7739655fe99ddeac182670ea0048401d73640e993ab69"),
+    ("transference", 4, 8, 10, "761b831afd12105f9b6d9840e41e3942f2c1f626c23bd698f818e79cd13b682b"),
+    ("sharp2d", 4, 8, 10, "072ffd431ca1083a7b6153ae3b4899929f006cbaa497da71e3e15af6d77aa227"),
+    ("flatness", 4, 8, 10, "730a6e3047870fcef358c210ae7ba136cbdac6676fbe79f1dbc48cb647e02e5a"),
+    ("m2m", 4, 8, 10, "40bec4a89677275aa3f1a3e983ea1dfed9f26a623ce3e5df3996c5ab9483163b"),
+    ("postulation", 4, 8, 10, "ffbc5b4b7631ffd9cbeb607d5f33446af2b883d27c805b2b31c87ac46dbf8a80"),
+]
+
+
+@pytest.mark.parametrize("suite, dim, bound, count, digest", VERIFY_STDOUT_SHA256)
+def test_verify_stdout_pinned(suite, dim, bound, count, digest):
+    code, out = run(["verify", "--suite", suite, "--seed", "7", "--dim", str(dim),
+                     "--bound", str(bound), "--count", str(count)])
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == digest, out
 
 
 class TestErrors:

@@ -1016,7 +1016,6 @@ class TestPolar:
         P = convex_hull([(0, 0), (3, 1), (1, 4)], 2)
         K = difference_body(P)
         assert difference_body(P) is K
-        assert polar(K) is polar(K)
         assert K == difference_body(convex_hull(P.vertices, 2))
 
     def test_bipolarity_seeded(self):

@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from latmin.errors import DimensionMismatch, InvalidInput
-from latmin.gon import gauge
+from latmin.errors import DimensionMismatch, InvalidInput, MixedProfile
+from latmin.gon import WidthResult, gauge
 from latmin.polytope import SymmetricBody, contains, convex_hull, locate
 from latmin.toric import (EpsBracket, EpsExact, EpsProfile, MomentPolytope,
-                          eps_at_invariant_point, vertex_cone, verify_m2m)
+                          eps_at_invariant_point, vertex_cone, verify_bracket_width,
+                          verify_m2m)
 
 F = Fraction
 
@@ -22,6 +23,7 @@ BOX = convex_hull([(0, 0), (2, 0), (0, 1), (2, 1)], 2)
 SEGMENT = convex_hull([(0, 0, 0), (1, 1, 0)], 3)  # contains reads it through its chart
 CROSS = SymmetricBody(convex_hull([(1, 0), (-1, 0), (0, 1), (0, -1)], 2))
 MP = MomentPolytope(BOX)
+WIDTH = WidthResult(F(1), (0, 1))  # BOX's, by hand
 
 CASES = {
     # epsilon values are exact positive rationals, brackets 0 <= lo <= hi
@@ -37,6 +39,21 @@ CASES = {
                                                              EpsExact(1, "x")])), InvalidInput),
     "m2m_zero_profile": (lambda: verify_m2m(MP, EpsProfile([EpsExact(0, "x")] * 2)),
                          InvalidInput),
+    # the width check takes a bracket profile of length d and a WidthResult
+    "width_list_profile": (lambda: verify_bracket_width(MP, [EpsBracket(1, 2)] * 2, WIDTH),
+                           InvalidInput),
+    "width_mixed_profile": (lambda: verify_bracket_width(
+        MP, EpsProfile([EpsExact(2, "x"), EpsBracket(1, 2)]), WIDTH), MixedProfile),
+    "width_exact_profile": (lambda: verify_bracket_width(
+        MP, EpsProfile([EpsExact(2, "x"), EpsExact(1, "x")]), WIDTH), InvalidInput),
+    "width_profile_length": (lambda: verify_bracket_width(
+        MP, EpsProfile([EpsBracket(1, 2)] * 3), WIDTH), DimensionMismatch),
+    "width_tuple_width": (lambda: verify_bracket_width(
+        MP, EpsProfile([EpsBracket(1, 2)] * 2), (F(1), (0, 1))), InvalidInput),
+    "width_witness_length": (lambda: verify_bracket_width(
+        MP, EpsProfile([EpsBracket(1, 2)] * 2), WidthResult(F(1), (0, 1, 0))), DimensionMismatch),
+    "width_witness_fraction": (lambda: verify_bracket_width(
+        MP, EpsProfile([EpsBracket(1, 2)] * 2), WidthResult(F(1), (0, F(1, 2)))), InvalidInput),
     # the points of a hull are an iterable
     "hull_of_an_int": (lambda: convex_hull(5, 2), InvalidInput),
     "hull_of_none": (lambda: convex_hull(None, 2), InvalidInput),

@@ -444,3 +444,29 @@ def test_no_untyped_raises(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = untyped_raises(tree)
     assert not lines, f"{path.name} raises untyped errors at lines {lines}"
+
+
+def cli_checks(tree):
+    """Lines, as "line name", that read ``.holds`` outside ``_run_suite``,
+    or import or read ``vdot``: a theorem check lives in a library report,
+    and the CLI only counts the verdicts of a suite's reports."""
+    counting = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                and fn.name == "_run_suite" for n in ast.walk(fn)}
+    found = [(n.lineno, "holds") for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and n.attr == "holds" and id(n) not in counting]
+    found += [(n.lineno, "vdot") for n in ast.walk(tree) if getattr(n, "attr", None) == "vdot"
+              or isinstance(n, ast.alias) and n.name == "vdot"]
+    return [f"{line} {name}" for line, name in sorted(found)]
+
+
+def test_no_theorem_check_in_the_cli():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = cli_checks(tree)
+    assert not found, f"cli.py checks theorems itself at {found}"
+
+
+def test_cli_check_is_found():
+    source = ("from .core import rat_str, vdot\nfrom . import core\n\n"
+              "def _m2m(rep, w):\n    return rep.holds and core.vdot(w, w) == 1\n\n"
+              "def _run_suite(reports):\n    return sum(rep.holds for rep in reports)\n")
+    assert cli_checks(ast.parse(source)) == ["1 vdot", "5 holds", "5 vdot"]

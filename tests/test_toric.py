@@ -16,7 +16,7 @@ from latmin.errors import (
     NotAVertex,
     SingularVertex,
 )
-from latmin.gon import lattice_width, successive_minima
+from latmin.gon import WidthResult, lattice_width, successive_minima
 from latmin.generate import SplitMix64, instance_stream
 from latmin.polytope import convex_hull, difference_body
 from latmin.toric import (
@@ -30,6 +30,7 @@ from latmin.toric import (
     eps_bracket_general,
     exact_eps_family,
     toric_volume,
+    verify_bracket_width,
     verify_m2m,
     vertex_cone,
 )
@@ -477,6 +478,40 @@ class TestVerifyM2m:
         for eps in ([EpsExact(F(2), "family_formula")] * 2, None, {"eps": []}):
             with pytest.raises(InvalidInput, match="eps must be an EpsProfile"):
                 verify_m2m(mp, eps)
+
+
+class TestVerifyBracketWidth:
+    # the 3 x 3 square: w = 3, and its last bracket is [3, 3]
+    SQUARE = box_mp(3, 3)
+
+    def test_square_holds(self):
+        width = lattice_width(self.SQUARE)
+        rep = verify_bracket_width(self.SQUARE, eps_bracket_general(self.SQUARE), width)
+        assert rep.holds and rep.theorem == "bracket_width"
+        assert rep.quantities == {"dim": "2", "w": "3", "extent": "3", "lo": "3", "hi": "3"}
+        assert rep.witnesses == {"width_functional": list(width.witness)}
+
+    def test_doubled_witness_is_violated(self):
+        width = lattice_width(self.SQUARE)
+        doubled = WidthResult(width.width, tuple(2 * c for c in width.witness))
+        rep = verify_bracket_width(self.SQUARE, eps_bracket_general(self.SQUARE), doubled)
+        assert not rep.holds
+        assert (rep.quantities["w"], rep.quantities["extent"]) == ("3", "6")
+
+    def test_lo_below_w_over_d_is_violated(self):
+        # the witness attains w = 3, but lo_2 = 1 < w/2
+        eps = EpsProfile([EpsBracket(F(3), F(3)), EpsBracket(F(1), F(3))])
+        rep = verify_bracket_width(self.SQUARE, eps, lattice_width(self.SQUARE))
+        assert not rep.holds
+        assert rep.quantities["extent"] == rep.quantities["w"] == "3"
+
+    def test_zero_witness_is_violated(self):
+        # a zero functional attains a zero width, which no full-dimensional
+        # polytope has, so the report does not hold even on [0, 0] brackets
+        eps = EpsProfile([EpsBracket(F(0), F(0))] * 2)
+        rep = verify_bracket_width(self.SQUARE, eps, WidthResult(F(0), (0, 0)))
+        assert not rep.holds
+        assert rep.quantities["extent"] == rep.quantities["w"] == "0"
 
 
 class TestEpsProfileValidation:
