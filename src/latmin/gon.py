@@ -114,8 +114,7 @@ def _basis(K: SymmetricBody) -> tuple:
     is ``_side`` of K's integer vertices in B, the facets side that of the
     rows W of ``K.dual_vertices`` in B^-T, its rows reversed: the range of
     y_j in the facets walk grows with the reach of B's row j, and B puts
-    its shortest rows first, so the cut y_1 >= 0 of ``_least`` falls on
-    the widest range and halves the walk.
+    its shortest rows first, so the widest range comes first.
     """
     if K._sides is None:
         B = K._basis or _reduce(K.ambient_dim, K.integer_vertices[1])
@@ -273,14 +272,17 @@ def _least(side: tuple, scale: int, k: int, box: Callable) -> SuccessiveMinima:
     k independent points of g <= R.  When ``box(R)`` lies within the unit
     box, every point of g <= R is a unit point, so the picks are the
     result and no walk runs.  Otherwise the walk gets the m pairs (n, R),
-    each the row |n.y| <= R, in that box.  y -> -y maps x to -x, so only
-    the half y_1 >= 0 of the box is walked.  Each run carries the values
-    n.prefix of the pairs, so g at the run's point prefix + (t,) is max
-    |n.prefix + n_d t|, one product per row and no dot product; that is
-    why the rows go to the walk as pairs and not as 2m one-sided rows.  One
-    pass over the runs builds x for each walked y != 0, the only point of
-    g = 0 since the rows span, as B^T (prefix, 0), once per run, plus t
-    times B's last row; every walked point has g <= R.
+    each the row |n.y| <= R, in the pieces of the box past the unit box:
+    for each j with his[j] >= 2, the y whose first entry of absolute value
+    >= 2 is y_j > 0.  y -> -y maps x to -x, and with the unit half these
+    hold one of each +- pair of y != 0 of the box, once.  As every pick has
+    g <= R, the picks over them are those over the box; they are taken
+    again only if a walked point ranks before the k-th unit pick.  Each run
+    carries the values n.prefix of the pairs, so g at the run's point
+    prefix + (t,) is max |n.prefix + n_d t|, one product per row and no dot
+    product; that is why the rows go to the walk as pairs and not as 2m
+    one-sided rows.  One pass over the runs builds x for each walked y as
+    B^T (prefix, 0), once per run, plus t times B's last row.
 
     k = 1 takes the least candidate, else the first k ``independent`` ones
     are taken, with no candidate past the k-th read.  A witness is
@@ -308,16 +310,19 @@ def _least(side: tuple, scale: int, k: int, box: Callable) -> SuccessiveMinima:
     if max(his) > 1:
         last, step = cols[-1], basis[-1]
         to_x = [col[:-1] for col in zip(*basis)]
-        candidates = []
-        for prefix, lo, hi, values in runs([], [0] + [-h for h in his[1:]], his,
-                                           [(n, R) for n in zip(*cols)]):
-            base = [sum(map(mul, col, prefix)) for col in to_x]  # B^T (prefix, 0)
-            for t in range(lo, hi + 1):
-                g = max([abs(u + c * t) for u, c in zip(values, last)])
-                if g:  # the rows span: g = 0 at y = 0 only
+        pairs = [(n, R) for n in zip(*cols)]
+        pieces = [([-1] * j + [2] + [-h for h in his[j + 1:]], [1] * j + his[j:])
+                  for j, h in enumerate(his) if h > 1]
+        walked = []
+        for los, tops in pieces:
+            for prefix, lo, hi, values in runs([], los, tops, pairs):
+                base = [sum(map(mul, col, prefix)) for col in to_x]  # B^T (prefix, 0)
+                for t in range(lo, hi + 1):
                     x = tuple([u + c * t for u, c in zip(base, step)])
-                    candidates.append((g, min(x, tuple([-c for c in x]))))
-        picked = _greedy(candidates, k)
+                    walked.append((max([abs(u + c * t) for u, c in zip(values, last)]),
+                                   min(x, tuple([-c for c in x]))))
+        if walked and min(walked) < picked[-1]:
+            picked = _greedy(candidates + walked, k)
     return SuccessiveMinima(d, tuple(Fraction(g, scale) for g, _ in picked),
                             tuple(tuple(-c for c in v) for _, v in picked))
 
@@ -435,7 +440,7 @@ def flatness_report(P: Polytope) -> TheoremReport:
     count, points = 0, []
     for prefix, lo, hi, _ in runs(*integer_system(P, "interior")):
         count += hi - lo + 1
-        points += [(*prefix, t) for t in range(lo, min(hi, lo + 1) + 1)]
+        points += [prefix + (t,) for t in range(lo, min(hi, lo + 1) + 1)]
     vol = volume(P)
     picked, spans = greedy_span([vsub(a, points[0]) for a in points], d)
     span_points = points[:1] + [points[i] for i in picked]

@@ -19,7 +19,12 @@ from .report import TheoremReport, verdict
 
 
 def _as_params(t) -> tuple:
-    params = as_ratvec(t)
+    """The parameters: a list or tuple of ints (no bool) as it is, with no
+    Fraction made, anything else read by as_ratvec."""
+    if isinstance(t, (list, tuple)) and all(type(x) is int for x in t):
+        params = tuple(t)
+    else:
+        params = as_ratvec(t)
     if not params:
         raise InvalidInput("need at least one parameter")
     if any(x < 0 for x in params):
@@ -79,18 +84,18 @@ def box_volume(t) -> Fraction:
 
 
 def box_volume_closed_form(t) -> Fraction:
-    """Closed-form volume for sorted parameters, d <= 3."""
+    """Closed-form volume for sorted parameters, d <= 3, as a Fraction."""
     params = _as_params(t)
     if any(a < b for a, b in zip(params, params[1:])):
         raise InvalidInput("closed form requires nonincreasing parameters")
     if len(params) == 1:
-        return params[0]
+        return Fraction(params[0])
     if len(params) == 2:
         t1, t2 = params
-        return (2 * t1 * t2 - t2 ** 2) / 2
+        return Fraction(2 * t1 * t2 - t2 ** 2, 2)
     if len(params) == 3:
         t1, t2, t3 = params
-        return (6 * t1 * t2 * t3 - 3 * t3 ** 2 * t1 - 3 * t3 * t2 ** 2 + t3 ** 3) / 6
+        return Fraction(6 * t1 * t2 * t3 - 3 * t3 ** 2 * t1 - 3 * t3 * t2 ** 2 + t3 ** 3, 6)
     raise InvalidInput("closed form only available for d <= 3")
 
 
@@ -98,9 +103,7 @@ def check_vol_bound(t) -> TheoremReport:
     """Check vol(box) <= prod(t_i) exactly."""
     params = _as_params(t)
     vol = box_volume(params)
-    bound = Fraction(1)
-    for x in params:
-        bound *= x
+    bound = math.prod(params)
     ok = vol <= bound
     return TheoremReport(
         theorem="box_volume_bound",

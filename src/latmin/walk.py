@@ -47,7 +47,7 @@ def enumerate_points(rows, los, his) -> list:
     one tuple per point; the walk's work per run is O(len(rows)) and its
     memory O(d len(rows)), however wide the box.
     """
-    return [(*prefix, t) for prefix, lo, hi, _ in runs(rows, los, his)
+    return [prefix + (t,) for prefix, lo, hi, _ in runs(rows, los, his)
             for t in range(lo, hi + 1)]
 
 
@@ -145,12 +145,12 @@ def runs(rows, los, his, pairs=()):
                     if -low <= top:
                         if npairs:
                             values = [u + a * x for u, a in folds]
-                        yield (*prefix, x)[:head], -low, top, values
+                        yield prefix + (x,) if head else (), -low, top, values
         while path:
             prefix, base, col, xs = path[-1]
             x = next(xs, None)
             if x is not None:
-                prefix, slack = (*prefix, x), list(map(sub, base, map(mul, col, repeat(x))))
+                prefix, slack = prefix + (x,), list(map(sub, base, map(mul, col, repeat(x))))
                 break
             path.pop()
         else:

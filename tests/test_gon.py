@@ -438,16 +438,18 @@ def rational_polytopes(draw):
 
 
 def spy_walk_boxes(mp):
-    """Check each walk of a minima pass of a body K, made by any caller,
-    before it runs: its box is the exact bounding box of the body it walks,
-    |y_j| <= R max |C_j.v| // (M L) for its radius R, the coordinate
-    functionals C = basis^-T of its basis, and the integer vertices v of
-    that body over M L, K's own for the minima and the rows W of
-    ``K.dual_vertices`` for the dual minima.  Returns a Counter of the
-    passes of a body ("pass") and of those that walked ("walk").  ``mp``
-    is a pytest MonkeyPatch."""
+    """Check each walk of a minima pass of a body K, made by any caller: its
+    pieces are those of the exact bounding box of the body it walks past the
+    unit box.  That box is |y_j| <= his_j = R max |C_j.v| // (M L) for its
+    radius R, the coordinate functionals C = basis^-T of its basis, and the
+    integer vertices v of that body over M L, K's own for the minima and the
+    rows W of ``K.dual_vertices`` for the dual minima; the pieces are, for
+    each j with his_j >= 2 in order, the box los = [-1] * j + [2] + [-his_i
+    for i > j], his = [1] * j + his[j:].  Returns a Counter of the passes of
+    a body ("pass") and of those that walked ("walk").  ``mp`` is a pytest
+    MonkeyPatch."""
     seen = Counter()
-    bodies, bases = [None], []
+    bodies, bases, walks = [None], [], []
     real_kept, real_least, real_runs = gon._kept, gon._least, gon.runs
 
     def kept(K, slot, k, minima):
@@ -461,16 +463,27 @@ def spy_walk_boxes(mp):
 
     def least(side, scale, k, box):
         bases.append(side[0])
-        seen["pass"] += bodies[-1] is not None
-        return real_least(side, scale, k, box)
+        walks.append([])
+        sm = real_least(side, scale, k, box)
+        pieces = walks.pop()
+        if bodies[-1] is not None:
+            seen["pass"] += 1
+            if pieces:
+                exact = pieces[0][1]
+                assert [j for j, _ in pieces] == [j for j, h in enumerate(exact) if h >= 2]
+                seen["walk"] += 1
+        return sm
 
     def runs(rows, los, his, pairs=()):
         if bodies[-1] is not None:
             vertices, ML = bodies[-1]
             R = pairs[0][1]
-            assert his == [R * max(abs(vdot(c, v)) for v in vertices) // ML
-                           for c in core.inverse_transpose(bases[-1])]
-            seen["walk"] += 1
+            exact = [R * max(abs(vdot(c, v)) for v in vertices) // ML
+                     for c in core.inverse_transpose(bases[-1])]
+            j = los.index(2)
+            assert los == [-1] * j + [2] + [-h for h in exact[j + 1:]]
+            assert his == [1] * j + exact[j:]
+            walks[-1].append((j, exact))
         return real_runs(rows, los, his, pairs)
 
     mp.setattr(gon, "_kept", kept)
@@ -1068,36 +1081,50 @@ WALKING_4D = [(-3, 1, -3, 2), (-2, 0, -3, -2), (-1, -1, -3, -2), (-1, -1, 0, -2)
 
 
 def test_minima_enumerate_half_of_each_symmetric_box(monkeypatch):
-    # y -> -y maps x to -x, so only y_1 >= 0 is enumerated: each full box
-    # holds the half's points twice less those with y_1 = 0, and the results
-    # are those of the standard-basis reference.  Both passes of each body
-    # walk, the unit box holding neither result
-    seen = []
-    real = gon.runs
+    # y -> -y maps x to -x: the walk visits only the pieces of the box past
+    # the unit box, none of whose points lies in {-1, 0, 1}^d, and the pieces
+    # and the unit half y > 0 hold each y != 0 of g <= R of the full box
+    # once up to sign; the results are those of the standard-basis
+    # reference.  Both passes of each body walk, the unit box holding
+    # neither result
+    passes = []
+    real_least, real_runs = gon._least, gon.runs
+
+    def least(side, scale, k, box):
+        def boxed(R):
+            # g(y) <= R as the one-sided rows n.y <= R and -n.y <= R
+            sides = [(s, R) for n in zip(*side[1]) for s in (n, tuple(-c for c in n))]
+            passes.append((sides, box(R), [], []))
+            return passes[-1][1]
+        return real_least(side, scale, k, boxed)
 
     def counting(rows, los, his, pairs=()):
-        assert los == [0] + [-h for h in his[1:]]
-        # each pair |n.y| <= R as the one-sided rows n.y <= R and -n.y <= R
-        sides = rows + [(s, R) for n, R in pairs for s in (n, tuple(-c for c in n))]
-        pts = enumerate_points(sides, los, his)
-        full = enumerate_points(sides, [-h for h in his], his)
-        seen.append((len(pts), len(full), sum(1 for y in full if y[0] == 0)))
-        return real(rows, los, his, pairs)
+        sides, _, walked, pieces = passes[-1]
+        walked.extend(enumerate_points(sides, los, his))
+        pieces.append(los)
+        return real_runs(rows, los, his, pairs)
 
+    monkeypatch.setattr(gon, "_least", least)
     monkeypatch.setattr(gon, "runs", counting)
     thin = convex_hull([(0, 0), (10, 0), (0, F(1, 10))], 2)
     bodies = [polar(difference_body(thin)), difference_body(convex_hull(WALKING_3D, 3)),
               difference_body(convex_hull([(0, 0), (5, 1), (7, 2), (2, 1)], 2)),
               difference_body(convex_hull(WALKING_4D, 4))]
     for K in bodies:
-        walks = len(seen)
+        walks = sum(1 for *_, pieces in passes if pieces)
         sm, sm_dual = successive_minima(K), dual_minima(K)
-        assert len(seen) == walks + 2
+        assert sum(1 for *_, pieces in passes if pieces) == walks + 2
         assert (sm.lambdas, sm.witnesses) == minima_by_standard_basis(K)
         assert sm_dual == successive_minima(SymmetricBody(polar(K)))
     assert lattice_width(thin).width == F(1, 10)
-    assert all(2 * half == full + axis for half, full, axis in seen)
-    assert sum(h for h, _, _ in seen) < 0.55 * sum(f for _, f, _ in seen)
+    for sides, his, walked, _ in passes:
+        assert all(max(map(abs, y)) >= 2 for y in walked)
+        full = enumerate_points(sides, [-h for h in his], his)
+        unit = [y for y in product((-1, 0, 1), repeat=len(his)) if y > (0,) * len(his)
+                and all(vdot(n, y) <= R for n, R in sides)]
+        up_to_sign = sorted(max(y, tuple(-c for c in y)) for y in walked + unit)
+        assert up_to_sign == sorted({max(y, tuple(-c for c in y)) for y in full if any(y)})
+    assert {len(his) for _, his, walked, _ in passes if walked} == {2, 4}
 
 
 def test_minima_hand_the_walk_one_row_per_pair(monkeypatch):

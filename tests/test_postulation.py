@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from counting import counted_fractions, time_limit
@@ -182,6 +182,46 @@ class TestBoxVolume:
         assert box_volume([10, 2, 2, 2]) == F(34, 3)
 
 
+class TestIntParameters:
+    # a list of ints is read as it is, with no Fraction made, and gives the
+    # answers of the same list as Fractions
+    @given(st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_ints_match_their_fractions(self, t):
+        fractions = [F(x) for x in t]
+        count, vol = box_count(t), box_volume(t)
+        assert type(count) is int and type(vol) is F
+        assert count == box_count(fractions)
+        assert vol == box_volume(fractions)
+        assert check_vol_bound(t).quantities == check_vol_bound(fractions).quantities
+
+    @given(st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=3))
+    @example([10 ** 17 + 1, 10 ** 17])
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_exact(self, t):
+        # (2 t1 t2 - t2^2) / 2 on ints would be a float, off the volume at
+        # t = (10^17 + 1, 10^17)
+        t = sorted(t, reverse=True)
+        closed = box_volume_closed_form(t)
+        assert type(closed) is F and closed == box_volume(t)
+
+    @pytest.mark.parametrize("fn", [box_count, box_volume, check_vol_bound, box_volume_closed_form])
+    def test_refusals_unchanged(self, fn):
+        for t in ([], [True, 2], [2.0]):
+            with pytest.raises(InvalidInput):
+                fn(t)
+        with pytest.raises(NegativeParameter, match=r"^negative box parameter in \(3, -1\)$"):
+            fn([3, -1])
+
+    def test_flag_op_makes_one_fraction(self):
+        # a flag section count and its box volume at d = 4 build only the volume
+        q, p = 40, [3, 9, 1, 20]
+        with counted_fractions() as made:
+            flag_h0(4, p, q)
+            box_volume([q - x for x in p])
+        assert made.count == 1
+
+
 class TestRecurrences:
     @given(st.lists(wide_params, min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
@@ -194,15 +234,17 @@ class TestRecurrences:
                                    [10 ** 6, F(5, 7), 4, F(2, 3), 1, 0, 8, F(6, 5)]])
     def test_fractions_built(self, t):
         # past the closed form (d >= 4) box_volume builds one Fraction beyond
-        # those _as_params parses, one per int entry (a Fraction is taken as
-        # it is), for the result, and box_count none
+        # those _as_params parses, for the result, and box_count none.  A list
+        # of ints is taken as it is; in a mixed list each int entry is parsed
+        # to a Fraction and a Fraction taken as it is
         with counted_fractions() as parsed:
             postulation._as_params(t)
         with counted_fractions() as vol:
             box_volume(t)
         with counted_fractions() as count:
             box_count(t)
-        assert parsed.count == sum(type(c) is int for c in t)
+        ints = sum(type(c) is int for c in t)
+        assert parsed.count == (0 if ints == len(t) else ints)
         assert vol.count == parsed.count + 1
         assert count.count == parsed.count
 

@@ -470,3 +470,26 @@ def test_cli_check_is_found():
               "def _m2m(rep, w):\n    return rep.holds and core.vdot(w, w) == 1\n\n"
               "def _run_suite(reports):\n    return sum(rep.holds for rep in reports)\n")
     assert cli_checks(ast.parse(source)) == ["1 vdot", "5 holds", "5 vdot"]
+
+
+def true_divisions(tree):
+    """Lines of the true divisions ``/`` and ``/=``: on two ints each makes a
+    float."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+
+
+def test_postulation_divides_exactly():
+    # the box kernels take int parameters as they are, so an int parameter
+    # never meets a true division: an exact quotient is Fraction(a, b)
+    tree = ast.parse((SRC / "postulation.py").read_text(encoding="utf-8"))
+    lines = true_divisions(tree)
+    assert not lines, f"postulation.py divides with / at lines {lines}"
+
+
+def test_true_division_is_found():
+    source = ("from fractions import Fraction\n\n"
+              "def closed(t1, t2):\n    return (2 * t1 * t2 - t2 ** 2) / 2\n\n"
+              "def mean(t):\n    s = sum(t)\n    s /= len(t)\n"
+              "    return Fraction(s, 1), s // 2, Fraction(sum(t), len(t))\n")
+    assert true_divisions(ast.parse(source)) == [4, 8]
